@@ -1,156 +1,92 @@
-"""Segment-pair intersection scan: numba kernel with a pure-numpy fallback.
+"""Segment-pair intersection scan: a uniform-grid bucketed filter in numpy.
 
-This is the only O(grid^2) loop in the package.  The numba path is used when
-the package is importable and FOURIERKNOT_NO_NUMBA is unset; setting that
-environment variable to a truthy value ("1", "true", ...) forces the numpy
-path.  Both backends return identical candidate sets.
+The plane is cut into square cells whose side is at least the longest
+segment's x and y extent, so each segment's bounding box overlaps at most
+2x2 cells, and every segment is registered in each cell its box overlaps.
+A proper intersection point lies in both segments' boxes, hence in a cell
+both share: testing only pairs that share a cell therefore finds exactly the
+candidates of the dense all-pairs scan, with the same float expressions and
+in the same lexicographic (i, j) order.  A closed polyline of n segments
+spans at most n cells per axis, so cell keys fit easily in int64.
+
+This is a filter, not a sweep: well-spread curves give O(grid) candidate
+pairs, but adversarial inputs (many long segments crowding a few cells) can
+still reach O(grid^2).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _PARALLEL_EPS = 1e-14
 
 
-def _scan_loop(px, py):
-    # Scalar double loop over non-adjacent segment pairs of the closed
-    # polyline (px, py) with px[n] == px[0].  Two passes: count, then fill,
-    # so the output allocation is exact.  This body is what numba compiles.
-    n = px.shape[0] - 1
-    count = 0
-    for i in range(n):
-        ax = px[i]
-        ay = py[i]
-        rx = px[i + 1] - ax
-        ry = py[i + 1] - ay
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            qx = px[j + 1] - px[j]
-            qy = py[j + 1] - py[j]
-            denom = rx * qy - ry * qx
-            if denom < _PARALLEL_EPS and denom > -_PARALLEL_EPS:
-                continue
-            ex = px[j] - ax
-            ey = py[j] - ay
-            s = (ex * qy - ey * qx) / denom
-            if s <= 0.0 or s >= 1.0:
-                continue
-            u = (ex * ry - ey * rx) / denom
-            if u <= 0.0 or u >= 1.0:
-                continue
-            count += 1
-    ii = np.empty(count, np.int64)
-    jj = np.empty(count, np.int64)
-    ss = np.empty(count, np.float64)
-    uu = np.empty(count, np.float64)
-    m = 0
-    for i in range(n):
-        ax = px[i]
-        ay = py[i]
-        rx = px[i + 1] - ax
-        ry = py[i + 1] - ay
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            qx = px[j + 1] - px[j]
-            qy = py[j + 1] - py[j]
-            denom = rx * qy - ry * qx
-            if denom < _PARALLEL_EPS and denom > -_PARALLEL_EPS:
-                continue
-            ex = px[j] - ax
-            ey = py[j] - ay
-            s = (ex * qy - ey * qx) / denom
-            if s <= 0.0 or s >= 1.0:
-                continue
-            u = (ex * ry - ey * rx) / denom
-            if u <= 0.0 or u >= 1.0:
-                continue
-            ii[m] = i
-            jj[m] = j
-            ss[m] = s
-            uu[m] = u
-            m += 1
-    return ii, jj, ss, uu
+def _ranges(counts):
+    """Concatenated aranges 0..c-1 for each c in counts."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) - np.repeat(starts, counts)
 
 
-def scan_pairs_numpy(px, py, block: int = 256):
-    """Vectorized fallback: same candidates as the loop kernel, blocked rows."""
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    n = px.shape[0] - 1
-    ax = px[:-1]
-    ay = py[:-1]
-    rx = np.diff(px)
-    ry = np.diff(py)
-    out_i, out_j, out_s, out_u = [], [], [], []
-    cols = np.arange(n)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = np.arange(start, stop)
-        # pair mask: j >= i+2 and not the wrap-adjacent pair (0, n-1)
-        mask = cols[None, :] >= rows[:, None] + 2
-        if start == 0:
-            mask[0, n - 1] = False
-        rxb = rx[rows][:, None]
-        ryb = ry[rows][:, None]
-        qx = rx[None, :]
-        qy = ry[None, :]
-        denom = rxb * qy - ryb * qx
-        ex = ax[None, :] - ax[rows][:, None]
-        ey = ay[None, :] - ay[rows][:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (ex * qy - ey * qx) / denom
-            u = (ex * ryb - ey * rxb) / denom
-        mask &= np.abs(denom) >= _PARALLEL_EPS
-        mask &= (s > 0.0) & (s < 1.0) & (u > 0.0) & (u < 1.0)
-        ib, jb = np.nonzero(mask)
-        if ib.size:
-            out_i.append(rows[ib])
-            out_j.append(cols[jb])
-            out_s.append(s[ib, jb])
-            out_u.append(u[ib, jb])
-    if not out_i:
-        e = np.empty(0)
-        return e.astype(np.int64), e.astype(np.int64), e, e
-    return (
-        np.concatenate(out_i),
-        np.concatenate(out_j),
-        np.concatenate(out_s),
-        np.concatenate(out_u),
-    )
-
-
-def _env_truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_scan_jit = None
-if not _env_truthy("FOURIERKNOT_NO_NUMBA"):
-    try:
-        from numba import njit
-
-        _scan_jit = njit(cache=True)(_scan_loop)
-    except ImportError:  # pragma: no cover - exercised via the env flag instead
-        _scan_jit = None
-
-
-def backend() -> str:
-    """Name of the active scan backend: "numba" or "numpy"."""
-    return "numba" if _scan_jit is not None else "numpy"
+def _shared_cell_pairs(px, py, rx, ry):
+    """Unique segment pairs (i < j) that share a cell, sorted by (i, j)."""
+    n = rx.shape[0]
+    side = max(np.abs(rx).max(), np.abs(ry).max()) if n else 0.0
+    if side == 0.0:
+        none = np.empty(0, np.int64)
+        return none, none
+    # floor is monotone, so two overlapping boxes get overlapping cell ranges
+    # even when rounding stretches a range to a third cell
+    lo_x = np.floor((np.minimum(px[:-1], px[1:]) - px.min()) / side).astype(np.int64)
+    hi_x = np.floor((np.maximum(px[:-1], px[1:]) - px.min()) / side).astype(np.int64)
+    lo_y = np.floor((np.minimum(py[:-1], py[1:]) - py.min()) / side).astype(np.int64)
+    hi_y = np.floor((np.maximum(py[:-1], py[1:]) - py.min()) / side).astype(np.int64)
+    wide = hi_x - lo_x + 1
+    counts = wide * (hi_y - lo_y + 1)
+    seg = np.repeat(np.arange(n), counts)
+    k = _ranges(counts)
+    cell = (lo_x[seg] + k % wide[seg]) * (hi_y.max() + 1) + lo_y[seg] + k // wide[seg]
+    order = np.lexsort((seg, cell))
+    seg = seg[order]
+    cell = cell[order]
+    # pair every registration with the later ones in its cell
+    later = np.searchsorted(cell, cell, side="right") - np.arange(seg.size) - 1
+    left = np.repeat(np.arange(seg.size), later)
+    right = left + 1 + _ranges(later)
+    keys = np.unique(seg[left] * n + seg[right])
+    return keys // n, keys % n
 
 
 def scan_segment_pairs(px, py):
     """Candidate crossing cells: (i, j, s, u) per properly intersecting pair.
 
-    i, j index segments of the closed polyline; s, u are the intersection
-    parameters inside segment i and j respectively.
+    i, j index segments of the closed polyline (px[n] == px[0]); s, u are the
+    intersection parameters inside segment i and j respectively.  Pairs come
+    out sorted by (i, j).  Coordinates must be finite.
     """
     px = np.ascontiguousarray(px, dtype=np.float64)
     py = np.ascontiguousarray(py, dtype=np.float64)
-    if _scan_jit is not None:
-        return _scan_jit(px, py)
-    return scan_pairs_numpy(px, py)
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        raise ValueError("polyline coordinates must be finite")
+    n = px.shape[0] - 1
+    ax = px[:-1]
+    ay = py[:-1]
+    rx = np.diff(px)
+    ry = np.diff(py)
+    i, j = _shared_cell_pairs(px, py, rx, ry)
+    # non-adjacent pairs only: j >= i+2 and not the wrap-adjacent (0, n-1)
+    keep = (j >= i + 2) & ~((i == 0) & (j == n - 1))
+    i = i[keep]
+    j = j[keep]
+    rxb = rx[i]
+    ryb = ry[i]
+    qx = rx[j]
+    qy = ry[j]
+    denom = rxb * qy - ryb * qx
+    ex = ax[j] - ax[i]
+    ey = ay[j] - ay[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (ex * qy - ey * qx) / denom
+        u = (ex * ryb - ey * rxb) / denom
+    mask = np.abs(denom) >= _PARALLEL_EPS
+    mask &= (s > 0.0) & (s < 1.0) & (u > 0.0) & (u < 1.0)
+    return i[mask], j[mask], s[mask], u[mask]

@@ -86,6 +86,46 @@ def pair_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return min(straight, crossed)
 
 
+class _PairIndex:
+    """Time pairs hashed on a torus grid, for near-duplicate lookup.
+
+    The cell side 2*pi / floor(2*pi / EPS_DEDUPE) is at least EPS_DEDUPE and
+    tiles the circle evenly, so two angles within EPS_DEDUPE sit in the same
+    or adjacent cells, also across the 2*pi wrap (the side exceeds
+    EPS_DEDUPE by ~5e-14, far above the rounding of t / side for canonical
+    times, so that stays true in floats).  Each pair is filed under
+    both role assignments, so the 3x3 cells around a query's (t1, t2) cell
+    hold every stored pair within EPS_DEDUPE of it under ``pair_distance``.
+    """
+
+    _CELLS = int(TWO_PI // EPS_DEDUPE)
+    _SIDE = TWO_PI / _CELLS
+
+    def __init__(self):
+        self._cells: dict[tuple[int, int], list[tuple[int, tuple[float, float]]]] = {}
+
+    def _cell(self, t: float) -> int:
+        return int((t % TWO_PI) // self._SIDE) % self._CELLS
+
+    def add(self, key: int, pair: tuple[float, float]) -> None:
+        a, b = self._cell(pair[0]), self._cell(pair[1])
+        self._cells.setdefault((a, b), []).append((key, pair))
+        if a != b:
+            self._cells.setdefault((b, a), []).append((key, pair))
+
+    def near(self, pair: tuple[float, float]) -> list[int]:
+        """Keys of stored pairs within EPS_DEDUPE of pair (may repeat)."""
+        a, b = self._cell(pair[0]), self._cell(pair[1])
+        m = self._CELLS
+        return [
+            key
+            for da in (-1, 0, 1)
+            for db in (-1, 0, 1)
+            for key, old in self._cells.get(((a + da) % m, (b + db) % m), ())
+            if pair_distance(pair, old) <= EPS_DEDUPE
+        ]
+
+
 def enumerate_type1(params: TorusParams):
     """Same-direction double points: pq - q entries of ((kind,k,j), t1, t2).
 
@@ -182,13 +222,17 @@ class CrossingSet:
         for a, b in zip(cs, cs[1:]):
             if (a.t1, a.t2) > (b.t1, b.t2):
                 raise ValueError("crossings must be sorted by (t1, t2)")
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                if pair_distance((cs[i].t1, cs[i].t2), (cs[j].t1, cs[j].t2)) <= EPS_DEDUPE:
-                    raise ValueError(
-                        f"duplicate time pair within {EPS_DEDUPE:g}: "
-                        f"({cs[i].t1}, {cs[i].t2}) vs ({cs[j].t1}, {cs[j].t2})"
-                    )
+        index = _PairIndex()
+        for j, c in enumerate(cs):
+            index.add(j, (c.t1, c.t2))
+        for i, c in enumerate(cs):
+            later = [j for j in index.near((c.t1, c.t2)) if j > i]
+            if later:
+                d = cs[min(later)]
+                raise ValueError(
+                    f"duplicate time pair within {EPS_DEDUPE:g}: "
+                    f"({c.t1}, {c.t2}) vs ({d.t1}, {d.t2})"
+                )
 
     def __len__(self) -> int:
         return len(self.crossings)
@@ -296,7 +340,7 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     ii, jj, ss, uu = _kernels.scan_segment_pairs(px, py)
 
     accepted: list[Crossing] = []
-    pairs: list[tuple[float, float]] = []
+    index = _PairIndex()
     for i, j, s, u in zip(ii, jj, ss, uu):
         g1 = ts[i] + s * h
         g2 = ts[j] + u * h
@@ -311,7 +355,7 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
             t1, t2 = t2, t1
         if circular_distance(t1, t2) <= EPS_DEDUPE:
             continue  # converged onto the trivial diagonal
-        if any(pair_distance((t1, t2), old) <= EPS_DEDUPE for old in pairs):
+        if index.near((t1, t2)):
             continue
         try:
             crossing = classify(knot, t1, t2)
@@ -320,7 +364,7 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
             if diagnostics is not None:
                 diagnostics.append(("singular", int(i), int(j)))
             continue
-        pairs.append((t1, t2))
+        index.add(len(accepted), (t1, t2))
         accepted.append(crossing)
     accepted.sort(key=lambda c: (c.t1, c.t2))
     return CrossingSet(knot, tuple(accepted), "numeric")

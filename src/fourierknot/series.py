@@ -51,9 +51,13 @@ class FourierTerm:
         n = int(self.frequency)
         if n != self.frequency or n < 0:
             raise ValueError(f"frequency must be a non-negative integer, got {self.frequency!r}")
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        amplitude, phase = float(self.amplitude), float(self.phase)
+        for name, value in (("amplitude", amplitude), ("phase", phase)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "frequency", n)
-        object.__setattr__(self, "phase", reduce_angle(float(self.phase)))
+        object.__setattr__(self, "phase", reduce_angle(phase))
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def test_criterion_01_crossing_counts():
 
 
 def test_criterion_02_numeric_analytic_agreement():
-    # warm the scan kernel so one-time JIT compilation is not billed as runtime
+    # one warm-up call so first-use costs are not billed as runtime
     find_crossings_numeric(gen_theorem_knot(TorusParams(2, 3)), 512)
     t0 = time.perf_counter()
     for p, q in FULL_RANGE:

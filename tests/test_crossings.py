@@ -17,7 +17,8 @@ from fourierknot import (
     gen_theorem_knot,
     zdiff,
 )
-from fourierknot.crossings import TYPE_I, TYPE_II, pair_difference
+from fourierknot.crossings import EPS_DEDUPE, TYPE_I, TYPE_II, Crossing, pair_difference
+from fourierknot.series import TWO_PI
 
 COPRIME_PAIRS = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1]
 
@@ -223,6 +224,37 @@ def test_crossing_set_rejects_duplicates():
     doubled = sorted(cs.crossings + cs.crossings[:1], key=lambda c: (c.t1, c.t2))
     with pytest.raises(ValueError):
         CrossingSet(knot, tuple(doubled), "analytic")
+
+
+def _set_of(*pairs):
+    knot = gen_theorem_knot(TorusParams(2, 3))
+    return CrossingSet(knot, tuple(Crossing(a, b, 1, "t1", (0.0, 0.0)) for a, b in pairs), "numeric")
+
+
+def test_crossing_set_rejects_duplicate_across_wrap_with_swapped_roles():
+    with pytest.raises(ValueError, match="duplicate time pair"):
+        _set_of((1e-7, 3.0), (2.9999999, TWO_PI - 1e-7))
+
+
+def test_crossing_set_rejects_duplicate_straddling_cell_boundary():
+    side = TWO_PI / math.floor(TWO_PI / EPS_DEDUPE)
+    a, b = 1000 * side, 3000 * side
+    with pytest.raises(ValueError, match="duplicate time pair"):
+        _set_of((a - 3e-7, b - 3e-7), (a + 3e-7, b + 3e-7))
+
+
+def test_crossing_set_accepts_pairs_two_eps_apart():
+    cs = _set_of((1.0, 2.0), (1.0 + 2 * EPS_DEDUPE, 2.0))
+    assert len(cs) == 2
+
+
+def test_crossing_set_names_first_duplicate():
+    with pytest.raises(ValueError) as exc:
+        _set_of((1e-7, 3.0), (1.5, 2.5), (1.5 + 1e-7, 2.5), (2.9999999, TWO_PI - 1e-7))
+    # the lexicographically first offending pair (0, 3), not (1, 2)
+    assert str(exc.value) == (
+        f"duplicate time pair within {EPS_DEDUPE:g}: (1e-07, 3.0) vs (2.9999999, {TWO_PI - 1e-7})"
+    )
 
 
 def test_crossing_set_json_csv_shape():

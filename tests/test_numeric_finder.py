@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fourierknot import (
+    FourierSeries,
     TorusParams,
     analytic_crossing_set,
     find_crossings_numeric,
@@ -64,45 +67,125 @@ def test_standard_knot_crossing_count():
         assert got == pq[1] * (pq[0] - 1), pq
 
 
-def test_backends_agree():
-    knot = gen_theorem_knot(TorusParams(3, 7))
-    ts = (np.arange(769) + 0.618) * (2 * math.pi / 768)
-    px = np.asarray(knot.x.eval(ts))
-    py = np.asarray(knot.y.eval(ts))
+def scan_pairs_dense(px, py, block: int = 256):
+    """Dense all-pairs reference scan, blocked rows: the bucketed scan's oracle."""
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    n = px.shape[0] - 1
+    ax = px[:-1]
+    ay = py[:-1]
+    rx = np.diff(px)
+    ry = np.diff(py)
+    out_i, out_j, out_s, out_u = [], [], [], []
+    cols = np.arange(n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = np.arange(start, stop)
+        # pair mask: j >= i+2 and not the wrap-adjacent pair (0, n-1)
+        mask = cols[None, :] >= rows[:, None] + 2
+        if start == 0:
+            mask[0, n - 1] = False
+        rxb = rx[rows][:, None]
+        ryb = ry[rows][:, None]
+        qx = rx[None, :]
+        qy = ry[None, :]
+        denom = rxb * qy - ryb * qx
+        ex = ax[None, :] - ax[rows][:, None]
+        ey = ay[None, :] - ay[rows][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (ex * qy - ey * qx) / denom
+            u = (ex * ryb - ey * rxb) / denom
+        mask &= np.abs(denom) >= _kernels._PARALLEL_EPS
+        mask &= (s > 0.0) & (s < 1.0) & (u > 0.0) & (u < 1.0)
+        ib, jb = np.nonzero(mask)
+        if ib.size:
+            out_i.append(rows[ib])
+            out_j.append(cols[jb])
+            out_s.append(s[ib, jb])
+            out_u.append(u[ib, jb])
+    if not out_i:
+        e = np.empty(0)
+        return e.astype(np.int64), e.astype(np.int64), e, e
+    return (
+        np.concatenate(out_i),
+        np.concatenate(out_j),
+        np.concatenate(out_s),
+        np.concatenate(out_u),
+    )
+
+
+_terms = st.lists(
+    st.tuples(
+        st.floats(-2.0, 2.0),
+        st.integers(0, 12),
+        st.floats(0.0, 2 * math.pi),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(x=[(0.0, 3, 0.0)], y=[(1.5, 0, 0.0)], extra=0)  # zero-extent polyline
+@given(x=_terms, y=_terms, extra=st.integers(0, 256))
+def test_bucketed_scan_matches_dense(x, y, extra):
+    sx = FourierSeries.from_triples(x)
+    sy = FourierSeries.from_triples(y)
+    grid = 8 * max(sx.max_frequency(), sy.max_frequency(), 1) + extra
+    ts = (np.arange(grid + 1) + 0.618) * (2 * math.pi / grid)
+    px = np.asarray(sx.eval(ts))
+    py = np.asarray(sy.eval(ts))
     px[-1] = px[0]
     py[-1] = py[0]
-    fast = _kernels.scan_segment_pairs(px, py)
-    slow = _kernels.scan_pairs_numpy(px, py)
-    fast_set = sorted(zip(fast[0].tolist(), fast[1].tolist()))
-    slow_set = sorted(zip(slow[0].tolist(), slow[1].tolist()))
-    assert fast_set == slow_set
-    # parameters agree too once sorted the same way
-    fs = {(i, j): (s, u) for i, j, s, u in zip(*fast)}
-    ss = {(i, j): (s, u) for i, j, s, u in zip(*slow)}
-    for key, (s, u) in fs.items():
-        assert ss[key][0] == pytest.approx(s, abs=1e-12)
-        assert ss[key][1] == pytest.approx(u, abs=1e-12)
+    got = _kernels.scan_segment_pairs(px, py)
+    want = scan_pairs_dense(px, py)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
 
 
-def test_numpy_fallback_full_pipeline(monkeypatch):
-    monkeypatch.setattr(_kernels, "_scan_jit", None)
-    assert _kernels.backend() == "numpy"
+def test_scan_rejects_non_finite_coordinates():
+    px = np.array([0.0, 1.0, math.nan, 0.0])
+    py = np.array([0.0, 1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        _kernels.scan_segment_pairs(px, py)
+
+
+def test_numpy_fallback_full_pipeline():
     knot = gen_theorem_knot(TorusParams(2, 5))
     assert len(find_crossings_numeric(knot, 512)) == 2 * 2 * 5 - 2 - 5
 
 
-def test_env_flag_selects_numpy_backend():
-    import subprocess
-    import sys
+def _nudged(i, j, s, u):
+    return i, j, 0.9 * s + 0.05, u
 
-    code = "import fourierknot; print(fourierknot.kernel_backend())"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "FOURIERKNOT_NO_NUMBA": "1"},
-    )
-    assert out.stdout.strip() == "numpy"
+
+def _unchanged(i, j, s, u):
+    return i, j, s, u
+
+
+def _numeric_json(monkeypatch, knot, remap):
+    scan = _kernels.scan_segment_pairs
+    monkeypatch.setattr(_kernels, "scan_segment_pairs", lambda px, py: remap(*scan(px, py)))
+    try:
+        return find_crossings_numeric(knot, 1024).to_json()
+    finally:
+        monkeypatch.setattr(_kernels, "scan_segment_pairs", scan)
+
+
+@pytest.mark.parametrize("nudged_first", [False, True])
+def test_refined_duplicates_keep_first(monkeypatch, nudged_first):
+    # every candidate twice, once with s nudged inside its segment: both
+    # refine onto the same crossing (to slightly different floats), and the
+    # output is what the first of the two alone gives
+    knot = gen_theorem_knot(TorusParams(3, 5))
+    first, second = (_nudged, _unchanged) if nudged_first else (_unchanged, _nudged)
+
+    def doubled(*cand):
+        return tuple(np.r_[a, b] for a, b in zip(first(*cand), second(*cand)))
+
+    want = _numeric_json(monkeypatch, knot, first)
+    assert _numeric_json(monkeypatch, knot, doubled) == want
 
 
 def test_diagnostics_listable():

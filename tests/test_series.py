@@ -177,3 +177,11 @@ def test_reduce_angle_range():
 def test_term_validation():
     with pytest.raises(ValueError):
         FourierTerm(1.0, -2, 0.0)
+
+
+@pytest.mark.parametrize("field", ["amplitude", "phase"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_term_rejects_non_finite(field, bad):
+    kwargs = {"amplitude": 1.0, "frequency": 3, "phase": 0.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        FourierTerm(**kwargs)
