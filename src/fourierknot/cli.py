@@ -14,11 +14,12 @@ import os
 import sys
 import time
 
-from .crossings import analytic_crossing_set, find_crossings_numeric, pair_distance
+from .crossings import _PairIndex, analytic_crossing_set, find_crossings_numeric
 from .diagram import identify
 from .errors import IdentificationFailure, KnotError, SingularPoint
 from .phases import (
     certify_intercept_reading,
+    gen_theorem_knot,
     phase_map_render,
     same_knot_by_phases,
     sign_vector,
@@ -32,7 +33,6 @@ from .series import (
     TorusParams,
     fmt_float,
     gen_standard_knot,
-    gen_theorem_knot,
 )
 
 EXIT_OK = 0
@@ -98,13 +98,11 @@ def cmd_crossings(args) -> int:
     chosen = numeric if args.numeric else analytic
     if args.check:
         assert numeric is not None
-        mismatch = len(numeric) != len(analytic)
-        if not mismatch:
-            ana_pairs = [(c.t1, c.t2) for c in analytic.crossings]
-            for c in numeric.crossings:
-                if min(pair_distance((c.t1, c.t2), ap) for ap in ana_pairs) > 1e-6:
-                    mismatch = True
-                    break
+        # equal counts, and every numeric pair within EPS_DEDUPE of an analytic one
+        index = _PairIndex((c.t1, c.t2) for c in analytic.crossings)
+        mismatch = len(numeric) != len(analytic) or any(
+            not index.near((c.t1, c.t2)) for c in numeric.crossings
+        )
         if mismatch:
             print(
                 f"oracle disagreement: analytic {len(analytic)} vs numeric {len(numeric)} crossings",

@@ -9,6 +9,7 @@ for any cosine-series knot and serves as the independent oracle.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
@@ -101,8 +102,11 @@ class _PairIndex:
     _CELLS = int(TWO_PI // EPS_DEDUPE)
     _SIDE = TWO_PI / _CELLS
 
-    def __init__(self):
+    def __init__(self, pairs=()):
+        """Index the given pairs under keys 0, 1, 2, ... in order."""
         self._cells: dict[tuple[int, int], list[tuple[int, tuple[float, float]]]] = {}
+        for key, pair in enumerate(pairs):
+            self.add(key, pair)
 
     def _cell(self, t: float) -> int:
         return int((t % TWO_PI) // self._SIDE) % self._CELLS
@@ -126,38 +130,82 @@ class _PairIndex:
         ]
 
 
+class _CrossingTable:
+    """Both closed-form crossing families of T(p, q), one row per crossing.
+
+    Rows run over type I then type II, k then j, in enumeration order.  t1
+    and t2 hold the raw formula times base -/+ half, not reduced mod 2*pi:
+    the height gap takes its half-sum and half-difference from them, and
+    the phase raster's sign bits depend on those exact floats.
+    """
+
+    def __init__(self, params: TorusParams):
+        p, q = params.p, params.q
+        indices, t1, t2 = [], [], []
+        # type I (same direction): t = j*pi/q - pi/(2pq) -/+ k*pi/p, 0 < k < p;
+        # type II (opposite direction): t = j*pi/p -/+ k*pi/q, 0 < k < q.
+        # The j bounds are floors of rationals, computed in exact integer
+        # arithmetic because kq/p + 1/(2p) can sit at an integer; nudge is
+        # the shift in units of pi/(2pq).
+        for kind, a, b, shift, nudge in (
+            (TYPE_I, p, q, math.pi / (2 * p * q), 1),
+            (TYPE_II, q, p, 0.0, 0),
+        ):
+            for k in range(1, a):
+                half = k * math.pi / a
+                j_lo = 1 + (2 * k * b + nudge) // (2 * a)
+                j_hi = (4 * a * b - 2 * k * b + nudge) // (2 * a)
+                for j in range(j_lo, j_hi + 1):
+                    base = j * math.pi / b - shift
+                    indices.append(CrossingIndices(kind, k, j))
+                    t1.append(base - half)
+                    t2.append(base + half)
+        self.p, self.q = p, q
+        self.indices = tuple(indices)
+        self.row = {ix: i for i, ix in enumerate(self.indices)}
+        self.t1, self.t2 = np.array(t1), np.array(t2)
+        self.t1.flags.writeable = self.t2.flags.writeable = False
+
+    def entries(self, kind: str | None = None) -> list[tuple[CrossingIndices, float, float]]:
+        """(indices, raw t1, raw t2) per row, optionally of one kind only."""
+        rows = zip(self.indices, self.t1.tolist(), self.t2.tolist())
+        return [row for row in rows if kind is None or row[0].kind == kind]
+
+    def height_gap(self, rows, phi1, phi2):
+        """z(t1) - z(t2) for z = cos(p t + phi1) + cos((q-p) t + phi2).
+
+        The product-of-sines split of both z terms at the given rows; rows
+        (any numpy index), phi1 and phi2 broadcast against each other.
+        """
+        p, r = self.p, self.q - self.p
+        t1, t2 = self.t1[rows], self.t2[rows]
+        s, d = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
+        return (
+            -2.0 * np.sin(p * s + phi1) * np.sin(p * d)
+            - 2.0 * np.sin(r * s + phi2) * np.sin(r * d)
+        )
+
+
+@functools.lru_cache(maxsize=32)
+def _crossing_table(params: TorusParams) -> _CrossingTable:
+    # cached: point queries (sign_vector, zdiff_at_phases) read one table many times
+    return _CrossingTable(params)
+
+
 def enumerate_type1(params: TorusParams):
     """Same-direction double points: pq - q entries of ((kind,k,j), t1, t2).
 
     Times keep their formula roles (t1 carries the -k shift) and are reduced
-    mod 2*pi individually.  The j bounds are floors of rationals; they are
-    computed in exact integer arithmetic because kq/p + 1/(2p) can sit at an
-    integer.
+    mod 2*pi individually.
     """
-    p, q = params.p, params.q
-    out = []
-    for k in range(1, p):
-        j_lo = 1 + (2 * k * q + 1) // (2 * p)
-        j_hi = (4 * p * q - 2 * k * q + 1) // (2 * p)
-        half = k * math.pi / p
-        for j in range(j_lo, j_hi + 1):
-            base = j * math.pi / q - math.pi / (2 * p * q)
-            out.append((CrossingIndices(TYPE_I, k, j), reduce_angle(base - half), reduce_angle(base + half)))
-    return out
+    entries = _crossing_table(params).entries(TYPE_I)
+    return [(ix, reduce_angle(a), reduce_angle(b)) for ix, a, b in entries]
 
 
 def enumerate_type2(params: TorusParams):
     """Opposite-direction double points: pq - p entries of ((kind,k,j), t1, t2)."""
-    p, q = params.p, params.q
-    out = []
-    for k in range(1, q):
-        j_lo = 1 + (p * k) // q
-        j_hi = (2 * p * q - p * k) // q
-        half = k * math.pi / q
-        for j in range(j_lo, j_hi + 1):
-            base = j * math.pi / p
-            out.append((CrossingIndices(TYPE_II, k, j), reduce_angle(base - half), reduce_angle(base + half)))
-    return out
+    entries = _crossing_table(params).entries(TYPE_II)
+    return [(ix, reduce_angle(a), reduce_angle(b)) for ix, a, b in entries]
 
 
 def direction_product(knot: FourierKnot, t1: float, t2: float) -> float:
@@ -222,9 +270,7 @@ class CrossingSet:
         for a, b in zip(cs, cs[1:]):
             if (a.t1, a.t2) > (b.t1, b.t2):
                 raise ValueError("crossings must be sorted by (t1, t2)")
-        index = _PairIndex()
-        for j, c in enumerate(cs):
-            index.add(j, (c.t1, c.t2))
+        index = _PairIndex((c.t1, c.t2) for c in cs)
         for i, c in enumerate(cs):
             later = [j for j in index.near((c.t1, c.t2)) if j > i]
             if later:
@@ -275,7 +321,7 @@ class CrossingSet:
 
 def analytic_crossing_set(knot: FourierKnot, params: TorusParams) -> CrossingSet:
     """Enumerate both closed-form families and classify against the knot's z."""
-    entries = enumerate_type1(params) + enumerate_type2(params)
+    entries = _crossing_table(params).entries()
     crossings = [classify(knot, t1, t2, idx) for idx, t1, t2 in entries]
     crossings.sort(key=lambda c: (c.t1, c.t2))
     return CrossingSet(knot, tuple(crossings), "analytic")

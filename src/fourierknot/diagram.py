@@ -227,7 +227,7 @@ def _assert_single_component(pd: PDCode):
         raise NotAKnot(f"diagram splits into several components ({len(seen)} of {n2} edges reached)")
 
 
-def alexander_from_diagram(pd: PDCode, engine: str = "auto") -> LaurentPolynomial:
+def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
     """Alexander polynomial from the crossing-relation matrix, exactly.
 
     Each crossing contributes one linear relation over Z[t, 1/t] among the
@@ -273,7 +273,7 @@ def alexander_from_diagram(pd: PDCode, engine: str = "auto") -> LaurentPolynomia
             rows[i][ain] = rows[i][ain] + minus_one
             rows[i][aout] = rows[i][aout] + t
     minor = [row[1:] for row in rows[1:]]
-    det = det_poly_matrix(minor, engine=engine)
+    det = det_poly_matrix(minor)
     if det.is_zero:
         raise SingularDiagram("crossing-relation determinant vanishes")
     return det.normalized()
@@ -290,12 +290,7 @@ def torus_alexander_oracle(params: TorusParams) -> LaurentPolynomial:
     return exact_div(exact_div(num, cyc(p)), cyc(q)).normalized()
 
 
-def identify(
-    knot: FourierKnot,
-    crossings: CrossingSet,
-    params: TorusParams,
-    engine: str = "auto",
-) -> DiagramSummary:
+def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> DiagramSummary:
     """Certify that the diagram is the (p, q) torus knot (up to mirror).
 
     For fully indexed crossing sets the family counts, the uniform
@@ -328,7 +323,7 @@ def identify(
                     "type2-over-direction",
                     f"over-strand at t = {c.t_over:.6f} is not moving rightward",
                 )
-    alex = alexander_from_diagram(build_pd_code(crossings), engine=engine)
+    alex = alexander_from_diagram(build_pd_code(crossings))
     oracle = torus_alexander_oracle(params)
     if alex != oracle:
         raise IdentificationFailure(

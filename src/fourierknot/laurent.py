@@ -557,12 +557,12 @@ def _sparse_unit_reduce(rows: list[list[LaurentPolynomial]]):
 BAREISS_MAX_SIZE = 40
 
 
-def det_poly_matrix(rows: list[list[LaurentPolynomial]], engine: str = "auto") -> LaurentPolynomial:
+def det_poly_matrix(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     """Exact determinant of a Laurent-polynomial matrix.
 
-    engine: "bareiss" (fraction-free elimination), "modular"
-    (evaluate/interpolate with CRT), or "auto" (bareiss up to
-    BAREISS_MAX_SIZE, modular beyond).  Both are exact; they are
+    After sparse unit reduction the remainder goes to fraction-free Bareiss
+    elimination up to BAREISS_MAX_SIZE rows and to the modular
+    evaluate/interpolate engine with CRT beyond.  Both are exact; they are
     cross-checked in the test suite.
     """
     n = len(rows)
@@ -588,12 +588,5 @@ def det_poly_matrix(rows: list[list[LaurentPolynomial]], engine: str = "auto") -
             [e.coeff(d) for d in range(v, e.degree() + 1)] if not e.is_zero else []
             for e in row
         ])
-    if engine == "auto":
-        engine = "bareiss" if n <= BAREISS_MAX_SIZE else "modular"
-    if engine == "bareiss":
-        det = _det_bareiss_lists(lists)
-    elif engine == "modular":
-        det = _det_modular_lists(lists)
-    else:
-        raise ValueError(f"unknown determinant engine {engine!r}")
+    det = _det_bareiss_lists(lists) if n <= BAREISS_MAX_SIZE else _det_modular_lists(lists)
     return prefix * LaurentPolynomial.from_list(det, -shift_total)

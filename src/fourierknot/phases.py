@@ -14,19 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossings import (
-    EPS_SINGULAR,
-    TYPE_I,
-    TYPE_II,
-    CrossingIndices,
-    enumerate_type1,
-    enumerate_type2,
-)
-from .errors import CertificationFailure, SingularPoint
+from .crossings import EPS_SINGULAR, TYPE_I, CrossingIndices, _crossing_table
+from .errors import CertificationFailure, SimplifyRequiresEvenP, SingularPoint
 from .series import TWO_PI, FourierKnot, FourierSeries, FourierTerm, TorusParams, reduce_angle
 
 _CERT_TOL = 1e-9
 _CERT_SAMPLES = 10
+# phi1 samples along each line checked by the certifications below
+_CERT_PHI1 = np.array([TWO_PI * (s + 0.37) / _CERT_SAMPLES for s in range(_CERT_SAMPLES)])
 
 
 @dataclass(frozen=True)
@@ -104,48 +99,36 @@ def knot_with_phases(params: TorusParams, point: PhasePoint) -> FourierKnot:
     )
 
 
-def _crossing_times(params: TorusParams, indices: CrossingIndices) -> tuple[float, float]:
-    p, q = params.p, params.q
-    if indices.kind == TYPE_I:
-        base = indices.j * math.pi / q - math.pi / (2 * p * q)
-        half = indices.k * math.pi / p
-    else:
-        base = indices.j * math.pi / p
-        half = indices.k * math.pi / q
-    return base - half, base + half
+def gen_theorem_knot(params: TorusParams, simplified: bool = False) -> FourierKnot:
+    """The (p,q) torus knot with signature (1,1,2): knot_with_phases at theorem_phase_point.
+
+    With ``simplified`` it is taken at simplified_phase_point, where the
+    second z phase is pi/(2p); that variant is a valid parameterization only
+    for even p.
+    """
+    if simplified and params.p % 2 != 0:
+        raise SimplifyRequiresEvenP(f"the short z phase pi/(2p) requires even p, got p={params.p}")
+    point = simplified_phase_point(params) if simplified else theorem_phase_point(params)
+    return knot_with_phases(params, point)
 
 
 def zdiff_at_phases(params: TorusParams, point: PhasePoint, indices: CrossingIndices) -> float:
-    """z(t1) - z(t2) at the crossing's analytic times, for the given phases."""
-    p, q = params.p, params.q
-    t1, t2 = _crossing_times(params, indices)
-    s = 0.5 * (t1 + t2)
-    d = 0.5 * (t1 - t2)
-    return (
-        -2.0 * math.sin(p * s + point.phi1) * math.sin(p * d)
-        - 2.0 * math.sin((q - p) * s + point.phi2) * math.sin((q - p) * d)
-    )
+    """z(t1) - z(t2) at the crossing's analytic times, for the given phases.
 
-
-def _all_indices(params: TorusParams) -> list[CrossingIndices]:
-    return [ix for ix, _, _ in enumerate_type1(params)] + [
-        ix for ix, _, _ in enumerate_type2(params)
-    ]
+    indices must name a crossing of T(p, q); any other raises KeyError.
+    """
+    table = _crossing_table(params)
+    return float(table.height_gap(table.row[indices], point.phi1, point.phi2))
 
 
 def sign_vector(params: TorusParams, point: PhasePoint) -> SignVector:
     """Sign of the height gap at every crossing; raises SingularPoint on a line."""
-    items = []
-    degenerate = []
-    for ix in _all_indices(params):
-        v = zdiff_at_phases(params, point, ix)
-        if abs(v) <= EPS_SINGULAR:
-            degenerate.append(ix)
-        else:
-            items.append((ix, 1 if v > 0 else -1))
+    table = _crossing_table(params)
+    gaps = table.height_gap(slice(None), point.phi1, point.phi2).tolist()
+    degenerate = [ix for ix, v in zip(table.indices, gaps) if abs(v) <= EPS_SINGULAR]
     if degenerate:
         raise SingularPoint(degenerate)
-    return SignVector(tuple(items))
+    return SignVector(tuple((ix, 1 if v > 0 else -1) for ix, v in zip(table.indices, gaps)))
 
 
 def same_knot_by_phases(params: TorusParams, a: PhasePoint, b: PhasePoint) -> bool:
@@ -167,13 +150,11 @@ def _line_candidates(params: TorusParams):
     """Uncertified line descriptors for every crossing index and admissible m."""
     p, q = params.p, params.q
     out = []
-    for ix in _all_indices(params):
+    for ix in _crossing_table(params).indices:
         if ix.kind == TYPE_I:
             base = ix.j * p * math.pi / q + _TYPE1_CONST(p, q)
-            slopes = None
         else:
             base = -ix.j * q * math.pi / p
-            slopes = True
         m_lo = math.ceil((-base) / math.pi - 1e-12)
         m = m_lo
         while base + m * math.pi < TWO_PI - 1e-12:
@@ -199,16 +180,18 @@ def singular_lines(params: TorusParams) -> list[SingularLine]:
     CertificationFailure rather than being dropped.
     """
     lines = _line_candidates(params)
-    for line in lines:
-        ix = CrossingIndices(line.kind, line.k, line.j)
-        for s in range(_CERT_SAMPLES):
-            phi1 = TWO_PI * (s + 0.37) / _CERT_SAMPLES
-            point = PhasePoint(phi1, line.phi2_at(phi1))
-            r = abs(zdiff_at_phases(params, point, ix))
-            if r > _CERT_TOL:
-                raise CertificationFailure(
-                    f"line {line} fails for crossing {ix.key()}: residual {r:.3e} at phi1={phi1:.6f}"
-                )
+    table = _crossing_table(params)
+    owners = [CrossingIndices(line.kind, line.k, line.j) for line in lines]
+    rows = np.array([table.row[ix] for ix in owners])
+    phi2 = np.array([[line.phi2_at(phi1) for phi1 in _CERT_PHI1.tolist()] for line in lines])
+    residual = np.abs(table.height_gap(rows[:, None], _CERT_PHI1, phi2))
+    failing = np.argwhere(residual > _CERT_TOL)
+    if len(failing):
+        i, s = failing[0]
+        raise CertificationFailure(
+            f"line {lines[i]} fails for crossing {owners[i].key()}: "
+            f"residual {residual[i, s]:.3e} at phi1={_CERT_PHI1[s]:.6f}"
+        )
     return lines
 
 
@@ -225,16 +208,12 @@ def certify_intercept_reading(params: TorusParams) -> tuple[str, float, float]:
         "(1/p - 1/q) / (2*pi)": (1.0 / p - 1.0 / q) / (2 * math.pi),
     }
     results = {}
-    type1 = [ix for ix, _, _ in enumerate_type1(params)]
+    table = _crossing_table(params)
+    type1 = [(i, ix.j) for i, ix in enumerate(table.indices) if ix.kind == TYPE_I]
+    rows = np.array([[i] for i, _ in type1])
     for name, const in readings.items():
-        worst = 0.0
-        for ix in type1:
-            intercept = ix.j * p * math.pi / q + const
-            for s in range(_CERT_SAMPLES):
-                phi1 = TWO_PI * (s + 0.37) / _CERT_SAMPLES
-                point = PhasePoint(phi1, intercept)
-                worst = max(worst, abs(zdiff_at_phases(params, point, ix)))
-        results[name] = worst
+        phi2 = np.array([[reduce_angle(j * p * math.pi / q + const)] for _, j in type1])
+        results[name] = float(np.abs(table.height_gap(rows, _CERT_PHI1, phi2)).max())
     good = min(results, key=results.get)
     bad = max(results, key=results.get)
     if results[good] > _CERT_TOL:
@@ -253,6 +232,7 @@ _PALETTE = (
     (152, 223, 138), (255, 152, 150), (197, 176, 213), (196, 156, 148),
 )
 _SINGULAR_COLOR = (0, 0, 0)
+_KEY_BITS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
 @dataclass
@@ -261,7 +241,9 @@ class PhaseMap:
 
     classes[i1, i2] is the class id of the cell centred at
     ((i1 + 0.5) h, (i2 + 0.5) h), h = 2*pi/grid; -1 marks cells whose centre
-    sits numerically on a singular line.
+    sits numerically on a singular line.  Ids are the ranks of the cells'
+    sign keys among all cells, singular ones included, so they may skip
+    values; n_classes counts the distinct ids that remain.
     """
 
     params: TorusParams
@@ -306,36 +288,29 @@ def phase_map_render(
 ) -> PhaseMap:
     """Colour the phase square by sign-vector class; grid >= 64.
 
-    The height gap of each crossing is linear in (cos phi1, sin phi1,
-    cos phi2, sin phi2), so the whole raster reduces to two outer sums.
+    The cells' sign keys are built eight crossings (one key byte) at a time,
+    so memory stays O(grid^2) whatever the crossing count.
     """
     if grid < 64:
         raise ValueError(f"grid must be at least 64, got {grid}")
-    p, q = params.p, params.q
-    indices = _all_indices(params)
+    table = _crossing_table(params)
+    n = len(table.indices)
     phi = (np.arange(grid) + 0.5) * (TWO_PI / grid)
-    n = len(indices)
-    term1 = np.empty((n, grid))
-    term2 = np.empty((n, grid))
-    for c, ix in enumerate(indices):
-        t1, t2 = _crossing_times(params, ix)
-        s, d = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
-        a = -2.0 * math.sin(p * d)
-        b = -2.0 * math.sin((q - p) * d)
-        term1[c] = a * np.sin(p * s + phi)
-        term2[c] = b * np.sin((q - p) * s + phi)
-    # zdiff for crossing c at cell (i1, i2) is term1[c, i1] + term2[c, i2]
-    gaps = term1[:, :, None] + term2[:, None, :]
-    signs = gaps > 0.0
-    singular = np.abs(gaps) <= EPS_SINGULAR
-    bits = np.packbits(signs.reshape(n, -1), axis=0)
-    keys = np.ascontiguousarray(bits.T).view(
-        np.dtype((np.void, bits.shape[0]))
-    ).ravel()
-    _, inverse = np.unique(keys, return_inverse=True)
-    classes = inverse.reshape(grid, grid).astype(np.int32)
-    n_classes = int(classes.max()) + 1
-    classes[singular.any(axis=0)] = -1
+    ids = np.zeros(grid * grid, dtype=np.intp)
+    singular = np.zeros(grid * grid, dtype=bool)
+    for start in range(0, n, 8):
+        rows = np.arange(start, min(start + 8, n))[:, None, None]
+        gaps = table.height_gap(rows, phi[:, None], phi).reshape(len(rows), -1)
+        singular |= np.abs(gaps).min(axis=0) <= EPS_SINGULAR
+        # ids rank the cells' sign keys so far; appending the next key byte
+        # (first row in the high bit, as np.packbits packs) and ranking again
+        # keeps the lexicographic order of the full keys
+        byte = ((gaps > 0.0) * _KEY_BITS[: len(rows), None]).sum(axis=0, dtype=np.uint8)
+        _, ids = np.unique(ids * 256 + byte, return_inverse=True)
+    classes = ids.reshape(grid, grid).astype(np.int32)
+    singular = singular.reshape(grid, grid)
+    n_classes = len(np.unique(classes[~singular]))
+    classes[singular] = -1
     marks = []
     if mark_theorem_points:
         marks = [

@@ -2,8 +2,9 @@
 
 A curve coordinate is a finite sum ``A*cos(n*t + phi)`` with integer
 frequencies, so every curve here is exactly 2*pi periodic.  Knots come in two
-parameterized families: a two-term-z form (one cosine on x and y, two on z)
-and the classical winding form rewritten as pure cosine series.
+parameterized families: a two-term-z form (one cosine on x and y, two on z;
+built in phases.py from its z phases) and the classical winding form
+rewritten as pure cosine series.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGeometry, InvalidParams, SimplifyRequiresEvenP
+from .errors import InvalidGeometry, InvalidParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,26 +181,6 @@ class StandardTorusGeometry:
     def __post_init__(self):
         if not (0.0 < self.r < self.R):
             raise InvalidGeometry(f"0 < r < R required, got (R={self.R}, r={self.r})")
-
-
-def gen_theorem_knot(params: TorusParams, simplified: bool = False) -> FourierKnot:
-    """The (p,q) torus knot with signature (1,1,2).
-
-    x = cos(p t), y = cos(q t + pi/(2p)),
-    z = cos(p t + pi/2) + cos((q-p) t + pi/(2p) - pi/(4q)).
-
-    With ``simplified``, the second z phase becomes pi/(2p); that variant is a
-    valid parameterization only for even p.
-    """
-    p, q = params.p, params.q
-    if simplified and p % 2 != 0:
-        raise SimplifyRequiresEvenP(f"the short z phase pi/(2p) requires even p, got p={p}")
-    phi_z2 = math.pi / (2 * p) if simplified else math.pi / (2 * p) - math.pi / (4 * q)
-    return FourierKnot(
-        x=FourierSeries((FourierTerm(1.0, p, 0.0),)),
-        y=FourierSeries((FourierTerm(1.0, q, math.pi / (2 * p)),)),
-        z=FourierSeries((FourierTerm(1.0, p, math.pi / 2), FourierTerm(1.0, q - p, phi_z2))),
-    )
 
 
 def _folded(amplitude: float, frequency: int, phase: float) -> FourierTerm:

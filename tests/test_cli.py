@@ -113,7 +113,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     import fourierknot.cli as cli_mod
     from fourierknot import IdentificationFailure
 
-    def always_fails(knot, crossings, params, engine="auto"):
+    def always_fails(knot, crossings, params):
         raise IdentificationFailure("type1-handedness", "forced failure for the test")
 
     monkeypatch.setattr(cli_mod, "identify", always_fails)

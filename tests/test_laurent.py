@@ -3,9 +3,14 @@ import random
 
 import pytest
 
-from fourierknot import LaurentPolynomial, det_poly_matrix, exact_div
+from fourierknot import LaurentPolynomial, det_poly_matrix, exact_div, laurent
 
 L = LaurentPolynomial
+
+
+def force_engine(monkeypatch, engine):
+    """Make det_poly_matrix's size rule pick the named remainder engine."""
+    monkeypatch.setattr(laurent, "BAREISS_MAX_SIZE", 10**9 if engine == "bareiss" else -1)
 
 
 def det_reference(m):
@@ -91,7 +96,8 @@ def test_hash_and_equality():
 
 
 @pytest.mark.parametrize("engine", ["bareiss", "modular"])
-def test_det_engines_against_reference(engine):
+def test_det_engines_against_reference(engine, monkeypatch):
+    force_engine(monkeypatch, engine)
     rng = random.Random(1234)
 
     def entry():
@@ -105,7 +111,7 @@ def test_det_engines_against_reference(engine):
     for _ in range(40):
         n = rng.randint(1, 5)
         m = [[entry() for _ in range(n)] for _ in range(n)]
-        assert det_poly_matrix(m, engine) == det_reference(m)
+        assert det_poly_matrix(m) == det_reference(m)
 
 
 def test_det_empty_matrix():
@@ -117,7 +123,7 @@ def test_det_singular_matrix():
     assert det_poly_matrix([row, row]).is_zero
 
 
-def test_det_engines_agree_on_larger_random():
+def test_det_engines_agree_on_larger_random(monkeypatch):
     rng = random.Random(77)
     for _ in range(5):
         n = 12
@@ -125,4 +131,9 @@ def test_det_engines_agree_on_larger_random():
             [L({d: rng.randint(-2, 2) for d in range(2)}) for _ in range(n)]
             for _ in range(n)
         ]
-        assert det_poly_matrix(m, "bareiss") == det_poly_matrix(m, "modular")
+        dets = []
+        for engine in ("bareiss", "modular"):
+            with monkeypatch.context() as mp:
+                force_engine(mp, engine)
+                dets.append(det_poly_matrix(m))
+        assert dets[0] == dets[1]

@@ -1,11 +1,17 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from fourierknot import (
     CertificationFailure,
+    FourierKnot,
+    FourierSeries,
+    FourierTerm,
     PhasePoint,
+    SimplifyRequiresEvenP,
     SingularPoint,
     TorusParams,
     analytic_crossing_set,
@@ -23,8 +29,15 @@ from fourierknot import (
     theorem_phase_point,
     zdiff_at_phases,
 )
-from fourierknot.crossings import TYPE_I, TYPE_II, enumerate_type1, enumerate_type2
-from fourierknot.phases import _crossing_times
+from fourierknot.crossings import (
+    EPS_SINGULAR,
+    TYPE_I,
+    TYPE_II,
+    _crossing_table,
+    enumerate_type1,
+    enumerate_type2,
+    pair_difference,
+)
 from fourierknot.series import TWO_PI
 
 
@@ -48,10 +61,23 @@ def test_matches_knot_evaluation():
     params = TorusParams(3, 7)
     point = PhasePoint(1.234, 2.345)
     knot = knot_with_phases(params, point)
-    for ix in all_indices(params):
-        t1, t2 = _crossing_times(params, ix)
+    for ix, t1, t2 in _crossing_table(params).entries():
         direct = knot.z.eval(t1) - knot.z.eval(t2)
         assert zdiff_at_phases(params, point, ix) == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (3, 7), (4, 9), (7, 13)])
+def test_matches_pair_difference_bitwise(pq):
+    # the table's numpy height gap is the same float arithmetic as the
+    # term-wise scalar split at the raw (unreduced) formula times
+    params = TorusParams(*pq)
+    rng = random.Random(pq[0] * 100 + pq[1])
+    points = [theorem_phase_point(params), simplified_phase_point(params)]
+    points += [PhasePoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)) for _ in range(10)]
+    for point in points:
+        z = knot_with_phases(params, point).z
+        for ix, t1, t2 in _crossing_table(params).entries():
+            assert zdiff_at_phases(params, point, ix) == pair_difference(z, t1, t2), (point, ix)
 
 
 def test_antisymmetry_under_time_swap():
@@ -236,6 +262,30 @@ def test_equal_sign_vectors_give_equal_gauss_codes(pq):
                 assert gauss(points[i][0]) == gauss(points[j][0])
 
 
+def test_theorem_knot_is_knot_with_phases_at_the_theorem_points():
+    # x = cos(p t), y = cos(q t + pi/(2p)), z = cos(p t + pi/2) + cos((q-p) t + phi2)
+    # with phi2 = pi/(2p) - pi/(4q), or pi/(2p) for the simplified (even p) knot
+    for q in range(3, 30):
+        for p in range(2, min(q, 14)):
+            if math.gcd(p, q) != 1:
+                continue
+            params = TorusParams(p, q)
+            for simplified, point in ((False, theorem_phase_point(params)),
+                                      (True, simplified_phase_point(params))):
+                phi2 = math.pi / (2 * p) - (0.0 if simplified else math.pi / (4 * q))
+                expected = FourierKnot(
+                    FourierSeries((FourierTerm(1.0, p, 0.0),)),
+                    FourierSeries((FourierTerm(1.0, q, math.pi / (2 * p)),)),
+                    FourierSeries((FourierTerm(1.0, p, math.pi / 2), FourierTerm(1.0, q - p, phi2))),
+                )
+                assert knot_with_phases(params, point) == expected, (p, q, simplified)
+                if simplified and p % 2:
+                    with pytest.raises(SimplifyRequiresEvenP):
+                        gen_theorem_knot(params, simplified=True)
+                else:
+                    assert gen_theorem_knot(params, simplified=simplified) == expected, (p, q)
+
+
 @pytest.mark.parametrize("p, q", [(2, 3), (2, 5), (2, 7), (4, 5)])
 def test_even_p_gauss_code_and_identify(p, q):
     params = TorusParams(p, q)
@@ -289,3 +339,60 @@ def test_phase_map_classes_match_direct_sign_vectors():
             assert cells[vec] == cls
         else:
             cells[vec] = cls
+
+
+def phase_classes_dense(params, grid):
+    """The raster as one dense pass: all n x grid^2 gaps, one np.unique over full packed keys.
+
+    Reference for phase_map_render's byte-at-a-time refinement; returns
+    (classes, number of distinct ids on non-singular cells).
+    """
+    p, q = params.p, params.q
+    entries = _crossing_table(params).entries()
+    phi = (np.arange(grid) + 0.5) * (TWO_PI / grid)
+    n = len(entries)
+    term1 = np.empty((n, grid))
+    term2 = np.empty((n, grid))
+    for c, (_, t1, t2) in enumerate(entries):
+        s, d = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
+        term1[c] = -2.0 * math.sin(p * d) * np.sin(p * s + phi)
+        term2[c] = -2.0 * math.sin((q - p) * d) * np.sin((q - p) * s + phi)
+    gaps = term1[:, :, None] + term2[:, None, :]
+    bits = np.packbits((gaps > 0.0).reshape(n, -1), axis=0)
+    keys = np.ascontiguousarray(bits.T).view(np.dtype((np.void, bits.shape[0]))).ravel()
+    _, inverse = np.unique(keys, return_inverse=True)
+    classes = inverse.reshape(grid, grid).astype(np.int32)
+    classes[(np.abs(gaps) <= EPS_SINGULAR).any(axis=0)] = -1
+    return classes, len(np.unique(classes[classes >= 0]))
+
+
+@pytest.mark.parametrize("p, q, grid", [
+    (2, 3, 64), (2, 5, 64), (3, 7, 256), (4, 5, 128), (5, 7, 96), (7, 13, 128),
+])
+def test_phase_map_matches_dense_reference(p, q, grid):
+    # crossing counts 7, 13, 32, 31, 58, 156: chunks of 8 full and partial
+    params = TorusParams(p, q)
+    pmap = phase_map_render(params, grid)
+    classes, n_classes = phase_classes_dense(params, grid)
+    assert np.array_equal(pmap.classes, classes)
+    assert pmap.n_classes == n_classes
+
+
+def test_phase_map_n_classes_counts_only_nonsingular_cells():
+    pmap = phase_map_render(TorusParams(3, 7), 256)
+    ids = np.unique(pmap.classes[pmap.classes >= 0])
+    assert pmap.n_classes == len(ids) == 122
+    assert ids.max() >= pmap.n_classes  # ids keep the ranks of singular cells' keys
+
+
+def test_phase_map_memory_is_grid_squared():
+    # the dense raster held all n x grid^2 gaps: a 36 MB peak at T(3,7)/256
+    params = TorusParams(3, 7)
+    phase_map_render(params, 64)
+    tracemalloc.start()
+    try:
+        phase_map_render(params, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
