@@ -260,19 +260,17 @@ def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
     one_minus_t = LaurentPolynomial({0: 1, 1: -1})
     t = LaurentPolynomial({1: 1})
     minus_one = LaurentPolynomial({0: -1})
-    rows = [[zero] * n for _ in range(n)]
-    for i, (a, c, over_in, _, sign) in enumerate(oriented):
-        o, ain, aout = arc(over_in), arc(a), arc(c)
+    rows: list[dict[int, LaurentPolynomial]] = []
+    for a, c, over_in, _, sign in oriented:
         # Wirtinger relation, abelianized; the left-handed row is scaled by
         # the unit -t so every entry is a plain polynomial
-        rows[i][o] = rows[i][o] + one_minus_t
-        if sign > 0:
-            rows[i][ain] = rows[i][ain] + t
-            rows[i][aout] = rows[i][aout] + minus_one
-        else:
-            rows[i][ain] = rows[i][ain] + minus_one
-            rows[i][aout] = rows[i][aout] + t
-    minor = [row[1:] for row in rows[1:]]
+        row: dict[int, LaurentPolynomial] = {}
+        under_in, under_out = (t, minus_one) if sign > 0 else (minus_one, t)
+        for col, e in ((arc(over_in), one_minus_t), (arc(a), under_in), (arc(c), under_out)):
+            row[col] = row.get(col, zero) + e
+        rows.append(row)
+    # delete arc 0's column and the first relation
+    minor = [{col - 1: e for col, e in row.items() if col} for row in rows[1:]]
     det = det_poly_matrix(minor)
     if det.is_zero:
         raise SingularDiagram("crossing-relation determinant vanishes")

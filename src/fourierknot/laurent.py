@@ -9,6 +9,9 @@ bound so the reconstruction is provably exact.
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +121,13 @@ class LaurentPolynomial:
                         c.pop(e, None)
         self._c = c
 
+    @classmethod
+    def _adopt(cls, c: dict[int, int]) -> "LaurentPolynomial":
+        """Wrap an int exponent -> nonzero int coefficient dict without copying it."""
+        out = object.__new__(cls)
+        out._c = c
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -169,14 +179,22 @@ class LaurentPolynomial:
             if nv:
                 out[e] = nv
             else:
-                out.pop(e, None)
-        return LaurentPolynomial(out)
+                del out[e]
+        return LaurentPolynomial._adopt(out)
 
     def __neg__(self):
-        return LaurentPolynomial({e: -v for e, v in self._c.items()})
+        return LaurentPolynomial._adopt({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        out = dict(self._c)
+        for e, v in other._c.items():
+            nv = out.get(e, 0) - v
+            if nv:
+                out[e] = nv
+            else:
+                del out[e]
+        return LaurentPolynomial._adopt(out)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -188,8 +206,8 @@ class LaurentPolynomial:
                 if nv:
                     out[e] = nv
                 else:
-                    out.pop(e, None)
-        return LaurentPolynomial(out)
+                    del out[e]
+        return LaurentPolynomial._adopt(out)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -204,7 +222,7 @@ class LaurentPolynomial:
 
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by t**k."""
-        return LaurentPolynomial({e + k: v for e, v in self._c.items()})
+        return LaurentPolynomial._adopt({e + k: v for e, v in self._c.items()})
 
     def reciprocal(self) -> "LaurentPolynomial":
         """Substitute t -> 1/t."""
@@ -313,8 +331,9 @@ def _det_bareiss_lists(m: list[list[list[int]]]) -> list[int]:
     return [-v for v in det] if sign < 0 else list(det)
 
 
-def _primes_31bit(count: int) -> list[int]:
-    """First ``count`` primes below 2**31, descending."""
+@functools.cache
+def _primes_31bit(count: int) -> tuple[int, ...]:
+    """First ``count`` primes below 2**31, descending; computed once per count."""
     out = []
     n = (1 << 31) - 1
     while len(out) < count:
@@ -330,7 +349,7 @@ def _primes_31bit(count: int) -> list[int]:
         if is_p:
             out.append(cand)
         n -= 2
-    return out
+    return tuple(out)
 
 
 def _det_mod_p(a: np.ndarray, p: int) -> int:
@@ -472,105 +491,152 @@ def _det_modular_lists(m: list[list[list[int]]]) -> list[int]:
     return _trim(out)
 
 
-def _is_unit_monomial(e: LaurentPolynomial) -> bool:
-    prs = e.pairs()
-    return len(prs) == 1 and prs[0][1] in (1, -1)
+def _as_unit(e: LaurentPolynomial) -> tuple[int, int] | None:
+    """(k, c) when e is the unit monomial c*t**k with c = +-1, else None."""
+    if len(e._c) != 1:
+        return None
+    ((k, c),) = e._c.items()
+    return (k, c) if c in (1, -1) else None
 
 
 _FILL_LIMIT = 64
 
 
-def _sparse_unit_reduce(rows: list[list[LaurentPolynomial]]):
+def _sparse_unit_reduce(rows: list[dict[int, LaurentPolynomial]]):
     """Shrink the matrix by Laplace expansion along unit-monomial pivots.
 
-    Row operations with a +-t**k pivot are exact in the Laurent ring, so the
-    determinant factors as sign * unit * det(remainder).  Pivots are chosen
-    Markowitz-style (least fill); the pass stops when no unit entry remains
-    or every candidate would cause heavy fill.  Returns
-    (sign, unit, remainder_rows) with remainder_rows possibly empty, or
-    (0, zero, []) when a row vanishes (determinant is zero).
+    ``rows[r]`` maps column -> entry of an n x n matrix, n = len(rows);
+    absent and zero entries are zero.  Row operations with a +-t**k pivot
+    are exact in the Laurent ring, so the determinant factors as
+    sign * unit * det(remainder).  Each pivot is the unit entry of least
+    Markowitz cost (row count - 1) * (column count - 1), ties going to the
+    lowest row and then to the earliest entry of that row (columns in
+    order, fill appended).  The candidates sit in a lazily invalidated heap:
+    a pivot re-pushes the unit entries whose cost it may have changed, and
+    a popped key whose cost or position is stale is dropped.  The pass
+    stops when no unit entry remains or the cheapest exceeds _FILL_LIMIT.
+    Returns (sign, unit, remainder_rows) with remainder_rows dense and
+    possibly empty, or (0, zero, []) when a row vanishes (determinant zero).
     """
     n = len(rows)
     zero = LaurentPolynomial.zero()
-    row_entries: dict[int, dict[int, LaurentPolynomial]] = {r: {} for r in range(n)}
-    col_rows: dict[int, set[int]] = {c: set() for c in range(n)}
-    for r in range(n):
-        for c in range(n):
-            e = rows[r][c]
-            if not e.is_zero:
-                row_entries[r][c] = e
+    stamp = itertools.count()  # orders a row's entries as its dict does: fill goes last
+    # row -> {col: (entry, position, _as_unit(entry))}; None once pivoted
+    entries: list[dict[int, tuple] | None] = []
+    col_rows: list[set[int]] = [set() for _ in range(n)]
+    for r, row in enumerate(rows):
+        ents = {}
+        for c in sorted(row):
+            e = row[c]
+            if e:
+                ents[c] = (e, next(stamp), _as_unit(e))
                 col_rows[c].add(r)
+        if not ents:
+            return 0, zero, []
+        entries.append(ents)
+
+    def key(r: int, c: int, pos: int) -> tuple[int, int, int, int]:
+        return ((len(entries[r]) - 1) * (len(col_rows[c]) - 1), r, pos, c)
+
+    heap = [
+        key(r, c, pos) for r, ents in enumerate(entries) for c, (_, pos, u) in ents.items() if u
+    ]
+    heapq.heapify(heap)
     row_order = list(range(n))
     col_order = list(range(n))
     sign = 1
-    unit = LaurentPolynomial.one()
-    while row_order:
-        best = None
-        for r in row_order:
-            entries = row_entries[r]
-            if not entries:
-                return 0, zero, []
-            rc = len(entries)
-            for c, e in entries.items():
-                if _is_unit_monomial(e):
-                    cost = (rc - 1) * (len(col_rows[c]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, r, c, e)
-            if best is not None and best[0] == 0:
-                break
-        if best is None or best[0] > _FILL_LIMIT:
+    unit_exp, unit_coef = 0, 1
+    while heap:
+        top = heapq.heappop(heap)
+        cost, rp, _, cp = top
+        pivot_row = entries[rp]
+        if pivot_row is None or cp not in pivot_row:
+            continue
+        _, cur_pos, u = pivot_row[cp]
+        if u is None or top != key(rp, cp, cur_pos):
+            continue
+        if cost > _FILL_LIMIT:
             break
-        _, rp, cp, u = best
         i = row_order.index(rp)
         j = col_order.index(cp)
         if (i + j) % 2:
             sign = -sign
-        unit = unit * u
-        exp, coef = u.pairs()[0]
-        u_inv = LaurentPolynomial.monomial(-exp, coef)  # coef is +-1, self-inverse
-        pivot_row = row_entries.pop(rp)
+        del row_order[i]
+        del col_order[j]
+        exp, coef = u
+        unit_exp += exp
+        unit_coef *= coef
+        entries[rp] = None
         for c in pivot_row:
             col_rows[c].discard(rp)
-        row_order.remove(rp)
-        col_order.remove(cp)
-        for r2 in list(col_rows[cp]):
-            e2 = row_entries[r2].pop(cp)
-            col_rows[cp].discard(r2)
-            factor = e2 * u_inv
-            for c2, pe in pivot_row.items():
+        touched = col_rows[cp]
+        col_rows[cp] = set()
+        for r2 in touched:
+            ents = entries[r2]
+            factor = ents.pop(cp)[0].shifted(-exp)
+            if coef == -1:
+                factor = -factor
+            for c2, (pe, _, _) in pivot_row.items():
                 if c2 == cp:
                     continue
-                cur = row_entries[r2].get(c2, zero)
-                nv = cur - factor * pe
-                if nv.is_zero:
-                    if c2 in row_entries[r2]:
-                        del row_entries[r2][c2]
+                old = ents.get(c2)
+                nv = (old[0] if old else zero) - factor * pe
+                if not nv:
+                    if old:
+                        del ents[c2]
                         col_rows[c2].discard(r2)
+                elif old:
+                    ents[c2] = (nv, old[1], _as_unit(nv))
                 else:
-                    if c2 not in row_entries[r2]:
-                        col_rows[c2].add(r2)
-                    row_entries[r2][c2] = nv
-    remainder = [[row_entries[r].get(c, zero) for c in col_order] for r in row_order]
+                    ents[c2] = (nv, next(stamp), _as_unit(nv))
+                    col_rows[c2].add(r2)
+            if not ents:
+                return 0, zero, []
+        # costs moved only in the touched rows and in the pivot row's columns
+        for r2 in touched:
+            for c2, (_, p2, u2) in entries[r2].items():
+                if u2:
+                    heapq.heappush(heap, key(r2, c2, p2))
+        for c2 in pivot_row:
+            for r2 in col_rows[c2] - touched:
+                _, p2, u2 = entries[r2][c2]
+                if u2:
+                    heapq.heappush(heap, key(r2, c2, p2))
+    unit = LaurentPolynomial.monomial(unit_exp, unit_coef)
+    remainder = [
+        [entries[r][c][0] if c in entries[r] else zero for c in col_order] for r in row_order
+    ]
     return sign, unit, remainder
 
 
 BAREISS_MAX_SIZE = 40
 
 
-def det_poly_matrix(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Exact determinant of a Laurent-polynomial matrix.
+def det_poly_matrix(
+    rows: list[list[LaurentPolynomial] | dict[int, LaurentPolynomial]],
+) -> LaurentPolynomial:
+    """Exact determinant of an n x n Laurent-polynomial matrix, n = len(rows).
 
-    After sparse unit reduction the remainder goes to fraction-free Bareiss
+    Each row is a list of n entries or a sparse {column: entry} dict.  After
+    sparse unit reduction the remainder goes to fraction-free Bareiss
     elimination up to BAREISS_MAX_SIZE rows and to the modular
     evaluate/interpolate engine with CRT beyond.  Both are exact; they are
     cross-checked in the test suite.
     """
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
+    sparse: list[dict[int, LaurentPolynomial]] = []
+    for row in rows:
+        if isinstance(row, dict):
+            if not all(0 <= c < n for c in row):
+                raise ValueError("column index out of range")
+            sparse.append(row)
+        elif len(row) != n:
+            raise ValueError("matrix must be square")
+        else:
+            sparse.append(dict(enumerate(row)))
     if n == 0:
         return LaurentPolynomial.one()
-    sign, unit, rows = _sparse_unit_reduce(rows)
+    sign, unit, rows = _sparse_unit_reduce(sparse)
     if sign == 0:
         return LaurentPolynomial.zero()
     prefix = unit if sign > 0 else -unit

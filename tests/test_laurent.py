@@ -1,9 +1,23 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fourierknot import LaurentPolynomial, det_poly_matrix, exact_div, laurent
+from fourierknot import (
+    LaurentPolynomial,
+    TorusParams,
+    alexander_from_diagram,
+    analytic_crossing_set,
+    build_pd_code,
+    det_poly_matrix,
+    diagram,
+    exact_div,
+    gen_theorem_knot,
+    laurent,
+)
 
 L = LaurentPolynomial
 
@@ -137,3 +151,202 @@ def test_det_engines_agree_on_larger_random(monkeypatch):
                 force_engine(mp, engine)
                 dets.append(det_poly_matrix(m))
         assert dets[0] == dets[1]
+
+
+def test_det_rejects_malformed_rows():
+    one = L.one()
+    with pytest.raises(ValueError, match="square"):
+        det_poly_matrix([[one, one], [one]])
+    with pytest.raises(ValueError, match="out of range"):
+        det_poly_matrix([{0: one}, {2: one}])
+
+
+# ---------------------------------------------------------------------------
+# Sparse unit reduction against the scan that picked each pivot by rescanning
+# every remaining entry; the production reduction must choose the same pivots.
+
+
+def sparse_unit_reduce_scan(rows):
+    """Reference: per pivot, scan all rows for the least-cost unit entry."""
+    n = len(rows)
+    zero = L.zero()
+
+    def is_unit(e):
+        prs = e.pairs()
+        return len(prs) == 1 and prs[0][1] in (1, -1)
+
+    row_entries = {r: {} for r in range(n)}
+    col_rows = {c: set() for c in range(n)}
+    for r in range(n):
+        for c in range(n):
+            e = rows[r][c]
+            if not e.is_zero:
+                row_entries[r][c] = e
+                col_rows[c].add(r)
+    row_order = list(range(n))
+    col_order = list(range(n))
+    sign = 1
+    unit = L.one()
+    while row_order:
+        best = None
+        for r in row_order:
+            entries = row_entries[r]
+            if not entries:
+                return 0, zero, []
+            rc = len(entries)
+            for c, e in entries.items():
+                if is_unit(e):
+                    cost = (rc - 1) * (len(col_rows[c]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, r, c, e)
+            if best is not None and best[0] == 0:
+                break
+        if best is None or best[0] > laurent._FILL_LIMIT:
+            break
+        _, rp, cp, u = best
+        i = row_order.index(rp)
+        j = col_order.index(cp)
+        if (i + j) % 2:
+            sign = -sign
+        unit = unit * u
+        exp, coef = u.pairs()[0]
+        u_inv = L.monomial(-exp, coef)
+        pivot_row = row_entries.pop(rp)
+        for c in pivot_row:
+            col_rows[c].discard(rp)
+        row_order.remove(rp)
+        col_order.remove(cp)
+        for r2 in list(col_rows[cp]):
+            e2 = row_entries[r2].pop(cp)
+            col_rows[cp].discard(r2)
+            factor = e2 * u_inv
+            for c2, pe in pivot_row.items():
+                if c2 == cp:
+                    continue
+                cur = row_entries[r2].get(c2, zero)
+                nv = cur - factor * pe
+                if nv.is_zero:
+                    if c2 in row_entries[r2]:
+                        del row_entries[r2][c2]
+                        col_rows[c2].discard(r2)
+                else:
+                    if c2 not in row_entries[r2]:
+                        col_rows[c2].add(r2)
+                    row_entries[r2][c2] = nv
+    remainder = [[row_entries[r].get(c, zero) for c in col_order] for r in row_order]
+    return sign, unit, remainder
+
+
+def sparse_rows(dense):
+    return [{c: e for c, e in enumerate(row) if e} for row in dense]
+
+
+def assert_same_reduction(dense):
+    """Heap reduction of the sparse rows equals the scan on the dense rows."""
+    sign, unit, rem = laurent._sparse_unit_reduce(sparse_rows(dense))
+    ref_sign, ref_unit, ref_rem = sparse_unit_reduce_scan(dense)
+    assert (sign, unit, rem) == (ref_sign, ref_unit, ref_rem)
+    return sign, rem
+
+
+def alexander_minor(p, q, monkeypatch):
+    """The Wirtinger minor that alexander_from_diagram hands to det_poly_matrix."""
+    params = TorusParams(p, q)
+    captured = []
+
+    def capture(rows):
+        captured.append(rows)
+        return det_poly_matrix(rows)
+
+    monkeypatch.setattr(diagram, "det_poly_matrix", capture)
+    alexander_from_diagram(build_pd_code(analytic_crossing_set(gen_theorem_knot(params), params)))
+    (minor,) = captured
+    n = len(minor)
+    return [[row.get(c, L.zero()) for c in range(n)] for row in minor]
+
+
+_MINOR_PAIRS = [
+    (p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1
+] + [(6, 25), (9, 19)]
+
+
+@pytest.mark.parametrize("p,q", _MINOR_PAIRS)
+def test_heap_reduction_matches_scan_on_alexander_minors(p, q, monkeypatch):
+    sign, _ = assert_same_reduction(alexander_minor(p, q, monkeypatch))
+    assert sign in (1, -1)
+
+
+@st.composite
+def sparse_laurent_matrices(draw):
+    n = draw(st.integers(1, 12))
+
+    def entry():
+        kind = draw(st.integers(0, 9))
+        if kind < 5:
+            return L.zero()
+        if kind < 8:
+            return L.monomial(draw(st.integers(-3, 3)), draw(st.sampled_from([1, -1])))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+        return L.from_list(coeffs, draw(st.integers(-2, 2)))
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def _dense_block_after_free_pivots():
+    """Two cost-0 pivots, then a 10 x 10 block of units whose cost 81 > _FILL_LIMIT."""
+    one, t = L.one(), L.monomial(1)
+    m = [[L.zero()] * 12 for _ in range(12)]
+    m[0][0], m[0][1], m[1][1] = one, t, -t
+    for i in range(2, 12):
+        for j in range(2, 12):
+            m[i][j] = L.monomial(i * j % 5, 1 if (i + j) % 3 else -1)
+    m[1][5] = L({0: 1, 1: 1})
+    return m
+
+
+def matrix_from_text(rows):
+    """Dense matrix from rows of 'col:entry' tokens; entry an integer, t, -t or u = 1 + t."""
+    named = {"t": L.monomial(1), "-t": L.monomial(1, -1), "u": L({0: 1, 1: 1})}
+    m = [[L.zero()] * len(rows) for _ in rows]
+    for r, text in enumerate(rows):
+        for tok in text.split():
+            c, v = tok.split(":")
+            m[r][int(c)] = named[v] if v in named else L({0: int(v)})
+    return m
+
+
+_ROW_VANISHES = ["0:1 1:t", "0:-1 1:-t", "1:1 2:1"]  # row 1 is -row 0
+
+# Unit entry (5, 6) cancels and is filled again behind (5, 3) at the same cost:
+# its heap key from before the cancellation must not win the tie on position.
+_REFILLED_BEHIND = [
+    "1:2 7:1", "3:u 4:u", "3:u 4:-1 5:u 6:-1", "0:1 1:1 3:-1 6:t",
+    "0:2", "0:1 4:-1 5:-1 6:-1 7:1", "1:2 3:2 5:u 6:-1", "0:1 4:1 5:t 7:t",
+]
+
+
+@settings(max_examples=100, deadline=None)
+@example(m=matrix_from_text(_ROW_VANISHES))
+@example(m=_dense_block_after_free_pivots())
+@example(m=matrix_from_text(_REFILLED_BEHIND))
+@given(m=sparse_laurent_matrices())
+def test_heap_reduction_matches_scan_on_random_matrices(m):
+    assert_same_reduction(m)
+    det = det_poly_matrix(m)
+    assert det_poly_matrix(sparse_rows(m)) == det
+    if len(m) <= 5:
+        assert det == det_reference(m)
+
+
+def test_reduction_examples_reach_their_stopping_rules():
+    sign, _, rem = laurent._sparse_unit_reduce(sparse_rows(matrix_from_text(_ROW_VANISHES)))
+    assert (sign, rem) == (0, [])
+    sign, _, rem = laurent._sparse_unit_reduce(sparse_rows(_dense_block_after_free_pivots()))
+    assert sign != 0 and len(rem) == 10
+
+
+def test_prime_table_is_shared_and_immutable():
+    primes = laurent._primes_31bit(6)
+    assert laurent._primes_31bit(6) is primes
+    assert isinstance(primes, tuple)
+    assert list(primes) == sorted(primes, reverse=True) and primes[0] == (1 << 31) - 1
