@@ -18,6 +18,7 @@ from .crossings import _PairIndex, analytic_crossing_set, find_crossings_numeric
 from .diagram import identify
 from .errors import IdentificationFailure, KnotError, SingularPoint
 from .phases import (
+    MAX_GRID,
     certify_intercept_reading,
     gen_theorem_knot,
     phase_map_render,
@@ -276,7 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("phase-map", help="phase-square map of sign-vector classes")
     add_pq(m)
     add_common(m)
-    m.add_argument("--grid", type=int, default=256, help="cells per side (>= 64)")
+    m.add_argument(
+        "--grid",
+        type=int,
+        default=256,
+        help=f"cells per side, 64 to {MAX_GRID}; the raster takes about 146 MB at 1024 and 600 MB at {MAX_GRID}",
+    )
     m.add_argument("--size", type=int, default=640)
     m.add_argument("--format", choices=["svg", "png"], default="svg")
     m.add_argument(

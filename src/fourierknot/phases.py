@@ -16,7 +16,15 @@ import numpy as np
 
 from .crossings import EPS_SINGULAR, TYPE_I, CrossingIndices, _crossing_table
 from .errors import CertificationFailure, SimplifyRequiresEvenP, SingularPoint
-from .series import TWO_PI, FourierKnot, FourierSeries, FourierTerm, TorusParams, reduce_angle
+from .series import (
+    TWO_PI,
+    FourierKnot,
+    FourierSeries,
+    FourierTerm,
+    TorusParams,
+    reduce_angle,
+    reduce_angles,
+)
 
 _CERT_TOL = 1e-9
 _CERT_SAMPLES = 10
@@ -59,6 +67,13 @@ class SingularLine:
         """Vertical torus distance from the point to the line."""
         d = abs(point.phi2 - self.phi2_at(point.phi1)) % TWO_PI
         return min(d, TWO_PI - d)
+
+
+def _phi2_along(lines, phi1: np.ndarray) -> np.ndarray:
+    """phi2_at of every line at every phi1, shape (len(lines), len(phi1))."""
+    slopes = np.array([line.slope for line in lines])[:, None]
+    intercepts = np.array([line.intercept for line in lines])[:, None]
+    return reduce_angles(slopes * phi1 + intercepts)
 
 
 @dataclass(frozen=True)
@@ -183,7 +198,7 @@ def singular_lines(params: TorusParams) -> list[SingularLine]:
     table = _crossing_table(params)
     owners = [CrossingIndices(line.kind, line.k, line.j) for line in lines]
     rows = np.array([table.row[ix] for ix in owners])
-    phi2 = np.array([[line.phi2_at(phi1) for phi1 in _CERT_PHI1.tolist()] for line in lines])
+    phi2 = _phi2_along(lines, _CERT_PHI1)
     residual = np.abs(table.height_gap(rows[:, None], _CERT_PHI1, phi2))
     failing = np.argwhere(residual > _CERT_TOL)
     if len(failing):
@@ -233,6 +248,11 @@ _PALETTE = (
 )
 _SINGULAR_COLOR = (0, 0, 0)
 _KEY_BITS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
+# key bytes appended to the cell ids between two rankings: ranks < grid^2
+# <= MAX_GRID^2 = 2^22 leave 2^22 * 256^4 = 2^54 inside int64
+_BYTES_PER_RANK = 4
+# the raster's memory budget; see phase_map_render
+MAX_GRID = 2048
 
 
 @dataclass
@@ -286,27 +306,33 @@ class PhaseMap:
 def phase_map_render(
     params: TorusParams, grid: int, mark_theorem_points: bool = True
 ) -> PhaseMap:
-    """Colour the phase square by sign-vector class; grid >= 64.
+    """Colour the phase square by sign-vector class; 64 <= grid <= MAX_GRID.
 
     The cells' sign keys are built eight crossings (one key byte) at a time,
-    so memory stays O(grid^2) whatever the crossing count.
+    so memory stays O(grid^2) whatever the crossing count: about 146 MB at
+    grid 1024 and 600 MB at the cap of 2048, which bounds what one call
+    may allocate.
     """
     if grid < 64:
         raise ValueError(f"grid must be at least 64, got {grid}")
+    if grid > MAX_GRID:
+        raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
     table = _crossing_table(params)
     n = len(table.indices)
     phi = (np.arange(grid) + 0.5) * (TWO_PI / grid)
     ids = np.zeros(grid * grid, dtype=np.intp)
     singular = np.zeros(grid * grid, dtype=bool)
-    for start in range(0, n, 8):
+    for chunk, start in enumerate(range(0, n, 8)):
         rows = np.arange(start, min(start + 8, n))[:, None, None]
         gaps = table.height_gap(rows, phi[:, None], phi).reshape(len(rows), -1)
         singular |= np.abs(gaps).min(axis=0) <= EPS_SINGULAR
-        # ids rank the cells' sign keys so far; appending the next key byte
+        # ids rank the cells' sign keys so far; appending the next key bytes
         # (first row in the high bit, as np.packbits packs) and ranking again
         # keeps the lexicographic order of the full keys
         byte = ((gaps > 0.0) * _KEY_BITS[: len(rows), None]).sum(axis=0, dtype=np.uint8)
-        _, ids = np.unique(ids * 256 + byte, return_inverse=True)
+        ids = ids * 256 + byte
+        if chunk % _BYTES_PER_RANK == _BYTES_PER_RANK - 1 or start + 8 >= n:
+            _, ids = np.unique(ids, return_inverse=True)
     classes = ids.reshape(grid, grid).astype(np.int32)
     singular = singular.reshape(grid, grid)
     n_classes = len(np.unique(classes[~singular]))

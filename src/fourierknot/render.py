@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 
 from .crossings import CrossingSet
+from .phases import _phi2_along
 from .series import TWO_PI, FourierKnot
 
 
@@ -143,14 +144,18 @@ def phase_map_png(pmap, scale: int = 2) -> bytes:
     img = np.repeat(np.repeat(pmap._rgb()[::-1], scale, axis=0), scale, axis=1)
     side = grid * scale
 
-    def px(phi: float) -> int:
-        return min(int(phi / TWO_PI * side), side - 1)
+    def px(phi):
+        return np.minimum((np.asarray(phi) / TWO_PI * side).astype(np.intp), side - 1)
 
-    for line in pmap.lines:
-        for i in range(4 * side):
-            phi1 = TWO_PI * i / (4 * side)
-            phi2 = line.phi2_at(phi1)
-            img[side - 1 - px(phi2), px(phi1)] = (255, 255, 255)
+    # each line is sampled at 4 * side values of phi1; a block of lines is
+    # drawn with one indexed write, and blocks of side // 16 lines keep the
+    # index arrays near the size of the image
+    phi1 = TWO_PI * np.arange(4 * side) / (4 * side)
+    cols = px(phi1)
+    block = max(1, side // 16)
+    for start in range(0, len(pmap.lines), block):
+        phi2 = _phi2_along(pmap.lines[start : start + block], phi1)
+        img[side - 1 - px(phi2), cols] = (255, 255, 255)
     for point, _label in pmap.marks:
         ci, cj = px(point.phi1), px(point.phi2)
         r = max(2, scale)

@@ -31,6 +31,14 @@ def reduce_angle(theta: float) -> float:
     return r + 0.0  # clears negative zero
 
 
+def reduce_angles(theta: np.ndarray) -> np.ndarray:
+    """reduce_angle over an array: the same operations, so bitwise the same values."""
+    r = np.fmod(theta, TWO_PI)
+    r = np.where(r < 0.0, r + TWO_PI, r)
+    r = np.where(r >= TWO_PI, 0.0, r)
+    return r + 0.0
+
+
 def fmt_float(x: float) -> str:
     """17 significant digits: round-trip exact for doubles, stable across runs."""
     return format(float(x), ".17g")

@@ -182,8 +182,21 @@ def test_phase_map_grid_too_small(capsys):
     assert "64" in err
 
 
+def test_phase_map_grid_too_large(capsys, monkeypatch):
+    import fourierknot.phases as ph
+
+    def no_raster(params):
+        raise AssertionError("the raster started")
+
+    monkeypatch.setattr(ph, "_crossing_table", no_raster)
+    code, out, err = run_cli(capsys, "phase-map", "-p", "2", "-q", "3", "--grid", "4096")
+    assert code == 2
+    assert out == ""
+    assert "2048" in err
+
+
 def test_determinism_byte_identical():
-    cmd = [sys.executable, "-m", "fourierknot", "crossings", "-p", "3", "-q", "7", "--format", "json"]
+    cmd =[sys.executable, "-m", "fourierknot", "crossings", "-p", "3", "-q", "7", "--format", "json"]
     a = subprocess.run(cmd, capture_output=True).stdout
     b = subprocess.run(cmd, capture_output=True).stdout
     assert a == b and len(a) > 100

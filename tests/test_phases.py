@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -38,6 +40,8 @@ from fourierknot.crossings import (
     enumerate_type2,
     pair_difference,
 )
+from fourierknot.phases import _CERT_PHI1, _phi2_along
+from fourierknot.render import phase_map_png, png_bytes
 from fourierknot.series import TWO_PI
 
 
@@ -220,6 +224,20 @@ def test_intercept_reading_certified():
         assert bad > 1e-3
 
 
+def test_singular_lines_unchanged_for_small_pairs():
+    # the line reprs are pinned by digest; the array phi2 used to certify them
+    # must equal phi2_at bit for bit
+    digest = hashlib.sha256()
+    for q in range(3, 14):
+        for p in range(2, q):
+            if math.gcd(p, q) == 1:
+                lines = singular_lines(TorusParams(p, q))
+                digest.update(repr(lines).encode())
+                expected = [[line.phi2_at(x) for x in _CERT_PHI1.tolist()] for line in lines]
+                assert _phi2_along(lines, _CERT_PHI1).tolist() == expected, (p, q)
+    assert digest.hexdigest() == "e83948101aef5b349f27deabb2e1c5a2d3b9620b48536c18dbc5467c471fdb2e"
+
+
 def test_wrong_intercept_fails_certification(monkeypatch):
     import fourierknot.phases as ph
 
@@ -317,6 +335,8 @@ def test_phase_map_odd_p_point_on_line():
 def test_phase_map_grid_floor():
     with pytest.raises(ValueError):
         phase_map_render(TorusParams(2, 3), 63)
+    with pytest.raises(ValueError, match="2048"):
+        phase_map_render(TorusParams(2, 3), 2049)
 
 
 def test_phase_map_classes_match_direct_sign_vectors():
@@ -367,10 +387,11 @@ def phase_classes_dense(params, grid):
 
 
 @pytest.mark.parametrize("p, q, grid", [
-    (2, 3, 64), (2, 5, 64), (3, 7, 256), (4, 5, 128), (5, 7, 96), (7, 13, 128),
+    (2, 3, 64), (2, 5, 64), (3, 7, 256), (4, 5, 128), (5, 7, 96), (5, 9, 96), (7, 13, 128),
 ])
 def test_phase_map_matches_dense_reference(p, q, grid):
-    # crossing counts 7, 13, 32, 31, 58, 156: chunks of 8 full and partial
+    # crossing counts 7, 13, 32, 31, 58, 76, 156: chunks of 8 full and
+    # partial; T(5,9) has 10 key bytes, so two rankings of four and one of two
     params = TorusParams(p, q)
     pmap = phase_map_render(params, grid)
     classes, n_classes = phase_classes_dense(params, grid)
@@ -396,3 +417,53 @@ def test_phase_map_memory_is_grid_squared():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# -- phase map PNG -------------------------------------------------------------------
+
+
+def phase_map_png_loop(pmap, scale=2):
+    """phase_map_png drawing each line one pixel at a time: the reference for its overlay."""
+    grid = pmap.grid
+    img = np.repeat(np.repeat(pmap._rgb()[::-1], scale, axis=0), scale, axis=1)
+    side = grid * scale
+
+    def px(phi):
+        return min(int(phi / TWO_PI * side), side - 1)
+
+    for line in pmap.lines:
+        for i in range(4 * side):
+            phi1 = TWO_PI * i / (4 * side)
+            phi2 = line.phi2_at(phi1)
+            img[side - 1 - px(phi2), px(phi1)] = (255, 255, 255)
+    for point, _label in pmap.marks:
+        ci, cj = px(point.phi1), px(point.phi2)
+        r = max(2, scale)
+        lo_y, hi_y = max(0, side - 1 - cj - r), min(side, side - 1 - cj + r + 1)
+        lo_x, hi_x = max(0, ci - r), min(side, ci + r + 1)
+        img[lo_y:hi_y, lo_x:hi_x] = (255, 230, 0)
+    return png_bytes(np.ascontiguousarray(img))
+
+
+@pytest.mark.parametrize("p, q, grid", [(2, 3, 64), (3, 7, 256), (4, 5, 128), (7, 13, 128)])
+def test_phase_map_png_matches_loop(p, q, grid):
+    # n = 7 to 156, with horizontal lines and +-1 diagonals that wrap at phi2 = 0
+    pmap = phase_map_render(TorusParams(p, q), grid)
+    assert {line.slope for line in pmap.lines} == {-1, 0, 1}
+    for marked in (pmap, dataclasses.replace(pmap, marks=[])):
+        for scale in (1, 2, 3):
+            assert phase_map_png(marked, scale=scale) == phase_map_png_loop(marked, scale), scale
+
+
+def test_phase_map_png_memory_is_blocked():
+    # drawing all 1424 lines of T(13,29) in one indexed write peaks near 90 MB
+    pmap = phase_map_render(TorusParams(13, 29), 256)
+    phase_map_png(pmap, scale=1)
+    tracemalloc.start()
+    try:
+        phase_map_png(pmap, scale=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pmap.lines) == 1424
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"

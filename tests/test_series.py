@@ -17,7 +17,7 @@ from fourierknot import (
     gen_theorem_knot,
     standard_torus_point,
 )
-from fourierknot.series import TWO_PI, reduce_angle
+from fourierknot.series import TWO_PI, reduce_angle, reduce_angles
 
 COPRIME_PAIRS = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1]
 
@@ -172,6 +172,20 @@ def test_reduce_angle_range():
         r = reduce_angle(theta)
         assert 0.0 <= r < TWO_PI
         assert math.copysign(1.0, r) == 1.0  # never -0.0
+
+
+def test_reduce_angles_is_bitwise_reduce_angle():
+    # -5e-17 + 2*pi rounds to 2*pi itself, and -1e-300 leaves a tiny negative
+    edges = [0.0, -0.0, -1e-300, -5e-17, 5e-17, 1e6, -1e6, math.pi, TWO_PI - 1e-15]
+    edges += [k * TWO_PI for k in range(-3, 4)]
+    edges += [k * TWO_PI + d for k in range(-3, 4) for d in (-1e-15, 1e-15)]
+    values = np.array(edges)
+    out = reduce_angles(values)
+    assert out.dtype == np.float64 and out.shape == values.shape
+    for theta, r in zip(edges, out.tolist()):
+        expected = reduce_angle(theta)
+        assert r == expected and math.copysign(1.0, r) == math.copysign(1.0, expected), theta
+    assert np.array_equal(reduce_angles(values.reshape(-1, 1)).ravel(), out)
 
 
 def test_term_validation():
