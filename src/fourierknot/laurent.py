@@ -1,10 +1,11 @@
 """Exact integer Laurent polynomials and polynomial-matrix determinants.
 
 Everything in this module is integer arithmetic: no floating point touches
-the topology.  Determinants of polynomial matrices come in two exact flavors:
-fraction-free Bareiss elimination (the reference method) and a modular
-evaluate/interpolate engine for large matrices, certified by a coefficient
-bound so the reconstruction is provably exact.
+the topology.  A polynomial-matrix determinant is first shrunk by sparse
+unit-pivot reduction; the remainder goes to one of two exact engines, both
+sized by the same Hadamard coefficient bound: fraction-free Bareiss over Z at
+the Kronecker point t = 2**k for small remainders, and evaluation at many
+points mod 31-bit primes with interpolation and CRT for large ones.
 """
 
 from __future__ import annotations
@@ -17,48 +18,14 @@ import math
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# Dense coefficient-list helpers (index = exponent, trailing zeros trimmed).
-# Used internally by the determinant engines; LaurentPolynomial wraps a dict.
+# Dense coefficient-list helpers (index = exponent, trailing zeros trimmed),
+# used by exact_div and the modular engine; LaurentPolynomial wraps a dict.
 
 
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return _trim(out)
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _trim(out)
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    if len(a) > len(b):
-        a, b = b, a
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        if ai == 1:
-            for j, bj in enumerate(b):
-                out[i + j] += bj
-        else:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
 
 
 def _exact_div(num: list[int], den: list[int]) -> list[int]:
@@ -302,33 +269,58 @@ def exact_div(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomi
 
 
 def _det_bareiss_lists(m: list[list[list[int]]]) -> list[int]:
-    """Fraction-free Bareiss elimination; all divisions are exact in Z[t]."""
+    """Fraction-free Bareiss elimination over Z at the Kronecker point t = 2**k.
+
+    On |t| = 1 every entry is bounded by its coefficient L1 norm, so
+    Hadamard's inequality bounds every coefficient of the determinant by B,
+    where B**2 <= prod_i sum_j L1(m_ij)**2.  With k = ceil(bits(prod) / 2) + 2
+    each coefficient lies below 2**(k-1) in size, so det(A(2**k)), which
+    equals det(A)(2**k), holds the coefficients as balanced base-2**k digits.
+    Every elimination step is an exact integer division.
+    """
     n = len(m)
     if n == 0:
         return [1]
-    m = [[list(e) for e in row] for row in m]
+    bound = 1
+    for row in m:
+        bound *= sum(sum(map(abs, e)) ** 2 for e in row)
+    k = (bound.bit_length() + 1) // 2 + 2
+    a = []
+    for row in m:
+        vals = []
+        for e in row:
+            v = 0
+            for c in reversed(e):
+                v = (v << k) + c
+            vals.append(v)
+        a.append(vals)
     sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
+    prev = 1
+    for i in range(n - 1):
+        if not a[i][i]:
+            for r in range(i + 1, n):
+                if a[r][i]:
+                    a[i], a[r] = a[r], a[i]
                     sign = -sign
                     break
             else:
                 return []
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = _exact_div(_sub(_mul(row_i[j], piv), _mul(mik, row_k[j])), prev)
-            row_i[k] = []
+        piv = a[i][i]
+        pivot_tail = a[i][i + 1 :]
+        for r in range(i + 1, n):
+            row = a[r]
+            head = row[i]
+            row[i + 1 :] = [(x * piv - head * y) // prev for x, y in zip(row[i + 1 :], pivot_tail)]
         prev = piv
-    det = m[n - 1][n - 1]
-    return [-v for v in det] if sign < 0 else list(det)
+    v = sign * a[n - 1][n - 1]
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    out = []
+    while v:
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> k
+    return out
 
 
 @functools.cache
@@ -350,30 +342,6 @@ def _primes_31bit(count: int) -> tuple[int, ...]:
             out.append(cand)
         n -= 2
     return tuple(out)
-
-
-def _det_mod_p(a: np.ndarray, p: int) -> int:
-    """Determinant mod p of an int64 matrix; products stay below 2**62."""
-    a = np.array(a % p, dtype=np.int64)
-    n = a.shape[0]
-    det = 1
-    for k in range(n):
-        col = a[k:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            return 0
-        i = k + int(nz[0])
-        if i != k:
-            a[[k, i]] = a[[i, k]]
-            det = -det
-        piv = int(a[k, k])
-        det = det * piv % p
-        if k + 1 == n:
-            break
-        inv = pow(piv, p - 2, p)
-        factors = (a[k + 1 :, k] * inv) % p
-        a[k + 1 :, k:] = (a[k + 1 :, k:] - factors[:, None] * a[k, k:][None, :]) % p
-    return det % p
 
 
 def _dets_mod_p_batch(stack: np.ndarray, xs: list[int], p: int) -> np.ndarray:
@@ -415,29 +383,32 @@ def _dets_mod_p_batch(stack: np.ndarray, xs: list[int], p: int) -> np.ndarray:
     return dets % p
 
 
-def _interpolate_mod_p(xs: list[int], ys: list[int], p: int) -> list[int]:
-    """Newton divided differences over GF(p); returns dense coefficients."""
-    n = len(xs)
+def _interpolate_mod_p(ys: list[int], p: int) -> list[int]:
+    """Newton divided differences over GF(p) on the nodes 0..len(ys)-1.
+
+    Returns dense coefficients.  On these nodes every gap at one
+    divided-difference level equals the level, so each level needs one inverse.
+    """
+    n = len(ys)
     coef = list(ys)
     for level in range(1, n):
+        inv = pow(level, p - 2, p)
         for i in range(n - 1, level - 1, -1):
-            dx = (xs[i] - xs[i - level]) % p
-            coef[i] = (coef[i] - coef[i - 1]) * pow(dx, p - 2, p) % p
+            coef[i] = (coef[i] - coef[i - 1]) * inv % p
     # expand Newton form to the monomial basis
     poly = [0] * n
-    acc = [1] + [0] * (n - 1)  # product of (x - xs[i]) so far
+    acc = [1] + [0] * (n - 1)  # product of (x - i) so far
     for i in range(n):
         c = coef[i]
         if c:
             for d in range(i + 1):
                 poly[d] = (poly[d] + c * acc[d]) % p
         if i + 1 < n:
-            xi = xs[i] % p
             new_acc = [0] * n
             for d in range(i + 1):
                 if acc[d]:
                     new_acc[d + 1] = (new_acc[d + 1] + acc[d]) % p
-                    new_acc[d] = (new_acc[d] - acc[d] * xi) % p
+                    new_acc[d] = (new_acc[d] - acc[d] * i) % p
             acc = new_acc
     return poly
 
@@ -473,7 +444,7 @@ def _det_modular_lists(m: list[list[list[int]]]) -> list[int]:
     residues: list[list[int]] = []
     for p in primes:
         ys = [int(v) for v in _dets_mod_p_batch(stack, xs, p)]
-        residues.append(_interpolate_mod_p([x % p for x in xs], ys, p))
+        residues.append(_interpolate_mod_p(ys, p))
 
     # CRT per coefficient, lifted to the symmetric range
     modulus = 1
@@ -609,7 +580,13 @@ def _sparse_unit_reduce(rows: list[dict[int, LaurentPolynomial]]):
     return sign, unit, remainder
 
 
-BAREISS_MAX_SIZE = 40
+# Remainders up to this many rows go to the Kronecker Bareiss engine, larger
+# ones to the modular engine.  The Kronecker engine's integers, and with them
+# the cost of each exact division, grow with the remainder: on identify's
+# remainders it wins up to 17 rows (T(9,26): 0.12 s against 0.33 s), the two
+# trade places at 19 and 20 rows, and the modular engine wins from 22 rows on
+# (T(13,29), 35 rows: 2.5 s against 17 s).
+BAREISS_MAX_SIZE = 20
 
 
 def det_poly_matrix(
@@ -618,10 +595,11 @@ def det_poly_matrix(
     """Exact determinant of an n x n Laurent-polynomial matrix, n = len(rows).
 
     Each row is a list of n entries or a sparse {column: entry} dict.  After
-    sparse unit reduction the remainder goes to fraction-free Bareiss
-    elimination up to BAREISS_MAX_SIZE rows and to the modular
-    evaluate/interpolate engine with CRT beyond.  Both are exact; they are
-    cross-checked in the test suite.
+    sparse unit reduction the remainder goes to fraction-free Bareiss over Z
+    at t = 2**k up to BAREISS_MAX_SIZE rows and to the modular
+    evaluate/interpolate engine with CRT beyond.  Both are exact; the test
+    suite checks them against each other and against Bareiss on coefficient
+    lists.
     """
     n = len(rows)
     sparse: list[dict[int, LaurentPolynomial]] = []

@@ -343,4 +343,4 @@ def phase_map_render(
             (theorem_phase_point(params), "theorem"),
             (simplified_phase_point(params), "simplified"),
         ]
-    return PhaseMap(params, grid, classes, n_classes, _line_candidates(params), marks)
+    return PhaseMap(params, grid, classes, n_classes, singular_lines(params), marks)

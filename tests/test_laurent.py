@@ -16,7 +16,9 @@ from fourierknot import (
     diagram,
     exact_div,
     gen_theorem_knot,
+    identify,
     laurent,
+    torus_alexander_oracle,
 )
 
 L = LaurentPolynomial
@@ -40,6 +42,50 @@ def det_reference(m):
             term = term * m[i][perm[i]]
         total = total + term
     return total
+
+
+def _sub(a, b):
+    out = list(a) + [0] * max(0, len(b) - len(a))
+    for i, v in enumerate(b):
+        out[i] -= v
+    return laurent._trim(out)
+
+
+def _mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return laurent._trim(out)
+
+
+def det_bareiss_reference(m):
+    """Fraction-free Bareiss on coefficient lists; every division is exact in Z[t]."""
+    n = len(m)
+    if n == 0:
+        return [1]
+    m = [[list(e) for e in row] for row in m]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        piv = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = laurent._exact_div(_sub(_mul(m[i][j], piv), _mul(mik, m[k][j])), prev)
+        prev = piv
+    det = m[n - 1][n - 1]
+    return [-v for v in det] if sign < 0 else det
 
 
 def test_basic_arithmetic():
@@ -162,6 +208,40 @@ def test_det_rejects_malformed_rows():
 
 
 # ---------------------------------------------------------------------------
+# The remainder engine (Bareiss over Z at t = 2**k) against the list Bareiss.
+
+
+@st.composite
+def coefficient_matrices(draw):
+    """Square matrices of trimmed coefficient lists, as det_poly_matrix passes them."""
+    n = draw(st.integers(0, 7))
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+
+    def entry():
+        if draw(st.integers(0, 3)) == 0:
+            return []
+        return laurent._trim(draw(st.lists(coeff, min_size=1, max_size=4)))
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        m[draw(st.integers(1, n - 1))] = list(m[0])  # a repeated row: singular
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@example(m=[])
+@example(m=[[[3, -1]]])
+@example(m=[[[]]])
+@example(m=[[[], [1]], [[1], [2, 1]]])  # zero pivot: rows swap, det -1
+@example(m=[[[1, 1], [2]], [[1, 1], [2]]])  # singular
+@example(m=[[[-(10**30), 7], [5]], [[-1], [0, 0, 10**30]]])
+@example(m=[[[1, 2], [3]], [[1], [-1, 1, -4]]])  # det -4 - t - 2t^2 - 8t^3
+@given(m=coefficient_matrices())
+def test_remainder_engine_matches_list_bareiss(m):
+    assert laurent._det_bareiss_lists(m) == det_bareiss_reference(m)
+
+
+# ---------------------------------------------------------------------------
 # Sparse unit reduction against the scan that picked each pivot by rescanning
 # every remaining entry; the production reduction must choose the same pivots.
 
@@ -274,6 +354,27 @@ _MINOR_PAIRS = [
 def test_heap_reduction_matches_scan_on_alexander_minors(p, q, monkeypatch):
     sign, _ = assert_same_reduction(alexander_minor(p, q, monkeypatch))
     assert sign in (1, -1)
+
+
+@pytest.mark.parametrize("p,q", _MINOR_PAIRS)
+def test_remainder_engines_agree_on_alexander_minors(p, q, monkeypatch):
+    minor = alexander_minor(p, q, monkeypatch)
+    remainders = []
+    engine = laurent._det_bareiss_lists
+    monkeypatch.setattr(laurent, "_det_bareiss_lists", lambda m: remainders.append(m) or engine(m))
+    force_engine(monkeypatch, "bareiss")
+    det_poly_matrix(minor)
+    (m,) = remainders  # every one of these minors leaves a remainder, of 1 to 11 rows
+    det = engine(m)
+    assert det == det_bareiss_reference(m)
+    assert det == laurent._det_modular_lists(m)
+
+
+def test_identify_t11_24_matches_closed_form():
+    params = TorusParams(11, 24)
+    knot = gen_theorem_knot(params)
+    summary = identify(knot, analytic_crossing_set(knot, params), params)
+    assert summary.alexander == torus_alexander_oracle(params)
 
 
 @st.composite

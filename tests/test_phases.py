@@ -244,6 +244,9 @@ def test_wrong_intercept_fails_certification(monkeypatch):
     monkeypatch.setattr(ph, "_TYPE1_CONST", lambda p, q: (1.0 / p - 1.0 / q) / (2 * math.pi))
     with pytest.raises(CertificationFailure):
         singular_lines(TorusParams(2, 3))
+    # the lines a phase map draws are the certified ones
+    with pytest.raises(CertificationFailure):
+        phase_map_render(TorusParams(2, 3), 64)
 
 
 # -- sign vector equality implies equal diagrams ----------------------------------------
