@@ -14,7 +14,12 @@ import os
 import sys
 import time
 
-from .crossings import _PairIndex, analytic_crossing_set, find_crossings_numeric
+from .crossings import (
+    MAX_NUMERIC_GRID,
+    _PairIndex,
+    analytic_crossing_set,
+    find_crossings_numeric,
+)
 from .diagram import identify
 from .errors import IdentificationFailure, KnotError, SingularPoint
 from .phases import (
@@ -257,7 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(c)
     c.add_argument("--simplified", action="store_true")
     c.add_argument("--numeric", action="store_true", help="use the numeric double-point finder")
-    c.add_argument("--grid", type=int, default=2048, help="sampling grid for the numeric finder")
+    c.add_argument(
+        "--grid",
+        type=int,
+        default=2048,
+        help=f"sampling grid for the numeric finder, at most {MAX_NUMERIC_GRID} (about 490 MB at the cap)",
+    )
     c.add_argument("--check", action="store_true", help="cross-check numeric against analytic (exit 3 on mismatch)")
     c.add_argument("--format", choices=["json", "csv", "text"], default="json")
     c.set_defaults(func=cmd_crossings)

@@ -34,6 +34,11 @@ TYPE_II = "II"
 # where crossing times live, so no intersection sits exactly on a cell corner
 _GRID_OFFSET = 0.5 * (math.sqrt(5.0) - 1.0)
 
+# the numeric finder's memory budget: its peak is about 235 bytes per grid
+# point under tracemalloc at any crossing count (246 MB at 2**20 for T(13,29)
+# and 244 MB for T(3,7)), so the cap of 2**21 needs about 490 MB
+MAX_NUMERIC_GRID = 1 << 21
+
 _NEWTON_BUDGET = 50
 _NEWTON_TOL = 1e-12
 
@@ -372,8 +377,12 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     then each candidate is polished by damped Newton on
     (x(t1)-x(t2), y(t1)-y(t2)) and deduplicated on the unordered time pair.
     Failed candidates are reported through the logger (and ``diagnostics``
-    when given), never raised.
+    when given), never raised.  Memory grows as about 235 bytes per grid
+    point, so grids above MAX_NUMERIC_GRID = 2**21 (about 490 MB) are refused
+    with ValueError before anything is allocated.
     """
+    if grid > MAX_NUMERIC_GRID:
+        raise ValueError(f"grid must be at most {MAX_NUMERIC_GRID}, got {grid}")
     floor = 4 * knot.max_frequency() * knot.term_count()
     if grid < floor:
         raise ValueError(f"grid {grid} is below the sampling floor {floor}")

@@ -2,10 +2,11 @@
 
 Everything in this module is integer arithmetic: no floating point touches
 the topology.  A polynomial-matrix determinant is first shrunk by sparse
-unit-pivot reduction; the remainder goes to one of two exact engines, both
-sized by the same Hadamard coefficient bound: fraction-free Bareiss over Z at
-the Kronecker point t = 2**k for small remainders, and evaluation at many
-points mod 31-bit primes with interpolation and CRT for large ones.
+unit-pivot reduction; the remainder goes to one of two exact engines.  Both
+compute the integer det(A(2**k)) at a Kronecker point sized by one Hadamard
+coefficient bound, and read the coefficients back as balanced base-2**k
+digits: fraction-free Bareiss over Z for small remainders, and elimination
+mod enough 31-bit primes joined by one CRT for large ones.
 """
 
 from __future__ import annotations
@@ -265,26 +266,45 @@ def exact_div(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomi
 
 
 # ---------------------------------------------------------------------------
-# Determinant engines over matrices of coefficient lists.
+# Determinant engines over matrices of coefficient lists.  Both compute the
+# integer det(A(2**k)), which equals det(A)(2**k), and read the determinant's
+# coefficients back from it as balanced base-2**k digits.
+
+
+def _kronecker_bits(m: list[list[list[int]]]) -> int:
+    """k such that every coefficient of det(m) lies below 2**(k-2) in size.
+
+    On |t| = 1 every entry is bounded by its coefficient L1 norm, so
+    Hadamard's inequality bounds every coefficient of the determinant by B,
+    where B**2 <= prod_i sum_j L1(m_ij)**2; the product is exact in integers.
+    """
+    bound = 1
+    for row in m:
+        bound *= sum(sum(map(abs, e)) ** 2 for e in row)
+    return (bound.bit_length() + 1) // 2 + 2
+
+
+def _balanced_digits(v: int, k: int) -> list[int]:
+    """Coefficients of the polynomial whose value at 2**k is v, each below 2**(k-1) in size."""
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    out = []
+    while v:
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> k
+    return out
 
 
 def _det_bareiss_lists(m: list[list[list[int]]]) -> list[int]:
     """Fraction-free Bareiss elimination over Z at the Kronecker point t = 2**k.
 
-    On |t| = 1 every entry is bounded by its coefficient L1 norm, so
-    Hadamard's inequality bounds every coefficient of the determinant by B,
-    where B**2 <= prod_i sum_j L1(m_ij)**2.  With k = ceil(bits(prod) / 2) + 2
-    each coefficient lies below 2**(k-1) in size, so det(A(2**k)), which
-    equals det(A)(2**k), holds the coefficients as balanced base-2**k digits.
     Every elimination step is an exact integer division.
     """
     n = len(m)
     if n == 0:
         return [1]
-    bound = 1
-    for row in m:
-        bound *= sum(sum(map(abs, e)) ** 2 for e in row)
-    k = (bound.bit_length() + 1) // 2 + 2
+    k = _kronecker_bits(m)
     a = []
     for row in m:
         vals = []
@@ -312,154 +332,121 @@ def _det_bareiss_lists(m: list[list[list[int]]]) -> list[int]:
             head = row[i]
             row[i + 1 :] = [(x * piv - head * y) // prev for x, y in zip(row[i + 1 :], pivot_tail)]
         prev = piv
-    v = sign * a[n - 1][n - 1]
-    half = 1 << (k - 1)
-    mask = (1 << k) - 1
-    out = []
-    while v:
-        d = ((v + half) & mask) - half
-        out.append(d)
-        v = (v - d) >> k
-    return out
+    return _balanced_digits(sign * a[n - 1][n - 1], k)
+
+
+# odd numbers per sieve window: about 6,100 primes below 2**31
+_SIEVE_ODDS = 1 << 16
 
 
 @functools.cache
 def _primes_31bit(count: int) -> tuple[int, ...]:
-    """First ``count`` primes below 2**31, descending; computed once per count."""
-    out = []
-    n = (1 << 31) - 1
-    while len(out) < count:
-        cand = n
-        is_p = cand > 1 and cand % 2 == 1
-        if is_p:
-            f = 3
-            while f * f <= cand:
-                if cand % f == 0:
-                    is_p = False
-                    break
-                f += 2
-        if is_p:
-            out.append(cand)
-        n -= 2
-    return tuple(out)
+    """First ``count`` primes below 2**31, descending; computed once per count.
 
-
-def _dets_mod_p_batch(stack: np.ndarray, xs: list[int], p: int) -> np.ndarray:
-    """Determinants mod p of A(x) for every x in xs, eliminated in lockstep.
-
-    stack[d] holds the degree-d coefficient matrix.  All slices share pivot
-    positions; the rare zero pivot is repaired per slice by a row swap.
-    Products of two residues stay below 2**62, inside int64.
+    Windows of odd numbers, going down from 2**31, are sieved by the odd
+    primes up to sqrt(2**31) until they hold ``count`` primes.
     """
-    n = stack.shape[1]
-    nb = len(xs)
-    xs_arr = np.asarray(xs, dtype=np.int64) % p
-    a = np.broadcast_to(stack[0] % p, (nb, n, n)).copy()
-    xp = np.ones(nb, dtype=np.int64)
-    for d in range(1, stack.shape[0]):
-        xp = xp * xs_arr % p
-        a = (a + (stack[d] % p)[None, :, :] * xp[:, None, None]) % p
+    root = math.isqrt(1 << 31)
+    sieve = np.ones(root + 1, dtype=bool)
+    for i in range(3, math.isqrt(root) + 1, 2):
+        if sieve[i]:
+            sieve[i * i :: 2 * i] = False
+    small = (3 + 2 * np.flatnonzero(sieve[3::2])).tolist()
+    out: list[int] = []
+    hi = 1 << 31
+    while len(out) < count:
+        lo = hi - 2 * _SIEVE_ODDS  # odd[j] stands for lo + 1 + 2j
+        odd = np.ones(_SIEVE_ODDS, dtype=bool)
+        for p in small:
+            first = -(lo + 1) % p  # lo + 1 + first is the first multiple of p
+            odd[(first + p * (first % 2)) // 2 :: p] = False
+        out += (lo + 1 + 2 * np.flatnonzero(odd))[::-1].tolist()
+        hi = lo
+    return tuple(out[:count])
+
+
+def _inverses_mod(v: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """v**(p - 2) mod p lane by lane (the Fermat inverse; 0 maps to 0)."""
+    out = np.ones_like(v)
+    e = ps - 2
+    while e.any():
+        out = np.where(e & 1, out * v % ps, out)
+        v = v * v % ps
+        e = e >> 1
+    return out
+
+
+def _dets_mod_p_batch(a: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """det(a[b]) mod ps[b] for every lane b, all lanes eliminated in lockstep.
+
+    Entries are residues, so products of two stay below 2**62, inside int64.
+    A lane whose pivot is zero swaps in the first row below with a nonzero
+    entry in the pivot column, or has determinant zero if there is none.
+    a is overwritten.
+    """
+    nb, n, _ = a.shape
+    col = ps[:, None]
     dets = np.ones(nb, dtype=np.int64)
     for k in range(n):
+        zero = np.nonzero(a[:, k, k] == 0)[0]
+        if zero.size:
+            below = a[zero, k:, k] != 0
+            i = k + below.argmax(axis=1)  # k itself when the whole column is zero
+            a[zero, k], a[zero, i] = a[zero, i], a[zero, k]
+            dets[zero] = np.where(i > k, -dets[zero], 0)
         piv = a[:, k, k]
-        for b in np.nonzero(piv == 0)[0]:
-            if dets[b] == 0:
-                continue
-            sub = a[b, k:, k]
-            nz = np.nonzero(sub)[0]
-            if nz.size == 0:
-                dets[b] = 0
-                continue
-            i = k + int(nz[0])
-            a[b, [k, i]] = a[b, [i, k]]
-            dets[b] = -dets[b]
-        piv = a[:, k, k]
-        dets = dets * piv % p
+        dets = dets * piv % ps
         if k + 1 == n:
             break
-        inv = np.array([pow(int(v), p - 2, p) if v else 0 for v in piv], dtype=np.int64)
-        factors = a[:, k + 1 :, k] * inv[:, None] % p
-        a[:, k + 1 :, k:] = (a[:, k + 1 :, k:] - factors[:, :, None] * a[:, k, k:][:, None, :]) % p
-    return dets % p
+        factors = a[:, k + 1 :, k] * _inverses_mod(piv, ps)[:, None] % col
+        rest = a[:, k + 1 :, k + 1 :]
+        rest -= factors[:, :, None] * a[:, k, None, k + 1 :]
+        rest %= col[:, :, None]
+    return dets
 
 
-def _interpolate_mod_p(ys: list[int], p: int) -> list[int]:
-    """Newton divided differences over GF(p) on the nodes 0..len(ys)-1.
-
-    Returns dense coefficients.  On these nodes every gap at one
-    divided-difference level equals the level, so each level needs one inverse.
-    """
-    n = len(ys)
-    coef = list(ys)
-    for level in range(1, n):
-        inv = pow(level, p - 2, p)
-        for i in range(n - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * inv % p
-    # expand Newton form to the monomial basis
-    poly = [0] * n
-    acc = [1] + [0] * (n - 1)  # product of (x - i) so far
-    for i in range(n):
-        c = coef[i]
-        if c:
-            for d in range(i + 1):
-                poly[d] = (poly[d] + c * acc[d]) % p
-        if i + 1 < n:
-            new_acc = [0] * n
-            for d in range(i + 1):
-                if acc[d]:
-                    new_acc[d + 1] = (new_acc[d + 1] + acc[d]) % p
-                    new_acc[d] = (new_acc[d] - acc[d] * i) % p
-            acc = new_acc
-    return poly
+# Primes per elimination block: bounds the int64 working set to a few MB.
+_PRIME_BLOCK = 256
 
 
 def _det_modular_lists(m: list[list[list[int]]]) -> list[int]:
-    """Exact determinant by evaluation/interpolation mod several 31-bit primes.
+    """Exact determinant from det(A(2**k)) mod enough 31-bit primes, joined by CRT.
 
-    The prime count is chosen from a rigorous coefficient bound: on |z| = 1
-    every entry is bounded by its coefficient L1 norm, so Hadamard's
-    inequality bounds |det| on the unit circle, hence every coefficient.
+    With D the sum of the rows' degrees, |det(A(2**k))| < 2**(k(D+1)), and
+    every prime exceeds 2**30, so floor(k(D+1)/30) + 1 primes make a modulus
+    above twice that size.  The primes are eliminated in blocks, one lane per
+    prime.  Coefficients must fit in int64.
     """
     n = len(m)
     if n == 0:
         return [1]
+    k = _kronecker_bits(m)
     deg_bound = sum(max((len(e) - 1 for e in row if e), default=0) for row in m)
-    bits = 1.0
-    for row in m:
-        s = sum(sum(abs(c) for c in e) ** 2 for e in row)
-        bits += 0.5 * math.log2(max(s, 1))
-    n_primes = max(1, math.ceil((bits + 1) / 31.0))
-    primes = _primes_31bit(n_primes)
-
-    max_deg = max(max((len(e) for row in m for e in row), default=1), 1)
-    stack = np.zeros((max_deg, n, n), dtype=np.int64)
-    for i, row in enumerate(m):
-        for j, e in enumerate(row):
-            for d, c in enumerate(e):
-                if not (-(1 << 62) < c < (1 << 62)):
-                    raise OverflowError("entry coefficient too large for the modular engine")
-                stack[d, i, j] = c
-
-    xs = list(range(deg_bound + 1))
-    residues: list[list[int]] = []
-    for p in primes:
-        ys = [int(v) for v in _dets_mod_p_batch(stack, xs, p)]
-        residues.append(_interpolate_mod_p(ys, p))
-
-    # CRT per coefficient, lifted to the symmetric range
-    modulus = 1
-    for p in primes:
+    primes = _primes_31bit(k * (deg_bound + 1) // 30 + 1)
+    width = max(max(len(e) for row in m for e in row), 1)
+    coeffs = np.array([[e + [0] * (width - len(e)) for e in row] for row in m], dtype=np.int64)
+    # per degree d: the cells with a nonzero t**d coefficient, and those coefficients
+    by_degree = [(np.flatnonzero(c), c[c != 0]) for c in coeffs.reshape(n * n, width).T]
+    residues = []
+    for lo in range(0, len(primes), _PRIME_BLOCK):
+        block = primes[lo : lo + _PRIME_BLOCK]
+        ps = np.array(block, dtype=np.int64)
+        col = ps[:, None]
+        x = np.array([pow(2, k, p) for p in block], dtype=np.int64)
+        xd = np.ones_like(x)  # (2**k)**d mod p
+        a = np.zeros((len(block), n * n), dtype=np.int64)
+        for cells, c in by_degree:  # each cell sums at most width residues
+            a[:, cells] += c % col * xd[:, None] % col
+            xd = xd * x % ps
+        a %= col
+        residues += _dets_mod_p_batch(a.reshape(-1, n, n), ps).tolist()
+    v, modulus = 0, 1
+    for p, r in zip(primes, residues):
+        v += modulus * ((r - v % p) * pow(modulus % p, -1, p) % p)
         modulus *= p
-    out = []
-    for d in range(deg_bound + 1):
-        r = 0
-        for p, res in zip(primes, residues):
-            mp = modulus // p
-            r = (r + res[d] * mp * pow(mp % p, p - 2, p)) % modulus
-        if r > modulus // 2:
-            r -= modulus
-        out.append(r)
-    return _trim(out)
+    if v > modulus // 2:
+        v -= modulus
+    return _balanced_digits(v, k)
 
 
 def _as_unit(e: LaurentPolynomial) -> tuple[int, int] | None:
@@ -580,13 +567,14 @@ def _sparse_unit_reduce(rows: list[dict[int, LaurentPolynomial]]):
     return sign, unit, remainder
 
 
-# Remainders up to this many rows go to the Kronecker Bareiss engine, larger
-# ones to the modular engine.  The Kronecker engine's integers, and with them
-# the cost of each exact division, grow with the remainder: on identify's
-# remainders it wins up to 17 rows (T(9,26): 0.12 s against 0.33 s), the two
-# trade places at 19 and 20 rows, and the modular engine wins from 22 rows on
-# (T(13,29), 35 rows: 2.5 s against 17 s).
-BAREISS_MAX_SIZE = 20
+# Remainders up to this many rows go to the Bareiss engine, larger ones to
+# the modular engine.  Bareiss's integers, and with them the cost of each
+# exact division, grow with the remainder, while the modular engine pays a
+# fixed numpy cost per pivot.  On identify's remainders Bareiss wins every
+# case up to 10 rows (T(11,18): 9.9 ms against 13.7 ms), the two trade places
+# at 11 and 12 rows, and the modular engine wins every case from 13 rows on
+# (T(11,24), 17 rows: 62 ms against 242 ms; T(13,29), 35 rows: 0.74 s).
+BAREISS_MAX_SIZE = 12
 
 
 def det_poly_matrix(
@@ -595,11 +583,12 @@ def det_poly_matrix(
     """Exact determinant of an n x n Laurent-polynomial matrix, n = len(rows).
 
     Each row is a list of n entries or a sparse {column: entry} dict.  After
-    sparse unit reduction the remainder goes to fraction-free Bareiss over Z
-    at t = 2**k up to BAREISS_MAX_SIZE rows and to the modular
-    evaluate/interpolate engine with CRT beyond.  Both are exact; the test
-    suite checks them against each other and against Bareiss on coefficient
-    lists.
+    sparse unit reduction the remainder's determinant is read back from its
+    value at t = 2**k: by fraction-free Bareiss over Z up to BAREISS_MAX_SIZE
+    rows, and beyond by elimination mod 31-bit primes and CRT, unless a
+    coefficient does not fit in int64 (then by Bareiss).  Both are exact; the
+    test suite checks them against each other and against Bareiss on
+    coefficient lists.
     """
     n = len(rows)
     sparse: list[dict[int, LaurentPolynomial]] = []
@@ -632,5 +621,6 @@ def det_poly_matrix(
             [e.coeff(d) for d in range(v, e.degree() + 1)] if not e.is_zero else []
             for e in row
         ])
-    det = _det_bareiss_lists(lists) if n <= BAREISS_MAX_SIZE else _det_modular_lists(lists)
+    modular = n > BAREISS_MAX_SIZE and all(abs(c) < 1 << 63 for r in lists for e in r for c in e)
+    det = _det_modular_lists(lists) if modular else _det_bareiss_lists(lists)
     return prefix * LaurentPolynomial.from_list(det, -shift_total)

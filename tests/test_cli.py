@@ -195,6 +195,26 @@ def test_phase_map_grid_too_large(capsys, monkeypatch):
     assert "2048" in err
 
 
+def test_numeric_grid_too_large(capsys, monkeypatch):
+    import numpy as np
+
+    import fourierknot.crossings as cr
+
+    class NumpyWithoutArange:
+        def __getattr__(self, name):
+            if name == "arange":
+                raise AssertionError("the sample grid was allocated")
+            return getattr(np, name)
+
+    monkeypatch.setattr(cr, "np", NumpyWithoutArange())
+    code, out, err = run_cli(
+        capsys, "crossings", "-p", "2", "-q", "3", "--numeric", "--grid", "100000000"
+    )
+    assert code == 2
+    assert out == ""
+    assert "2097152" in err
+
+
 def test_determinism_byte_identical():
     cmd =[sys.executable, "-m", "fourierknot", "crossings", "-p", "3", "-q", "7", "--format", "json"]
     a = subprocess.run(cmd, capture_output=True).stdout

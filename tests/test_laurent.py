@@ -208,14 +208,21 @@ def test_det_rejects_malformed_rows():
 
 
 # ---------------------------------------------------------------------------
-# The remainder engine (Bareiss over Z at t = 2**k) against the list Bareiss.
+# The remainder engines (Bareiss over Z, and elimination mod primes with CRT,
+# both at t = 2**k) against the list Bareiss.
+
+
+def fits_int64(m):
+    """Whether every coefficient is small enough for the modular engine."""
+    return all(abs(c) < 1 << 63 for row in m for e in row for c in e)
 
 
 @st.composite
 def coefficient_matrices(draw):
     """Square matrices of trimmed coefficient lists, as det_poly_matrix passes them."""
     n = draw(st.integers(0, 7))
-    coeff = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    big = draw(st.sampled_from([3, (1 << 63) - 1, 10**30]))
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-big, big))
 
     def entry():
         if draw(st.integers(0, 3)) == 0:
@@ -236,9 +243,17 @@ def coefficient_matrices(draw):
 @example(m=[[[1, 1], [2]], [[1, 1], [2]]])  # singular
 @example(m=[[[-(10**30), 7], [5]], [[-1], [0, 0, 10**30]]])
 @example(m=[[[1, 2], [3]], [[1], [-1, 1, -4]]])  # det -4 - t - 2t^2 - 8t^3
+# pivots that vanish modulo the first prime, 2**31 - 1, only: that lane swaps
+# rows, or finds its whole column zero
+@example(m=[[[(1 << 31) - 1], [1]], [[1], [1]]])
+@example(m=[[[(1 << 31) - 1], [1]], [[(1 << 31) - 1], [2]]])
+@example(m=[[[-(1 << 63) + 1, 5], [1 << 62]], [[3], [(1 << 63) - 1]]])
 @given(m=coefficient_matrices())
 def test_remainder_engine_matches_list_bareiss(m):
-    assert laurent._det_bareiss_lists(m) == det_bareiss_reference(m)
+    det = det_bareiss_reference(m)
+    assert laurent._det_bareiss_lists(m) == det
+    if fits_int64(m):
+        assert laurent._det_modular_lists(m) == det
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +459,35 @@ def test_reduction_examples_reach_their_stopping_rules():
     assert (sign, rem) == (0, [])
     sign, _, rem = laurent._sparse_unit_reduce(sparse_rows(_dense_block_after_free_pivots()))
     assert sign != 0 and len(rem) == 10
+
+
+@pytest.mark.parametrize("top", [1 << 62, 1 << 64])
+def test_det_with_huge_coefficients_above_the_crossover(top):
+    """A cycle too big for Bareiss's size rule, its constants at 2**62 (int64) or 2**64."""
+    n = laurent.BAREISS_MAX_SIZE + 9
+    m = [{i: L({0: top + i}), (i + 1) % n: L({1: 2})} for i in range(n)]
+    # det = prod(diagonal) + sign(n-cycle) * (2t)**n, sign = (-1)**(n - 1)
+    expected = L({0: math.prod(top + i for i in range(n)), n: (-1) ** (n - 1) * 2**n})
+    assert det_poly_matrix(m) == expected
+
+
+def _is_prime(n):
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_primes_match_trial_division():
+    top = 1 << 31
+    expected = [n for n in range(top - 1, top - 600, -1) if _is_prime(n)]
+    assert list(laurent._primes_31bit(len(expected))) == expected
+
+
+def test_primes_continue_across_sieve_windows():
+    edge = (1 << 31) - 2 * laurent._SIEVE_ODDS  # where the second window starts
+    near = [n for n in range(edge + 300, edge - 300, -1) if _is_prime(n)]
+    # a tenth of the window's odd numbers is more than the ~6,100 primes it holds
+    primes = laurent._primes_31bit(laurent._SIEVE_ODDS // 10)
+    assert min(primes) < edge
+    assert [p for p in primes if edge - 300 < p <= edge + 300] == near
 
 
 def test_prime_table_is_shared_and_immutable():
