@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         default=256,
-        help=f"cells per side, 64 to {MAX_GRID}; the raster takes about 146 MB at 1024 and 600 MB at {MAX_GRID}",
+        help=f"cells per side, 64 to {MAX_GRID}; the raster takes about 12 MB at 512 and 115 MB "
+        f"at {MAX_GRID} for T(7,13), and more as p and q grow",
     )
     m.add_argument("--size", type=int, default=640)
     m.add_argument("--format", choices=["svg", "png"], default="svg")

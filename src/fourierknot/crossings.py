@@ -182,13 +182,15 @@ class _CrossingTable:
         The product-of-sines split of both z terms at the given rows; rows
         (any numpy index), phi1 and phi2 broadcast against each other.
         """
+        a, b = self.gap_terms(rows, phi1, phi2)
+        return a - b
+
+    def gap_terms(self, rows, phi1, phi2):
+        """(a, b) with height_gap = a - b: a holds the phi1 term, b the phi2 term."""
         p, r = self.p, self.q - self.p
         t1, t2 = self.t1[rows], self.t2[rows]
         s, d = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
-        return (
-            -2.0 * np.sin(p * s + phi1) * np.sin(p * d)
-            - 2.0 * np.sin(r * s + phi2) * np.sin(r * d)
-        )
+        return (-2.0 * np.sin(p * s + phi1)) * np.sin(p * d), (2.0 * np.sin(r * s + phi2)) * np.sin(r * d)
 
 
 @functools.lru_cache(maxsize=32)

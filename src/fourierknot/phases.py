@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .crossings import EPS_SINGULAR, TYPE_I, CrossingIndices, _crossing_table
 from .errors import CertificationFailure, SimplifyRequiresEvenP, SingularPoint
@@ -247,10 +248,20 @@ _PALETTE = (
     (152, 223, 138), (255, 152, 150), (197, 176, 213), (196, 156, 148),
 )
 _SINGULAR_COLOR = (0, 0, 0)
-_KEY_BITS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
-# key bytes appended to the cell ids between two rankings: ranks < grid^2
-# <= MAX_GRID^2 = 2^22 leave 2^22 * 256^4 = 2^54 inside int64
-_BYTES_PER_RANK = 4
+# The raster's shortcuts (_phase_classes) decide a cell from stand-ins for its
+# gaps a[i1] - b[i2]: the type-I bound |b| - max |a| and the exact-arithmetic
+# type-II product -4 sin(p d) F G.  A stand-in is trusted only where it clears
+# EPS_SINGULAR by a margin of _FAST_MARGIN_PER_Q * (q + 1), which must exceed
+# how far it can stray from the floats.  The tables round arguments such as
+# p s + phi and (q s + k pi)/2, at most 2 pi (q + 1) in size, so each sine is
+# off by a few 2^-53 * 2 pi (q + 1); the identity sin((q-p) d) =
+# -(-1)^k sin(p d) behind the product is off by q times the rounding of d; and
+# type-I rows have |a| <= 2 |sin(p d)|, a rounding error of p d = -k pi.  Summed,
+# a stand-in strays by at most about 2e-14 * (q + 1) (1.2e-13 measured at
+# q = 29, see test_phases), so the margin is 50 times that at any q.  A wider
+# margin costs nothing measurable: a singular line either passes through cell
+# centres, where the gap is a rounding error, or misses them by much more.
+_FAST_MARGIN_PER_Q = 1e-12
 # the raster's memory budget; see phase_map_render
 MAX_GRID = 2048
 
@@ -261,9 +272,14 @@ class PhaseMap:
 
     classes[i1, i2] is the class id of the cell centred at
     ((i1 + 0.5) h, (i2 + 0.5) h), h = 2*pi/grid; -1 marks cells whose centre
-    sits numerically on a singular line.  Ids are the ranks of the cells'
-    sign keys among all cells, singular ones included, so they may skip
-    values; n_classes counts the distinct ids that remain.
+    sits numerically on a singular line, |height gap| <= EPS_SINGULAR.  On
+    this lattice whole diagonals do: at every grid i1 = i2 and
+    i1 + i2 = grid - 1 (phi1 = phi2 and phi1 + phi2 = 2 pi), and more at even
+    grids.
+    A cell's sign key is its bits (height gap > 0) over the crossing table's
+    rows, type I first.  Ids are the ranks of the keys in lexicographic order
+    among all cells, singular ones included, so they may skip values;
+    n_classes counts the distinct ids that remain.
     """
 
     params: TorusParams
@@ -303,40 +319,155 @@ class PhaseMap:
         return phase_map_svg(self, size=size)
 
 
+def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows in lexicographic order, rank of each row) of a 2-D uint8 array."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1]
+    distinct, inverse = np.unique(rows.view(np.dtype((np.void, width))).ravel(), return_inverse=True)
+    # the inverse's shape has changed between numpy releases; only its values matter
+    return distinct.view(np.uint8).reshape(-1, width), inverse.ravel()
+
+
+def _dense_ids(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of codes (all in [0, size)), ascending, and each code's position among them.
+
+    A presence table when size is at most len(codes), else a sort, so that
+    memory stays O(len(codes)).
+    """
+    if size > len(codes):
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        return distinct, inverse.ravel()
+    seen = np.zeros(size, dtype=bool)
+    seen[codes] = True
+    return np.flatnonzero(seen), (np.cumsum(seen, dtype=np.int32) - 1)[codes]
+
+
+def _by_sum(v: np.ndarray, grid: int) -> np.ndarray:
+    """Read-only (grid, grid) view whose [i1, i2] entry is v[i1 + i2]."""
+    return sliding_window_view(v, grid)
+
+
+def _by_diff(v: np.ndarray, grid: int) -> np.ndarray:
+    """Read-only (grid, grid) view whose [i1, i2] entry is v[i1 - i2 + grid - 1]."""
+    return sliding_window_view(v[::-1], grid)[::-1]
+
+
+def _type2_factors(table, n1: int, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin(p d) of the type-II rows (table rows n1 on) and their factors F, G at the cell centres.
+
+    With d = -k pi/q, sin((q-p) d) = -(-1)^k sin(p d), and sin a - sin b =
+    2 cos((a+b)/2) sin((a-b)/2) with a = p s + phi1, b = (q-p) s + phi2 + k pi
+    turns the height gap into -4 sin(p d) F[i1 + i2] G[i1 - i2 + grid - 1],
+    since (phi1 + phi2)/2 = (i1 + i2 + 1) h/2 and (phi1 - phi2)/2 =
+    (i1 - i2) h/2 at cell centres.  F and G are (2 grid - 1, n - n1).
+    """
+    p, q = table.p, table.q
+    k = np.array([ix.k for ix in table.indices[n1:]], dtype=float)
+    s, d = 0.5 * (table.t1[n1:] + table.t2[n1:]), 0.5 * (table.t1[n1:] - table.t2[n1:])
+    half_h = 0.5 * TWO_PI / grid
+    f = np.cos(half_h * np.arange(1, 2 * grid)[:, None] + 0.5 * (q * s + k * math.pi))
+    g = np.sin(half_h * np.arange(1 - grid, grid)[:, None] + 0.5 * ((2 * p - q) * s - k * math.pi))
+    return np.sin(p * d), f, g
+
+
+def _exact_keys(a: np.ndarray, b: np.ndarray, n1: int, cells: np.ndarray):
+    """Packed keys (type-I bytes, then type-II bytes) and singular flags of the masked cells, in C order."""
+    e1, e2 = np.nonzero(cells)
+    n = a.shape[1]
+    keys = [np.empty((0, (n1 + 7) // 8 + (n - n1 + 7) // 8), dtype=np.uint8)]
+    singular = [np.empty(0, dtype=bool)]
+    step = max(1, 2**20 // n)
+    for lo in range(0, len(e1), step):
+        gap = a[e1[lo : lo + step]] - b[e2[lo : lo + step]]
+        singular.append((np.abs(gap) <= EPS_SINGULAR).any(axis=1))
+        bits = gap > 0.0
+        keys.append(np.concatenate([np.packbits(bits[:, :n1], axis=1), np.packbits(bits[:, n1:], axis=1)], axis=1))
+    return np.concatenate(keys), np.concatenate(singular)
+
+
+def _phase_classes(table, grid: int) -> tuple[np.ndarray, int]:
+    """Class ids of the cells (see PhaseMap) and the number of non-singular classes.
+
+    The gap at cell (i1, i2) is a[i1] - b[i2], with (grid, n) tables a, b
+    from table.gap_terms, the floats of height_gap.  Away from a few
+    cells, a cell's key follows from small tables:
+    - type-I rows have |sin(p d)| below 1e-14, so |a| is tiny; in a column
+      i2 where every |b| clears EPS_SINGULAR + max |a| + margin, the
+      sign bits are b < 0 for every i1;
+    - type-II gaps are -4 sin(p d) F G (_type2_factors); where every |F| and
+      |G| exceeds tol = sqrt((EPS_SINGULAR + margin) / (4 |sin(p d)|)),
+      |gap| exceeds EPS_SINGULAR + margin and its sign is that of the
+      product.
+    So the key is (type-I id of i2, type-II id of the pair (i1 + i2, i1 - i2)),
+    and each distinct key is packed once.  The other cells (within the margin
+    of a type-I band, or on a sum or difference with a small factor: the
+    diagonals through cell centres) get the exact a - b on all rows, which
+    decides their bits and the EPS_SINGULAR test.  Ids rank the packed keys of
+    all cells, type-I rows first as in the table, so they are the ranks of
+    the full lexicographic sign keys.
+
+    Here margin = _FAST_MARGIN_PER_Q * (q + 1), whose comment says why it
+    covers the rounding.
+    """
+    n1 = sum(ix.kind == TYPE_I for ix in table.indices)
+    phi = ((np.arange(grid) + 0.5) * (TWO_PI / grid))[:, None]
+    a, b = table.gap_terms(slice(None), phi, phi)
+    edge = EPS_SINGULAR + _FAST_MARGIN_PER_Q * (table.q + 1)
+
+    # type-I rows: one key per column i2
+    band = (np.abs(b[:, :n1]) <= edge + np.abs(a[:, :n1]).max(axis=0)).any(axis=1)
+    bytes1, id1 = _rank_rows(np.packbits(b[:, :n1] < 0.0, axis=1))
+
+    # type-II rows: bit = (sin(p d) < 0) ^ (F < 0) ^ (G < 0), the XOR of a sum
+    # key and a difference key
+    sin_pd, f, g = _type2_factors(table, n1, grid)
+    tol = np.sqrt(edge / (4.0 * np.abs(sin_pd)))
+    bytes_sum, id_sum = _rank_rows(np.packbits((f < 0.0) ^ (sin_pd < 0.0), axis=1))
+    bytes_diff, id_diff = _rank_rows(np.packbits(g < 0.0, axis=1))
+    exact = (
+        _by_sum((np.abs(f) <= tol).any(axis=1), grid)
+        | _by_diff((np.abs(g) <= tol).any(axis=1), grid)
+        | band
+    )
+    fast = ~exact
+
+    # ids of the (sum, difference) pairs, then of the (column, pair) keys,
+    # that the fast cells take
+    n_diff = len(bytes_diff)
+    pair = _by_sum(id_sum.astype(np.int32) * n_diff, grid) + _by_diff(id_diff.astype(np.int32), grid)
+    pairs, pair_id = _dense_ids(pair[fast], len(bytes_sum) * n_diff)
+    column_key = np.broadcast_to(id1 * len(pairs), (grid, grid))
+    keys, key_id = _dense_ids(pair_id + column_key[fast], len(bytes1) * len(pairs))
+    column, pair_of = np.divmod(keys, len(pairs))
+    sum_of, diff_of = np.divmod(pairs[pair_of], n_diff)
+    fast_bytes = np.concatenate([bytes1[column], bytes_sum[sum_of] ^ bytes_diff[diff_of]], axis=1)
+
+    exact_bytes, singular = _exact_keys(a, b, n1, exact)
+    _, rank = _rank_rows(np.concatenate([fast_bytes, exact_bytes]))
+    exact_ids = rank[len(keys) :]
+    classes = np.empty((grid, grid), dtype=np.int32)
+    classes[fast] = rank[key_id]
+    classes[exact] = np.where(singular, -1, exact_ids)
+    n_classes = len(np.unique(np.concatenate([rank[: len(keys)], exact_ids[~singular]])))
+    return classes, n_classes
+
+
 def phase_map_render(
     params: TorusParams, grid: int, mark_theorem_points: bool = True
 ) -> PhaseMap:
     """Colour the phase square by sign-vector class; 64 <= grid <= MAX_GRID.
 
-    The cells' sign keys are built eight crossings (one key byte) at a time,
-    so memory stays O(grid^2) whatever the crossing count: about 146 MB at
-    grid 1024 and 600 MB at the cap of 2048, which bounds what one call
-    may allocate.
+    The raster builds n x grid sign tables and touches each cell a fixed
+    number of times (_phase_classes), so time and memory are
+    O(n * grid + grid^2).  Peaks under tracemalloc: 11.6 MB at T(7,13)/512,
+    115 MB at T(7,13)/2048 and 62 MB at T(13,29)/1024 (151 MB at 2048);
+    MAX_GRID bounds the grid^2 part.
     """
     if grid < 64:
         raise ValueError(f"grid must be at least 64, got {grid}")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
-    table = _crossing_table(params)
-    n = len(table.indices)
-    phi = (np.arange(grid) + 0.5) * (TWO_PI / grid)
-    ids = np.zeros(grid * grid, dtype=np.intp)
-    singular = np.zeros(grid * grid, dtype=bool)
-    for chunk, start in enumerate(range(0, n, 8)):
-        rows = np.arange(start, min(start + 8, n))[:, None, None]
-        gaps = table.height_gap(rows, phi[:, None], phi).reshape(len(rows), -1)
-        singular |= np.abs(gaps).min(axis=0) <= EPS_SINGULAR
-        # ids rank the cells' sign keys so far; appending the next key bytes
-        # (first row in the high bit, as np.packbits packs) and ranking again
-        # keeps the lexicographic order of the full keys
-        byte = ((gaps > 0.0) * _KEY_BITS[: len(rows), None]).sum(axis=0, dtype=np.uint8)
-        ids = ids * 256 + byte
-        if chunk % _BYTES_PER_RANK == _BYTES_PER_RANK - 1 or start + 8 >= n:
-            _, ids = np.unique(ids, return_inverse=True)
-    classes = ids.reshape(grid, grid).astype(np.int32)
-    singular = singular.reshape(grid, grid)
-    n_classes = len(np.unique(classes[~singular]))
-    classes[singular] = -1
+    classes, n_classes = _phase_classes(_crossing_table(params), grid)
     marks = []
     if mark_theorem_points:
         marks = [

@@ -40,7 +40,13 @@ from fourierknot.crossings import (
     enumerate_type2,
     pair_difference,
 )
-from fourierknot.phases import _CERT_PHI1, _phi2_along
+from fourierknot.phases import (
+    _CERT_PHI1,
+    _FAST_MARGIN_PER_Q,
+    _phase_classes,
+    _phi2_along,
+    _type2_factors,
+)
 from fourierknot.render import phase_map_png, png_bytes
 from fourierknot.series import TWO_PI
 
@@ -367,8 +373,8 @@ def test_phase_map_classes_match_direct_sign_vectors():
 def phase_classes_dense(params, grid):
     """The raster as one dense pass: all n x grid^2 gaps, one np.unique over full packed keys.
 
-    Reference for phase_map_render's byte-at-a-time refinement; returns
-    (classes, number of distinct ids on non-singular cells).
+    Reference for phase_map_render's factored raster; returns (classes,
+    number of distinct ids on non-singular cells).
     """
     p, q = params.p, params.q
     entries = _crossing_table(params).entries()
@@ -384,22 +390,107 @@ def phase_classes_dense(params, grid):
     bits = np.packbits((gaps > 0.0).reshape(n, -1), axis=0)
     keys = np.ascontiguousarray(bits.T).view(np.dtype((np.void, bits.shape[0]))).ravel()
     _, inverse = np.unique(keys, return_inverse=True)
-    classes = inverse.reshape(grid, grid).astype(np.int32)
+    classes = inverse.ravel().reshape(grid, grid).astype(np.int32)
     classes[(np.abs(gaps) <= EPS_SINGULAR).any(axis=0)] = -1
     return classes, len(np.unique(classes[classes >= 0]))
+
+
+_KEY_BITS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
+
+
+def phase_classes_bytewise(params, grid):
+    """The raster as exact height gaps, refined eight crossings (one key byte) at a time.
+
+    Memory stays O(grid^2) whatever the crossing count.  Reference for
+    phase_map_render's factored raster; returns (classes, number of distinct
+    ids on non-singular cells).
+    """
+    table = _crossing_table(params)
+    n = len(table.indices)
+    phi = (np.arange(grid) + 0.5) * (TWO_PI / grid)
+    ids = np.zeros(grid * grid, dtype=np.intp)
+    singular = np.zeros(grid * grid, dtype=bool)
+    for chunk, start in enumerate(range(0, n, 8)):
+        rows = np.arange(start, min(start + 8, n))[:, None, None]
+        gaps = table.height_gap(rows, phi[:, None], phi).reshape(len(rows), -1)
+        singular |= np.abs(gaps).min(axis=0) <= EPS_SINGULAR
+        # ids rank the cells' sign keys so far; appending the next key bytes
+        # (first row in the high bit, as np.packbits packs) and ranking again
+        # keeps the lexicographic order of the full keys; four bytes per
+        # ranking keep ids * 256^4 inside int64 for grid <= 2048
+        byte = ((gaps > 0.0) * _KEY_BITS[: len(rows), None]).sum(axis=0, dtype=np.uint8)
+        ids = ids * 256 + byte
+        if chunk % 4 == 3 or start + 8 >= n:
+            _, ids = np.unique(ids, return_inverse=True)
+            ids = ids.ravel()
+    classes = ids.reshape(grid, grid).astype(np.int32)
+    singular = singular.reshape(grid, grid)
+    n_classes = len(np.unique(classes[~singular]))
+    classes[singular] = -1
+    return classes, n_classes
 
 
 @pytest.mark.parametrize("p, q, grid", [
     (2, 3, 64), (2, 5, 64), (3, 7, 256), (4, 5, 128), (5, 7, 96), (5, 9, 96), (7, 13, 128),
 ])
 def test_phase_map_matches_dense_reference(p, q, grid):
-    # crossing counts 7, 13, 32, 31, 58, 76, 156: chunks of 8 full and
-    # partial; T(5,9) has 10 key bytes, so two rankings of four and one of two
+    # crossing counts 7 to 162, key widths of one to 21 bytes
     params = TorusParams(p, q)
     pmap = phase_map_render(params, grid)
     classes, n_classes = phase_classes_dense(params, grid)
     assert np.array_equal(pmap.classes, classes)
     assert pmap.n_classes == n_classes
+
+
+def test_dense_and_bytewise_references_agree():
+    # T(5,9) has 10 key bytes: two rankings of four bytes and one of two
+    for p, q, grid in ((2, 3, 64), (5, 9, 96), (7, 13, 128)):
+        dense = phase_classes_dense(TorusParams(p, q), grid)
+        bytewise = phase_classes_bytewise(TorusParams(p, q), grid)
+        assert np.array_equal(dense[0], bytewise[0]) and dense[1] == bytewise[1], (p, q, grid)
+
+
+@pytest.mark.parametrize("grid", [64, 97])
+def test_phase_classes_match_bytewise_reference(grid):
+    # even and odd grids; both hold the diagonals i1 = i2 and i1 + i2 = grid - 1
+    # (phi1 = phi2 and phi1 + phi2 = 2 pi), whose cells take the exact path
+    pairs = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1]
+    for p, q in pairs:
+        params = TorusParams(p, q)
+        classes, n_classes = _phase_classes(_crossing_table(params), grid)
+        expected = phase_classes_bytewise(params, grid)
+        assert np.array_equal(classes, expected[0]), (p, q)
+        assert n_classes == expected[1], (p, q)
+
+
+@pytest.mark.parametrize("p, q, grid, rows", [(2, 3, 84, 6), (3, 5, 75, 5), (2, 5, 100, 10)])
+def test_phase_classes_match_bytewise_on_singular_rows(p, q, grid, rows):
+    # grids at which horizontal (type-I) lines pass through cell centres, so
+    # whole rows of cells take the exact path
+    params = TorusParams(p, q)
+    pmap = phase_map_render(params, grid)
+    classes, n_classes = phase_classes_bytewise(params, grid)
+    assert np.array_equal(pmap.classes, classes)
+    assert pmap.n_classes == n_classes
+    assert int((classes < 0).all(axis=0).sum()) == rows
+
+
+def test_fast_margin_covers_factored_rounding():
+    # the raster's shortcuts stand in for a - b by the type-I bound max |a| and
+    # the type-II product -4 sin(p d) F G; their margin must exceed how far
+    # either strays from the floats by orders of magnitude
+    for p, q, grid in ((2, 3, 64), (7, 13, 128), (13, 29, 64), (28, 29, 64)):
+        table = _crossing_table(TorusParams(p, q))
+        n1 = sum(ix.kind == TYPE_I for ix in table.indices)
+        phi = ((np.arange(grid) + 0.5) * (TWO_PI / grid))[:, None]
+        a, b = table.gap_terms(slice(None), phi, phi)
+        sin_pd, f, g = _type2_factors(table, n1, grid)
+        i1, i2 = np.divmod(np.arange(grid * grid), grid)
+        gap = a[i1, n1:] - b[i2, n1:]
+        product = -4.0 * sin_pd * f[i1 + i2] * g[i1 - i2 + grid - 1]
+        worst = max(np.abs(gap - product).max(), np.abs(a[:, :n1]).max())
+        assert 0.0 < worst < 2e-14 * (q + 1), (p, q)
+        assert _FAST_MARGIN_PER_Q * (q + 1) >= 100 * worst, (p, q)
 
 
 def test_phase_map_n_classes_counts_only_nonsingular_cells():
@@ -409,17 +500,50 @@ def test_phase_map_n_classes_counts_only_nonsingular_cells():
     assert ids.max() >= pmap.n_classes  # ids keep the ranks of singular cells' keys
 
 
-def test_phase_map_memory_is_grid_squared():
-    # the dense raster held all n x grid^2 gaps: a 36 MB peak at T(3,7)/256
-    params = TorusParams(3, 7)
+# sha256 of to_png_bytes() and to_svg(), default marks, as the byte-at-a-time
+# raster drew them.  Singular cells' sign bits are rounding noise, yet their
+# keys take part in the ranking, so these also pin the last bits of np.sin
+# (equal to glibc's sin where they were taken)
+_PINNED_IMAGES = {
+    (2, 3, 64): ("227baa74d65ea15e03f3f432788c4aa19474b2daf418be72150488e1c53f9d42",
+                 "4d9110c8881f98ff0c44fde255895ff841a30e4c236d443c45e10afe9cf59ad0"),
+    (3, 7, 256): ("9ec0a87a1790ea1f4a943b60226f051f68c40bd8294f2e329f0bbaeb47a86836",
+                  "74dec8be4ca246da1966abe1f56f542619090ad6f6035536eb22445ed5409f33"),
+    (7, 13, 512): ("0ce659ca62c6566762e4e4a27ec02f8a009e2141cf9058b323d0674cdb6eac6e",
+                   "baf46ffdff83ff4836f739ff52366feccd37257ae96cc17ac67263157237b77b"),
+    (5, 9, 97): ("2aedfb2e03c4fd722880895efdafb8138e5c51663fd985bf65a0cd7dc58be96f",
+                 "71fd9cc72d4a28e8a4b642749fd32193c1ed2c0fbf1ea98814ac025a6a43245a"),
+}
+
+
+@pytest.mark.parametrize("p, q, grid", list(_PINNED_IMAGES))
+def test_phase_map_output_bytes_pinned(p, q, grid):
+    pmap = phase_map_render(TorusParams(p, q), grid)
+    png, svg = _PINNED_IMAGES[p, q, grid]
+    assert hashlib.sha256(pmap.to_png_bytes()).hexdigest() == png
+    assert hashlib.sha256(pmap.to_svg().encode()).hexdigest() == svg
+
+
+def _raster_peak(params, grid):
     phase_map_render(params, 64)
     tracemalloc.start()
     try:
-        phase_map_render(params, 256)
-        peak = tracemalloc.get_traced_memory()[1]
+        phase_map_render(params, grid)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_phase_map_memory_is_grid_squared():
+    # the dense raster held all n x grid^2 gaps: a 36 MB peak at T(3,7)/256
+    peak = _raster_peak(TorusParams(3, 7), 256)
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_phase_map_memory_at_7_13_512():
+    # 11.6 MB with numpy 2.4; the byte-at-a-time raster peaked at 36.5 MB
+    peak = _raster_peak(TorusParams(7, 13), 512)
+    assert peak < 14 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # -- phase map PNG -------------------------------------------------------------------
