@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         default=256,
-        help=f"cells per side, 64 to {MAX_GRID}; the raster takes about 12 MB at 512 and 115 MB "
+        help=f"cells per side, 64 to {MAX_GRID}; the raster takes about 10 MB at 512 and 67 MB "
         f"at {MAX_GRID} for T(7,13), and more as p and q grow",
     )
     m.add_argument("--size", type=int, default=640)

@@ -138,10 +138,12 @@ class _PairIndex:
 class _CrossingTable:
     """Both closed-form crossing families of T(p, q), one row per crossing.
 
-    Rows run over type I then type II, k then j, in enumeration order.  t1
-    and t2 hold the raw formula times base -/+ half, not reduced mod 2*pi:
-    the height gap takes its half-sum and half-difference from them, and
-    the phase raster's sign bits depend on those exact floats.
+    Rows run over type I then type II, k then j, in enumeration order, which
+    is the sorted order of their CrossingIndices.  The first n_type1 rows are
+    type I; k and j hold every row's indices as integer arrays.  t1 and t2
+    hold the raw formula times base -/+ half, not reduced mod 2*pi: the
+    height gap takes its half-sum and half-difference from them, and the
+    phase raster's sign bits depend on those exact floats.
     """
 
     def __init__(self, params: TorusParams):
@@ -168,8 +170,12 @@ class _CrossingTable:
         self.p, self.q = p, q
         self.indices = tuple(indices)
         self.row = {ix: i for i, ix in enumerate(self.indices)}
+        self.n_type1 = sum(ix.kind == TYPE_I for ix in indices)
+        self.k = np.array([ix.k for ix in indices])
+        self.j = np.array([ix.j for ix in indices])
         self.t1, self.t2 = np.array(t1), np.array(t2)
-        self.t1.flags.writeable = self.t2.flags.writeable = False
+        for column in (self.k, self.j, self.t1, self.t2):
+            column.flags.writeable = False
 
     def entries(self, kind: str | None = None) -> list[tuple[CrossingIndices, float, float]]:
         """(indices, raw t1, raw t2) per row, optionally of one kind only."""

@@ -70,11 +70,12 @@ class SingularLine:
         return min(d, TWO_PI - d)
 
 
-def _phi2_along(lines, phi1: np.ndarray) -> np.ndarray:
-    """phi2_at of every line at every phi1, shape (len(lines), len(phi1))."""
-    slopes = np.array([line.slope for line in lines])[:, None]
-    intercepts = np.array([line.intercept for line in lines])[:, None]
-    return reduce_angles(slopes * phi1 + intercepts)
+def _phi2_along(slopes: np.ndarray, intercepts: np.ndarray, phi1: np.ndarray) -> np.ndarray:
+    """phi2_at of the lines (slopes, intercepts) at every phi1, shape (len(slopes), len(phi1)).
+
+    The same operations as SingularLine.phi2_at, so bitwise the same values.
+    """
+    return reduce_angles(slopes[:, None] * phi1 + intercepts[:, None])
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,13 @@ class SignVector:
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(sorted(self.items)))
+
+    @classmethod
+    def _from_sorted(cls, items: tuple[tuple[CrossingIndices, int], ...]) -> SignVector:
+        """A SignVector of items already in sorted index order, without the re-sort."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "items", items)
+        return vector
 
     def as_dict(self) -> dict[CrossingIndices, int]:
         return dict(self.items)
@@ -137,14 +145,25 @@ def zdiff_at_phases(params: TorusParams, point: PhasePoint, indices: CrossingInd
     return float(table.height_gap(table.row[indices], point.phi1, point.phi2))
 
 
+def _positive_gaps(table, point: PhasePoint) -> np.ndarray:
+    """height gap > 0 at every table row; on a line, SingularPoint with the degenerate indices in table order."""
+    gaps = table.height_gap(slice(None), point.phi1, point.phi2)
+    degenerate = np.abs(gaps) <= EPS_SINGULAR
+    if degenerate.any():
+        raise SingularPoint([table.indices[i] for i in np.flatnonzero(degenerate).tolist()])
+    return gaps > 0.0
+
+
 def sign_vector(params: TorusParams, point: PhasePoint) -> SignVector:
-    """Sign of the height gap at every crossing; raises SingularPoint on a line."""
+    """Sign of the height gap at every crossing; raises SingularPoint on a line.
+
+    The crossing table's rows are in sorted CrossingIndices order (type I
+    before type II, then k, then j), so the vector takes them as they are
+    rather than sorting them again.
+    """
     table = _crossing_table(params)
-    gaps = table.height_gap(slice(None), point.phi1, point.phi2).tolist()
-    degenerate = [ix for ix, v in zip(table.indices, gaps) if abs(v) <= EPS_SINGULAR]
-    if degenerate:
-        raise SingularPoint(degenerate)
-    return SignVector(tuple((ix, 1 if v > 0 else -1) for ix, v in zip(table.indices, gaps)))
+    signs = np.where(_positive_gaps(table, point), 1, -1).tolist()
+    return SignVector._from_sorted(tuple(zip(table.indices, signs)))
 
 
 def same_knot_by_phases(params: TorusParams, a: PhasePoint, b: PhasePoint) -> bool:
@@ -152,8 +171,11 @@ def same_knot_by_phases(params: TorusParams, a: PhasePoint, b: PhasePoint) -> bo
 
     This is a sufficient test: distinct regions of the phase square could in
     principle share a sign vector, which would still mean equal diagrams.
+    Both vectors run over the same table rows, so they are compared as sign
+    arrays; a singular a raises SingularPoint before b is looked at.
     """
-    return sign_vector(params, a) == sign_vector(params, b)
+    table = _crossing_table(params)
+    return np.array_equal(_positive_gaps(table, a), _positive_gaps(table, b))
 
 
 def _TYPE1_CONST(p: int, q: int) -> float:
@@ -162,45 +184,46 @@ def _TYPE1_CONST(p: int, q: int) -> float:
     return (1.0 / p - 1.0 / q) * math.pi / 2
 
 
-def _line_candidates(params: TorusParams):
-    """Uncertified line descriptors for every crossing index and admissible m."""
-    p, q = params.p, params.q
-    out = []
-    for ix in _crossing_table(params).indices:
-        if ix.kind == TYPE_I:
-            base = ix.j * p * math.pi / q + _TYPE1_CONST(p, q)
-        else:
-            base = -ix.j * q * math.pi / p
-        m_lo = math.ceil((-base) / math.pi - 1e-12)
-        m = m_lo
-        while base + m * math.pi < TWO_PI - 1e-12:
-            intercept = base + m * math.pi
-            if intercept < -1e-12:
-                m += 1
-                continue
-            if ix.kind == TYPE_I:
-                slope = 0
-            else:
-                # k even: slope (-1)^m; k odd: slope (-1)^(m+1)
-                slope = 1 if (m + ix.k) % 2 == 0 else -1
-            out.append(SingularLine(ix.kind, ix.k, ix.j, m, slope, max(intercept, 0.0)))
-            m += 1
-    return out
+def _line_candidates(table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Uncertified lines of every table row: (row, m, slope, intercept) arrays.
+
+    A row's gap vanishes on phi2 = slope * phi1 + base + m pi; the lines are
+    those with base + m pi in [0, 2 pi) up to 1e-12, in table order and then
+    by m.  Going up from m_lo = ceil(-base/pi - 1e-12), base + m pi is at
+    least -pi * 1e-12, so m_lo + 3 is past 2 pi and three values of m cover
+    every row.
+    """
+    p, q = table.p, table.q
+    type1 = np.arange(len(table.indices)) < table.n_type1
+    base = np.where(type1, table.j * p * math.pi / q + _TYPE1_CONST(p, q), -table.j * q * math.pi / p)
+    m = np.ceil(-base / math.pi - 1e-12).astype(np.int64)[:, None] + np.arange(3)
+    intercept = base[:, None] + m * math.pi
+    keep = (intercept >= -1e-12) & (intercept < TWO_PI - 1e-12)
+    # type I: horizontal; type II, k even: slope (-1)^m; k odd: (-1)^(m+1)
+    slope = np.where(type1[:, None], 0, np.where((m + table.k[:, None]) % 2 == 0, 1, -1))
+    row = np.broadcast_to(np.arange(len(type1))[:, None], m.shape)
+    # max(intercept, 0.0) as Python's max takes it: -0.0 stays -0.0
+    intercept = np.where(intercept < 0.0, 0.0, intercept)
+    return row[keep], m[keep], slope[keep], intercept[keep]
 
 
 def singular_lines(params: TorusParams) -> list[SingularLine]:
     """All singular lines with intercepts in [0, 2*pi), each certified.
 
     Certification samples phi1 along the line and demands the owning
-    crossing's height gap vanish below 1e-9; a failing line raises
-    CertificationFailure rather than being dropped.
+    crossing's height gap, at the table row the line was made from, vanish
+    below 1e-9; a failing line raises CertificationFailure rather than being
+    dropped.
     """
-    lines = _line_candidates(params)
     table = _crossing_table(params)
-    owners = [CrossingIndices(line.kind, line.k, line.j) for line in lines]
-    rows = np.array([table.row[ix] for ix in owners])
-    phi2 = _phi2_along(lines, _CERT_PHI1)
+    rows, m, slopes, intercepts = _line_candidates(table)
+    phi2 = _phi2_along(slopes, intercepts, _CERT_PHI1)
     residual = np.abs(table.height_gap(rows[:, None], _CERT_PHI1, phi2))
+    owners = [table.indices[r] for r in rows.tolist()]
+    lines = [
+        SingularLine(ix.kind, ix.k, ix.j, mi, slope, intercept)
+        for ix, mi, slope, intercept in zip(owners, m.tolist(), slopes.tolist(), intercepts.tolist())
+    ]
     failing = np.argwhere(residual > _CERT_TOL)
     if len(failing):
         i, s = failing[0]
@@ -301,12 +324,10 @@ class PhaseMap:
 
     def _rgb(self) -> np.ndarray:
         """(grid, grid, 3) uint8 image, row 0 at phi2 = 0 (flip when drawing)."""
-        img = np.empty((self.grid, self.grid, 3), dtype=np.uint8)
-        palette = np.array(_PALETTE, dtype=np.uint8)
         cls = self.classes.T  # rows follow phi2
-        img[:] = palette[cls % len(palette)]
-        img[cls < 0] = _SINGULAR_COLOR
-        return img
+        colour = cls % len(_PALETTE)
+        colour[cls < 0] = len(_PALETTE)  # _SINGULAR_COLOR, after the palette
+        return np.take(np.array(_PALETTE + (_SINGULAR_COLOR,), dtype=np.uint8), colour, axis=0)
 
     def to_png_bytes(self, scale: int = 2) -> bytes:
         from .render import phase_map_png
@@ -332,11 +353,12 @@ def _dense_ids(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of codes (all in [0, size)), ascending, and each code's position among them.
 
     A presence table when size is at most len(codes), else a sort, so that
-    memory stays O(len(codes)).
+    memory stays O(len(codes)).  Positions are int32: there are at most
+    len(codes) <= MAX_GRID^2 distinct values.
     """
     if size > len(codes):
         distinct, inverse = np.unique(codes, return_inverse=True)
-        return distinct, inverse.ravel()
+        return distinct, inverse.ravel().astype(np.int32)
     seen = np.zeros(size, dtype=bool)
     seen[codes] = True
     return np.flatnonzero(seen), (np.cumsum(seen, dtype=np.int32) - 1)[codes]
@@ -362,7 +384,7 @@ def _type2_factors(table, n1: int, grid: int) -> tuple[np.ndarray, np.ndarray, n
     (i1 - i2) h/2 at cell centres.  F and G are (2 grid - 1, n - n1).
     """
     p, q = table.p, table.q
-    k = np.array([ix.k for ix in table.indices[n1:]], dtype=float)
+    k = table.k[n1:].astype(float)
     s, d = 0.5 * (table.t1[n1:] + table.t2[n1:]), 0.5 * (table.t1[n1:] - table.t2[n1:])
     half_h = 0.5 * TWO_PI / grid
     f = np.cos(half_h * np.arange(1, 2 * grid)[:, None] + 0.5 * (q * s + k * math.pi))
@@ -409,7 +431,7 @@ def _phase_classes(table, grid: int) -> tuple[np.ndarray, int]:
     Here margin = _FAST_MARGIN_PER_Q * (q + 1), whose comment says why it
     covers the rounding.
     """
-    n1 = sum(ix.kind == TYPE_I for ix in table.indices)
+    n1 = table.n_type1
     phi = ((np.arange(grid) + 0.5) * (TWO_PI / grid))[:, None]
     a, b = table.gap_terms(slice(None), phi, phi)
     edge = EPS_SINGULAR + _FAST_MARGIN_PER_Q * (table.q + 1)
@@ -432,12 +454,20 @@ def _phase_classes(table, grid: int) -> tuple[np.ndarray, int]:
     fast = ~exact
 
     # ids of the (sum, difference) pairs, then of the (column, pair) keys,
-    # that the fast cells take
+    # that the fast cells take.  The grid^2 codes and positions are int32,
+    # and each is freed once used: pair codes stay below (2 grid - 1)^2, and
+    # key codes below len(bytes1) * len(pairs), which is far from 2^31 at
+    # every measured size but not bounded by it, so they widen to int64 past it
     n_diff = len(bytes_diff)
     pair = _by_sum(id_sum.astype(np.int32) * n_diff, grid) + _by_diff(id_diff.astype(np.int32), grid)
     pairs, pair_id = _dense_ids(pair[fast], len(bytes_sum) * n_diff)
-    column_key = np.broadcast_to(id1 * len(pairs), (grid, grid))
-    keys, key_id = _dense_ids(pair_id + column_key[fast], len(bytes1) * len(pairs))
+    del pair
+    code = np.int32 if len(bytes1) * len(pairs) <= np.iinfo(np.int32).max else np.int64
+    key = np.broadcast_to(id1.astype(code) * len(pairs), (grid, grid))[fast]
+    key += pair_id
+    del pair_id
+    keys, key_id = _dense_ids(key, len(bytes1) * len(pairs))
+    del key
     column, pair_of = np.divmod(keys, len(pairs))
     sum_of, diff_of = np.divmod(pairs[pair_of], n_diff)
     fast_bytes = np.concatenate([bytes1[column], bytes_sum[sum_of] ^ bytes_diff[diff_of]], axis=1)
@@ -446,7 +476,7 @@ def _phase_classes(table, grid: int) -> tuple[np.ndarray, int]:
     _, rank = _rank_rows(np.concatenate([fast_bytes, exact_bytes]))
     exact_ids = rank[len(keys) :]
     classes = np.empty((grid, grid), dtype=np.int32)
-    classes[fast] = rank[key_id]
+    classes[fast] = rank.astype(np.int32)[key_id]
     classes[exact] = np.where(singular, -1, exact_ids)
     n_classes = len(np.unique(np.concatenate([rank[: len(keys)], exact_ids[~singular]])))
     return classes, n_classes
@@ -459,9 +489,9 @@ def phase_map_render(
 
     The raster builds n x grid sign tables and touches each cell a fixed
     number of times (_phase_classes), so time and memory are
-    O(n * grid + grid^2).  Peaks under tracemalloc: 11.6 MB at T(7,13)/512,
-    115 MB at T(7,13)/2048 and 62 MB at T(13,29)/1024 (151 MB at 2048);
-    MAX_GRID bounds the grid^2 part.
+    O(n * grid + grid^2).  Peaks under tracemalloc: 9.6 MB at T(7,13)/512,
+    67 MB at T(7,13)/2048 and 54 MB at T(13,29)/1024 (103 MB at 2048);
+    MAX_GRID bounds the grid^2 part, whose codes and ids are int32.
     """
     if grid < 64:
         raise ValueError(f"grid must be at least 64, got {grid}")

@@ -11,13 +11,14 @@ import numpy as np
 
 from .crossings import CrossingSet
 from .phases import _phi2_along
-from .series import TWO_PI, FourierKnot
+from .series import TWO_PI, FourierKnot, reduce_angles
 
 
 def png_bytes(rgb: np.ndarray) -> bytes:
     """Encode an (H, W, 3) uint8 array as a PNG (filter 0, one IDAT)."""
     h, w, _ = rgb.shape
-    raw = b"".join(b"\x00" + rgb[y].tobytes() for y in range(h))
+    raw = np.zeros((h, 1 + 3 * w), dtype=np.uint8)  # each row starts with filter byte 0
+    raw[:, 1:] = rgb.reshape(h, 3 * w)
 
     def chunk(tag: bytes, data: bytes) -> bytes:
         return (
@@ -139,6 +140,9 @@ def phase_map_png(pmap, scale: int = 2) -> bytes:
     """Raster of the class grid with singular lines and marks drawn on top.
 
     Row 0 of the image is phi2 = 2*pi (phase square drawn with phi2 upward).
+    A line is drawn at 4 * side samples of phi1.  Its pixels depend only on
+    its (slope, intercept), and many lines share one (at T(13,29), 1424
+    lines have 185 distinct pairs), so each distinct pair is drawn once.
     """
     grid = pmap.grid
     img = np.repeat(np.repeat(pmap._rgb()[::-1], scale, axis=0), scale, axis=1)
@@ -147,15 +151,21 @@ def phase_map_png(pmap, scale: int = 2) -> bytes:
     def px(phi):
         return np.minimum((np.asarray(phi) / TWO_PI * side).astype(np.intp), side - 1)
 
-    # each line is sampled at 4 * side values of phi1; a block of lines is
-    # drawn with one indexed write, and blocks of side // 16 lines keep the
-    # index arrays near the size of the image
+    white = (255, 255, 255)
+    distinct = {(line.slope, line.intercept) for line in pmap.lines}
+    # slope 0: phi2 is the reduced intercept at every sample, and sample
+    # 4 c + 2 sits at column c + 1/2, so the samples fill the whole row
+    level = np.array([intercept for slope, intercept in distinct if slope == 0])
+    img[side - 1 - px(reduce_angles(level))] = white
+    # diagonals: a block of lines is drawn with one indexed write, and blocks
+    # of side // 16 lines keep the index arrays near the size of the image
+    slopes, intercepts = np.array([pair for pair in distinct if pair[0] != 0]).reshape(-1, 2).T
     phi1 = TWO_PI * np.arange(4 * side) / (4 * side)
     cols = px(phi1)
     block = max(1, side // 16)
-    for start in range(0, len(pmap.lines), block):
-        phi2 = _phi2_along(pmap.lines[start : start + block], phi1)
-        img[side - 1 - px(phi2), cols] = (255, 255, 255)
+    for start in range(0, len(slopes), block):
+        phi2 = _phi2_along(slopes[start : start + block], intercepts[start : start + block], phi1)
+        img[side - 1 - px(phi2), cols] = white
     for point, _label in pmap.marks:
         ci, cj = px(point.phi1), px(point.phi2)
         r = max(2, scale)

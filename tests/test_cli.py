@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -107,6 +109,16 @@ def test_verify_range(capsys):
     assert "all 15 pairs pass" in out
     for pair in ["2   3", "3   5", "4   9", "5   9"]:
         assert pair in out
+
+
+def test_verify_output_pinned(capsys):
+    # stdout without the per-pair wall-time column
+    code, out, _ = run_cli(capsys, "verify", "--pmax", "7", "--qmax", "13")
+    assert code == 0
+    stable = re.sub(r"\s+\d+\.\d+s$", "", out, flags=re.M)
+    assert hashlib.sha256(stable.encode()).hexdigest() == (
+        "ef019d734a00a5c431cc226de348e014166fb91d1d2680b5e77fffa4636fe124"
+    )
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from fourierknot import (
     FourierSeries,
     FourierTerm,
     PhasePoint,
+    SignVector,
     SimplifyRequiresEvenP,
     SingularPoint,
     TorusParams,
@@ -161,6 +162,105 @@ def test_sign_vector_json_keys():
     assert set(data.values()) <= {1, -1}
 
 
+def test_crossing_table_rows_are_in_sorted_order():
+    # sign_vector takes the table's rows as they are, where SignVector(...) sorts
+    for q in range(3, 31):
+        for p in range(2, q):
+            if math.gcd(p, q) == 1:
+                indices = _crossing_table(TorusParams(p, q)).indices
+                assert indices == tuple(sorted(indices)), (p, q)
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (5, 9), (7, 13)])
+def test_table_built_sign_vector_equals_public_one(pq):
+    params = TorusParams(*pq)
+    rng = random.Random(pq[1])
+    built = 0
+    while built < 10:
+        try:
+            vec = sign_vector(params, PhasePoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)))
+        except SingularPoint:
+            continue
+        items = list(vec.items)
+        rng.shuffle(items)
+        public = SignVector(tuple(items))
+        assert public == vec and hash(public) == hash(vec)
+        assert public.items == vec.items and public.to_json() == vec.to_json()
+        built += 1
+
+
+def _query_batch(params, seed):
+    """sign_vector JSON and same_knot_by_phases answers over seeded regular points."""
+    rng = random.Random(seed)
+    points, out = [], []
+    while len(points) < 24:
+        point = PhasePoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
+        try:
+            out.append(sign_vector(params, point).to_json())
+        except SingularPoint:
+            continue
+        points.append(point)
+    for a, b in zip(points, points[1:]):
+        out.append(same_knot_by_phases(params, a, b))
+    for a in points:
+        try:
+            out.append(same_knot_by_phases(params, a, PhasePoint(a.phi1 + 0.05, a.phi2)))
+        except SingularPoint as err:
+            out.append([ix.key() for ix in err.indices])
+    return out
+
+
+def test_point_queries_pinned():
+    # taken before sign_vector and same_knot_by_phases worked on sign arrays
+    digest = hashlib.sha256()
+    answers = []
+    for p, q in ((2, 3), (5, 9), (7, 11), (7, 13)):
+        batch = _query_batch(TorusParams(p, q), 100 * p + q)
+        digest.update(repr(batch).encode())
+        answers += [x for x in batch if isinstance(x, bool)]
+    assert True in answers and False in answers
+    assert digest.hexdigest() == "f5c317bc085179200e086833e4079d1a9737c59c6b37b03743ce0b1209532a45"
+
+
+def _singular_indices(params, point=None):
+    with pytest.raises(SingularPoint) as err:
+        sign_vector(params, simplified_phase_point(params) if point is None else point)
+    # table order, which is sorted order (test_crossing_table_rows_are_in_sorted_order)
+    assert list(err.value.indices) == sorted(err.value.indices)
+    return err.value.indices
+
+
+def test_singular_indices_of_simplified_point_pinned():
+    # odd p: the simplified point lies on type-II lines; SingularPoint lists
+    # their indices in table order, and same_knot_by_phases reports a before b
+    assert [ix.key() for ix in _singular_indices(TorusParams(3, 5))] == ["II:1:2", "II:3:2"]
+    assert [ix.key() for ix in _singular_indices(TorusParams(7, 13))] == [
+        "II:1:4", "II:2:11", "II:3:4", "II:4:11", "II:5:4", "II:7:4",
+    ]
+    digest = hashlib.sha256()
+    for q in range(4, 30):
+        for p in range(3, q, 2):
+            if math.gcd(p, q) != 1:
+                continue
+            params = TorusParams(p, q)
+            simplified, regular = simplified_phase_point(params), theorem_phase_point(params)
+            indices = _singular_indices(params)
+            digest.update(repr((p, q, [ix.key() for ix in indices])).encode())
+            for a, b in ((simplified, regular), (regular, simplified)):
+                with pytest.raises(SingularPoint) as err:
+                    same_knot_by_phases(params, a, b)
+                assert err.value.indices == indices
+            line = next(line for line in singular_lines(params) if line.kind == TYPE_I)
+            horizontal = PhasePoint(1.0, line.intercept)
+            other = _singular_indices(params, horizontal)
+            assert other != indices
+            for a, b, expected in ((simplified, horizontal, indices), (horizontal, simplified, other)):
+                with pytest.raises(SingularPoint) as err:
+                    same_knot_by_phases(params, a, b)
+                assert err.value.indices == expected
+    assert digest.hexdigest() == "1a9b3d4273597e530a2e75b5dab4d8c3c5229848fb449a1a197ec62b011f1345"
+
+
 # -- same_knot_by_phases ----------------------------------------------------------
 
 
@@ -240,7 +340,11 @@ def test_singular_lines_unchanged_for_small_pairs():
                 lines = singular_lines(TorusParams(p, q))
                 digest.update(repr(lines).encode())
                 expected = [[line.phi2_at(x) for x in _CERT_PHI1.tolist()] for line in lines]
-                assert _phi2_along(lines, _CERT_PHI1).tolist() == expected, (p, q)
+                intercepts = np.array([line.intercept for line in lines])
+                # integer slopes as singular_lines has them, float ones as phase_map_png
+                for dtype in (int, float):
+                    slopes = np.array([line.slope for line in lines], dtype=dtype)
+                    assert _phi2_along(slopes, intercepts, _CERT_PHI1).tolist() == expected, (p, q)
     assert digest.hexdigest() == "e83948101aef5b349f27deabb2e1c5a2d3b9620b48536c18dbc5467c471fdb2e"
 
 
@@ -541,16 +645,21 @@ def test_phase_map_memory_is_grid_squared():
 
 
 def test_phase_map_memory_at_7_13_512():
-    # 11.6 MB with numpy 2.4; the byte-at-a-time raster peaked at 36.5 MB
+    # 9.6 MB with numpy 2.4 (11.6 MB before the grid^2 codes were int32);
+    # the byte-at-a-time raster peaked at 36.5 MB
     peak = _raster_peak(TorusParams(7, 13), 512)
-    assert peak < 14 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # -- phase map PNG -------------------------------------------------------------------
 
 
 def phase_map_png_loop(pmap, scale=2):
-    """phase_map_png drawing each line one pixel at a time: the reference for its overlay."""
+    """phase_map_png drawing each line one pixel at a time: the reference for its overlay.
+
+    A line's pixels are those of phi2_at at 4 * side samples of phi1, so they
+    depend only on its (slope, intercept); each distinct pair is drawn once.
+    """
     grid = pmap.grid
     img = np.repeat(np.repeat(pmap._rgb()[::-1], scale, axis=0), scale, axis=1)
     side = grid * scale
@@ -558,7 +667,7 @@ def phase_map_png_loop(pmap, scale=2):
     def px(phi):
         return min(int(phi / TWO_PI * side), side - 1)
 
-    for line in pmap.lines:
+    for line in {(line.slope, line.intercept): line for line in pmap.lines}.values():
         for i in range(4 * side):
             phi1 = TWO_PI * i / (4 * side)
             phi2 = line.phi2_at(phi1)
@@ -580,6 +689,31 @@ def test_phase_map_png_matches_loop(p, q, grid):
     for marked in (pmap, dataclasses.replace(pmap, marks=[])):
         for scale in (1, 2, 3):
             assert phase_map_png(marked, scale=scale) == phase_map_png_loop(marked, scale), scale
+
+
+def test_phase_map_output_bytes_pinned_with_duplicate_lines():
+    # taken while every line was drawn: 1424 lines, 185 distinct (slope, intercept)
+    pmap = phase_map_render(TorusParams(13, 29), 256)
+    assert len({(line.slope, line.intercept) for line in pmap.lines}) == 185
+    pngs = [hashlib.sha256(phase_map_png(pmap, scale=scale)).hexdigest() for scale in (1, 2)]
+    assert pngs == [
+        "1190ce5969307f075bda2b28bf1fad47e98e97cb2e55d24c8a15bfce69c3a407",
+        "ddac3e3d0e8461538c923d5bcf1993c75003cc2271501e27111cbd14fe6841cb",
+    ]
+    svg = pmap.to_svg()
+    assert svg.count('<line class="singular"') >= len(pmap.lines)
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "eac7c78e07723ecaeade7a04239a8ffabb9698f412dec890b8a813c4e44e425a"
+    )
+
+
+def test_overlay_samples_fill_every_column():
+    # phase_map_png draws a horizontal line as a whole pixel row because its
+    # 4 * side samples of phi1 hit every column
+    for side in list(range(64, 513)) + [1000, 1023, 1024, 1536, 2047, 2048, 2049 * 2, 2048 * 3]:
+        phi1 = TWO_PI * np.arange(4 * side) / (4 * side)
+        cols = np.minimum((phi1 / TWO_PI * side).astype(np.intp), side - 1)
+        assert np.array_equal(np.unique(cols), np.arange(side)), side
 
 
 def test_phase_map_png_memory_is_blocked():
