@@ -46,6 +46,12 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_ORACLE_DISAGREE = 3
 
+# verify's budget: the largest pair it runs is T(13, 29), 2pq - p - q = 712
+# crossings, where one pair takes about 1 s and 38 MB max RSS.  Past it the
+# cost climbs fast: T(13, 31), 762 crossings, takes 1.7 s and T(14, 29), 769
+# crossings, 4.1 s (even p identifies a second knot).
+MAX_VERIFY_CROSSINGS = 712
+
 
 def _write(path: str | None, payload: str | bytes) -> None:
     if isinstance(payload, bytes):
@@ -181,6 +187,16 @@ def _verify_pair(params: TorusParams) -> tuple[dict[str, str], bool]:
 
 
 def cmd_verify(args) -> int:
+    # the crossing count grows in p and in q, so the range's largest pair has
+    # at most the count of its corner p = min(pmax, qmax - 1), q = qmax
+    p, q = min(args.pmax, args.qmax - 1), args.qmax
+    if p >= 2 and 2 * p * q - p - q > MAX_VERIFY_CROSSINGS:
+        print(
+            f"error: verify range too large: T({p},{q}) would have {2 * p * q - p - q} crossings, "
+            f"above the budget of {MAX_VERIFY_CROSSINGS} (T(13,29))",
+            file=sys.stderr,
+        )
+        return EXIT_BAD_ARGS
     pairs = [
         (p, q)
         for p in range(2, args.pmax + 1)
@@ -272,9 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=["json", "csv", "text"], default="json")
     c.set_defaults(func=cmd_crossings)
 
-    v = sub.add_parser("verify", help="run the identification conditions over a (p, q) range")
+    v = sub.add_parser(
+        "verify",
+        help="run the identification conditions over a (p, q) range",
+        description="Run the identification conditions for every coprime 2 <= p < q, p <= pmax, "
+        f"q <= qmax.  A range whose largest pair would have more than {MAX_VERIFY_CROSSINGS} "
+        "crossings (2pq - p - q, the count of T(13,29), which takes about 1 s) is refused "
+        "with exit 2 before any work.",
+    )
     v.add_argument("--pmax", type=int, required=True)
-    v.add_argument("--qmax", type=int, required=True)
+    v.add_argument(
+        "--qmax", type=int, required=True,
+        help=f"the corner pair (min(pmax, qmax - 1), qmax) may have at most {MAX_VERIFY_CROSSINGS} crossings",
+    )
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("render", help="SVG of the xy-projection with under-strand gaps")

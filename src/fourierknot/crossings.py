@@ -13,6 +13,7 @@ import functools
 import io
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,9 +270,44 @@ def classify(knot: FourierKnot, t1: float, t2: float, indices: CrossingIndices |
     return Crossing(a, b, sign, over, (knot.x.eval(a), knot.y.eval(a)), indices)
 
 
+def _reject_near_duplicates(cs: tuple[Crossing, ...]) -> None:
+    """Raise ValueError naming the first crossing with a later one within EPS_DEDUPE."""
+    index = _PairIndex((c.t1, c.t2) for c in cs)
+    for i, c in enumerate(cs):
+        later = [j for j in index.near((c.t1, c.t2)) if j > i]
+        if later:
+            d = cs[min(later)]
+            raise ValueError(
+                f"duplicate time pair within {EPS_DEDUPE:g}: "
+                f"({c.t1}, {c.t2}) vs ({d.t1}, {d.t2})"
+            )
+
+
 @dataclass(frozen=True)
 class CrossingSet:
-    """All crossings of one knot, sorted by (t1, t2), deduplicated."""
+    """All crossings of one knot, sorted by (t1, t2), deduplicated.
+
+    No two crossings may lie within EPS_DEDUPE of each other under
+    ``pair_distance``.  The full check files every pair in a _PairIndex; it
+    is skipped when the passages are apart: every passage time lies in
+    [0, 2*pi) and no two circularly adjacent times of ``passages`` (the last
+    one paired with the first) lie within EPS_DEDUPE under
+    ``circular_distance``.
+
+    Why that suffices: two crossings within EPS_DEDUPE put a passage time x
+    of one within EPS_DEDUPE of a passage time y of the other.  For times in
+    [0, 2*pi) with x <= y, circular_distance(x, y) is min(d, fl(2*pi - d))
+    with d = fl(y - x), since y - x is below 2*pi.  If d <= EPS_DEDUPE, each
+    adjacent pair (a, b) sorted between x and y has b - a <= y - x, and
+    rounding is monotone, so fl(b - a) <= d <= EPS_DEDUPE.  Otherwise
+    fl(2*pi - d) <= EPS_DEDUPE, and the first and last times f <= x, l >= y
+    give fl(l - f) >= d, so fl(2*pi - fl(l - f)) <= EPS_DEDUPE: the wrap
+    pair is close.  A close adjacent pair may still be no duplicate (two
+    passages of different strands, or both passages of one crossing), so
+    then, as whenever a time lies outside [0, 2*pi), the full check decides.
+
+    ``passages`` are sorted once per set; the Gauss and PD codes read them.
+    """
 
     knot: FourierKnot
     crossings: tuple[Crossing, ...]
@@ -283,15 +319,48 @@ class CrossingSet:
         for a, b in zip(cs, cs[1:]):
             if (a.t1, a.t2) > (b.t1, b.t2):
                 raise ValueError("crossings must be sorted by (t1, t2)")
-        index = _PairIndex((c.t1, c.t2) for c in cs)
-        for i, c in enumerate(cs):
-            later = [j for j in index.near((c.t1, c.t2)) if j > i]
-            if later:
-                d = cs[min(later)]
-                raise ValueError(
-                    f"duplicate time pair within {EPS_DEDUPE:g}: "
-                    f"({c.t1}, {c.t2}) vs ({d.t1}, {d.t2})"
-                )
+        if not self._passages_apart:
+            _reject_near_duplicates(cs)
+
+    @functools.cached_property
+    def passages(self) -> list[tuple[float, int, bool, int]]:
+        """All 2n passages in time order: (time, crossing index, is_over, sign)."""
+        events = []
+        for idx, c in enumerate(self.crossings):
+            events.append((c.t1, idx, c.over == "t1", c.sign))
+            events.append((c.t2, idx, c.over == "t2", c.sign))
+        events.sort()
+        return events
+
+    @functools.cached_property
+    def _passages_apart(self) -> bool:
+        """Every time in [0, 2*pi), every circularly adjacent pair further apart than EPS_DEDUPE."""
+        times = [e[0] for e in self.passages]
+        if not all(0.0 <= t < TWO_PI for t in times):
+            return False
+        if not times:
+            return True
+        # sorted times in [0, 2*pi): circular_distance(a, b) = min(b - a, 2*pi - (b - a));
+        # 2*pi - gap is least for the wrap pair, whose span bounds every gap
+        span = times[-1] - times[0]
+        return min(map(operator.sub, times[1:], times)) > EPS_DEDUPE and TWO_PI - span > EPS_DEDUPE
+
+    @functools.cached_property
+    def coincident_passage(self) -> int | None:
+        """First i whose passage lies within EPS_DEDUPE of the next one, else None.
+
+        i = 2n - 1 stands for the last passage against the first, across the
+        wrap, which is checked after every other adjacent pair.
+        """
+        if self._passages_apart:
+            return None
+        times = [e[0] for e in self.passages]
+        for i, (ta, tb) in enumerate(zip(times, times[1:])):
+            if circular_distance(ta, tb) <= EPS_DEDUPE:
+                return i
+        if circular_distance(times[0], times[-1]) <= EPS_DEDUPE:
+            return len(times) - 1
+        return None
 
     def __len__(self) -> int:
         return len(self.crossings)

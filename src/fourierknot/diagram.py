@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crossings import TYPE_I, TYPE_II, EPS_DEDUPE, CrossingSet, circular_distance
+from .crossings import TYPE_I, TYPE_II, CrossingSet
 from .errors import (
     IdentificationFailure,
     IncompleteCrossingSet,
@@ -104,19 +104,14 @@ class DiagramSummary:
 
 
 def _sorted_passages(crossings: CrossingSet):
-    """All 2N passages in time order: (time, crossing index, is_over, sign)."""
-    events = []
-    for idx, c in enumerate(crossings.crossings):
-        events.append((c.t1, idx, c.over == "t1", c.sign))
-        events.append((c.t2, idx, c.over == "t2", c.sign))
-    events.sort()
-    for (ta, ia, _, _), (tb, ib, _, _) in zip(events, events[1:]):
-        if circular_distance(ta, tb) <= EPS_DEDUPE:
-            raise IncompleteCrossingSet(
-                f"passages of crossings {ia} and {ib} coincide at t = {ta:.9f}"
-            )
-    if events and circular_distance(events[0][0], events[-1][0]) <= EPS_DEDUPE:
-        raise IncompleteCrossingSet("first and last passages coincide across the wrap")
+    """The set's passages in time order; raises if two adjacent ones coincide."""
+    events = crossings.passages
+    i = crossings.coincident_passage
+    if i is not None:
+        if i == len(events) - 1:
+            raise IncompleteCrossingSet("first and last passages coincide across the wrap")
+        (ta, ia, _, _), (_, ib, _, _) = events[i], events[i + 1]
+        raise IncompleteCrossingSet(f"passages of crossings {ia} and {ib} coincide at t = {ta:.9f}")
     return events
 
 
@@ -233,7 +228,10 @@ def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
     Each crossing contributes one linear relation over Z[t, 1/t] among the
     arcs (arcs are edges merged through over-passages); one row and one
     column of the matrix are deleted and the determinant is expanded with
-    integer-exact arithmetic, then normalized to the canonical unit.
+    integer-exact arithmetic, then normalized to the canonical unit.  The
+    rows are sparse {column: entry} dicts of at most three entries, which
+    point at three shared constants (1 - t, t and -1) unless two arcs of a
+    relation coincide and their entries are added.
     """
     n = len(pd)
     if n == 0:
@@ -256,18 +254,19 @@ def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
     def arc(e: int) -> int:
         return arc_ids[uf.find(e)]
 
-    zero = LaurentPolynomial.zero()
     one_minus_t = LaurentPolynomial({0: 1, 1: -1})
     t = LaurentPolynomial({1: 1})
     minus_one = LaurentPolynomial({0: -1})
     rows: list[dict[int, LaurentPolynomial]] = []
     for a, c, over_in, _, sign in oriented:
         # Wirtinger relation, abelianized; the left-handed row is scaled by
-        # the unit -t so every entry is a plain polynomial
+        # the unit -t so every entry is a plain polynomial.  The three
+        # constants are shared (entries are immutable); only two coinciding
+        # arcs make a new entry, their sum.
         row: dict[int, LaurentPolynomial] = {}
         under_in, under_out = (t, minus_one) if sign > 0 else (minus_one, t)
         for col, e in ((arc(over_in), one_minus_t), (arc(a), under_in), (arc(c), under_out)):
-            row[col] = row.get(col, zero) + e
+            row[col] = row[col] + e if col in row else e
         rows.append(row)
     # delete arc 0's column and the first relation
     minor = [{col - 1: e for col, e in row.items() if col} for row in rows[1:]]

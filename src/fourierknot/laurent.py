@@ -449,14 +449,6 @@ def _det_modular_lists(m: list[list[list[int]]]) -> list[int]:
     return _balanced_digits(v, k)
 
 
-def _as_unit(e: LaurentPolynomial) -> tuple[int, int] | None:
-    """(k, c) when e is the unit monomial c*t**k with c = +-1, else None."""
-    if len(e._c) != 1:
-        return None
-    ((k, c),) = e._c.items()
-    return (k, c) if c in (1, -1) else None
-
-
 _FILL_LIMIT = 64
 
 
@@ -473,45 +465,54 @@ def _sparse_unit_reduce(rows: list[dict[int, LaurentPolynomial]]):
     a pivot re-pushes the unit entries whose cost it may have changed, and
     a popped key whose cost or position is stale is dropped.  The pass
     stops when no unit entry remains or the cheapest exceeds _FILL_LIMIT.
+
+    The pass works on the entries' raw {exponent: coefficient} dicts: each
+    input dict is read in place and never mutated, each updated entry
+    old - (+-t**-k * factor) * pivot_entry is built as one fresh dict, and
+    only the remainder's entries are wrapped as LaurentPolynomial again.
     Returns (sign, unit, remainder_rows) with remainder_rows dense and
     possibly empty, or (0, zero, []) when a row vanishes (determinant zero).
     """
     n = len(rows)
     zero = LaurentPolynomial.zero()
     stamp = itertools.count()  # orders a row's entries as its dict does: fill goes last
-    # row -> {col: (entry, position, _as_unit(entry))}; None once pivoted
+    # row -> {col: (coefficient dict, position, (k, c) if the entry is c*t**k with c = +-1)};
+    # None once pivoted
     entries: list[dict[int, tuple] | None] = []
     col_rows: list[set[int]] = [set() for _ in range(n)]
+    heap = []
     for r, row in enumerate(rows):
         ents = {}
         for c in sorted(row):
-            e = row[c]
-            if e:
-                ents[c] = (e, next(stamp), _as_unit(e))
+            d = row[c]._c
+            if d:
+                pos = next(stamp)
+                u = None
+                if len(d) == 1:
+                    ((k, v),) = d.items()
+                    if v == 1 or v == -1:
+                        u = (k, v)
+                        heap.append((r, c, pos))
+                ents[c] = (d, pos, u)
                 col_rows[c].add(r)
         if not ents:
             return 0, zero, []
         entries.append(ents)
-
-    def key(r: int, c: int, pos: int) -> tuple[int, int, int, int]:
-        return ((len(entries[r]) - 1) * (len(col_rows[c]) - 1), r, pos, c)
-
-    heap = [
-        key(r, c, pos) for r, ents in enumerate(entries) for c, (_, pos, u) in ents.items() if u
-    ]
+    # heap keys (cost, row, position, column), cost = (row count - 1) * (column count - 1)
+    heap = [((len(entries[r]) - 1) * (len(col_rows[c]) - 1), r, pos, c) for r, c, pos in heap]
     heapq.heapify(heap)
+    heappush = heapq.heappush
     row_order = list(range(n))
     col_order = list(range(n))
     sign = 1
     unit_exp, unit_coef = 0, 1
     while heap:
-        top = heapq.heappop(heap)
-        cost, rp, _, cp = top
+        cost, rp, pos, cp = heapq.heappop(heap)
         pivot_row = entries[rp]
         if pivot_row is None or cp not in pivot_row:
             continue
         _, cur_pos, u = pivot_row[cp]
-        if u is None or top != key(rp, cp, cur_pos):
+        if u is None or pos != cur_pos or cost != (len(pivot_row) - 1) * (len(col_rows[cp]) - 1):
             continue
         if cost > _FILL_LIMIT:
             break
@@ -529,40 +530,57 @@ def _sparse_unit_reduce(rows: list[dict[int, LaurentPolynomial]]):
             col_rows[c].discard(rp)
         touched = col_rows[cp]
         col_rows[cp] = set()
+        others = [(c2, pe) for c2, (pe, _, _) in pivot_row.items() if c2 != cp]
         for r2 in touched:
             ents = entries[r2]
-            factor = ents.pop(cp)[0].shifted(-exp)
-            if coef == -1:
-                factor = -factor
-            for c2, (pe, _, _) in pivot_row.items():
-                if c2 == cp:
-                    continue
+            # old - factor * pe with factor = entry * (c t**exp)**-1; c = +-1 is its own inverse
+            factor = [(e - exp, v * coef) for e, v in ents.pop(cp)[0].items()]
+            for c2, pe in others:
                 old = ents.get(c2)
-                nv = (old[0] if old else zero) - factor * pe
+                nv = dict(old[0]) if old else {}
+                for e1, v1 in factor:
+                    for e2, v2 in pe.items():
+                        e = e1 + e2
+                        s = nv.get(e, 0) - v1 * v2
+                        if s:
+                            nv[e] = s
+                        else:
+                            del nv[e]
                 if not nv:
                     if old:
                         del ents[c2]
                         col_rows[c2].discard(r2)
-                elif old:
-                    ents[c2] = (nv, old[1], _as_unit(nv))
+                    continue
+                u2 = None
+                if len(nv) == 1:
+                    ((k, v),) = nv.items()
+                    if v == 1 or v == -1:
+                        u2 = (k, v)
+                if old:
+                    ents[c2] = (nv, old[1], u2)
                 else:
-                    ents[c2] = (nv, next(stamp), _as_unit(nv))
+                    ents[c2] = (nv, next(stamp), u2)
                     col_rows[c2].add(r2)
             if not ents:
                 return 0, zero, []
         # costs moved only in the touched rows and in the pivot row's columns
         for r2 in touched:
-            for c2, (_, p2, u2) in entries[r2].items():
+            ents = entries[r2]
+            rc = len(ents) - 1
+            for c2, (_, p2, u2) in ents.items():
                 if u2:
-                    heapq.heappush(heap, key(r2, c2, p2))
+                    heappush(heap, (rc * (len(col_rows[c2]) - 1), r2, p2, c2))
         for c2 in pivot_row:
+            cc = len(col_rows[c2]) - 1
             for r2 in col_rows[c2] - touched:
-                _, p2, u2 = entries[r2][c2]
+                ents = entries[r2]
+                _, p2, u2 = ents[c2]
                 if u2:
-                    heapq.heappush(heap, key(r2, c2, p2))
+                    heappush(heap, ((len(ents) - 1) * cc, r2, p2, c2))
     unit = LaurentPolynomial.monomial(unit_exp, unit_coef)
+    adopt = LaurentPolynomial._adopt
     remainder = [
-        [entries[r][c][0] if c in entries[r] else zero for c in col_order] for r in row_order
+        [adopt(entries[r][c][0]) if c in entries[r] else zero for c in col_order] for r in row_order
     ]
     return sign, unit, remainder
 

@@ -61,6 +61,20 @@ class SingularLine:
     slope: int
     intercept: float
 
+    @classmethod
+    def _build(cls, kind: str, k: int, j: int, m: int, slope: int, intercept: float) -> SingularLine:
+        """SingularLine(kind, k, j, m, slope, intercept), its fields written straight
+        into the instance dict instead of by one object.__setattr__ call each."""
+        line = object.__new__(cls)
+        fields = line.__dict__
+        fields["kind"] = kind
+        fields["k"] = k
+        fields["j"] = j
+        fields["m"] = m
+        fields["slope"] = slope
+        fields["intercept"] = intercept
+        return line
+
     def phi2_at(self, phi1: float) -> float:
         return reduce_angle(self.slope * phi1 + self.intercept)
 
@@ -220,8 +234,9 @@ def singular_lines(params: TorusParams) -> list[SingularLine]:
     phi2 = _phi2_along(slopes, intercepts, _CERT_PHI1)
     residual = np.abs(table.height_gap(rows[:, None], _CERT_PHI1, phi2))
     owners = [table.indices[r] for r in rows.tolist()]
+    build = SingularLine._build
     lines = [
-        SingularLine(ix.kind, ix.k, ix.j, mi, slope, intercept)
+        build(ix.kind, ix.k, ix.j, mi, slope, intercept)
         for ix, mi, slope, intercept in zip(owners, m.tolist(), slopes.tolist(), intercepts.tolist())
     ]
     failing = np.argwhere(residual > _CERT_TOL)

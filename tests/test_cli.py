@@ -121,6 +121,35 @@ def test_verify_output_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("pmax,qmax", [(13, 30), (14, 29), (2, 400), (50, 40)])
+def test_verify_rejects_oversized_range(capsys, monkeypatch, pmax, qmax):
+    import fourierknot.cli as cli_mod
+
+    def no_work(params):
+        raise AssertionError("a pair was verified")
+
+    monkeypatch.setattr(cli_mod, "_verify_pair", no_work)
+    code, out, err = run_cli(capsys, "verify", "--pmax", str(pmax), "--qmax", str(qmax))
+    assert code == 2
+    assert out == ""
+    assert "712" in err
+
+
+def test_verify_accepts_the_budget_corner(capsys, monkeypatch):
+    import fourierknot.cli as cli_mod
+
+    seen = []
+
+    def passing(params):
+        seen.append((params.p, params.q))
+        return dict.fromkeys(["counts", "type1-hand", "type2-dir", "alexander", "phase"], "pass"), True
+
+    monkeypatch.setattr(cli_mod, "_verify_pair", passing)
+    code, out, _ = run_cli(capsys, "verify", "--pmax", "13", "--qmax", "29")
+    assert code == 0
+    assert max(seen, key=lambda pq: 2 * pq[0] * pq[1] - pq[0] - pq[1]) == (13, 29)
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     import fourierknot.cli as cli_mod
     from fourierknot import IdentificationFailure

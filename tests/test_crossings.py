@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fourierknot import (
     CrossingSet,
@@ -17,8 +19,16 @@ from fourierknot import (
     gen_theorem_knot,
     zdiff,
 )
-from fourierknot.crossings import EPS_DEDUPE, TYPE_I, TYPE_II, Crossing, pair_difference
-from fourierknot.series import TWO_PI
+from fourierknot.crossings import (
+    EPS_DEDUPE,
+    TYPE_I,
+    TYPE_II,
+    Crossing,
+    _PairIndex,
+    circular_distance,
+    pair_difference,
+)
+from fourierknot.series import TWO_PI, reduce_angle
 
 COPRIME_PAIRS = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1]
 
@@ -255,6 +265,107 @@ def test_crossing_set_names_first_duplicate():
     assert str(exc.value) == (
         f"duplicate time pair within {EPS_DEDUPE:g}: (1e-07, 3.0) vs (2.9999999, {TWO_PI - 1e-7})"
     )
+
+
+# ---------------------------------------------------------------------------
+# CrossingSet skips the full near-duplicate check when its sorted passages are
+# apart; both verdicts, messages included, must be those of the full check.
+
+
+def near_duplicate_check_reference(cs):
+    """The full check CrossingSet once ran on every set: all pairs filed in a _PairIndex."""
+    index = _PairIndex((c.t1, c.t2) for c in cs)
+    for i, c in enumerate(cs):
+        later = [j for j in index.near((c.t1, c.t2)) if j > i]
+        if later:
+            d = cs[min(later)]
+            raise ValueError(
+                f"duplicate time pair within {EPS_DEDUPE:g}: "
+                f"({c.t1}, {c.t2}) vs ({d.t1}, {d.t2})"
+            )
+
+
+def coincident_passage_reference(cs):
+    """The coincidence scan the Gauss and PD builders ran over freshly sorted passages."""
+    events = sorted(
+        e for i, c in enumerate(cs)
+        for e in ((c.t1, i, c.over == "t1", c.sign), (c.t2, i, c.over == "t2", c.sign))
+    )
+    for i, ((ta, *_), (tb, *_)) in enumerate(zip(events, events[1:])):
+        if circular_distance(ta, tb) <= EPS_DEDUPE:
+            return i
+    if events and circular_distance(events[0][0], events[-1][0]) <= EPS_DEDUPE:
+        return len(events) - 1
+    return None
+
+
+_CELL_SIDE = TWO_PI / math.floor(TWO_PI / EPS_DEDUPE)
+
+
+@st.composite
+def planted_time_pairs(draw):
+    """Random canonical time pairs, plus twins planted near some of them."""
+    angle = st.floats(0.0, TWO_PI, exclude_max=True)
+    nudge = st.floats(-2 * EPS_DEDUPE, 2 * EPS_DEDUPE)
+    small = st.floats(0.0, 2 * EPS_DEDUPE)
+    pairs = [tuple(sorted((draw(angle), draw(angle)))) for _ in range(draw(st.integers(1, 8)))]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(pairs))
+        how = draw(st.sampled_from(["near", "swapped", "wrap", "cell", "one passage", "outside"]))
+        if how == "near":
+            planted = [(a + draw(nudge), b + draw(nudge))]
+        elif how == "swapped":
+            planted = [(b + draw(nudge), a + draw(nudge))]
+        elif how == "wrap":  # a passage just past 0 and its twin's just below 2*pi, or back
+            start = draw(small)
+            planted = [(start, b), (start + draw(nudge), b + draw(nudge))]
+        elif how == "cell":  # both twins straddle _PairIndex cell boundaries
+            m1, m2 = (draw(st.integers(0, int(TWO_PI / _CELL_SIDE) - 1)) for _ in range(2))
+            lo, hi = draw(small) / 2, draw(small) / 2
+            x, y = m1 * _CELL_SIDE, m2 * _CELL_SIDE
+            planted = [(x - lo, y - lo), (x + hi, y + hi)]
+        elif how == "one passage":  # shares one passage time only: no duplicate
+            planted = [(a + draw(nudge), draw(angle))]
+        else:  # left unreduced: a time outside [0, 2*pi)
+            pairs.append((a + draw(nudge) - TWO_PI, b + draw(nudge)))
+            continue
+        pairs += [tuple(sorted(map(reduce_angle, pair))) for pair in planted]
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@example(pairs=[(1e-7, 3.0), (2.9999999, TWO_PI - 1e-7)])  # swapped roles across the wrap
+@example(pairs=[(1000 * _CELL_SIDE - 3e-7, 3000 * _CELL_SIDE - 3e-7),
+                (1000 * _CELL_SIDE + 3e-7, 3000 * _CELL_SIDE + 3e-7)])  # straddles cell corners
+@example(pairs=[(1.0, 2.0), (1.0 + 5e-7, 4.0)])  # two passages close, no duplicate
+@example(pairs=[(1e-7, 3.0), (1.0, TWO_PI - 1e-7)])  # passages close across the wrap only
+@example(pairs=[(1.0, 1.0 + 5e-7)])  # both passages of one crossing close
+@example(pairs=[(-1e-7, 3.0), (3.0 + 1e-7, TWO_PI - 1e-7)])  # a time below 0
+@example(pairs=[(1.0, 2.0), (math.nan, 3.0), (4.0, 5.0)])  # NaN: the full check raises
+@given(pairs=planted_time_pairs())
+def test_crossing_set_matches_full_duplicate_check(pairs):
+    knot = gen_theorem_knot(TorusParams(2, 3))
+    crossings = tuple(
+        Crossing(a, b, 1 if i % 3 else -1, "t1" if i % 2 else "t2", (0.0, 0.0))
+        for i, (a, b) in enumerate(sorted(pairs))
+    )
+    try:
+        near_duplicate_check_reference(crossings)
+        expected = None
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        cs = CrossingSet(knot, crossings, "numeric")
+    except ValueError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    assert cs.coincident_passage == coincident_passage_reference(crossings)
+
+
+def test_crossing_set_accepts_close_passages_of_distinct_pairs():
+    cs = _set_of((1.0, 2.0), (1.0 + 5e-7, 4.0))
+    assert len(cs) == 2 and cs.coincident_passage == 0
 
 
 def test_crossing_set_json_csv_shape():

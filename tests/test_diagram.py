@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -236,6 +237,24 @@ def test_summary_json():
     assert data["crossings"] == 7
     assert data["type1"] == 3 and data["type2"] == 4
     assert data["alexander"] == [[0, 1], [1, -1], [2, 1]]
+
+
+def test_identify_outputs_pinned():
+    # identify(...).to_json() as "p q json" lines: every coprime p < q <= 29 with
+    # fewer than 330 crossings in (q, p) order, then T(11, 24)
+    pairs = [
+        (p, q) for q in range(3, 30) for p in range(2, q)
+        if math.gcd(p, q) == 1 and 2 * p * q - p - q < 330
+    ] + [(11, 24)]
+    lines = []
+    for p, q in pairs:
+        params = TorusParams(p, q)
+        knot = gen_theorem_knot(params)
+        lines.append(f"{p} {q} {identify(knot, analytic_crossing_set(knot, params), params).to_json()}")
+    assert len(lines) == 113
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "807284a3314f5c00369d446dc3348ca8c11968926f35712113100a71528a22d1"
+    )
 
 
 def test_incomplete_passages_detected():

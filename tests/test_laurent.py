@@ -461,6 +461,27 @@ def test_reduction_examples_reach_their_stopping_rules():
     assert sign != 0 and len(rem) == 10
 
 
+def _entry_pairs(rows):
+    return [{c: e.pairs() for c, e in row.items()} for row in rows]
+
+
+@pytest.mark.parametrize("case", ["T(7,13)", "T(9,19)", "vanishes", "dense block", "refilled"])
+def test_reduction_leaves_its_input_unchanged(case, monkeypatch):
+    if case.startswith("T("):
+        dense = alexander_minor(*map(int, case[2:-1].split(",")), monkeypatch)
+    else:
+        dense = {
+            "vanishes": matrix_from_text(_ROW_VANISHES),
+            "dense block": _dense_block_after_free_pivots(),
+            "refilled": matrix_from_text(_REFILLED_BEHIND),
+        }[case]
+    rows = sparse_rows(dense)
+    before = _entry_pairs(rows)
+    first = laurent._sparse_unit_reduce(rows)
+    assert _entry_pairs(rows) == before
+    assert laurent._sparse_unit_reduce(rows) == first
+
+
 @pytest.mark.parametrize("top", [1 << 62, 1 << 64])
 def test_det_with_huge_coefficients_above_the_crossover(top):
     """A cycle too big for Bareiss's size rule, its constants at 2**62 (int64) or 2**64."""

@@ -15,6 +15,7 @@ from fourierknot import (
     PhasePoint,
     SignVector,
     SimplifyRequiresEvenP,
+    SingularLine,
     SingularPoint,
     TorusParams,
     analytic_crossing_set,
@@ -346,6 +347,16 @@ def test_singular_lines_unchanged_for_small_pairs():
                     slopes = np.array([line.slope for line in lines], dtype=dtype)
                     assert _phi2_along(slopes, intercepts, _CERT_PHI1).tolist() == expected, (p, q)
     assert digest.hexdigest() == "e83948101aef5b349f27deabb2e1c5a2d3b9620b48536c18dbc5467c471fdb2e"
+
+
+def test_built_singular_lines_equal_constructed_ones():
+    for line in singular_lines(TorusParams(7, 11)):
+        twin = SingularLine(line.kind, line.k, line.j, line.m, line.slope, line.intercept)
+        assert type(line) is SingularLine
+        assert line == twin and hash(line) == hash(twin) and repr(line) == repr(twin)
+        assert vars(line) == vars(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            line.intercept = 0.0
 
 
 def test_wrong_intercept_fails_certification(monkeypatch):
