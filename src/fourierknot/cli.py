@@ -24,6 +24,7 @@ from .diagram import identify
 from .errors import IdentificationFailure, KnotError, SingularPoint
 from .phases import (
     MAX_GRID,
+    MAX_SIGN_TABLE,
     certify_intercept_reading,
     gen_theorem_knot,
     phase_map_render,
@@ -317,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         default=256,
-        help=f"cells per side, 64 to {MAX_GRID}; the raster takes about 10 MB at 512 and 67 MB "
-        f"at {MAX_GRID} for T(7,13), and more as p and q grow",
+        help=f"cells per side, 64 to {MAX_GRID}, with crossings x grid at most {MAX_SIGN_TABLE}: about 3 MB "
+        f"at 512 and 52 MB at {MAX_GRID} for T(7,13), and up to 40 bytes per crossing x grid at large p, q",
     )
     m.add_argument("--size", type=int, default=640)
     m.add_argument("--format", choices=["svg", "png"], default="svg")

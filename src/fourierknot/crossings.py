@@ -141,10 +141,13 @@ class _CrossingTable:
 
     Rows run over type I then type II, k then j, in enumeration order, which
     is the sorted order of their CrossingIndices.  The first n_type1 rows are
-    type I; k and j hold every row's indices as integer arrays.  t1 and t2
+    type I; k and j hold every row's indices as int64 arrays.  t1 and t2
     hold the raw formula times base -/+ half, not reduced mod 2*pi: the
-    height gap takes its half-sum and half-difference from them, and the
-    phase raster's sign bits depend on those exact floats.
+    height gap takes its half-sum and half-difference from them.  Those are
+    integer multiples of u = pi/(2pq), held exactly in s_u and d_u (int64,
+    in units of u); intercept_u holds the numerator N of the row's singular
+    lines phi2 = slope * phi1 + (N + 2pq m) u.  The phase raster's signs
+    come from these integers.
     """
 
     def __init__(self, params: TorusParams):
@@ -172,10 +175,15 @@ class _CrossingTable:
         self.indices = tuple(indices)
         self.row = {ix: i for i, ix in enumerate(self.indices)}
         self.n_type1 = sum(ix.kind == TYPE_I for ix in indices)
-        self.k = np.array([ix.k for ix in indices])
-        self.j = np.array([ix.j for ix in indices])
+        self.k = k = np.array([ix.k for ix in indices], dtype=np.int64)
+        self.j = j = np.array([ix.j for ix in indices], dtype=np.int64)
         self.t1, self.t2 = np.array(t1), np.array(t2)
-        for column in (self.k, self.j, self.t1, self.t2):
+        # in units of u, type I has base 2pj - 1 and half 2qk, type II base 2qj and half 2pk
+        type1 = np.arange(len(indices)) < self.n_type1
+        self.s_u = np.where(type1, 2 * p * j - 1, 2 * q * j)
+        self.d_u = np.where(type1, -2 * q * k, -2 * p * k)
+        self.intercept_u = np.where(type1, 2 * p * p * j + q - p, -2 * q * q * j)
+        for column in (self.k, self.j, self.t1, self.t2, self.s_u, self.d_u, self.intercept_u):
             column.flags.writeable = False
 
     def entries(self, kind: str | None = None) -> list[tuple[CrossingIndices, float, float]]:
@@ -189,15 +197,10 @@ class _CrossingTable:
         The product-of-sines split of both z terms at the given rows; rows
         (any numpy index), phi1 and phi2 broadcast against each other.
         """
-        a, b = self.gap_terms(rows, phi1, phi2)
-        return a - b
-
-    def gap_terms(self, rows, phi1, phi2):
-        """(a, b) with height_gap = a - b: a holds the phi1 term, b the phi2 term."""
         p, r = self.p, self.q - self.p
         t1, t2 = self.t1[rows], self.t2[rows]
         s, d = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
-        return (-2.0 * np.sin(p * s + phi1)) * np.sin(p * d), (2.0 * np.sin(r * s + phi2)) * np.sin(r * d)
+        return (-2.0 * np.sin(p * s + phi1)) * np.sin(p * d) - (2.0 * np.sin(r * s + phi2)) * np.sin(r * d)
 
 
 @functools.lru_cache(maxsize=32)

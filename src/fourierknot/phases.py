@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .crossings import EPS_SINGULAR, TYPE_I, CrossingIndices, _crossing_table
+from .crossings import EPS_SINGULAR, CrossingIndices, _crossing_table
 from .errors import CertificationFailure, SimplifyRequiresEvenP, SingularPoint
 from .series import (
     TWO_PI,
@@ -41,8 +41,11 @@ class PhasePoint:
     phi2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi1", reduce_angle(float(self.phi1)))
-        object.__setattr__(self, "phi2", reduce_angle(float(self.phi2)))
+        for name in ("phi1", "phi2"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, reduce_angle(value))
 
 
 @dataclass(frozen=True)
@@ -201,24 +204,22 @@ def _TYPE1_CONST(p: int, q: int) -> float:
 def _line_candidates(table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Uncertified lines of every table row: (row, m, slope, intercept) arrays.
 
-    A row's gap vanishes on phi2 = slope * phi1 + base + m pi; the lines are
-    those with base + m pi in [0, 2 pi) up to 1e-12, in table order and then
-    by m.  Going up from m_lo = ceil(-base/pi - 1e-12), base + m pi is at
-    least -pi * 1e-12, so m_lo + 3 is past 2 pi and three values of m cover
-    every row.
+    A row's gap vanishes on phi2 = slope * phi1 + base + m pi, base = N u with
+    N = table.intercept_u, u = pi/(2pq).  As pi = 2pq u, (N + 2pq m) u is in
+    [0, 2 pi) exactly for m0 = -(N // 2pq) and m0 + 1.  The intercepts stay
+    the floats base + m pi, in table order and then by m.
     """
     p, q = table.p, table.q
     type1 = np.arange(len(table.indices)) < table.n_type1
     base = np.where(type1, table.j * p * math.pi / q + _TYPE1_CONST(p, q), -table.j * q * math.pi / p)
-    m = np.ceil(-base / math.pi - 1e-12).astype(np.int64)[:, None] + np.arange(3)
+    m = -(table.intercept_u // (2 * p * q))[:, None] + np.arange(2)
     intercept = base[:, None] + m * math.pi
-    keep = (intercept >= -1e-12) & (intercept < TWO_PI - 1e-12)
     # type I: horizontal; type II, k even: slope (-1)^m; k odd: (-1)^(m+1)
     slope = np.where(type1[:, None], 0, np.where((m + table.k[:, None]) % 2 == 0, 1, -1))
     row = np.broadcast_to(np.arange(len(type1))[:, None], m.shape)
-    # max(intercept, 0.0) as Python's max takes it: -0.0 stays -0.0
+    # an exact 0 may round below it; max(intercept, 0.0) as Python's max takes it: -0.0 stays -0.0
     intercept = np.where(intercept < 0.0, 0.0, intercept)
-    return row[keep], m[keep], slope[keep], intercept[keep]
+    return row.ravel(), m.ravel(), slope.ravel(), intercept.ravel()
 
 
 def singular_lines(params: TorusParams) -> list[SingularLine]:
@@ -263,10 +264,9 @@ def certify_intercept_reading(params: TorusParams) -> tuple[str, float, float]:
     }
     results = {}
     table = _crossing_table(params)
-    type1 = [(i, ix.j) for i, ix in enumerate(table.indices) if ix.kind == TYPE_I]
-    rows = np.array([[i] for i, _ in type1])
+    rows = np.arange(table.n_type1)[:, None]
     for name, const in readings.items():
-        phi2 = np.array([[reduce_angle(j * p * math.pi / q + const)] for _, j in type1])
+        phi2 = reduce_angles(table.j[rows] * p * math.pi / q + const)
         results[name] = float(np.abs(table.height_gap(rows, _CERT_PHI1, phi2)).max())
     good = min(results, key=results.get)
     bad = max(results, key=results.get)
@@ -286,22 +286,13 @@ _PALETTE = (
     (152, 223, 138), (255, 152, 150), (197, 176, 213), (196, 156, 148),
 )
 _SINGULAR_COLOR = (0, 0, 0)
-# The raster's shortcuts (_phase_classes) decide a cell from stand-ins for its
-# gaps a[i1] - b[i2]: the type-I bound |b| - max |a| and the exact-arithmetic
-# type-II product -4 sin(p d) F G.  A stand-in is trusted only where it clears
-# EPS_SINGULAR by a margin of _FAST_MARGIN_PER_Q * (q + 1), which must exceed
-# how far it can stray from the floats.  The tables round arguments such as
-# p s + phi and (q s + k pi)/2, at most 2 pi (q + 1) in size, so each sine is
-# off by a few 2^-53 * 2 pi (q + 1); the identity sin((q-p) d) =
-# -(-1)^k sin(p d) behind the product is off by q times the rounding of d; and
-# type-I rows have |a| <= 2 |sin(p d)|, a rounding error of p d = -k pi.  Summed,
-# a stand-in strays by at most about 2e-14 * (q + 1) (1.2e-13 measured at
-# q = 29, see test_phases), so the margin is 50 times that at any q.  A wider
-# margin costs nothing measurable: a singular line either passes through cell
-# centres, where the gap is a rounding error, or misses them by much more.
-_FAST_MARGIN_PER_Q = 1e-12
-# the raster's memory budget; see phase_map_render
+# the raster's memory budget (phase_map_render).  MAX_SIGN_TABLE caps
+# crossings x grid: the peak is 29 to 38 bytes per unit at large n under
+# tracemalloc (233 MB at T(90,91)/512, 280 MB at T(2,20001)/128), so at most
+# about 320 MB at the cap.  There a sign numerator, below 10 q (pq grid) with
+# pq grid <= n grid <= 2^23 and q < n <= 2^17, stays below 2^44 in int64
 MAX_GRID = 2048
+MAX_SIGN_TABLE = 1 << 23
 
 
 @dataclass
@@ -310,14 +301,13 @@ class PhaseMap:
 
     classes[i1, i2] is the class id of the cell centred at
     ((i1 + 0.5) h, (i2 + 0.5) h), h = 2*pi/grid; -1 marks cells whose centre
-    sits numerically on a singular line, |height gap| <= EPS_SINGULAR.  On
-    this lattice whole diagonals do: at every grid i1 = i2 and
-    i1 + i2 = grid - 1 (phi1 = phi2 and phi1 + phi2 = 2 pi), and more at even
-    grids.
+    lies on a singular line, where some crossing's height gap is exactly 0
+    (decided in integers, see _phase_classes).  On this lattice whole
+    diagonals do: at every grid i1 = i2 and i1 + i2 = grid - 1 (phi1 = phi2
+    and phi1 + phi2 = 2 pi), and more at even grids.
     A cell's sign key is its bits (height gap > 0) over the crossing table's
-    rows, type I first.  Ids are the ranks of the keys in lexicographic order
-    among all cells, singular ones included, so they may skip values;
-    n_classes counts the distinct ids that remain.
+    rows, type I first.  Ids are the ranks of the non-singular cells' keys in
+    lexicographic order, so they run over 0 .. n_classes - 1.
     """
 
     params: TorusParams
@@ -389,112 +379,67 @@ def _by_diff(v: np.ndarray, grid: int) -> np.ndarray:
     return sliding_window_view(v[::-1], grid)[::-1]
 
 
-def _type2_factors(table, n1: int, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sin(p d) of the type-II rows (table rows n1 on) and their factors F, G at the cell centres.
-
-    With d = -k pi/q, sin((q-p) d) = -(-1)^k sin(p d), and sin a - sin b =
-    2 cos((a+b)/2) sin((a-b)/2) with a = p s + phi1, b = (q-p) s + phi2 + k pi
-    turns the height gap into -4 sin(p d) F[i1 + i2] G[i1 - i2 + grid - 1],
-    since (phi1 + phi2)/2 = (i1 + i2 + 1) h/2 and (phi1 - phi2)/2 =
-    (i1 - i2) h/2 at cell centres.  F and G are (2 grid - 1, n - n1).
-    """
-    p, q = table.p, table.q
-    k = table.k[n1:].astype(float)
-    s, d = 0.5 * (table.t1[n1:] + table.t2[n1:]), 0.5 * (table.t1[n1:] - table.t2[n1:])
-    half_h = 0.5 * TWO_PI / grid
-    f = np.cos(half_h * np.arange(1, 2 * grid)[:, None] + 0.5 * (q * s + k * math.pi))
-    g = np.sin(half_h * np.arange(1 - grid, grid)[:, None] + 0.5 * ((2 * p - q) * s - k * math.pi))
-    return np.sin(p * d), f, g
-
-
-def _exact_keys(a: np.ndarray, b: np.ndarray, n1: int, cells: np.ndarray):
-    """Packed keys (type-I bytes, then type-II bytes) and singular flags of the masked cells, in C order."""
-    e1, e2 = np.nonzero(cells)
-    n = a.shape[1]
-    keys = [np.empty((0, (n1 + 7) // 8 + (n - n1 + 7) // 8), dtype=np.uint8)]
-    singular = [np.empty(0, dtype=bool)]
-    step = max(1, 2**20 // n)
-    for lo in range(0, len(e1), step):
-        gap = a[e1[lo : lo + step]] - b[e2[lo : lo + step]]
-        singular.append((np.abs(gap) <= EPS_SINGULAR).any(axis=1))
-        bits = gap > 0.0
-        keys.append(np.concatenate([np.packbits(bits[:, :n1], axis=1), np.packbits(bits[:, n1:], axis=1)], axis=1))
-    return np.concatenate(keys), np.concatenate(singular)
+def _sin_signs(num: np.ndarray, den: int) -> np.ndarray:
+    """Sign of sin(pi * num / den) for integer num and den > 0, as int8: 0 on a multiple of pi."""
+    quot, rem = np.divmod(num, den)
+    sign = 1 - 2 * np.bitwise_and(quot, 1, out=quot).astype(np.int8)
+    sign[rem == 0] = 0
+    return sign
 
 
 def _phase_classes(table, grid: int) -> tuple[np.ndarray, int]:
-    """Class ids of the cells (see PhaseMap) and the number of non-singular classes.
+    """Class ids of the cells (see PhaseMap) and the number of classes, from exact signs.
 
-    The gap at cell (i1, i2) is a[i1] - b[i2], with (grid, n) tables a, b
-    from table.gap_terms, the floats of height_gap.  Away from a few
-    cells, a cell's key follows from small tables:
-    - type-I rows have |sin(p d)| below 1e-14, so |a| is tiny; in a column
-      i2 where every |b| clears EPS_SINGULAR + max |a| + margin, the
-      sign bits are b < 0 for every i1;
-    - type-II gaps are -4 sin(p d) F G (_type2_factors); where every |F| and
-      |G| exceeds tol = sqrt((EPS_SINGULAR + margin) / (4 |sin(p d)|)),
-      |gap| exceeds EPS_SINGULAR + margin and its sign is that of the
-      product.
-    So the key is (type-I id of i2, type-II id of the pair (i1 + i2, i1 - i2)),
-    and each distinct key is packed once.  The other cells (within the margin
-    of a type-I band, or on a sum or difference with a small factor: the
-    diagonals through cell centres) get the exact a - b on all rows, which
-    decides their bits and the EPS_SINGULAR test.  Ids rank the packed keys of
-    all cells, type-I rows first as in the table, so they are the ranks of
-    the full lexicographic sign keys.
-
-    Here margin = _FAST_MARGIN_PER_Q * (q + 1), whose comment says why it
-    covers the rounding.
+    With s, d the half-sum and half-difference of a row's times and r = q - p,
+    a type-I gap is -2 sin(r s + phi2) sin(r d), as sin(p d) = sin(-k pi) = 0:
+    a sign per column i2.  A type-II gap is -4 sin(p d) F G, as sin(r d) =
+    -(-1)^k sin(p d), with F = cos((q s + k pi + phi1 + phi2)/2) a sign per
+    sum i1 + i2 and G = sin(((2p - q) s - k pi + phi1 - phi2)/2) one per
+    difference i1 - i2.  At cell centres phi = (2i + 1) pi/grid, and s, d are
+    integers in units of u = pi/(2pq), so each angle is pi times an integer
+    over 2pq grid (4pq grid for F and G), and _sin_signs settles its sign.
+    A cell is singular where a factor is 0.  Ids rank the regular cells' keys
+    (type-I id of i2, type-II id of the pair (i1 + i2, i1 - i2)); both ids
+    rank sign bytes, so this is the order of the full sign keys, type I first.
     """
-    n1 = table.n_type1
-    phi = ((np.arange(grid) + 0.5) * (TWO_PI / grid))[:, None]
-    a, b = table.gap_terms(slice(None), phi, phi)
-    edge = EPS_SINGULAR + _FAST_MARGIN_PER_Q * (table.q + 1)
+    p, q, n1 = table.p, table.q, table.n_type1
+    s, d, k = table.s_u, table.d_u, table.k
+    den = 2 * p * q  # pi in units of u
+    cells = np.arange(2 * grid - 1, dtype=np.int64)[:, None]
 
-    # type-I rows: one key per column i2
-    band = (np.abs(b[:, :n1]) <= edge + np.abs(a[:, :n1]).max(axis=0)).any(axis=1)
-    bytes1, id1 = _rank_rows(np.packbits(b[:, :n1] < 0.0, axis=1))
+    # type I, angles over den grid: r s + phi2 at the columns i2 = cells[:grid]
+    sign1 = _sin_signs((q - p) * s[:n1] * grid + den * (2 * cells[:grid] + 1), den * grid)
+    bytes1, id1 = _rank_rows(np.packbits(sign1 * _sin_signs((q - p) * d[:n1], den) < 0, axis=1))
+    # type II, half angles over 2 den grid: F = cos x as sin(x + pi/2) at the
+    # sums i1 + i2 = cells, G at the differences i1 - i2 = cells + 1 - grid;
+    # a bit is the XOR of a sum bit and a difference bit
+    f = _sin_signs((q * s[n1:] + den * (k[n1:] + 1)) * grid + 2 * den * (cells + 1), 2 * den * grid)
+    bytes_sum, id_sum = _rank_rows(np.packbits(f * _sin_signs(p * d[n1:], den) < 0, axis=1))
+    g = _sin_signs(((2 * p - q) * s[n1:] - den * k[n1:]) * grid + 2 * den * (cells + 1 - grid), 2 * den * grid)
+    bytes_diff, id_diff = _rank_rows(np.packbits(g < 0, axis=1))
+    singular = _by_sum((f == 0).any(axis=1), grid) | _by_diff((g == 0).any(axis=1), grid)
+    regular = ~(singular | (sign1 == 0).any(axis=1))
+    del sign1, f, g, singular
 
-    # type-II rows: bit = (sin(p d) < 0) ^ (F < 0) ^ (G < 0), the XOR of a sum
-    # key and a difference key
-    sin_pd, f, g = _type2_factors(table, n1, grid)
-    tol = np.sqrt(edge / (4.0 * np.abs(sin_pd)))
-    bytes_sum, id_sum = _rank_rows(np.packbits((f < 0.0) ^ (sin_pd < 0.0), axis=1))
-    bytes_diff, id_diff = _rank_rows(np.packbits(g < 0.0, axis=1))
-    exact = (
-        _by_sum((np.abs(f) <= tol).any(axis=1), grid)
-        | _by_diff((np.abs(g) <= tol).any(axis=1), grid)
-        | band
-    )
-    fast = ~exact
-
-    # ids of the (sum, difference) pairs, then of the (column, pair) keys,
-    # that the fast cells take.  The grid^2 codes and positions are int32,
-    # and each is freed once used: pair codes stay below (2 grid - 1)^2, and
-    # key codes below len(bytes1) * len(pairs), which is far from 2^31 at
-    # every measured size but not bounded by it, so they widen to int64 past it
+    # ids of the regular cells' (sum, difference) pairs, then of their keys.
+    # The grid^2 codes and positions are int32, each freed once used: pair
+    # codes stay below (2 grid - 1)^2, and key codes below len(bytes1) *
+    # len(bytes2), far from 2^31 when measured but unbounded, else int64
     n_diff = len(bytes_diff)
     pair = _by_sum(id_sum.astype(np.int32) * n_diff, grid) + _by_diff(id_diff.astype(np.int32), grid)
-    pairs, pair_id = _dense_ids(pair[fast], len(bytes_sum) * n_diff)
+    pairs, pair_id = _dense_ids(pair[regular], len(bytes_sum) * n_diff)
     del pair
-    code = np.int32 if len(bytes1) * len(pairs) <= np.iinfo(np.int32).max else np.int64
-    key = np.broadcast_to(id1.astype(code) * len(pairs), (grid, grid))[fast]
-    key += pair_id
+    sum_of, diff_of = np.divmod(pairs, n_diff)
+    bytes2, rank2 = _rank_rows(bytes_sum[sum_of] ^ bytes_diff[diff_of])
+    code = np.int32 if len(bytes1) * len(bytes2) <= np.iinfo(np.int32).max else np.int64
+    key = np.broadcast_to(id1.astype(code) * len(bytes2), (grid, grid))[regular]
+    key += rank2.astype(code)[pair_id]
     del pair_id
-    keys, key_id = _dense_ids(key, len(bytes1) * len(pairs))
+    keys, key_id = _dense_ids(key, len(bytes1) * len(bytes2))
     del key
-    column, pair_of = np.divmod(keys, len(pairs))
-    sum_of, diff_of = np.divmod(pairs[pair_of], n_diff)
-    fast_bytes = np.concatenate([bytes1[column], bytes_sum[sum_of] ^ bytes_diff[diff_of]], axis=1)
-
-    exact_bytes, singular = _exact_keys(a, b, n1, exact)
-    _, rank = _rank_rows(np.concatenate([fast_bytes, exact_bytes]))
-    exact_ids = rank[len(keys) :]
-    classes = np.empty((grid, grid), dtype=np.int32)
-    classes[fast] = rank.astype(np.int32)[key_id]
-    classes[exact] = np.where(singular, -1, exact_ids)
-    n_classes = len(np.unique(np.concatenate([rank[: len(keys)], exact_ids[~singular]])))
-    return classes, n_classes
+    classes = np.full((grid, grid), -1, dtype=np.int32)
+    classes[regular] = key_id
+    return classes, len(keys)
 
 
 def phase_map_render(
@@ -502,16 +447,20 @@ def phase_map_render(
 ) -> PhaseMap:
     """Colour the phase square by sign-vector class; 64 <= grid <= MAX_GRID.
 
-    The raster builds n x grid sign tables and touches each cell a fixed
-    number of times (_phase_classes), so time and memory are
-    O(n * grid + grid^2).  Peaks under tracemalloc: 9.6 MB at T(7,13)/512,
-    67 MB at T(7,13)/2048 and 54 MB at T(13,29)/1024 (103 MB at 2048);
-    MAX_GRID bounds the grid^2 part, whose codes and ids are int32.
+    The raster builds integer sign tables of n x grid entries, n = 2pq - p - q
+    crossings, and touches each cell a fixed number of times, so time and
+    memory are O(n * grid + grid^2).  Peaks under tracemalloc: 3.3 MB at
+    T(7,13)/512, 52 MB at T(7,13)/2048, 19 MB at T(13,29)/1024 (52 MB at
+    2048).  MAX_GRID and MAX_SIGN_TABLE bound the two parts, checked before
+    the crossing table is built.
     """
     if grid < 64:
         raise ValueError(f"grid must be at least 64, got {grid}")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
+    n = 2 * params.p * params.q - params.p - params.q
+    if n * grid > MAX_SIGN_TABLE:
+        raise ValueError(f"{n} crossings x grid {grid} is above the budget of {MAX_SIGN_TABLE}")
     classes, n_classes = _phase_classes(_crossing_table(params), grid)
     marks = []
     if mark_theorem_points:

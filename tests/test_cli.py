@@ -236,6 +236,20 @@ def test_phase_map_grid_too_large(capsys, monkeypatch):
     assert "2048" in err
 
 
+def test_phase_map_too_many_crossings(capsys, monkeypatch):
+    import fourierknot.phases as ph
+
+    def no_raster(params):
+        raise AssertionError("the raster started")
+
+    # 1,996,001 crossings x 2048 cells: hundreds of GB before the budget
+    monkeypatch.setattr(ph, "_crossing_table", no_raster)
+    code, out, err = run_cli(capsys, "phase-map", "-p", "999", "-q", "1000", "--grid", "2048")
+    assert code == 2
+    assert out == ""
+    assert str(ph.MAX_SIGN_TABLE) in err and "1996001 crossings" in err
+
+
 def test_numeric_grid_too_large(capsys, monkeypatch):
     import numpy as np
 

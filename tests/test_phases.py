@@ -44,10 +44,9 @@ from fourierknot.crossings import (
 )
 from fourierknot.phases import (
     _CERT_PHI1,
-    _FAST_MARGIN_PER_Q,
+    MAX_SIGN_TABLE,
     _phase_classes,
     _phi2_along,
-    _type2_factors,
 )
 from fourierknot.render import phase_map_png, png_bytes
 from fourierknot.series import TWO_PI
@@ -113,6 +112,15 @@ def test_odd_p_simplified_point_hits_two_lines():
     ]
     assert len(degenerate) >= 1
     assert all(ix.kind == TYPE_II for ix in degenerate)
+
+
+@pytest.mark.parametrize("phi1, phi2, field", [
+    (math.nan, 0.5, "phi1"), (math.inf, 0.0, "phi1"), (0.5, -math.inf, "phi2"), (1.0, math.nan, "phi2"),
+])
+def test_phase_point_rejects_non_finite(phi1, phi2, field):
+    # a nan phase used to give an all -1 sign vector, an infinite one a bare "math domain error"
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PhasePoint(phi1, phi2)
 
 
 # -- sign vectors ----------------------------------------------------------------
@@ -463,26 +471,48 @@ def test_phase_map_grid_floor():
         phase_map_render(TorusParams(2, 3), 2049)
 
 
-def test_phase_map_classes_match_direct_sign_vectors():
-    params = TorusParams(2, 3)
-    grid = 64
+def test_phase_map_sign_table_budget(monkeypatch):
+    import fourierknot.phases as ph
+
+    def no_table(params):
+        raise AssertionError("the crossing table was built")
+
+    monkeypatch.setattr(ph, "_crossing_table", no_table)
+    # 1,996,001 crossings: about 4e9 sign-table entries at grid 2048
+    with pytest.raises(ValueError, match=str(MAX_SIGN_TABLE)):
+        phase_map_render(TorusParams(999, 1000), 2048)
+    # T(90,91) has 16,199 crossings: 8,293,888 entries at 512 fit, 16,587,776 at 1024 do not
+    with pytest.raises(ValueError, match="16199 crossings x grid 1024"):
+        phase_map_render(TorusParams(90, 91), 1024)
+    with pytest.raises(AssertionError, match="crossing table"):
+        phase_map_render(TorusParams(90, 91), 512)
+
+
+@pytest.mark.parametrize("p, q, grid", [(2, 3, 64), (5, 9, 97), (7, 13, 512)])
+def test_phase_map_classes_match_direct_sign_vectors(p, q, grid):
+    # a cell is -1 exactly when sign_vector at its centre raises SingularPoint,
+    # and two regular cells share an id exactly when their sign vectors agree;
+    # the sample holds random cells and the singular diagonals i1 = i2 and
+    # i1 + i2 = grid - 1
+    params = TorusParams(p, q)
     pmap = phase_map_render(params, grid)
     rng = random.Random(8)
     h = TWO_PI / grid
-    cells = {}
-    for _ in range(40):
-        i1, i2 = rng.randrange(grid), rng.randrange(grid)
-        point = PhasePoint((i1 + 0.5) * h, (i2 + 0.5) * h)
-        try:
-            vec = sign_vector(params, point)
-        except SingularPoint:
-            assert pmap.classes[i1, i2] == -1
-            continue
+    sample = [(rng.randrange(grid), rng.randrange(grid)) for _ in range(150)]
+    sample += [(i, i) for i in range(0, grid, 7)] + [(i, grid - 1 - i) for i in range(3, grid, 11)]
+    by_vector, by_class, singular = {}, {}, 0
+    for i1, i2 in sample:
         cls = int(pmap.classes[i1, i2])
-        if vec in cells:
-            assert cells[vec] == cls
-        else:
-            cells[vec] = cls
+        try:
+            vec = sign_vector(params, PhasePoint((i1 + 0.5) * h, (i2 + 0.5) * h))
+        except SingularPoint:
+            assert cls == -1, (i1, i2)
+            singular += 1
+            continue
+        assert 0 <= cls < pmap.n_classes, (i1, i2)
+        assert by_vector.setdefault(vec, cls) == cls
+        assert by_class.setdefault(cls, vec) == vec
+    assert singular > 0 and len(by_class) > 1
 
 
 def phase_classes_dense(params, grid):
@@ -508,6 +538,14 @@ def phase_classes_dense(params, grid):
     classes = inverse.ravel().reshape(grid, grid).astype(np.int32)
     classes[(np.abs(gaps) <= EPS_SINGULAR).any(axis=0)] = -1
     return classes, len(np.unique(classes[classes >= 0]))
+
+
+def reranked(classes):
+    """classes with the ids of the non-singular cells renumbered 0, 1, ... in their order."""
+    out = classes.copy()
+    _, ranks = np.unique(classes[classes >= 0], return_inverse=True)
+    out[classes >= 0] = ranks.ravel()
+    return out
 
 
 _KEY_BITS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
@@ -553,7 +591,7 @@ def test_phase_map_matches_dense_reference(p, q, grid):
     params = TorusParams(p, q)
     pmap = phase_map_render(params, grid)
     classes, n_classes = phase_classes_dense(params, grid)
-    assert np.array_equal(pmap.classes, classes)
+    assert np.array_equal(pmap.classes, reranked(classes))
     assert pmap.n_classes == n_classes
 
 
@@ -567,67 +605,50 @@ def test_dense_and_bytewise_references_agree():
 
 @pytest.mark.parametrize("grid", [64, 97])
 def test_phase_classes_match_bytewise_reference(grid):
-    # even and odd grids; both hold the diagonals i1 = i2 and i1 + i2 = grid - 1
-    # (phi1 = phi2 and phi1 + phi2 = 2 pi), whose cells take the exact path
+    # even and odd grids; both hold the singular diagonals i1 = i2 and
+    # i1 + i2 = grid - 1 (phi1 = phi2 and phi1 + phi2 = 2 pi)
     pairs = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1]
     for p, q in pairs:
         params = TorusParams(p, q)
         classes, n_classes = _phase_classes(_crossing_table(params), grid)
         expected = phase_classes_bytewise(params, grid)
-        assert np.array_equal(classes, expected[0]), (p, q)
+        assert np.array_equal(classes, reranked(expected[0])), (p, q)
         assert n_classes == expected[1], (p, q)
 
 
 @pytest.mark.parametrize("p, q, grid, rows", [(2, 3, 84, 6), (3, 5, 75, 5), (2, 5, 100, 10)])
 def test_phase_classes_match_bytewise_on_singular_rows(p, q, grid, rows):
     # grids at which horizontal (type-I) lines pass through cell centres, so
-    # whole rows of cells take the exact path
+    # whole rows of cells are singular
     params = TorusParams(p, q)
     pmap = phase_map_render(params, grid)
     classes, n_classes = phase_classes_bytewise(params, grid)
-    assert np.array_equal(pmap.classes, classes)
+    assert np.array_equal(pmap.classes, reranked(classes))
     assert pmap.n_classes == n_classes
     assert int((classes < 0).all(axis=0).sum()) == rows
-
-
-def test_fast_margin_covers_factored_rounding():
-    # the raster's shortcuts stand in for a - b by the type-I bound max |a| and
-    # the type-II product -4 sin(p d) F G; their margin must exceed how far
-    # either strays from the floats by orders of magnitude
-    for p, q, grid in ((2, 3, 64), (7, 13, 128), (13, 29, 64), (28, 29, 64)):
-        table = _crossing_table(TorusParams(p, q))
-        n1 = sum(ix.kind == TYPE_I for ix in table.indices)
-        phi = ((np.arange(grid) + 0.5) * (TWO_PI / grid))[:, None]
-        a, b = table.gap_terms(slice(None), phi, phi)
-        sin_pd, f, g = _type2_factors(table, n1, grid)
-        i1, i2 = np.divmod(np.arange(grid * grid), grid)
-        gap = a[i1, n1:] - b[i2, n1:]
-        product = -4.0 * sin_pd * f[i1 + i2] * g[i1 - i2 + grid - 1]
-        worst = max(np.abs(gap - product).max(), np.abs(a[:, :n1]).max())
-        assert 0.0 < worst < 2e-14 * (q + 1), (p, q)
-        assert _FAST_MARGIN_PER_Q * (q + 1) >= 100 * worst, (p, q)
 
 
 def test_phase_map_n_classes_counts_only_nonsingular_cells():
     pmap = phase_map_render(TorusParams(3, 7), 256)
     ids = np.unique(pmap.classes[pmap.classes >= 0])
-    assert pmap.n_classes == len(ids) == 122
-    assert ids.max() >= pmap.n_classes  # ids keep the ranks of singular cells' keys
+    assert pmap.n_classes == 122
+    assert np.array_equal(ids, np.arange(pmap.n_classes))  # no id skipped
 
 
-# sha256 of to_png_bytes() and to_svg(), default marks, as the byte-at-a-time
-# raster drew them.  Singular cells' sign bits are rounding noise, yet their
-# keys take part in the ranking, so these also pin the last bits of np.sin
-# (equal to glibc's sin where they were taken)
+# sha256 of to_png_bytes() and to_svg(), default marks.  Class ids rank the
+# non-singular cells' sign keys, whose signs are exact integer results, so no
+# libm sine enters these bytes.  T(2,3)/64 is as the byte-at-a-time raster
+# drew it; the others changed only by the renumbering of ids when singular
+# cells' keys left the ranking
 _PINNED_IMAGES = {
     (2, 3, 64): ("227baa74d65ea15e03f3f432788c4aa19474b2daf418be72150488e1c53f9d42",
                  "4d9110c8881f98ff0c44fde255895ff841a30e4c236d443c45e10afe9cf59ad0"),
-    (3, 7, 256): ("9ec0a87a1790ea1f4a943b60226f051f68c40bd8294f2e329f0bbaeb47a86836",
-                  "74dec8be4ca246da1966abe1f56f542619090ad6f6035536eb22445ed5409f33"),
-    (7, 13, 512): ("0ce659ca62c6566762e4e4a27ec02f8a009e2141cf9058b323d0674cdb6eac6e",
-                   "baf46ffdff83ff4836f739ff52366feccd37257ae96cc17ac67263157237b77b"),
-    (5, 9, 97): ("2aedfb2e03c4fd722880895efdafb8138e5c51663fd985bf65a0cd7dc58be96f",
-                 "71fd9cc72d4a28e8a4b642749fd32193c1ed2c0fbf1ea98814ac025a6a43245a"),
+    (3, 7, 256): ("fcba254d230dace5dd76c073fe19ac57404e47a24e8027defc869b7f3e28ab6f",
+                  "2a772e58cad801fcf74a3d21a048ce934db1a640c098e79488b31df726bb74de"),
+    (7, 13, 512): ("3ac1d5716327c99565bc68a563c7fefd7a6b5cbe05c6263b199f04e51c5ba5f9",
+                   "671ef38c1ad18bc63a4a4e66175fb8eb668c9434fd83099892d5cf4131305e57"),
+    (5, 9, 97): ("d84bbf2439beb79a1d8850119c4edebf3bcd0b058b634cb9b9546f5447466889",
+                 "07d34037aa7938d4096f2d9e70d85f53000cbac90f70503202889cc3654f6bd4"),
 }
 
 
@@ -656,10 +677,10 @@ def test_phase_map_memory_is_grid_squared():
 
 
 def test_phase_map_memory_at_7_13_512():
-    # 9.6 MB with numpy 2.4 (11.6 MB before the grid^2 codes were int32);
-    # the byte-at-a-time raster peaked at 36.5 MB
+    # 3.3 MB with numpy 2.4 (9.6 MB with float sign tables and the exact-gap
+    # fallback); the byte-at-a-time raster peaked at 36.5 MB
     peak = _raster_peak(TorusParams(7, 13), 512)
-    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # -- phase map PNG -------------------------------------------------------------------
@@ -703,18 +724,19 @@ def test_phase_map_png_matches_loop(p, q, grid):
 
 
 def test_phase_map_output_bytes_pinned_with_duplicate_lines():
-    # taken while every line was drawn: 1424 lines, 185 distinct (slope, intercept)
+    # taken while every line was drawn (1424 lines, 185 distinct (slope,
+    # intercept)), and renewed when only the class ids were renumbered
     pmap = phase_map_render(TorusParams(13, 29), 256)
     assert len({(line.slope, line.intercept) for line in pmap.lines}) == 185
     pngs = [hashlib.sha256(phase_map_png(pmap, scale=scale)).hexdigest() for scale in (1, 2)]
     assert pngs == [
-        "1190ce5969307f075bda2b28bf1fad47e98e97cb2e55d24c8a15bfce69c3a407",
-        "ddac3e3d0e8461538c923d5bcf1993c75003cc2271501e27111cbd14fe6841cb",
+        "c0186ed8fe5b3664d9758325b6c34945d7e1ecea9bfc58274c81949b77bedf11",
+        "1efa629f56e75f355edb12e1b742b3ce0a3bc05043ce543f7a65b15367802ac9",
     ]
     svg = pmap.to_svg()
     assert svg.count('<line class="singular"') >= len(pmap.lines)
     assert hashlib.sha256(svg.encode()).hexdigest() == (
-        "eac7c78e07723ecaeade7a04239a8ffabb9698f412dec890b8a813c4e44e425a"
+        "2d91d54d51d71bc29af43cb11abe67b344f6249a3925dcfef9b3b4c5257cbf25"
     )
 
 
