@@ -310,11 +310,14 @@ class CrossingSet:
     then, as whenever a time lies outside [0, 2*pi), the full check decides.
 
     ``passages`` are sorted once per set; the Gauss and PD codes read them.
+    ``singular_candidates`` counts the candidates the numeric finder dropped
+    as singular; the diagram builders refuse a set that lost any.
     """
 
     knot: FourierKnot
     crossings: tuple[Crossing, ...]
     method: str  # "analytic" | "numeric"
+    singular_candidates: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "crossings", tuple(self.crossings))
@@ -457,9 +460,10 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     then each candidate is polished by damped Newton on
     (x(t1)-x(t2), y(t1)-y(t2)) and deduplicated on the unordered time pair.
     Failed candidates are reported through the logger (and ``diagnostics``
-    when given), never raised.  Memory grows as about 235 bytes per grid
-    point, so grids above MAX_NUMERIC_GRID = 2**21 (about 490 MB) are refused
-    with ValueError before anything is allocated.
+    when given), never raised; the set counts the singular ones, and the
+    diagram builders refuse it if there are any.  Memory grows as about 235
+    bytes per grid point, so grids above MAX_NUMERIC_GRID = 2**21 (about
+    490 MB) are refused with ValueError before anything is allocated.
     """
     if grid > MAX_NUMERIC_GRID:
         raise ValueError(f"grid must be at most {MAX_NUMERIC_GRID}, got {grid}")
@@ -475,6 +479,7 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     ii, jj, ss, uu = _kernels.scan_segment_pairs(px, py)
 
     accepted: list[Crossing] = []
+    singular = 0
     index = _PairIndex()
     for i, j, s, u in zip(ii, jj, ss, uu):
         g1 = ts[i] + s * h
@@ -496,10 +501,11 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
             crossing = classify(knot, t1, t2)
         except SingularCrossing as exc:
             log.warning("candidate (%d, %d) is singular: %s", i, j, exc)
+            singular += 1
             if diagnostics is not None:
                 diagnostics.append(("singular", int(i), int(j)))
             continue
         index.add(len(accepted), (t1, t2))
         accepted.append(crossing)
     accepted.sort(key=lambda c: (c.t1, c.t2))
-    return CrossingSet(knot, tuple(accepted), "numeric")
+    return CrossingSet(knot, tuple(accepted), "numeric", singular)

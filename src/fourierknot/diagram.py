@@ -1,15 +1,18 @@
 """Knot diagrams from classified crossings, and identification invariants.
 
 The diagram is read off the circle of parameter times: each crossing
-contributes two passages, and sorting all passages yields the Gauss code and
-the planar-diagram (PD) code.  Identification combines the crossing-family
-counts and handedness laws with the Alexander polynomial, computed exactly
-from the crossing-relation matrix and checked against the classical torus
-closed form.
+contributes two passages, and sorting all 2N passages gives every crossing
+one record, the positions of its under- and over-passage (and its sign).
+The Gauss code, the planar-diagram (PD) code and the Alexander polynomial
+are all written from that record; a PD code is read back into it.
+Identification combines the crossing-family counts and handedness laws with
+the Alexander polynomial, computed exactly from the crossing-relation matrix
+and checked against the classical torus closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .crossings import TYPE_I, TYPE_II, CrossingSet
@@ -59,6 +62,7 @@ class PDCode:
     Edges are numbered 1..2N along the traversal.  The under-strand enters at
     a and leaves at c; edges are listed counterclockwise, so the over-strand
     enters at d for a right-handed crossing and at b for a left-handed one.
+    Every label 1..2N must appear exactly twice.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -74,6 +78,8 @@ class PDCode:
         bad = {k: v for k, v in counts.items() if v != 2}
         if bad:
             raise SingularDiagram(f"edge labels must appear exactly twice, violations: {bad}")
+        if set(counts) != set(range(1, 2 * len(self.crossings) + 1)):
+            raise SingularDiagram(f"edge labels must be 1..{2 * len(self.crossings)}")
 
     def __len__(self) -> int:
         return len(self.crossings)
@@ -104,7 +110,9 @@ class DiagramSummary:
 
 
 def _sorted_passages(crossings: CrossingSet):
-    """The set's passages in time order; raises if two adjacent ones coincide."""
+    """The set's passages in time order; raises if a singular candidate was dropped or two coincide."""
+    if crossings.singular_candidates:
+        raise IncompleteCrossingSet(f"{crossings.singular_candidates} singular candidate(s) dropped")
     events = crossings.passages
     i = crossings.coincident_passage
     if i is not None:
@@ -122,30 +130,27 @@ def build_gauss_code(knot: FourierKnot, crossings: CrossingSet) -> GaussCode:
     return GaussCode(tuple((idx + 1, OVER if is_over else UNDER, sign) for _, idx, is_over, sign in events))
 
 
+def _passage_positions(crossings: CrossingSet) -> list[tuple[int, int, int]]:
+    """Per crossing, in index order: (under position, over position, sign).
+
+    Positions index the sorted passages, 0..2N-1.  The 2N passages lie on one
+    circle of parameter times, so the positions are a permutation.
+    """
+    pos = {(idx, is_over): p for p, (_, idx, is_over, _) in enumerate(_sorted_passages(crossings))}
+    return [(pos[i, False], pos[i, True], c.sign) for i, c in enumerate(crossings.crossings)]
+
+
 def build_pd_code(crossings: CrossingSet) -> PDCode:
-    """PD code with edges 1..2N numbered along the traversal."""
-    events = _sorted_passages(crossings)
-    n2 = len(events)
-    pos_of: dict[tuple[int, bool], int] = {}
-    for pos, (_, idx, is_over, _) in enumerate(events):
-        pos_of[(idx, is_over)] = pos
+    """PD code with edges 1..2N numbered along the traversal.
 
-    def edge_in(pos: int) -> int:
-        return pos if pos >= 1 else n2
-
-    def edge_out(pos: int) -> int:
-        return pos + 1
-
+    The passage at position pos enters on edge pos (2N for pos 0) and leaves
+    on edge pos + 1.
+    """
+    n2 = 2 * len(crossings)
     tuples = []
-    for idx, c in enumerate(crossings.crossings):
-        pu = pos_of[(idx, False)]
-        po = pos_of[(idx, True)]
-        a, c_out = edge_in(pu), edge_out(pu)
-        o_in, o_out = edge_in(po), edge_out(po)
-        if c.sign > 0:
-            tuples.append((a, o_out, c_out, o_in))
-        else:
-            tuples.append((a, o_in, c_out, o_out))
+    for pu, po, sign in _passage_positions(crossings):
+        a, c, o_in, o_out = pu or n2, pu + 1, po or n2, po + 1
+        tuples.append((a, o_out, c, o_in) if sign > 0 else (a, o_in, c, o_out))
     return PDCode(tuple(tuples))
 
 
@@ -154,31 +159,15 @@ def writhe(crossings: CrossingSet) -> int:
     return sum(c.sign for c in crossings.crossings)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _pd_orientation(pd: PDCode) -> list[tuple[int, int, int]]:
+    """Read (under position, over position, sign) per crossing back from the labels.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _pd_orientation(pd: PDCode):
-    """Recover per-crossing sign and over edges from sequential labels.
-
-    Returns a list of (a, c, over_in, over_out, sign).  The edge following e
-    along the strand is e % 2N + 1; the under pair must obey c == next(a) and
-    the over pair resolves the handedness.
+    Edge e is followed by next(e) = e % 2N + 1, and the passage between them
+    sits at position e mod 2N.  The under pair must obey c == next(a); the
+    over pair gives the handedness.  With N = 1 both readings of it fit, and
+    the over-strand enters on the edge the under-strand does not.
     """
-    n = len(pd)
-    n2 = 2 * n
+    n2 = 2 * len(pd)
 
     def nxt(e: int) -> int:
         return e % n2 + 1
@@ -187,85 +176,48 @@ def _pd_orientation(pd: PDCode):
     for a, b, c, d in pd.crossings:
         if c != nxt(a):
             raise NotAKnot(f"under-strand edges ({a}, {c}) are not consecutive along the curve")
-        if b == nxt(d):
-            sign = 1  # over-strand runs d -> b
-            over_in, over_out = d, b
+        if b == nxt(d) and not (n2 == 2 and d == a):
+            sign, over_in = 1, d  # over-strand runs d -> b
         elif d == nxt(b):
-            sign = -1  # over-strand runs b -> d
-            over_in, over_out = b, d
+            sign, over_in = -1, b  # over-strand runs b -> d
         else:
             raise SingularDiagram(f"over-strand edges ({b}, {d}) are not consecutive along the curve")
-        out.append((a, c, over_in, over_out, sign))
+        out.append((a % n2, over_in % n2, sign))
     return out
 
 
-def _assert_single_component(pd: PDCode):
-    """The strand pairing (a<->c, b<->d) must form one cycle over all edges."""
-    n2 = 2 * len(pd)
-    if n2 == 0:
-        return
-    link: dict[int, list[int]] = {e: [] for e in range(1, n2 + 1)}
-    for a, b, c, d in pd.crossings:
-        link[a].append(c)
-        link[c].append(a)
-        link[b].append(d)
-        link[d].append(b)
-    seen = set()
-    stack = [1]
-    while stack:
-        e = stack.pop()
-        if e in seen:
-            continue
-        seen.add(e)
-        stack.extend(link[e])
-    if len(seen) != n2:
-        raise NotAKnot(f"diagram splits into several components ({len(seen)} of {n2} edges reached)")
+def _alexander_from_positions(record: list[tuple[int, int, int]]) -> LaurentPolynomial:
+    """Alexander polynomial from (under position, over position, sign) per crossing.
 
-
-def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
-    """Alexander polynomial from the crossing-relation matrix, exactly.
-
-    Each crossing contributes one linear relation over Z[t, 1/t] among the
-    arcs (arcs are edges merged through over-passages); one row and one
-    column of the matrix are deleted and the determinant is expanded with
-    integer-exact arithmetic, then normalized to the canonical unit.  The
-    rows are sparse {column: entry} dicts of at most three entries, which
-    point at three shared constants (1 - t, t and -1) unless two arcs of a
-    relation coincide and their entries are added.
+    The 2N passages must take every position once, else the diagram is not
+    one closed strand.  Arcs break at under-passages: the arc leaving
+    position e is the count of under-passages at positions 1..e, mod N.
+    Each crossing gives one abelianized Wirtinger relation over Z[t, 1/t];
+    one row and one column are deleted, and the determinant is expanded
+    exactly and normalized.  The sparse {column: entry} rows share three
+    constants (1 - t, t and -1) unless two arcs of a relation coincide.
     """
-    n = len(pd)
+    n = len(record)
     if n == 0:
         return LaurentPolynomial.one()
-    _assert_single_component(pd)
-    oriented = _pd_orientation(pd)
-
-    n2 = 2 * n
-    uf = _UnionFind(n2 + 1)
-    for _, _, over_in, over_out, _ in oriented:
-        uf.union(over_in, over_out)
-    arc_ids: dict[int, int] = {}
-    for e in range(1, n2 + 1):
-        root = uf.find(e)
-        if root not in arc_ids:
-            arc_ids[root] = len(arc_ids)
-    if len(arc_ids) != n:
-        raise SingularDiagram(f"expected {n} arcs, found {len(arc_ids)}")
-
-    def arc(e: int) -> int:
-        return arc_ids[uf.find(e)]
+    is_under: list[bool | None] = [None] * (2 * n)
+    for pu, po, _ in record:
+        for pos, under in ((pu, True), (po, False)):
+            if is_under[pos] is not None:
+                raise NotAKnot(f"two passages at position {pos}: the diagram is not one closed strand")
+            is_under[pos] = under
+    arc = [k % n for k in itertools.accumulate(is_under[1:], initial=0)]
 
     one_minus_t = LaurentPolynomial({0: 1, 1: -1})
     t = LaurentPolynomial({1: 1})
     minus_one = LaurentPolynomial({0: -1})
     rows: list[dict[int, LaurentPolynomial]] = []
-    for a, c, over_in, _, sign in oriented:
-        # Wirtinger relation, abelianized; the left-handed row is scaled by
-        # the unit -t so every entry is a plain polynomial.  The three
-        # constants are shared (entries are immutable); only two coinciding
-        # arcs make a new entry, their sum.
+    for pu, po, sign in record:
+        # the left-handed row is scaled by the unit -t so every entry is a
+        # plain polynomial; only two coinciding arcs make a new entry, their sum
         row: dict[int, LaurentPolynomial] = {}
         under_in, under_out = (t, minus_one) if sign > 0 else (minus_one, t)
-        for col, e in ((arc(over_in), one_minus_t), (arc(a), under_in), (arc(c), under_out)):
+        for col, e in ((arc[po - 1], one_minus_t), (arc[pu - 1], under_in), (arc[pu], under_out)):
             row[col] = row[col] + e if col in row else e
         rows.append(row)
     # delete arc 0's column and the first relation
@@ -274,6 +226,15 @@ def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
     if det.is_zero:
         raise SingularDiagram("crossing-relation determinant vanishes")
     return det.normalized()
+
+
+def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
+    """Alexander polynomial of a PD code, by identify's crossing-relation matrix.
+
+    Raises NotAKnot for non-consecutive under edges or several strands, and
+    SingularDiagram for non-consecutive over edges or a zero determinant.
+    """
+    return _alexander_from_positions(_pd_orientation(pd))
 
 
 def torus_alexander_oracle(params: TorusParams) -> LaurentPolynomial:
@@ -293,8 +254,9 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
     For fully indexed crossing sets the family counts, the uniform
     left-handedness of same-direction crossings and the over-direction law of
     opposite-direction crossings are enforced; the Alexander polynomial must
-    match the closed form in all cases.  Raises IdentificationFailure naming
-    the first violated condition.
+    match the closed form in all cases.  The polynomial is built straight
+    from the set's passage positions, without a PD code.  Raises
+    IdentificationFailure naming the first violated condition.
     """
     p, q = params.p, params.q
     indexed = crossings.fully_indexed()
@@ -320,7 +282,7 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
                     "type2-over-direction",
                     f"over-strand at t = {c.t_over:.6f} is not moving rightward",
                 )
-    alex = alexander_from_diagram(build_pd_code(crossings))
+    alex = _alexander_from_positions(_passage_positions(crossings))
     oracle = torus_alexander_oracle(params)
     if alex != oracle:
         raise IdentificationFailure(

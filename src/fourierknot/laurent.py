@@ -227,6 +227,8 @@ class LaurentPolynomial:
         return self._c == other._c
 
     def __hash__(self) -> int:
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))  # a constant equals, so hashes as, its int
         return hash(frozenset(self._c.items()))
 
     def __bool__(self) -> bool:

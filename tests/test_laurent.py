@@ -153,6 +153,12 @@ def test_hash_and_equality():
     assert L({0: 1}) == 1
     assert hash(L({2: 3})) == hash(L({2: 3}))
     assert L({2: 3}) != L({2: 4})
+    # a constant equals its int, so it must hash as that int
+    for c in (0, 1, 3, -2, 2**70):
+        assert L({0: c}) == c and hash(L({0: c})) == hash(c)
+    assert L() == 0 and hash(L()) == hash(0)
+    assert len({L({0: 3}), 3}) == 1 and 3 in {L({0: 3})} and L() in {0}
+    assert len({L({1: 3}), L({0: 3}), L({0: 3, 1: 3})}) == 3
 
 
 @pytest.mark.parametrize("engine", ["bareiss", "modular"])
