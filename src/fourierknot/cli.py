@@ -48,10 +48,15 @@ EXIT_BAD_ARGS = 2
 EXIT_ORACLE_DISAGREE = 3
 
 # verify's budget: the largest pair it runs is T(13, 29), 2pq - p - q = 712
-# crossings, where one pair takes about 0.9 s and 38 MB max RSS.  Past it the
-# cost climbs fast: T(13, 31), 762 crossings, takes 1.7 s and T(14, 29), 769
-# crossings, 4.1 s (even p identifies a second knot).
+# crossings, where one pair takes about 0.7 s and 38 MB max RSS.  Past it the
+# cost climbs fast: T(13, 31), 762 crossings, takes 1.2 s and T(14, 29), 769
+# crossings, 3.0 s (even p identifies a second knot).
 MAX_VERIFY_CROSSINGS = 712
+
+# crossings' and render's budget on 2pq - p - q: at the cap `crossings` peaks near
+# 123 MB max RSS (2 s), and `render`, which samples the curve 128q times, 286 MB
+# (9 s) at its worst case p = 2, T(2, 21845), and 152 MB at T(181, 182)
+MAX_CROSSINGS = 1 << 16
 
 
 def _write(path: str | None, payload: str | bytes) -> None:
@@ -69,6 +74,24 @@ def _write(path: str | None, payload: str | bytes) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
+
+
+def _torus_params(args) -> TorusParams:
+    """(p, q) from the arguments, refused before any work above MAX_CROSSINGS crossings."""
+    params = TorusParams(args.p, args.q)
+    n = 2 * params.p * params.q - params.p - params.q
+    if n > MAX_CROSSINGS:
+        raise ValueError(
+            f"T({params.p},{params.q}) would have {n} crossings, above the budget of {MAX_CROSSINGS}"
+        )
+    return params
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _angle_str(value: float, degrees: bool) -> str:
@@ -106,7 +129,7 @@ def _build_sets(args, params):
 
 
 def cmd_crossings(args) -> int:
-    params = TorusParams(args.p, args.q)
+    params = _torus_params(args)
     _, analytic, numeric = _build_sets(args, params)
     chosen = numeric if args.numeric else analytic
     if args.check:
@@ -232,7 +255,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    params = TorusParams(args.p, args.q)
+    params = _torus_params(args)
     knot = gen_theorem_knot(params, simplified=args.simplified)
     crossings = analytic_crossing_set(knot, params)
     _write(args.output, knot_diagram_svg(knot, crossings, size=args.size))
@@ -274,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--format", choices=["json", "text"], default="json")
     g.set_defaults(func=cmd_gen)
 
-    c = sub.add_parser("crossings", help="enumerate and classify projection crossings")
+    budget = f"A knot with more than {MAX_CROSSINGS} crossings (2pq - p - q) is refused with exit 2."
+    c = sub.add_parser("crossings", help="enumerate and classify projection crossings", description=budget)
     add_pq(c)
     add_common(c)
     c.add_argument("--simplified", action="store_true")
@@ -294,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the identification conditions over a (p, q) range",
         description="Run the identification conditions for every coprime 2 <= p < q, p <= pmax, "
         f"q <= qmax.  A range whose largest pair would have more than {MAX_VERIFY_CROSSINGS} "
-        "crossings (2pq - p - q, the count of T(13,29), which takes about 0.9 s) is refused "
-        "with exit 2 before any work; --pmax 13 --qmax 29 (163 pairs) takes about 11 s.",
+        "crossings (2pq - p - q, the count of T(13,29), which takes about 0.7 s) is refused "
+        "with exit 2 before any work; --pmax 13 --qmax 29 (163 pairs) takes about 10 s.",
     )
     v.add_argument("--pmax", type=int, required=True)
     v.add_argument(
@@ -304,11 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.set_defaults(func=cmd_verify)
 
-    r = sub.add_parser("render", help="SVG of the xy-projection with under-strand gaps")
+    r = sub.add_parser("render", help="SVG of the xy-projection with under-strand gaps", description=budget)
     add_pq(r)
     add_common(r)
     r.add_argument("--simplified", action="store_true")
-    r.add_argument("--size", type=int, default=640, help="image side in pixels")
+    r.add_argument("--size", type=_positive_int, default=640, help="image side in pixels")
     r.set_defaults(func=cmd_render)
 
     m = sub.add_parser("phase-map", help="phase-square map of sign-vector classes")
@@ -321,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cells per side, 64 to {MAX_GRID}, with crossings x grid at most {MAX_SIGN_TABLE}: about 3 MB "
         f"at 512 and 52 MB at {MAX_GRID} for T(7,13), and up to 40 bytes per crossing x grid at large p, q",
     )
-    m.add_argument("--size", type=int, default=640)
+    m.add_argument("--size", type=_positive_int, default=640, help="SVG image side in pixels")
     m.add_argument("--format", choices=["svg", "png"], default="svg")
     m.add_argument(
         "--mark-theorem-points",

@@ -12,9 +12,8 @@ mod enough 31-bit primes joined by one CRT for large ones.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -37,15 +36,6 @@ def _exact_div(num: list[int], den: list[int]) -> list[int]:
         return []
     if len(num) < len(den):
         raise ArithmeticError("inexact polynomial division")
-    if len(den) == 1:
-        d = den[0]
-        out = []
-        for v in num:
-            q, r = divmod(v, d)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            out.append(q)
-        return _trim(out)
     rem = list(num)
     lead = den[-1]
     dd = len(den) - 1
@@ -68,9 +58,11 @@ def _exact_div(num: list[int], den: list[int]) -> list[int]:
 class LaurentPolynomial:
     """Immutable integer-coefficient polynomial in t and 1/t.
 
-    Stored as a map exponent -> nonzero coefficient.  The canonical
-    (normalized) form shifts the lowest exponent to 0 and makes the constant
-    term positive; invariants are defined up to that unit.
+    Stored as a map exponent -> nonzero coefficient.  Exponents and
+    coefficients must be integers (int, bool or a numpy integer); anything
+    else, a float or a numeric string included, raises TypeError.  The
+    canonical (normalized) form shifts the lowest exponent to 0 and makes
+    the constant term positive; invariants are defined up to that unit.
     """
 
     __slots__ = ("_c",)
@@ -80,7 +72,7 @@ class LaurentPolynomial:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for e, v in items:
-                e, v = int(e), int(v)
+                e, v = operator.index(e), operator.index(v)
                 if v:
                     nv = c.get(e, 0) + v
                     if nv:
@@ -460,13 +452,13 @@ def _sparse_unit_reduce(rows: list[dict[int, LaurentPolynomial]]):
     ``rows[r]`` maps column -> entry of an n x n matrix, n = len(rows);
     absent and zero entries are zero.  Row operations with a +-t**k pivot
     are exact in the Laurent ring, so the determinant factors as
-    sign * unit * det(remainder).  Each pivot is the unit entry of least
-    Markowitz cost (row count - 1) * (column count - 1), ties going to the
-    lowest row and then to the earliest entry of that row (columns in
-    order, fill appended).  The candidates sit in a lazily invalidated heap:
-    a pivot re-pushes the unit entries whose cost it may have changed, and
-    a popped key whose cost or position is stale is dropped.  The pass
-    stops when no unit entry remains or the cheapest exceeds _FILL_LIMIT.
+    sign * unit * det(remainder).  An entry's cost is its Markowitz fill
+    bound (row count - 1) * (column count - 1).  Sweeps at rising cost limits
+    visit the remaining rows in order and pivot each on its cheapest unit
+    entry if that costs at most the limit; ties go to the row's earliest
+    entry (columns in order, fill appended).  A sweep that pivots is repeated;
+    one that does not raises the limit to the least cost it saw, as stepping
+    by one would, and the pass stops when no unit entry costs <= _FILL_LIMIT.
 
     The pass works on the entries' raw {exponent: coefficient} dicts: each
     input dict is read in place and never mutated, each updated entry
@@ -475,116 +467,75 @@ def _sparse_unit_reduce(rows: list[dict[int, LaurentPolynomial]]):
     Returns (sign, unit, remainder_rows) with remainder_rows dense and
     possibly empty, or (0, zero, []) when a row vanishes (determinant zero).
     """
-    n = len(rows)
     zero = LaurentPolynomial.zero()
-    stamp = itertools.count()  # orders a row's entries as its dict does: fill goes last
-    # row -> {col: (coefficient dict, position, (k, c) if the entry is c*t**k with c = +-1)};
-    # None once pivoted
-    entries: list[dict[int, tuple] | None] = []
-    col_rows: list[set[int]] = [set() for _ in range(n)]
-    heap = []
-    for r, row in enumerate(rows):
-        ents = {}
-        for c in sorted(row):
-            d = row[c]._c
-            if d:
-                pos = next(stamp)
-                u = None
+    # row -> {col: coefficient dict}, in column order with fill appended; pivoted rows leave
+    entries = {r: {c: row[c]._c for c in sorted(row) if row[c]} for r, row in enumerate(rows)}
+    col_rows: list[set[int]] = [set() for _ in rows]
+    for r, ents in entries.items():
+        for c in ents:
+            col_rows[c].add(r)
+    col_order = list(range(len(rows)))
+    sign = 1
+    unit_exp, unit_coef = 0, 1
+    limit = 0
+    while limit <= _FILL_LIMIT:
+        next_limit = _FILL_LIMIT + 1
+        for rp, pivot_row in list(entries.items()):
+            if not pivot_row:
+                return 0, zero, []
+            rc = len(pivot_row) - 1
+            best = None
+            for c, d in pivot_row.items():
                 if len(d) == 1:
                     ((k, v),) = d.items()
                     if v == 1 or v == -1:
-                        u = (k, v)
-                        heap.append((r, c, pos))
-                ents[c] = (d, pos, u)
-                col_rows[c].add(r)
-        if not ents:
-            return 0, zero, []
-        entries.append(ents)
-    # heap keys (cost, row, position, column), cost = (row count - 1) * (column count - 1)
-    heap = [((len(entries[r]) - 1) * (len(col_rows[c]) - 1), r, pos, c) for r, c, pos in heap]
-    heapq.heapify(heap)
-    heappush = heapq.heappush
-    row_order = list(range(n))
-    col_order = list(range(n))
-    sign = 1
-    unit_exp, unit_coef = 0, 1
-    while heap:
-        cost, rp, pos, cp = heapq.heappop(heap)
-        pivot_row = entries[rp]
-        if pivot_row is None or cp not in pivot_row:
-            continue
-        _, cur_pos, u = pivot_row[cp]
-        if u is None or pos != cur_pos or cost != (len(pivot_row) - 1) * (len(col_rows[cp]) - 1):
-            continue
-        if cost > _FILL_LIMIT:
-            break
-        i = row_order.index(rp)
-        j = col_order.index(cp)
-        if (i + j) % 2:
-            sign = -sign
-        del row_order[i]
-        del col_order[j]
-        exp, coef = u
-        unit_exp += exp
-        unit_coef *= coef
-        entries[rp] = None
-        for c in pivot_row:
-            col_rows[c].discard(rp)
-        touched = col_rows[cp]
-        col_rows[cp] = set()
-        others = [(c2, pe) for c2, (pe, _, _) in pivot_row.items() if c2 != cp]
-        for r2 in touched:
-            ents = entries[r2]
-            # old - factor * pe with factor = entry * (c t**exp)**-1; c = +-1 is its own inverse
-            factor = [(e - exp, v * coef) for e, v in ents.pop(cp)[0].items()]
-            for c2, pe in others:
-                old = ents.get(c2)
-                nv = dict(old[0]) if old else {}
-                for e1, v1 in factor:
-                    for e2, v2 in pe.items():
-                        e = e1 + e2
-                        s = nv.get(e, 0) - v1 * v2
-                        if s:
-                            nv[e] = s
-                        else:
-                            del nv[e]
-                if not nv:
-                    if old:
+                        cost = rc * (len(col_rows[c]) - 1)
+                        if best is None or cost < best[0]:
+                            best = (cost, c, k, v)
+            if best is None:
+                continue
+            cost, cp, exp, coef = best
+            if cost > limit:
+                next_limit = min(next_limit, cost)
+                continue
+            next_limit = limit  # a pivot: sweep again at this limit
+            j = col_order.index(cp)
+            if (list(entries).index(rp) + j) % 2:
+                sign = -sign
+            del entries[rp]
+            del col_order[j]
+            unit_exp += exp
+            unit_coef *= coef
+            for c in pivot_row:
+                col_rows[c].discard(rp)
+            touched = col_rows[cp]
+            col_rows[cp] = set()
+            others = [(c2, pe) for c2, pe in pivot_row.items() if c2 != cp]
+            for r2 in touched:
+                ents = entries[r2]
+                # old - factor * pe with factor = entry * (c t**exp)**-1; c = +-1 is its own inverse
+                factor = [(e - exp, v * coef) for e, v in ents.pop(cp).items()]
+                for c2, pe in others:
+                    old = ents.get(c2)
+                    nv = dict(old) if old else {}
+                    for e1, v1 in factor:
+                        for e2, v2 in pe.items():
+                            e = e1 + e2
+                            s = nv.get(e, 0) - v1 * v2
+                            if s:
+                                nv[e] = s
+                            else:
+                                del nv[e]
+                    if nv:
+                        ents[c2] = nv
+                        col_rows[c2].add(r2)
+                    elif old:
                         del ents[c2]
                         col_rows[c2].discard(r2)
-                    continue
-                u2 = None
-                if len(nv) == 1:
-                    ((k, v),) = nv.items()
-                    if v == 1 or v == -1:
-                        u2 = (k, v)
-                if old:
-                    ents[c2] = (nv, old[1], u2)
-                else:
-                    ents[c2] = (nv, next(stamp), u2)
-                    col_rows[c2].add(r2)
-            if not ents:
-                return 0, zero, []
-        # costs moved only in the touched rows and in the pivot row's columns
-        for r2 in touched:
-            ents = entries[r2]
-            rc = len(ents) - 1
-            for c2, (_, p2, u2) in ents.items():
-                if u2:
-                    heappush(heap, (rc * (len(col_rows[c2]) - 1), r2, p2, c2))
-        for c2 in pivot_row:
-            cc = len(col_rows[c2]) - 1
-            for r2 in col_rows[c2] - touched:
-                ents = entries[r2]
-                _, p2, u2 = ents[c2]
-                if u2:
-                    heappush(heap, ((len(ents) - 1) * cc, r2, p2, c2))
-    unit = LaurentPolynomial.monomial(unit_exp, unit_coef)
+        limit = next_limit
     adopt = LaurentPolynomial._adopt
-    remainder = [
-        [adopt(entries[r][c][0]) if c in entries[r] else zero for c in col_order] for r in row_order
-    ]
-    return sign, unit, remainder
+    remainder = [[adopt(ents[c]) if c in ents else zero for c in col_order] for ents in entries.values()]
+    return sign, LaurentPolynomial.monomial(unit_exp, unit_coef), remainder
 
 
 # Remainders up to this many rows go to the Bareiss engine, larger ones to

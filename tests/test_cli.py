@@ -250,6 +250,46 @@ def test_phase_map_too_many_crossings(capsys, monkeypatch):
     assert str(ph.MAX_SIGN_TABLE) in err and "1996001 crossings" in err
 
 
+class Reached(Exception):
+    pass
+
+
+def stop_at_crossing_set(monkeypatch):
+    import fourierknot.cli as cli_mod
+
+    def reached(knot, params):
+        raise Reached(params)
+
+    monkeypatch.setattr(cli_mod, "analytic_crossing_set", reached)
+
+
+@pytest.mark.parametrize("command", ["crossings", "render"])
+@pytest.mark.parametrize("p,q", [(2, 21847), (182, 183)])
+def test_crossing_budget_refuses_large_knots(capsys, monkeypatch, command, p, q):
+    stop_at_crossing_set(monkeypatch)
+    code, out, err = run_cli(capsys, command, "-p", str(p), "-q", str(q))
+    assert code == 2
+    assert out == ""
+    assert f"{2 * p * q - p - q} crossings" in err and "65536" in err
+
+
+@pytest.mark.parametrize("command", ["crossings", "render"])
+def test_crossing_budget_admits_its_largest_knots(capsys, monkeypatch, command):
+    stop_at_crossing_set(monkeypatch)
+    with pytest.raises(Reached):  # 65,533 crossings
+        run_cli(capsys, command, "-p", "2", "-q", "21845")
+
+
+@pytest.mark.parametrize("command", ["render", "phase-map"])
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_non_positive_size_is_refused(capsys, command, size):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, command, "-p", "2", "-q", "3", "--size", size)
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--size: must be a positive integer" in err
+
+
 def test_numeric_grid_too_large(capsys, monkeypatch):
     import numpy as np
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -145,8 +146,20 @@ def test_exact_division():
     assert exact_div(num, den) == L({4: 1, 2: 1, 0: 1})
     with pytest.raises(ArithmeticError):
         exact_div(L({1: 1, 0: 1}), L({1: 2}))
+    assert exact_div(L({3: 6, 1: 4}), L({1: 2})) == L({2: 3, 0: 2})
     # Laurent shifts divide out exactly
     assert exact_div(num.shifted(-3), den.shifted(2)) == L({4: 1, 2: 1, 0: 1}).shifted(-5)
+
+
+@pytest.mark.parametrize("coeffs", [{0: 1.5}, {0.7: 3}, {"1": "2"}], ids=["float", "float exp", "str"])
+def test_non_integer_terms_are_refused(coeffs):
+    with pytest.raises(TypeError):
+        L(coeffs)
+
+
+def test_integer_like_terms_are_kept():
+    assert L({np.int64(2): np.int32(-3), True: True}) == L({2: -3, 1: 1})
+    assert all(type(x) is int for pair in L({np.int64(2): np.int64(5)}).pairs() for x in pair)
 
 
 def test_hash_and_equality():
@@ -263,91 +276,48 @@ def test_remainder_engine_matches_list_bareiss(m):
 
 
 # ---------------------------------------------------------------------------
-# Sparse unit reduction against the scan that picked each pivot by rescanning
-# every remaining entry; the production reduction must choose the same pivots.
-
-
-def sparse_unit_reduce_scan(rows):
-    """Reference: per pivot, scan all rows for the least-cost unit entry."""
-    n = len(rows)
-    zero = L.zero()
-
-    def is_unit(e):
-        prs = e.pairs()
-        return len(prs) == 1 and prs[0][1] in (1, -1)
-
-    row_entries = {r: {} for r in range(n)}
-    col_rows = {c: set() for c in range(n)}
-    for r in range(n):
-        for c in range(n):
-            e = rows[r][c]
-            if not e.is_zero:
-                row_entries[r][c] = e
-                col_rows[c].add(r)
-    row_order = list(range(n))
-    col_order = list(range(n))
-    sign = 1
-    unit = L.one()
-    while row_order:
-        best = None
-        for r in row_order:
-            entries = row_entries[r]
-            if not entries:
-                return 0, zero, []
-            rc = len(entries)
-            for c, e in entries.items():
-                if is_unit(e):
-                    cost = (rc - 1) * (len(col_rows[c]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, r, c, e)
-            if best is not None and best[0] == 0:
-                break
-        if best is None or best[0] > laurent._FILL_LIMIT:
-            break
-        _, rp, cp, u = best
-        i = row_order.index(rp)
-        j = col_order.index(cp)
-        if (i + j) % 2:
-            sign = -sign
-        unit = unit * u
-        exp, coef = u.pairs()[0]
-        u_inv = L.monomial(-exp, coef)
-        pivot_row = row_entries.pop(rp)
-        for c in pivot_row:
-            col_rows[c].discard(rp)
-        row_order.remove(rp)
-        col_order.remove(cp)
-        for r2 in list(col_rows[cp]):
-            e2 = row_entries[r2].pop(cp)
-            col_rows[cp].discard(r2)
-            factor = e2 * u_inv
-            for c2, pe in pivot_row.items():
-                if c2 == cp:
-                    continue
-                cur = row_entries[r2].get(c2, zero)
-                nv = cur - factor * pe
-                if nv.is_zero:
-                    if c2 in row_entries[r2]:
-                        del row_entries[r2][c2]
-                        col_rows[c2].discard(r2)
-                else:
-                    if c2 not in row_entries[r2]:
-                        col_rows[c2].add(r2)
-                    row_entries[r2][c2] = nv
-    remainder = [[row_entries[r].get(c, zero) for c in col_order] for r in row_order]
-    return sign, unit, remainder
+# Sparse unit reduction: the determinant factors exactly through it, and it
+# stops only when no unit entry of cost at most _FILL_LIMIT is left.
 
 
 def sparse_rows(dense):
     return [{c: e for c, e in enumerate(row) if e} for row in dense]
 
 
-def assert_same_reduction(dense):
-    """Heap reduction of the sparse rows equals the scan on the dense rows."""
+def det_by_list_bareiss(dense):
+    """Determinant by det_bareiss_reference, each row first shifted to non-negative exponents."""
+    shift = 0
+    lists = []
+    for row in dense:
+        v = min([e.valuation() for e in row if e] + [0])
+        shift -= v
+        lists.append([[e.coeff(d) for d in range(v, e.degree() + 1)] if e else [] for e in row])
+    return L.from_list(det_bareiss_reference(lists), -shift)
+
+
+def cheap_units(dense):
+    """Unit entries whose Markowitz cost (row count - 1) * (column count - 1) is at most _FILL_LIMIT."""
+    rows = [sum(1 for e in row if e) for row in dense]
+    cols = [sum(1 for row in dense if row[c]) for c in range(len(dense))]
+    return [
+        (r, c)
+        for r, row in enumerate(dense)
+        for c, e in enumerate(row)
+        if len(e.pairs()) == 1
+        and e.pairs()[0][1] in (1, -1)
+        and (rows[r] - 1) * (cols[c] - 1) <= laurent._FILL_LIMIT
+    ]
+
+
+def assert_reduction_stops(dense):
+    """Reduce dense's sparse rows; unless a row vanished, no cheap unit pivot is left."""
     sign, unit, rem = laurent._sparse_unit_reduce(sparse_rows(dense))
-    ref_sign, ref_unit, ref_rem = sparse_unit_reduce_scan(dense)
-    assert (sign, unit, rem) == (ref_sign, ref_unit, ref_rem)
-    return sign, rem
+    if sign == 0:
+        assert rem == []
+    else:
+        assert sign in (1, -1) and len(unit.pairs()) == 1 and unit.pairs()[0][1] in (1, -1)
+        assert cheap_units(rem) == []
+    return sign, unit, rem
 
 
 def alexander_minor(p, q, monkeypatch):
@@ -371,10 +341,18 @@ _MINOR_PAIRS = [
 ] + [(6, 25), (9, 19)]
 
 
+# a minor of T(p, q) leaves p - 1 remainder rows, except these
+_MINOR_REMAINDER_ROWS = {(3, 11): 3, (3, 13): 3, (5, 13): 5, (6, 25): 6, (9, 19): 11}
+
+
+# The test keeps the id it had when it compared a heap-driven reduction with a scan.
 @pytest.mark.parametrize("p,q", _MINOR_PAIRS)
 def test_heap_reduction_matches_scan_on_alexander_minors(p, q, monkeypatch):
-    sign, _ = assert_same_reduction(alexander_minor(p, q, monkeypatch))
+    sign, unit, rem = assert_reduction_stops(alexander_minor(p, q, monkeypatch))
     assert sign in (1, -1)
+    det = unit * det_by_list_bareiss(rem)
+    assert (det if sign > 0 else -det).normalized() == torus_alexander_oracle(TorusParams(p, q))
+    assert len(rem) == _MINOR_REMAINDER_ROWS.get((p, q), p - 1)
 
 
 @pytest.mark.parametrize("p,q", _MINOR_PAIRS)
@@ -414,13 +392,14 @@ def sparse_laurent_matrices(draw):
     return [[entry() for _ in range(n)] for _ in range(n)]
 
 
-def _dense_block_after_free_pivots():
-    """Two cost-0 pivots, then a 10 x 10 block of units whose cost 81 > _FILL_LIMIT."""
+def _dense_block_after_free_pivots(block=10):
+    """Two cost-0 pivots, then a block x block of units of cost (block - 1)**2: 81 > _FILL_LIMIT at 10."""
     one, t = L.one(), L.monomial(1)
-    m = [[L.zero()] * 12 for _ in range(12)]
+    n = block + 2
+    m = [[L.zero()] * n for _ in range(n)]
     m[0][0], m[0][1], m[1][1] = one, t, -t
-    for i in range(2, 12):
-        for j in range(2, 12):
+    for i in range(2, n):
+        for j in range(2, n):
             m[i][j] = L.monomial(i * j % 5, 1 if (i + j) % 3 else -1)
     m[1][5] = L({0: 1, 1: 1})
     return m
@@ -440,7 +419,7 @@ def matrix_from_text(rows):
 _ROW_VANISHES = ["0:1 1:t", "0:-1 1:-t", "1:1 2:1"]  # row 1 is -row 0
 
 # Unit entry (5, 6) cancels and is filled again behind (5, 3) at the same cost:
-# its heap key from before the cancellation must not win the tie on position.
+# the refilled entry goes to the end of its row's order.
 _REFILLED_BEHIND = [
     "1:2 7:1", "3:u 4:u", "3:u 4:-1 5:u 6:-1", "0:1 1:1 3:-1 6:t",
     "0:2", "0:1 4:-1 5:-1 6:-1 7:1", "1:2 3:2 5:u 6:-1", "0:1 4:1 5:t 7:t",
@@ -450,14 +429,14 @@ _REFILLED_BEHIND = [
 @settings(max_examples=100, deadline=None)
 @example(m=matrix_from_text(_ROW_VANISHES))
 @example(m=_dense_block_after_free_pivots())
+@example(m=_dense_block_after_free_pivots(block=9))  # its units cost exactly _FILL_LIMIT
 @example(m=matrix_from_text(_REFILLED_BEHIND))
 @given(m=sparse_laurent_matrices())
 def test_heap_reduction_matches_scan_on_random_matrices(m):
-    assert_same_reduction(m)
+    assert_reduction_stops(m)
     det = det_poly_matrix(m)
     assert det_poly_matrix(sparse_rows(m)) == det
-    if len(m) <= 5:
-        assert det == det_reference(m)
+    assert det == det_by_list_bareiss(m)
 
 
 def test_reduction_examples_reach_their_stopping_rules():
