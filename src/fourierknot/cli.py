@@ -1,8 +1,9 @@
 """Command-line interface: gen, crossings, verify, render, phase-map.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 oracle disagreement.  Angles are radians everywhere; --degrees converts
-text-format display only.  Log level comes from the KNOT_LOG env var.
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments or an
+unwritable output path, 3 oracle disagreement.  Angles are radians
+everywhere; --degrees converts text-format display only.  The log level is
+the level name in the KNOT_LOG env var, WARNING for any other value.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import time
 
 from .crossings import (
     MAX_NUMERIC_GRID,
-    _PairIndex,
     analytic_crossing_set,
     find_crossings_numeric,
+    near_pairs,
 )
 from .diagram import identify
 from .errors import IdentificationFailure, KnotError, SingularPoint
@@ -135,11 +136,10 @@ def cmd_crossings(args) -> int:
     if args.check:
         assert numeric is not None
         # equal counts, and every numeric pair within EPS_DEDUPE of an analytic one
-        index = _PairIndex((c.t1, c.t2) for c in analytic.crossings)
-        mismatch = len(numeric) != len(analytic) or any(
-            not index.near((c.t1, c.t2)) for c in numeric.crossings
-        )
-        if mismatch:
+        n = len(analytic)
+        pairs = [(c.t1, c.t2) for c in analytic.crossings + numeric.crossings]
+        matched = {j for i, j in near_pairs(pairs) if i < n <= j}
+        if len(numeric) != n or len(matched) != n:
             print(
                 f"oracle disagreement: analytic {len(analytic)} vs numeric {len(numeric)} crossings",
                 file=sys.stderr,
@@ -161,30 +161,29 @@ def cmd_crossings(args) -> int:
     return EXIT_OK
 
 
+# identify's conditions in the order it checks them, each with its verify column
+_VERIFY_CONDITIONS = (("type1-count", "counts"), ("type2-count", "counts"),
+                      ("type1-handedness", "type1-hand"), ("type2-over-direction", "type2-dir"),
+                      ("alexander-mismatch", "alexander"))
+
+
 def _verify_pair(params: TorusParams) -> tuple[dict[str, str], bool]:
     """Run every identification condition for one (p, q); returns (row, ok)."""
     knot = gen_theorem_knot(params)
     crossings = analytic_crossing_set(knot, params)
-    row: dict[str, str] = {}
-    ok = True
     try:
         identify(knot, crossings, params)
-        row["counts"] = row["type1-hand"] = row["type2-dir"] = row["alexander"] = "pass"
+        failed = None
     except IdentificationFailure as exc:
-        ok = False
-        order = ["type1-count", "type2-count", "type1-handedness", "type2-over-direction", "alexander-mismatch"]
-        labels = {"type1-count": "counts", "type2-count": "counts",
-                  "type1-handedness": "type1-hand", "type2-over-direction": "type2-dir",
-                  "alexander-mismatch": "alexander"}
-        reached = order.index(exc.condition)
-        for cond in order:
-            label = labels[cond]
-            if order.index(cond) < reached:
-                row.setdefault(label, "pass")
-            elif cond == exc.condition:
-                row[label] = "FAIL"
-            else:
-                row.setdefault(label, "-")
+        failed = exc.condition
+    ok = failed is None
+    # a column passes before the failing condition, fails at it and reads "-" after it
+    row: dict[str, str] = {}
+    verdict = "pass"
+    for cond, column in _VERIFY_CONDITIONS:
+        if cond == failed:
+            row[column], verdict = "FAIL", "-"
+        row.setdefault(column, verdict)
     # phase condition: even p must keep the same region; odd p must be singular
     try:
         singular_lines(params)
@@ -358,14 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("KNOT_LOG", "WARNING").upper(), logging.WARNING)
-    )
+    level = logging.getLevelName(os.environ.get("KNOT_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KnotError, ValueError) as exc:
+    except (KnotError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

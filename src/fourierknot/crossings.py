@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import logging
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,47 +93,59 @@ def pair_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return min(straight, crossed)
 
 
-class _PairIndex:
-    """Time pairs hashed on a torus grid, for near-duplicate lookup.
+def near_pairs(pairs) -> list[tuple[int, int]]:
+    """Every (i, j), i < j, with pair_distance(pairs[i], pairs[j]) <= EPS_DEDUPE, sorted.
 
-    The cell side 2*pi / floor(2*pi / EPS_DEDUPE) is at least EPS_DEDUPE and
-    tiles the circle evenly, so two angles within EPS_DEDUPE sit in the same
-    or adjacent cells, also across the 2*pi wrap (the side exceeds
-    EPS_DEDUPE by ~5e-14, far above the rounding of t / side for canonical
-    times, so that stays true in floats).  Each pair is filed under
-    both role assignments, so the 3x3 cells around a query's (t1, t2) cell
-    hold every stored pair within EPS_DEDUPE of it under ``pair_distance``.
+    Every time must be finite and in [0, 2*pi); any other raises ValueError
+    naming the first such pair.  The 2n times are sorted, and gap i joins
+    time i to the next, circularly (i = 2n - 1: the last against the first,
+    across the wrap).  A gap is close when circular_distance would put its
+    times within EPS_DEDUPE: for sorted times in [0, 2*pi) that is
+    min(d, 2*pi - d) for d = fl(b - a), or fl(last - first) at the wrap (if
+    d rounds to 2*pi the remainder is 0, and 2*pi - d = 0 agrees).  Runs of
+    close gaps, the last merged into the first across the wrap, group the
+    times, and pair_distance is called only for pairs that share a run.
+
+    Why that finds every near pair: a near pair puts a time x of one within
+    EPS_DEDUPE of a time y of the other.  Take x <= y and D = fl(y - x).  If
+    D <= EPS_DEDUPE, each gap (a, b) sorted between x and y has
+    b - a <= y - x, and rounding is monotone, so fl(b - a) <= D: all are
+    close.  Otherwise fl(2*pi - D) <= EPS_DEDUPE, so D and y >= D lie in
+    [4, 2*pi], where 2*pi - D is exact (Sterbenz) and one ulp is u = 2**-50,
+    and every gap the other way round is close: one above y has
+    b - a < 2*pi - y <= 2*pi - D; one below x has
+    b - a <= x <= (2*pi - u) - (D - u/2) < 2*pi - D; and the wrap's span
+    fl(last - first) >= D leaves 2*pi minus it at most 2*pi - D, exactly.
     """
+    passages = sorted((t, k) for k, pair in enumerate(pairs) for t in pair)
+    return _near_pairs(pairs, passages)[1]
 
-    _CELLS = int(TWO_PI // EPS_DEDUPE)
-    _SIDE = TWO_PI / _CELLS
 
-    def __init__(self, pairs=()):
-        """Index the given pairs under keys 0, 1, 2, ... in order."""
-        self._cells: dict[tuple[int, int], list[tuple[int, tuple[float, float]]]] = {}
-        for key, pair in enumerate(pairs):
-            self.add(key, pair)
-
-    def _cell(self, t: float) -> int:
-        return int((t % TWO_PI) // self._SIDE) % self._CELLS
-
-    def add(self, key: int, pair: tuple[float, float]) -> None:
-        a, b = self._cell(pair[0]), self._cell(pair[1])
-        self._cells.setdefault((a, b), []).append((key, pair))
-        if a != b:
-            self._cells.setdefault((b, a), []).append((key, pair))
-
-    def near(self, pair: tuple[float, float]) -> list[int]:
-        """Keys of stored pairs within EPS_DEDUPE of pair (may repeat)."""
-        a, b = self._cell(pair[0]), self._cell(pair[1])
-        m = self._CELLS
-        return [
-            key
-            for da in (-1, 0, 1)
-            for db in (-1, 0, 1)
-            for key, old in self._cells.get(((a + da) % m, (b + db) % m), ())
-            if pair_distance(pair, old) <= EPS_DEDUPE
-        ]
+def _near_pairs(pairs, passages) -> tuple[list[int], list[tuple[int, int]]]:
+    """near_pairs' (close gaps, near pairs), given passages (time, pair index, ...) sorted by time."""
+    times = np.array([e[0] for e in passages], dtype=np.float64)
+    inside = (times >= 0.0) & (times < TWO_PI)
+    if not inside.all():
+        a, b = pairs[min(passages[i][1] for i in np.flatnonzero(~inside).tolist())]
+        raise ValueError(f"crossing time outside [0, 2*pi): ({a}, {b})")
+    gaps = np.append(np.diff(times), times[-1:] - times[:1])
+    close = np.flatnonzero((gaps <= EPS_DEDUPE) | (TWO_PI - gaps <= EPS_DEDUPE)).tolist()
+    runs: list[list[int]] = []
+    for i in close:
+        if runs and runs[-1][-1] == i:
+            runs[-1].append((i + 1) % len(times))
+        else:
+            runs.append([i, (i + 1) % len(times)])
+    if len(runs) > 1 and runs[-1][-1] == 0 == runs[0][0]:
+        runs[0] += runs.pop()
+    near = set()
+    for run in runs:
+        owners = sorted({passages[i][1] for i in run})
+        near.update(
+            (a, b) for a, b in itertools.combinations(owners, 2)
+            if pair_distance(pairs[a], pairs[b]) <= EPS_DEDUPE
+        )
+    return close, sorted(near)
 
 
 class _CrossingTable:
@@ -273,51 +285,30 @@ def classify(knot: FourierKnot, t1: float, t2: float, indices: CrossingIndices |
     return Crossing(a, b, sign, over, (knot.x.eval(a), knot.y.eval(a)), indices)
 
 
-def _reject_near_duplicates(cs: tuple[Crossing, ...]) -> None:
-    """Raise ValueError naming the first crossing with a later one within EPS_DEDUPE."""
-    index = _PairIndex((c.t1, c.t2) for c in cs)
-    for i, c in enumerate(cs):
-        later = [j for j in index.near((c.t1, c.t2)) if j > i]
-        if later:
-            d = cs[min(later)]
-            raise ValueError(
-                f"duplicate time pair within {EPS_DEDUPE:g}: "
-                f"({c.t1}, {c.t2}) vs ({d.t1}, {d.t2})"
-            )
-
-
 @dataclass(frozen=True)
 class CrossingSet:
     """All crossings of one knot, sorted by (t1, t2), deduplicated.
 
-    No two crossings may lie within EPS_DEDUPE of each other under
-    ``pair_distance``.  The full check files every pair in a _PairIndex; it
-    is skipped when the passages are apart: every passage time lies in
-    [0, 2*pi) and no two circularly adjacent times of ``passages`` (the last
-    one paired with the first) lie within EPS_DEDUPE under
-    ``circular_distance``.
-
-    Why that suffices: two crossings within EPS_DEDUPE put a passage time x
-    of one within EPS_DEDUPE of a passage time y of the other.  For times in
-    [0, 2*pi) with x <= y, circular_distance(x, y) is min(d, fl(2*pi - d))
-    with d = fl(y - x), since y - x is below 2*pi.  If d <= EPS_DEDUPE, each
-    adjacent pair (a, b) sorted between x and y has b - a <= y - x, and
-    rounding is monotone, so fl(b - a) <= d <= EPS_DEDUPE.  Otherwise
-    fl(2*pi - d) <= EPS_DEDUPE, and the first and last times f <= x, l >= y
-    give fl(l - f) >= d, so fl(2*pi - fl(l - f)) <= EPS_DEDUPE: the wrap
-    pair is close.  A close adjacent pair may still be no duplicate (two
-    passages of different strands, or both passages of one crossing), so
-    then, as whenever a time lies outside [0, 2*pi), the full check decides.
+    Every time must be finite and in [0, 2*pi), and no two crossings may lie
+    within EPS_DEDUPE of each other under ``pair_distance``; both are
+    checked once, by ``near_pairs``' search over the sorted ``passages``,
+    and refused with ValueError.  A duplicate error names the
+    lexicographically first near pair.
 
     ``passages`` are sorted once per set; the Gauss and PD codes read them.
-    ``singular_candidates`` counts the candidates the numeric finder dropped
-    as singular; the diagram builders refuse a set that lost any.
+    ``coincident_passage`` is the first i whose passage lies within
+    EPS_DEDUPE of the next one (i = 2n - 1: the last against the first,
+    across the wrap, checked last), else None; close passages of distinct
+    crossings need not be duplicates.  ``singular_candidates`` counts the
+    candidates the numeric finder dropped as singular; the diagram builders
+    refuse a set that lost any, or one with a coincident passage.
     """
 
     knot: FourierKnot
     crossings: tuple[Crossing, ...]
     method: str  # "analytic" | "numeric"
     singular_candidates: int = 0
+    coincident_passage: int | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "crossings", tuple(self.crossings))
@@ -325,8 +316,14 @@ class CrossingSet:
         for a, b in zip(cs, cs[1:]):
             if (a.t1, a.t2) > (b.t1, b.t2):
                 raise ValueError("crossings must be sorted by (t1, t2)")
-        if not self._passages_apart:
-            _reject_near_duplicates(cs)
+        close, near = _near_pairs([(c.t1, c.t2) for c in cs], self.passages)
+        if near:
+            c, d = cs[near[0][0]], cs[near[0][1]]
+            raise ValueError(
+                f"duplicate time pair within {EPS_DEDUPE:g}: "
+                f"({c.t1}, {c.t2}) vs ({d.t1}, {d.t2})"
+            )
+        object.__setattr__(self, "coincident_passage", close[0] if close else None)
 
     @functools.cached_property
     def passages(self) -> list[tuple[float, int, bool, int]]:
@@ -337,36 +334,6 @@ class CrossingSet:
             events.append((c.t2, idx, c.over == "t2", c.sign))
         events.sort()
         return events
-
-    @functools.cached_property
-    def _passages_apart(self) -> bool:
-        """Every time in [0, 2*pi), every circularly adjacent pair further apart than EPS_DEDUPE."""
-        times = [e[0] for e in self.passages]
-        if not all(0.0 <= t < TWO_PI for t in times):
-            return False
-        if not times:
-            return True
-        # sorted times in [0, 2*pi): circular_distance(a, b) = min(b - a, 2*pi - (b - a));
-        # 2*pi - gap is least for the wrap pair, whose span bounds every gap
-        span = times[-1] - times[0]
-        return min(map(operator.sub, times[1:], times)) > EPS_DEDUPE and TWO_PI - span > EPS_DEDUPE
-
-    @functools.cached_property
-    def coincident_passage(self) -> int | None:
-        """First i whose passage lies within EPS_DEDUPE of the next one, else None.
-
-        i = 2n - 1 stands for the last passage against the first, across the
-        wrap, which is checked after every other adjacent pair.
-        """
-        if self._passages_apart:
-            return None
-        times = [e[0] for e in self.passages]
-        for i, (ta, tb) in enumerate(zip(times, times[1:])):
-            if circular_distance(ta, tb) <= EPS_DEDUPE:
-                return i
-        if circular_distance(times[0], times[-1]) <= EPS_DEDUPE:
-            return len(times) - 1
-        return None
 
     def __len__(self) -> int:
         return len(self.crossings)
@@ -458,7 +425,9 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
 
     Coarse candidates come from a segment-pair scan over a uniform t-grid,
     then each candidate is polished by damped Newton on
-    (x(t1)-x(t2), y(t1)-y(t2)) and deduplicated on the unordered time pair.
+    (x(t1)-x(t2), y(t1)-y(t2)) and deduplicated on the unordered time pair:
+    a candidate within EPS_DEDUPE of an earlier kept one, in scan order, is
+    dropped.
     Failed candidates are reported through the logger (and ``diagnostics``
     when given), never raised; the set counts the singular ones, and the
     diagram builders refuse it if there are any.  Memory grows as about 235
@@ -478,24 +447,32 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     py[-1] = py[0]
     ii, jj, ss, uu = _kernels.scan_segment_pairs(px, py)
 
-    accepted: list[Crossing] = []
-    singular = 0
-    index = _PairIndex()
+    # refine every candidate, then keep each ok one unless an earlier kept one is near it
+    refined = []
     for i, j, s, u in zip(ii, jj, ss, uu):
         g1 = ts[i] + s * h
         g2 = ts[j] + u * h
         status, t1, t2 = _newton_refine(knot, g1, g2)
+        if status == "ok":
+            t1, t2 = sorted((reduce_angle(t1), reduce_angle(t2)))
+            if circular_distance(t1, t2) <= EPS_DEDUPE:
+                continue  # converged onto the trivial diagonal
+        refined.append((int(i), int(j), status, t1, t2))
+    ok = [k for k, r in enumerate(refined) if r[2] == "ok"]
+    earlier: dict[int, list[int]] = {}
+    for a, b in near_pairs([refined[k][3:] for k in ok]):
+        earlier.setdefault(ok[b], []).append(ok[a])
+
+    accepted: list[Crossing] = []
+    kept: set[int] = set()
+    singular = 0
+    for k, (i, j, status, t1, t2) in enumerate(refined):
         if status != "ok":
             log.warning("candidate (%d, %d) failed refinement: %s", i, j, status)
             if diagnostics is not None:
-                diagnostics.append((status, int(i), int(j)))
+                diagnostics.append((status, i, j))
             continue
-        t1, t2 = reduce_angle(t1), reduce_angle(t2)
-        if t1 > t2:
-            t1, t2 = t2, t1
-        if circular_distance(t1, t2) <= EPS_DEDUPE:
-            continue  # converged onto the trivial diagonal
-        if index.near((t1, t2)):
+        if not kept.isdisjoint(earlier.get(k, ())):
             continue
         try:
             crossing = classify(knot, t1, t2)
@@ -503,9 +480,9 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
             log.warning("candidate (%d, %d) is singular: %s", i, j, exc)
             singular += 1
             if diagnostics is not None:
-                diagnostics.append(("singular", int(i), int(j)))
+                diagnostics.append(("singular", i, j))
             continue
-        index.add(len(accepted), (t1, t2))
+        kept.add(k)
         accepted.append(crossing)
     accepted.sort(key=lambda c: (c.t1, c.t2))
     return CrossingSet(knot, tuple(accepted), "numeric", singular)

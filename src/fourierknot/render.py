@@ -45,27 +45,21 @@ def _f(x: float) -> str:
 # Knot projection
 
 
-def knot_diagram_svg(
-    knot: FourierKnot,
-    crossings: CrossingSet,
-    size: int = 640,
-    samples: int | None = None,
-    gap: float | None = None,
-) -> str:
+def knot_diagram_svg(knot: FourierKnot, crossings: CrossingSet, size: int = 640) -> str:
     """The xy-projection with the under-strand broken at every crossing.
 
     One path per continuous strand piece (class "strand"), an orientation
-    arrowhead at t = 0, and a dot at each crossing point.
+    arrowhead at t = 0, and a dot at each crossing point.  The curve is
+    sampled max(1024, 128 * max frequency) times; each break is a window of
+    0.12 in t, narrowed to 0.35 of the closest spacing of under-passages.
     """
-    if samples is None:
-        samples = max(1024, 128 * knot.max_frequency())
+    samples = max(1024, 128 * knot.max_frequency())
     under_times = sorted(c.t_under for c in crossings.crossings)
-    if gap is None:
-        gap = 0.12
-        if len(under_times) >= 2:
-            spacings = [b - a for a, b in zip(under_times, under_times[1:])]
-            spacings.append(under_times[0] + TWO_PI - under_times[-1])
-            gap = min(0.12, 0.35 * min(spacings))
+    gap = 0.12
+    if len(under_times) >= 2:
+        spacings = [b - a for a, b in zip(under_times, under_times[1:])]
+        spacings.append(under_times[0] + TWO_PI - under_times[-1])
+        gap = min(0.12, 0.35 * min(spacings))
 
     # visible t-intervals: the circle minus a window around each under-passage
     if under_times:

@@ -37,9 +37,9 @@ from fourierknot import (
 from fourierknot.crossings import (
     TYPE_II,
     CrossingIndices,
-    _PairIndex,
     enumerate_type1,
     enumerate_type2,
+    near_pairs,
     pair_distance,
 )
 from fourierknot.phases import PhasePoint, same_knot_by_phases
@@ -82,10 +82,13 @@ def test_criterion_02_numeric_analytic_agreement():
         numeric = find_crossings_numeric(knot, 2048)
         assert len(numeric) == 2 * p * q - p - q, (p, q, len(numeric))
         analytic = [(c.t1, c.t2) for c in analytic_crossing_set(knot, params).crossings]
-        index = _PairIndex(analytic)  # finds every analytic pair within EPS_DEDUPE = 1e-6
-        for c in numeric.crossings:
-            near = index.near((c.t1, c.t2))
-            nearest = min((pair_distance((c.t1, c.t2), analytic[k]) for k in near), default=math.inf)
+        pairs = analytic + [(c.t1, c.t2) for c in numeric.crossings]
+        near = {}  # per numeric crossing, its analytic pairs within EPS_DEDUPE = 1e-6
+        for i, j in near_pairs(pairs):
+            if i < len(analytic) <= j:
+                near.setdefault(j, []).append(i)
+        for j, c in enumerate(numeric.crossings, len(analytic)):
+            nearest = min((pair_distance((c.t1, c.t2), analytic[k]) for k in near.get(j, ())), default=math.inf)
             assert nearest < 1e-6, (p, q, c.t1, c.t2, nearest)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"numeric sweep took {elapsed:.2f}s, budget 60s"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -164,6 +165,31 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "failed" in err
 
 
+# verify's row for T(2,3) when identify fails at each condition, wall column removed
+VERIFY_FAIL_ROWS = {
+    "type1-count": "  2   3  FAIL        -           -           -           FAIL (type1-count: forced)",
+    "type2-count": "  2   3  FAIL        -           -           -           FAIL (type2-count: forced)",
+    "type1-handedness": "  2   3  pass        FAIL        -           -           FAIL (type1-handedness: forced)",
+    "type2-over-direction":
+        "  2   3  pass        pass        FAIL        -           FAIL (type2-over-direction: forced)",
+    "alexander-mismatch": "  2   3  pass        pass        pass        FAIL        FAIL (alexander-mismatch: forced)",
+}
+
+
+@pytest.mark.parametrize("condition", list(VERIFY_FAIL_ROWS))
+def test_verify_row_per_failed_condition(capsys, monkeypatch, condition):
+    import fourierknot.cli as cli_mod
+    from fourierknot import IdentificationFailure
+
+    def fails(knot, crossings, params):
+        raise IdentificationFailure(condition, "forced")
+
+    monkeypatch.setattr(cli_mod, "identify", fails)
+    code, out, _ = run_cli(capsys, "verify", "--pmax", "2", "--qmax", "3")
+    assert code == 1
+    assert re.sub(r"\s+\d+\.\d+s$", "", out.splitlines()[2]) == VERIFY_FAIL_ROWS[condition]
+
+
 def test_render_break_counts(tmp_path, capsys):
     out_path = tmp_path / "t23.svg"
     code, _, _ = run_cli(capsys, "render", "-p", "2", "-q", "3", "-o", str(out_path))
@@ -315,6 +341,28 @@ def test_determinism_byte_identical():
     a = subprocess.run(cmd, capture_output=True).stdout
     b = subprocess.run(cmd, capture_output=True).stdout
     assert a == b and len(a) > 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "-p", "2", "-q", "3"],
+    ["render", "-p", "2", "-q", "3"],
+    ["phase-map", "-p", "2", "-q", "3", "--grid", "64"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.svg"
+    code, out, err = run_cli(capsys, *argv, "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_knot_log_accepts_only_level_names():
+    # a module constant that is no level name falls back to WARNING
+    cmd = [sys.executable, "-m", "fourierknot", "gen", "-p", "2", "-q", "3"]
+    done = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "KNOT_LOG": "basic_format"})
+    assert done.returncode == 0, done.stderr
+    json.loads(done.stdout)
 
 
 def test_knot_log_env(capsys, monkeypatch):

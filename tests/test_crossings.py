@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -24,9 +25,10 @@ from fourierknot.crossings import (
     TYPE_I,
     TYPE_II,
     Crossing,
-    _PairIndex,
     circular_distance,
+    near_pairs,
     pair_difference,
+    pair_distance,
 )
 from fourierknot.series import TWO_PI, reduce_angle
 
@@ -268,21 +270,22 @@ def test_crossing_set_names_first_duplicate():
 
 
 # ---------------------------------------------------------------------------
-# CrossingSet skips the full near-duplicate check when its sorted passages are
-# apart; both verdicts, messages included, must be those of the full check.
+# CrossingSet decides through near_pairs' search over its sorted passages;
+# its verdicts, messages included, must be those of the definition below.
 
 
 def near_duplicate_check_reference(cs):
-    """The full check CrossingSet once ran on every set: all pairs filed in a _PairIndex."""
-    index = _PairIndex((c.t1, c.t2) for c in cs)
+    """The definition: refuse a time outside [0, 2*pi), then compare all pairs."""
+    for c in cs:
+        if not (0.0 <= c.t1 < TWO_PI and 0.0 <= c.t2 < TWO_PI):
+            raise ValueError(f"crossing time outside [0, 2*pi): ({c.t1}, {c.t2})")
     for i, c in enumerate(cs):
-        later = [j for j in index.near((c.t1, c.t2)) if j > i]
-        if later:
-            d = cs[min(later)]
-            raise ValueError(
-                f"duplicate time pair within {EPS_DEDUPE:g}: "
-                f"({c.t1}, {c.t2}) vs ({d.t1}, {d.t2})"
-            )
+        for d in cs[i + 1:]:
+            if pair_distance((c.t1, c.t2), (d.t1, d.t2)) <= EPS_DEDUPE:
+                raise ValueError(
+                    f"duplicate time pair within {EPS_DEDUPE:g}: "
+                    f"({c.t1}, {c.t2}) vs ({d.t1}, {d.t2})"
+                )
 
 
 def coincident_passage_reference(cs):
@@ -319,7 +322,7 @@ def planted_time_pairs(draw):
         elif how == "wrap":  # a passage just past 0 and its twin's just below 2*pi, or back
             start = draw(small)
             planted = [(start, b), (start + draw(nudge), b + draw(nudge))]
-        elif how == "cell":  # both twins straddle _PairIndex cell boundaries
+        elif how == "cell":  # both twins straddle multiples of a cell side just over EPS_DEDUPE
             m1, m2 = (draw(st.integers(0, int(TWO_PI / _CELL_SIDE) - 1)) for _ in range(2))
             lo, hi = draw(small) / 2, draw(small) / 2
             x, y = m1 * _CELL_SIDE, m2 * _CELL_SIDE
@@ -340,8 +343,8 @@ def planted_time_pairs(draw):
 @example(pairs=[(1.0, 2.0), (1.0 + 5e-7, 4.0)])  # two passages close, no duplicate
 @example(pairs=[(1e-7, 3.0), (1.0, TWO_PI - 1e-7)])  # passages close across the wrap only
 @example(pairs=[(1.0, 1.0 + 5e-7)])  # both passages of one crossing close
-@example(pairs=[(-1e-7, 3.0), (3.0 + 1e-7, TWO_PI - 1e-7)])  # a time below 0
-@example(pairs=[(1.0, 2.0), (math.nan, 3.0), (4.0, 5.0)])  # NaN: the full check raises
+@example(pairs=[(-1e-7, 3.0), (3.0 + 1e-7, TWO_PI - 1e-7)])  # a time below 0: refused as out of range
+@example(pairs=[(1.0, 2.0), (math.nan, 3.0), (4.0, 5.0)])  # NaN: refused as out of range
 @given(pairs=planted_time_pairs())
 def test_crossing_set_matches_full_duplicate_check(pairs):
     knot = gen_theorem_knot(TorusParams(2, 3))
@@ -366,6 +369,54 @@ def test_crossing_set_matches_full_duplicate_check(pairs):
 def test_crossing_set_accepts_close_passages_of_distinct_pairs():
     cs = _set_of((1.0, 2.0), (1.0 + 5e-7, 4.0))
     assert len(cs) == 2 and cs.coincident_passage == 0
+
+
+@pytest.mark.parametrize("pair", [(3.0, math.nan), (3.0, math.inf), (-1e-7, 3.0), (3.0, TWO_PI)])
+def test_crossing_set_refuses_times_outside_the_circle(pair):
+    with pytest.raises(ValueError) as exc:
+        _set_of(*sorted([(1.0, 2.0), pair]))
+    assert str(exc.value) == f"crossing time outside [0, 2*pi): ({pair[0]}, {pair[1]})"
+
+
+def near_pairs_reference(pairs):
+    return [
+        (i, j) for i, j in itertools.combinations(range(len(pairs)), 2)
+        if pair_distance(pairs[i], pairs[j]) <= EPS_DEDUPE
+    ]
+
+
+@st.composite
+def clustered_time_pairs(draw):
+    """Time pairs in any order, with twins, chains, runs across the wrap and all-close clusters planted."""
+    angle = st.floats(0.0, TWO_PI, exclude_max=True)
+    nudge = st.floats(-2 * EPS_DEDUPE, 2 * EPS_DEDUPE)
+    step = 0.9 * EPS_DEDUPE
+    planted = [(draw(angle), draw(angle)) for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(angle), draw(angle)
+        how = draw(st.sampled_from(["twins", "swapped", "chain", "wrap", "all close"]))
+        if how == "twins":
+            planted += [(a, b), (a + draw(nudge), b + draw(nudge))]
+        elif how == "swapped":
+            planted += [(a, b), (b + draw(nudge), a + draw(nudge))]
+        elif how == "chain":  # each pair near the next, the first not near the last
+            planted += [(a + k * step, b + k * step) for k in range(3)]
+        elif how == "wrap":  # a run of passages from just below 2*pi to just past 0
+            start = -draw(st.floats(0.0, 3 * EPS_DEDUPE))
+            times = [start + k * 0.3 * EPS_DEDUPE for k in range(draw(st.integers(2, 8)))]
+            planted += [(t, draw(st.sampled_from(times + [a]))) for t in times]
+        else:  # every passage within EPS_DEDUPE of every other
+            planted += [(a + draw(nudge) / 4, a + draw(nudge) / 4) for _ in range(draw(st.integers(2, 6)))]
+    return draw(st.permutations([tuple(map(reduce_angle, pair)) for pair in planted]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(pairs=[(0.0, 3.0), (3e-7, 6e-7), (TWO_PI - 3.5e-7, TWO_PI - 5e-8)])  # near only through the wrap
+@example(pairs=[(1.0, 2.0), (1.0 + 3e-7, 4.0), (2.0 + 5e-8, 5.0), (1.0 + 6e-7, 2.0 + 1e-7)])  # near, not adjacent
+@example(pairs=[(1.0, 2.0), (1.0 + 9e-7, 2.0 + 9e-7), (1.0 + 1.8e-6, 2.0 + 1.8e-6)])  # a chain
+@given(pairs=clustered_time_pairs())
+def test_near_pairs_matches_all_pairs(pairs):
+    assert near_pairs(pairs) == near_pairs_reference(pairs)
 
 
 def test_crossing_set_json_csv_shape():

@@ -31,7 +31,7 @@ from fourierknot import (
     writhe,
 )
 from fourierknot import diagram
-from fourierknot.crossings import TYPE_I, TYPE_II
+from fourierknot.crossings import TYPE_I, TYPE_II, near_pairs
 
 L = LaurentPolynomial
 
@@ -482,3 +482,26 @@ def test_random_cosine_knots_alexander_metamorphic():
         assert abs(alex.evaluate_int(1)) == 1
         assert alex.reciprocal().normalized() == alex
     assert usable >= 20 and nontrivial >= 1
+
+
+def test_random_cosine_knots_grid_doubling():
+    # no oracle: on the metamorphic test's 60 draws, every one without
+    # diagnostics at grids 2048 and 4096 finds the same crossings at both
+    rng = random.Random(4)
+    compared = 0
+    for _ in range(60):
+        knot = FourierKnot(*(random_cosine_series(rng) for _ in range(3)))
+        rng.uniform(0.0, 2 * math.pi)  # that test's shift, drawn so the knots match
+        diagnostics = []
+        coarse = find_crossings_numeric(knot, 2048, diagnostics)
+        fine = find_crossings_numeric(knot, 4096, diagnostics)
+        if diagnostics:
+            continue
+        compared += 1
+        n = len(coarse)
+        assert len(fine) == n
+        across = [(i, j) for i, j in near_pairs([(c.t1, c.t2) for c in coarse.crossings + fine.crossings])
+                  if i < n <= j]
+        assert {i for i, _ in across} == set(range(n))
+        assert {j for _, j in across} == set(range(n, 2 * n))
+    assert compared >= 20

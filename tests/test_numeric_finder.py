@@ -51,6 +51,22 @@ def test_numeric_classification_agrees_with_analytic():
         assert analytic[key] == (c.sign, c.over)
 
 
+def test_finder_keeps_first_come_along_a_chain(monkeypatch):
+    """Refined times A ~ B ~ C with A not near C: B goes for A, and C stays, since B was not kept."""
+    from fourierknot import crossings
+
+    params = TorusParams(3, 7)
+    knot = gen_theorem_knot(params)
+    c = analytic_crossing_set(knot, params).crossings[5]
+    step = 0.9 * crossings.EPS_DEDUPE
+    chain = [(c.t1 + k * step, c.t2 + k * step) for k in range(3)]
+    refined = iter(chain)
+    monkeypatch.setattr(_kernels, "scan_segment_pairs", lambda px, py: ([1, 2, 3], [10, 20, 30], [0.5] * 3, [0.5] * 3))
+    monkeypatch.setattr(crossings, "_newton_refine", lambda knot, g1, g2: ("ok", *next(refined)))
+    found = find_crossings_numeric(knot, 2048)
+    assert [(x.t1, x.t2) for x in found.crossings] == [chain[0], chain[2]]
+
+
 def test_grid_floor_enforced():
     knot = gen_theorem_knot(TorusParams(3, 7))
     floor = 4 * knot.max_frequency() * knot.term_count()
