@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -309,9 +310,22 @@ def cheap_units(dense):
     ]
 
 
+def reduce_dense(dense):
+    """_sparse_unit_reduce on dense's nonzero entries."""
+    return laurent._sparse_unit_reduce(sparse_rows(dense))
+
+
+def reduction_record(result):
+    """A reduction's result as plain data: sign times the unit's +-1, the unit's
+    exponent, and every remainder entry's sorted (exponent, coefficient) pairs."""
+    sign, unit, rem = result
+    ((exp, coef),) = unit.pairs()
+    return sign * coef, exp, [[e.pairs() for e in row] for row in rem]
+
+
 def assert_reduction_stops(dense):
     """Reduce dense's sparse rows; unless a row vanished, no cheap unit pivot is left."""
-    sign, unit, rem = laurent._sparse_unit_reduce(sparse_rows(dense))
+    sign, unit, rem = reduce_dense(dense)
     if sign == 0:
         assert rem == []
     else:
@@ -353,6 +367,16 @@ def test_heap_reduction_matches_scan_on_alexander_minors(p, q, monkeypatch):
     det = unit * det_by_list_bareiss(rem)
     assert (det if sign > 0 else -det).normalized() == torus_alexander_oracle(TorusParams(p, q))
     assert len(rem) == _MINOR_REMAINDER_ROWS.get((p, q), p - 1)
+
+
+# sha256 of the reduction records of every _MINOR_PAIRS minor: pins the
+# pivots, their order and every remainder entry, not only the determinant
+_REDUCTION_DIGEST = "bbbbb73de4ab6cbaf348aff993b342123580918a53a894ac67caa4a0e72927ab"
+
+
+def test_reduction_pivots_pinned(monkeypatch):
+    records = [reduction_record(reduce_dense(alexander_minor(p, q, monkeypatch))) for p, q in _MINOR_PAIRS]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == _REDUCTION_DIGEST
 
 
 @pytest.mark.parametrize("p,q", _MINOR_PAIRS)
