@@ -18,6 +18,7 @@ import time
 from .crossings import (
     MAX_NUMERIC_GRID,
     analytic_crossing_set,
+    crossing_count,
     find_crossings_numeric,
     near_pairs,
 )
@@ -77,10 +78,17 @@ def _write(path: str | None, payload: str | bytes) -> None:
             fh.write(payload)
 
 
+def _check_output(path: str | None) -> None:
+    """Refuse, before any work, an -o path in a missing or unwritable directory; creates nothing."""
+    folder = os.path.dirname(os.path.abspath(path or "-"))
+    if path not in (None, "-") and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise OSError(f"cannot write {path}: {folder} is not a writable directory")
+
+
 def _torus_params(args) -> TorusParams:
     """(p, q) from the arguments, refused before any work above MAX_CROSSINGS crossings."""
     params = TorusParams(args.p, args.q)
-    n = 2 * params.p * params.q - params.p - params.q
+    n = crossing_count(params.p, params.q)
     if n > MAX_CROSSINGS:
         raise ValueError(
             f"T({params.p},{params.q}) would have {n} crossings, above the budget of {MAX_CROSSINGS}"
@@ -130,6 +138,7 @@ def _build_sets(args, params):
 
 
 def cmd_crossings(args) -> int:
+    _check_output(args.output)
     params = _torus_params(args)
     _, analytic, numeric = _build_sets(args, params)
     chosen = numeric if args.numeric else analytic
@@ -213,13 +222,11 @@ def cmd_verify(args) -> int:
     # the crossing count grows in p and in q, so the range's largest pair has
     # at most the count of its corner p = min(pmax, qmax - 1), q = qmax
     p, q = min(args.pmax, args.qmax - 1), args.qmax
-    if p >= 2 and 2 * p * q - p - q > MAX_VERIFY_CROSSINGS:
-        print(
-            f"error: verify range too large: T({p},{q}) would have {2 * p * q - p - q} crossings, "
-            f"above the budget of {MAX_VERIFY_CROSSINGS} (T(13,29))",
-            file=sys.stderr,
+    if p >= 2 and crossing_count(p, q) > MAX_VERIFY_CROSSINGS:
+        raise ValueError(
+            f"verify range too large: T({p},{q}) would have {crossing_count(p, q)} crossings, "
+            f"above the budget of {MAX_VERIFY_CROSSINGS} (T(13,29))"
         )
-        return EXIT_BAD_ARGS
     pairs = [
         (p, q)
         for p in range(2, args.pmax + 1)
@@ -254,6 +261,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _check_output(args.output)
     params = _torus_params(args)
     knot = gen_theorem_knot(params, simplified=args.simplified)
     crossings = analytic_crossing_set(knot, params)
@@ -262,6 +270,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_phase_map(args) -> int:
+    _check_output(args.output)
     params = TorusParams(args.p, args.q)
     pmap = phase_map_render(params, args.grid, mark_theorem_points=args.mark_theorem_points)
     if (args.output or "").endswith(".png") or args.format == "png":

@@ -24,7 +24,6 @@ from .series import TWO_PI, FourierKnot, FourierSeries, TorusParams, fmt_float, 
 
 log = logging.getLogger("fourierknot.crossings")
 
-EPS_RESIDUAL = 1e-9
 EPS_SINGULAR = 1e-9
 EPS_DEDUPE = 1e-6
 
@@ -146,6 +145,11 @@ def _near_pairs(pairs, passages) -> tuple[list[int], list[tuple[int, int]]]:
             if pair_distance(pairs[a], pairs[b]) <= EPS_DEDUPE
         )
     return close, sorted(near)
+
+
+def crossing_count(p: int, q: int) -> int:
+    """2pq - p - q, the crossings of T(p, q); plain ints, coprime or not."""
+    return 2 * p * q - p - q
 
 
 class _CrossingTable:

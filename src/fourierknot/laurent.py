@@ -7,6 +7,9 @@ compute the integer det(A(2**k)) at a Kronecker point sized by one Hadamard
 coefficient bound, and read the coefficients back as balanced base-2**k
 digits: fraction-free Bareiss over Z for small remainders, and elimination
 mod enough 31-bit primes joined by one CRT for large ones.
+
+Inside the determinant entries are plain {exponent: coefficient} maps, which
+the reduction and both engines take and return; only det_poly_matrix converts.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import operator
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# Dense coefficient-list helpers (index = exponent, trailing zeros trimmed),
-# used by exact_div and the modular engine; LaurentPolynomial wraps a dict.
+# Dense coefficient-list helpers (index = exponent, trailing zeros trimmed)
+# for exact_div and the tests' list Bareiss; LaurentPolynomial wraps a dict.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -146,15 +149,7 @@ class LaurentPolynomial:
         return LaurentPolynomial._adopt({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        out = dict(self._c)
-        for e, v in other._c.items():
-            nv = out.get(e, 0) - v
-            if nv:
-                out[e] = nv
-            else:
-                del out[e]
-        return LaurentPolynomial._adopt(out)
+        return self + -self._coerce(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -260,21 +255,24 @@ def exact_div(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomi
 
 
 # ---------------------------------------------------------------------------
-# Determinant engines over matrices of coefficient lists.  Both compute the
+# Determinant engines.  Each takes the remainder as a list of rows, each row a
+# list of {exponent: coefficient} maps with non-negative exponents ({} is
+# zero), and returns the determinant's coefficient list.  Both compute the
 # integer det(A(2**k)), which equals det(A)(2**k), and read the determinant's
 # coefficients back from it as balanced base-2**k digits.
 
 
-def _kronecker_bits(m: list[list[list[int]]]) -> int:
+def _kronecker_bits(m: list[list[dict[int, int]]]) -> int:
     """k such that every coefficient of det(m) lies below 2**(k-2) in size.
 
-    On |t| = 1 every entry is bounded by its coefficient L1 norm, so
-    Hadamard's inequality bounds every coefficient of the determinant by B,
-    where B**2 <= prod_i sum_j L1(m_ij)**2; the product is exact in integers.
+    m is a list of rows of {exponent: coefficient} maps.  On |t| = 1 every
+    entry is bounded by its coefficient L1 norm, so Hadamard's inequality
+    bounds every coefficient of the determinant by B, where
+    B**2 <= prod_i sum_j L1(m_ij)**2; the product is exact in integers.
     """
     bound = 1
     for row in m:
-        bound *= sum(sum(map(abs, e)) ** 2 for e in row)
+        bound *= sum(sum(map(abs, e.values())) ** 2 for e in row)
     return (bound.bit_length() + 1) // 2 + 2
 
 
@@ -290,24 +288,18 @@ def _balanced_digits(v: int, k: int) -> list[int]:
     return out
 
 
-def _det_bareiss_lists(m: list[list[list[int]]]) -> list[int]:
+def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> list[int]:
     """Fraction-free Bareiss elimination over Z at the Kronecker point t = 2**k.
 
-    Every elimination step is an exact integer division.
+    m is the list of remainder rows; each entry's value at 2**k is summed
+    straight from its map.  Every elimination step is an exact integer
+    division.
     """
     n = len(m)
     if n == 0:
         return [1]
     k = _kronecker_bits(m)
-    a = []
-    for row in m:
-        vals = []
-        for e in row:
-            v = 0
-            for c in reversed(e):
-                v = (v << k) + c
-            vals.append(v)
-        a.append(vals)
+    a = [[sum(c << (k * d) for d, c in e.items()) for e in row] for row in m]
     sign = 1
     prev = 1
     for i in range(n - 1):
@@ -403,24 +395,29 @@ def _dets_mod_p_batch(a: np.ndarray, ps: np.ndarray) -> np.ndarray:
 _PRIME_BLOCK = 256
 
 
-def _det_modular_lists(m: list[list[list[int]]]) -> list[int]:
+def _det_modular_lists(m: list[list[dict[int, int]]]) -> list[int]:
     """Exact determinant from det(A(2**k)) mod enough 31-bit primes, joined by CRT.
 
-    With D the sum of the rows' degrees, |det(A(2**k))| < 2**(k(D+1)), and
-    every prime exceeds 2**30, so floor(k(D+1)/30) + 1 primes make a modulus
-    above twice that size.  The primes are eliminated in blocks, one lane per
-    prime.  Coefficients must fit in int64.
+    m is the list of remainder rows.  With D the sum of the rows' degrees,
+    |det(A(2**k))| < 2**(k(D+1)), and every prime exceeds 2**30, so
+    floor(k(D+1)/30) + 1 primes make a modulus above twice that size.  The
+    primes are eliminated in blocks, one lane per prime.  Coefficients must
+    fit in int64.
     """
     n = len(m)
     if n == 0:
         return [1]
     k = _kronecker_bits(m)
-    deg_bound = sum(max((len(e) - 1 for e in row if e), default=0) for row in m)
+    deg_bound = sum(max((max(e) for e in row if e), default=0) for row in m)
     primes = _primes_31bit(k * (deg_bound + 1) // 30 + 1)
-    width = max(max(len(e) for row in m for e in row), 1)
-    coeffs = np.array([[e + [0] * (width - len(e)) for e in row] for row in m], dtype=np.int64)
+    cells = [e for row in m for e in row]
     # per degree d: the cells with a nonzero t**d coefficient, and those coefficients
-    by_degree = [(np.flatnonzero(c), c[c != 0]) for c in coeffs.reshape(n * n, width).T]
+    by_degree = [([], []) for _ in range(max((max(e) for e in cells if e), default=0) + 1)]
+    for i, e in enumerate(cells):
+        for d, c in e.items():
+            by_degree[d][0].append(i)
+            by_degree[d][1].append(c)
+    by_degree = [(np.array(i, dtype=np.intp), np.array(c, dtype=np.int64)) for i, c in by_degree]
     residues = []
     for lo in range(0, len(primes), _PRIME_BLOCK):
         block = primes[lo : lo + _PRIME_BLOCK]
@@ -446,43 +443,41 @@ def _det_modular_lists(m: list[list[list[int]]]) -> list[int]:
 _FILL_LIMIT = 64
 
 
-def _sparse_unit_reduce(rows: list[dict[int, LaurentPolynomial]]):
+def _sparse_unit_reduce(rows: list[dict[int, dict[int, int]]]):
     """Shrink the matrix by Laplace expansion along unit-monomial pivots.
 
-    ``rows[r]`` maps column -> entry of an n x n matrix, n = len(rows);
-    absent and zero entries are zero.  Row operations with a +-t**k pivot
-    are exact in the Laurent ring, so the determinant factors as
-    sign * unit * det(remainder).  An entry's cost is its Markowitz fill
-    bound (row count - 1) * (column count - 1).  Sweeps at rising cost limits
-    visit the remaining rows in order and pivot each on its cheapest unit
-    entry if that costs at most the limit; ties go to the row's earliest
-    entry (columns in order, fill appended).  A sweep that pivots is repeated;
-    one that does not raises the limit to the least cost it saw, as stepping
-    by one would, and the pass stops when no unit entry costs <= _FILL_LIMIT.
+    ``rows[r]`` maps column -> entry of an n x n matrix, n = len(rows), each
+    entry an {exponent: coefficient} map; absent and empty entries are zero.
+    Row operations with a +-t**k pivot are exact in the Laurent ring, so the
+    determinant factors as sign * t**shift * det(remainder).  An entry's cost
+    is its Markowitz fill bound (row count - 1) * (column count - 1).  Sweeps
+    at rising cost limits visit the remaining rows in order and pivot each on
+    its cheapest unit entry if that costs at most the limit; ties go to the
+    row's earliest entry (columns in order, fill appended).  A sweep that
+    pivots is repeated; one that does not raises the limit to the least cost
+    it saw, as stepping by one would, and the pass stops when no unit entry
+    costs <= _FILL_LIMIT.
 
-    The pass works on the entries' raw {exponent: coefficient} dicts: each
-    input dict is read in place and never mutated, each updated entry
-    old - (+-t**-k * factor) * pivot_entry is built as one fresh dict, and
-    only the remainder's entries are wrapped as LaurentPolynomial again.
-    Returns (sign, unit, remainder_rows) with remainder_rows dense and
-    possibly empty, or (0, zero, []) when a row vanishes (determinant zero).
+    Each input map is read in place and never mutated, and each updated
+    entry old - (+-t**-k * factor) * pivot_entry is built as one fresh map.
+    Returns (sign, shift, remainder), the pivots' +-1 folded into sign and
+    remainder a dense, possibly empty, list of rows of maps ({} for zero);
+    or (0, 0, []) when a row vanishes (determinant zero).
     """
-    zero = LaurentPolynomial.zero()
-    # row -> {col: coefficient dict}, in column order with fill appended; pivoted rows leave
-    entries = {r: {c: row[c]._c for c in sorted(row) if row[c]} for r, row in enumerate(rows)}
+    # row -> {col: coefficient map}, in column order with fill appended; pivoted rows leave
+    entries = {r: {c: row[c] for c in sorted(row) if row[c]} for r, row in enumerate(rows)}
     col_rows: list[set[int]] = [set() for _ in rows]
     for r, ents in entries.items():
         for c in ents:
             col_rows[c].add(r)
     col_order = list(range(len(rows)))
-    sign = 1
-    unit_exp, unit_coef = 0, 1
+    sign, shift = 1, 0
     limit = 0
     while limit <= _FILL_LIMIT:
         next_limit = _FILL_LIMIT + 1
         for rp, pivot_row in list(entries.items()):
             if not pivot_row:
-                return 0, zero, []
+                return 0, 0, []
             rc = len(pivot_row) - 1
             best = None
             for c, d in pivot_row.items():
@@ -504,8 +499,8 @@ def _sparse_unit_reduce(rows: list[dict[int, LaurentPolynomial]]):
                 sign = -sign
             del entries[rp]
             del col_order[j]
-            unit_exp += exp
-            unit_coef *= coef
+            shift += exp
+            sign *= coef
             for c in pivot_row:
                 col_rows[c].discard(rp)
             touched = col_rows[cp]
@@ -533,9 +528,7 @@ def _sparse_unit_reduce(rows: list[dict[int, LaurentPolynomial]]):
                         del ents[c2]
                         col_rows[c2].discard(r2)
         limit = next_limit
-    adopt = LaurentPolynomial._adopt
-    remainder = [[adopt(ents[c]) if c in ents else zero for c in col_order] for ents in entries.values()]
-    return sign, LaurentPolynomial.monomial(unit_exp, unit_coef), remainder
+    return sign, shift, [[ents.get(c, {}) for c in col_order] for ents in entries.values()]
 
 
 # Remainders up to this many rows go to the Bareiss engine, larger ones to
@@ -553,45 +546,38 @@ def det_poly_matrix(
 ) -> LaurentPolynomial:
     """Exact determinant of an n x n Laurent-polynomial matrix, n = len(rows).
 
-    Each row is a list of n entries or a sparse {column: entry} dict.  After
-    sparse unit reduction the remainder's determinant is read back from its
-    value at t = 2**k: by fraction-free Bareiss over Z up to BAREISS_MAX_SIZE
-    rows, and beyond by elimination mod 31-bit primes and CRT, unless a
-    coefficient does not fit in int64 (then by Bareiss).  Both are exact; the
-    test suite checks them against each other and against Bareiss on
-    coefficient lists.
+    Each row is a list of n entries or a sparse {column: entry} dict.  The
+    entries' {exponent: coefficient} maps go through sparse unit reduction,
+    and each remainder row is shifted to non-negative exponents on its maps.
+    The remainder's determinant is read back from its value at t = 2**k: by
+    fraction-free Bareiss over Z up to BAREISS_MAX_SIZE rows, and beyond by
+    elimination mod 31-bit primes and CRT, unless a coefficient does not fit
+    in int64 (then by Bareiss).  Both are exact; the test suite checks them
+    against each other and against Bareiss on coefficient lists.
     """
     n = len(rows)
-    sparse: list[dict[int, LaurentPolynomial]] = []
+    sparse: list[dict[int, dict[int, int]]] = []
     for row in rows:
         if isinstance(row, dict):
             if not all(0 <= c < n for c in row):
                 raise ValueError("column index out of range")
-            sparse.append(row)
+            items = row.items()
         elif len(row) != n:
             raise ValueError("matrix must be square")
         else:
-            sparse.append(dict(enumerate(row)))
+            items = enumerate(row)
+        sparse.append({c: e._c for c, e in items})
     if n == 0:
         return LaurentPolynomial.one()
-    sign, unit, rows = _sparse_unit_reduce(sparse)
-    if sign == 0:
-        return LaurentPolynomial.zero()
-    prefix = unit if sign > 0 else -unit
-    n = len(rows)
-    if n == 0:
-        return prefix
-    # clear negative exponents row by row; each t**k shift is a unit
-    shift_total = 0
-    lists: list[list[list[int]]] = []
-    for row in rows:
-        vals = [e.valuation() for e in row if not e.is_zero]
-        v = min(min(vals), 0) if vals else 0
-        shift_total += -v
-        lists.append([
-            [e.coeff(d) for d in range(v, e.degree() + 1)] if not e.is_zero else []
-            for e in row
-        ])
-    modular = n > BAREISS_MAX_SIZE and all(abs(c) < 1 << 63 for r in lists for e in r for c in e)
-    det = _det_modular_lists(lists) if modular else _det_bareiss_lists(lists)
-    return prefix * LaurentPolynomial.from_list(det, -shift_total)
+    sign, shift, remainder = _sparse_unit_reduce(sparse)
+    if not remainder:  # sign is 0, and the monomial zero, when a row vanished
+        return LaurentPolynomial.monomial(shift, sign)
+    # clear negative exponents row by row; each t**v shift is a unit
+    m: list[list[dict[int, int]]] = []
+    for row in remainder:
+        v = min([min(e) for e in row if e] + [0])
+        shift += v
+        m.append([{d - v: c for d, c in e.items()} for e in row])
+    modular = len(m) > BAREISS_MAX_SIZE and all(abs(c) < 1 << 63 for r in m for e in r for c in e.values())
+    det = _det_modular_lists(m) if modular else _det_bareiss_lists(m)
+    return LaurentPolynomial({shift + i: sign * c for i, c in enumerate(det)})

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .crossings import EPS_SINGULAR, CrossingIndices, _crossing_table
+from .crossings import EPS_SINGULAR, CrossingIndices, _crossing_table, crossing_count
 from .errors import CertificationFailure, SimplifyRequiresEvenP, SingularPoint
 from .series import (
     TWO_PI,
@@ -458,7 +458,7 @@ def phase_map_render(
         raise ValueError(f"grid must be at least 64, got {grid}")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
-    n = 2 * params.p * params.q - params.p - params.q
+    n = crossing_count(params.p, params.q)
     if n * grid > MAX_SIGN_TABLE:
         raise ValueError(f"{n} crossings x grid {grid} is above the budget of {MAX_SIGN_TABLE}")
     classes, n_classes = _phase_classes(_crossing_table(params), grid)

@@ -357,6 +357,38 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["crossings", "-p", "2", "-q", "3"],
+    ["render", "-p", "2", "-q", "3"],
+    ["phase-map", "-p", "7", "-q", "13", "--grid", "1024", "--format", "png"],
+])
+def test_unwritable_output_is_refused_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    import fourierknot.cli as cli_mod
+
+    def reached(*args, **kwargs):
+        raise Reached(args)
+
+    monkeypatch.setattr(cli_mod, "analytic_crossing_set", reached)
+    monkeypatch.setattr(cli_mod, "phase_map_render", reached)
+    target = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, *argv, "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target.parent) in err
+    assert not target.parent.exists()
+
+
+def test_output_check_neither_creates_nor_truncates(tmp_path, capsys):
+    # the path passes the check, then the grid is refused: nothing is written
+    kept, new = tmp_path / "kept.svg", tmp_path / "new.svg"
+    kept.write_text("keep")
+    for target in (kept, new):
+        code, _, err = run_cli(capsys, "phase-map", "-p", "2", "-q", "3", "--grid", "8", "-o", str(target))
+        assert code == 2 and "64" in err
+    assert kept.read_text() == "keep"
+    assert not new.exists()
+
+
 def test_knot_log_accepts_only_level_names():
     # a module constant that is no level name falls back to WARNING
     cmd = [sys.executable, "-m", "fourierknot", "gen", "-p", "2", "-q", "3"]
@@ -365,8 +397,15 @@ def test_knot_log_accepts_only_level_names():
     json.loads(done.stdout)
 
 
-def test_knot_log_env(capsys, monkeypatch):
-    monkeypatch.setenv("KNOT_LOG", "DEBUG")
-    code, out, _ = run_cli(capsys, "gen", "-p", "2", "-q", "3")
-    assert code == 0
-    json.loads(out)
+def test_knot_log_env():
+    # in a fresh process, where no handler is on the root logger yet, so
+    # logging.basicConfig does take the level that main reads from KNOT_LOG
+    code = (
+        "import logging, os; from fourierknot.cli import main; "
+        "main(['gen', '-p', '2', '-q', '3', '-o', os.devnull]); print(logging.getLogger().level)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "KNOT_LOG": "DEBUG"}
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "10\n"

@@ -26,6 +26,7 @@ from fourierknot.crossings import (
     TYPE_II,
     Crossing,
     circular_distance,
+    crossing_count,
     near_pairs,
     pair_difference,
     pair_distance,
@@ -217,6 +218,12 @@ def test_pair_difference_any_series():
         assert pair_difference(knot.x, t1, t2) == pytest.approx(
             knot.x.eval(t1) - knot.x.eval(t2), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("pq", COPRIME_PAIRS)
+def test_crossing_count_matches_both_families(pq):
+    params = TorusParams(*pq)
+    assert crossing_count(*pq) == len(enumerate_type1(params)) + len(enumerate_type2(params))
 
 
 def test_analytic_set_sorted_and_counted():

@@ -237,9 +237,17 @@ def fits_int64(m):
     return all(abs(c) < 1 << 63 for row in m for e in row for c in e)
 
 
+def as_map(e):
+    """A LaurentPolynomial or coefficient list as the {exponent: coefficient}
+    map that the sparse reduction and the remainder engines take."""
+    pairs = e.pairs() if isinstance(e, L) else enumerate(e)
+    return {d: c for d, c in pairs if c}
+
+
 @st.composite
 def coefficient_matrices(draw):
-    """Square matrices of trimmed coefficient lists, as det_poly_matrix passes them."""
+    """Square matrices of trimmed coefficient lists, the format det_bareiss_reference
+    takes; the engines get the same matrices as maps through as_map."""
     n = draw(st.integers(0, 7))
     big = draw(st.sampled_from([3, (1 << 63) - 1, 10**30]))
     coeff = st.one_of(st.integers(-3, 3), st.integers(-big, big))
@@ -271,9 +279,10 @@ def coefficient_matrices(draw):
 @given(m=coefficient_matrices())
 def test_remainder_engine_matches_list_bareiss(m):
     det = det_bareiss_reference(m)
-    assert laurent._det_bareiss_lists(m) == det
+    maps = [[as_map(e) for e in row] for row in m]
+    assert laurent._det_bareiss_lists(maps) == det
     if fits_int64(m):
-        assert laurent._det_modular_lists(m) == det
+        assert laurent._det_modular_lists(maps) == det
 
 
 # ---------------------------------------------------------------------------
@@ -310,28 +319,37 @@ def cheap_units(dense):
     ]
 
 
+def map_rows(dense):
+    """dense's nonzero entries as the sparse rows of maps that _sparse_unit_reduce takes."""
+    return [{c: as_map(e) for c, e in row.items()} for row in sparse_rows(dense)]
+
+
 def reduce_dense(dense):
     """_sparse_unit_reduce on dense's nonzero entries."""
-    return laurent._sparse_unit_reduce(sparse_rows(dense))
+    return laurent._sparse_unit_reduce(map_rows(dense))
 
 
 def reduction_record(result):
-    """A reduction's result as plain data: sign times the unit's +-1, the unit's
-    exponent, and every remainder entry's sorted (exponent, coefficient) pairs."""
-    sign, unit, rem = result
-    ((exp, coef),) = unit.pairs()
-    return sign * coef, exp, [[e.pairs() for e in row] for row in rem]
+    """A reduction's result as plain data: the sign with the unit's +-1 folded in,
+    the unit's exponent, and every remainder entry's sorted (exponent, coefficient) pairs."""
+    sign, shift, rem = result
+    return sign, shift, [[tuple(sorted(e.items())) for e in row] for row in rem]
 
 
 def assert_reduction_stops(dense):
-    """Reduce dense's sparse rows; unless a row vanished, no cheap unit pivot is left."""
-    sign, unit, rem = reduce_dense(dense)
+    """Reduce dense's sparse rows; unless a row vanished, no cheap unit pivot is left.
+
+    Returns (sign, shift, remainder), det = sign * t**shift * det(remainder),
+    with the remainder's entries as LaurentPolynomials.
+    """
+    sign, shift, rem = reduce_dense(dense)
+    rem = [[L(e) for e in row] for row in rem]
     if sign == 0:
-        assert rem == []
+        assert (shift, rem) == (0, [])
     else:
-        assert sign in (1, -1) and len(unit.pairs()) == 1 and unit.pairs()[0][1] in (1, -1)
+        assert sign in (1, -1) and isinstance(shift, int)
         assert cheap_units(rem) == []
-    return sign, unit, rem
+    return sign, shift, rem
 
 
 def alexander_minor(p, q, monkeypatch):
@@ -362,9 +380,9 @@ _MINOR_REMAINDER_ROWS = {(3, 11): 3, (3, 13): 3, (5, 13): 5, (6, 25): 6, (9, 19)
 # The test keeps the id it had when it compared a heap-driven reduction with a scan.
 @pytest.mark.parametrize("p,q", _MINOR_PAIRS)
 def test_heap_reduction_matches_scan_on_alexander_minors(p, q, monkeypatch):
-    sign, unit, rem = assert_reduction_stops(alexander_minor(p, q, monkeypatch))
+    sign, shift, rem = assert_reduction_stops(alexander_minor(p, q, monkeypatch))
     assert sign in (1, -1)
-    det = unit * det_by_list_bareiss(rem)
+    det = det_by_list_bareiss(rem).shifted(shift)
     assert (det if sign > 0 else -det).normalized() == torus_alexander_oracle(TorusParams(p, q))
     assert len(rem) == _MINOR_REMAINDER_ROWS.get((p, q), p - 1)
 
@@ -389,7 +407,7 @@ def test_remainder_engines_agree_on_alexander_minors(p, q, monkeypatch):
     det_poly_matrix(minor)
     (m,) = remainders  # every one of these minors leaves a remainder, of 1 to 11 rows
     det = engine(m)
-    assert det == det_bareiss_reference(m)
+    assert L.from_list(det) == det_by_list_bareiss([[L(e) for e in row] for row in m])
     assert det == laurent._det_modular_lists(m)
 
 
@@ -464,14 +482,10 @@ def test_heap_reduction_matches_scan_on_random_matrices(m):
 
 
 def test_reduction_examples_reach_their_stopping_rules():
-    sign, _, rem = laurent._sparse_unit_reduce(sparse_rows(matrix_from_text(_ROW_VANISHES)))
+    sign, _, rem = reduce_dense(matrix_from_text(_ROW_VANISHES))
     assert (sign, rem) == (0, [])
-    sign, _, rem = laurent._sparse_unit_reduce(sparse_rows(_dense_block_after_free_pivots()))
+    sign, _, rem = reduce_dense(_dense_block_after_free_pivots())
     assert sign != 0 and len(rem) == 10
-
-
-def _entry_pairs(rows):
-    return [{c: e.pairs() for c, e in row.items()} for row in rows]
 
 
 @pytest.mark.parametrize("case", ["T(7,13)", "T(9,19)", "vanishes", "dense block", "refilled"])
@@ -484,10 +498,10 @@ def test_reduction_leaves_its_input_unchanged(case, monkeypatch):
             "dense block": _dense_block_after_free_pivots(),
             "refilled": matrix_from_text(_REFILLED_BEHIND),
         }[case]
-    rows = sparse_rows(dense)
-    before = _entry_pairs(rows)
+    rows = map_rows(dense)
+    before = [{c: dict(e) for c, e in row.items()} for row in rows]
     first = laurent._sparse_unit_reduce(rows)
-    assert _entry_pairs(rows) == before
+    assert rows == before
     assert laurent._sparse_unit_reduce(rows) == first
 
 
