@@ -49,11 +49,15 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_ORACLE_DISAGREE = 3
 
-# verify's budget: the largest pair it runs is T(13, 29), 2pq - p - q = 712
-# crossings, where one pair takes about 0.7 s and 38 MB max RSS.  Past it the
-# cost climbs fast: T(13, 31), 762 crossings, takes 1.2 s and T(14, 29), 769
-# crossings, 3.0 s (even p identifies a second knot).
-MAX_VERIFY_CROSSINGS = 712
+# verify's budget on the corner pair's 2pq - p - q, set from whole-range wall
+# times.  The slowest range a budget admits is the p = 2 line, which holds
+# the most pairs near the budget (T(2,275), 823 crossings, 0.23 s a pair;
+# T(13,29), 712, 0.15 s; T(20,21), 799, 0.35 s).  At 826 crossings, the
+# count of T(15,29), `--pmax 2 --qmax 276` takes 10.8-11.9 s at 39 MB max
+# RSS, against 12.8-13.7 s at 44 MB for the slowest range the Wirtinger-minor
+# identify admitted under its budget of 712 (`--pmax 16 --qmax 23`).  Summed
+# pair times put the break-even near 870 crossings.
+MAX_VERIFY_CROSSINGS = 826
 
 # crossings' and render's budget on 2pq - p - q: at the cap `crossings` peaks near
 # 123 MB max RSS (2 s), and `render`, which samples the curve 128q times, 286 MB
@@ -225,7 +229,7 @@ def cmd_verify(args) -> int:
     if p >= 2 and crossing_count(p, q) > MAX_VERIFY_CROSSINGS:
         raise ValueError(
             f"verify range too large: T({p},{q}) would have {crossing_count(p, q)} crossings, "
-            f"above the budget of {MAX_VERIFY_CROSSINGS} (T(13,29))"
+            f"above the budget of {MAX_VERIFY_CROSSINGS} (T(15,29))"
         )
     pairs = [
         (p, q)
@@ -234,8 +238,7 @@ def cmd_verify(args) -> int:
         if math.gcd(p, q) == 1
     ]
     if not pairs:
-        print("no coprime pairs in range", file=sys.stderr)
-        return EXIT_BAD_ARGS
+        raise ValueError("no coprime pairs in range")
     columns = ["counts", "type1-hand", "type2-dir", "alexander", "phase"]
     header = f"{'p':>3} {'q':>3}  " + "  ".join(f"{c:<10}" for c in columns) + "  wall"
     print(header)
@@ -326,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the identification conditions over a (p, q) range",
         description="Run the identification conditions for every coprime 2 <= p < q, p <= pmax, "
         f"q <= qmax.  A range whose largest pair would have more than {MAX_VERIFY_CROSSINGS} "
-        "crossings (2pq - p - q, the count of T(13,29), which takes about 0.7 s) is refused "
-        "with exit 2 before any work; --pmax 13 --qmax 29 (163 pairs) takes about 10 s.",
+        "crossings (2pq - p - q, the count of T(15,29)) is refused with exit 2 before any work; "
+        "--pmax 15 --qmax 29 (178 pairs) takes about 8 s and the slowest admitted range, "
+        "--pmax 2 --qmax 276, about 12 s.",
     )
     v.add_argument("--pmax", type=int, required=True)
     v.add_argument(

@@ -3,24 +3,31 @@
 The diagram is read off the circle of parameter times: each crossing
 contributes two passages, and sorting all 2N passages gives every crossing
 one record, the positions of its under- and over-passage (and its sign).
-The Gauss code, the planar-diagram (PD) code and the Alexander polynomial
-are all written from that record; a PD code is read back into it.
-Identification combines the crossing-family counts and handedness laws with
-the Alexander polynomial, computed exactly from the crossing-relation matrix
-and checked against the classical torus closed form.
+The Gauss code, the planar-diagram (PD) code and the crossing-relation
+(Wirtinger) matrix are all written from that record; a PD code is read back
+into it, and ``alexander_from_diagram`` takes the polynomial from its
+(n-1)-row minor.  Identification combines the crossing-family counts and
+handedness laws with the Alexander polynomial, checked against the classical
+torus closed form.  When x is one cosine term, as in every knot the theorem
+generator makes, identify takes the polynomial from a sweep across x
+instead: the curve's own crossings, read along the 2p strands between the
+critical times of x = cos(p t), give a p-bridge presentation whose
+(p-1)-row minor has the same determinant.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .crossings import TYPE_I, TYPE_II, CrossingSet
+from .crossings import EPS_DEDUPE, TYPE_I, TYPE_II, CrossingSet
 from .errors import (
     IdentificationFailure,
     IncompleteCrossingSet,
     NotAKnot,
     SingularDiagram,
+    WrongKnotShape,
 )
 from .laurent import LaurentPolynomial, det_poly_matrix, exact_div
 from .series import FourierKnot, TorusParams
@@ -237,6 +244,120 @@ def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
     return _alexander_from_positions(_pd_orientation(pd))
 
 
+def _accumulate(r: dict[int, int], src: dict[int, int], shift: int, sgn: int) -> None:
+    """r += sgn * t**shift * src on {exponent: coefficient} maps, keeping no zero."""
+    for e, c in src.items():
+        e += shift
+        v = r.get(e, 0) + sgn * c
+        if v:
+            r[e] = v
+        else:
+            del r[e]
+
+
+def _cross_label(under: list[dict], over: list[dict], step: int) -> list[dict]:
+    """over + t**step * (under - over), generator by generator.
+
+    Maps are never mutated once in a label, so a generator on which both
+    labels hold the same map keeps that map.
+    """
+    out = []
+    for u, o in zip(under, over):
+        if u is not o:
+            o2 = dict(o)
+            _accumulate(o2, u, step, 1)
+            _accumulate(o2, o, step, -1)
+            o = o2
+        out.append(o)
+    return out
+
+
+def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentPolynomial:
+    """Alexander polynomial from a sweep across x = a*cos(f*t + phi): a (f-1)-row minor.
+
+    Write x = |a| cos(theta) with theta = f*t + phi (plus pi when a < 0).
+    The 2f critical times theta = k*pi cut the curve into 2f strands on
+    which x is monotone: strand s holds theta in [s*pi, (s+1)*pi] mod 2f*pi,
+    x falls on even s, minimum m joins strands 2m and 2m + 1 and maximum m
+    joins 2m - 1 and 2m.  That is an f-bridge presentation: one generator
+    per minimum, labels in Z[t, 1/t]^f, and both strands of minimum m start
+    at e_m.  Each strand's crossings, ordered by time and oriented towards
+    rising x, form a chain; crossings are taken in Kahn order over the
+    chains, never sorted by float x, and a cycle raises SingularDiagram.
+    At a crossing the under-strand's label right of it, from its label L
+    left of it and the over-strand's label O, is t*L + (1 - t)*O when the
+    sign is +1 and x rises along the under-strand, or the sign is -1 and x
+    falls; otherwise it is t^-1*(L - (1 - t)*O).  Both solve identify's
+    abelianized Wirtinger relation for that arc.  Maximum m gives the row
+    label(2m - 1) - label(2m); row 0 and column 0 are dropped.
+
+    A passage within EPS_DEDUPE of a critical time raises SingularDiagram:
+    it could lie on either strand, and EPS_DEDUPE is the distance at which
+    the set already calls two passage times the same.  The analytic set of
+    cos(p t) never trips it.  With u = pi/(2pq) each passage time is t_u*u
+    for an integer t_u, and the critical times are the multiples of
+    pi/p = 2q*u.  Type I times (2pj - 1 -/+ 2qk)*u are odd in u.  A type II
+    time 2(qj -/+ pk)*u is a multiple of 2q*u only if q | pk, which
+    gcd(p, q) = 1 and 0 < k < q exclude.  So every passage is at least u
+    from a critical time, and u > EPS_DEDUPE while pq < 1,500,000.
+    Any x but one cosine term raises WrongKnotShape.
+    """
+    terms = knot.x.terms
+    if len(terms) != 1 or terms[0].frequency == 0 or terms[0].amplitude == 0.0:
+        raise WrongKnotShape(f"the x-sweep needs x to be one non-constant cosine term, got {len(terms)} term(s)")
+    f, a, phi = terms[0].frequency, terms[0].amplitude, terms[0].phase
+    offset = phi / math.pi + (a < 0)
+    chains: list[list[tuple[float, int, bool]]] = [[] for _ in range(2 * f)]
+    for t, idx, is_over, _ in _sorted_passages(crossings):
+        w = (f * t / math.pi + offset) % (2 * f)
+        if min(w - math.floor(w), math.ceil(w) - w) * math.pi / f <= EPS_DEDUPE:
+            raise SingularDiagram(
+                f"passage of crossing {idx} at t = {t:.9f} lies within {EPS_DEDUPE:g} of a critical time of x"
+            )
+        chains[int(w)].append((w, idx, is_over))
+    n = len(crossings)
+    strand = [[0, 0] for _ in range(n)]  # [under strand, over strand] per crossing
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for s, chain in enumerate(chains):
+        chain.sort(reverse=s % 2 == 0)  # towards rising x
+        for _, idx, is_over in chain:
+            strand[idx][is_over] = s
+        for (_, i, _), (_, j, _) in zip(chain, chain[1:]):
+            succ[i].append(j)
+            indeg[j] += 1
+
+    labels = [[{0: 1} if g == s // 2 else {} for g in range(f)] for s in range(2 * f)]
+    ready = [i for i in range(n) if indeg[i] == 0]
+    done = 0
+    while ready:
+        i = ready.pop()
+        done += 1
+        under, over = strand[i]
+        step = 1 if (crossings.crossings[i].sign > 0) == (under % 2 == 1) else -1
+        labels[under] = _cross_label(labels[under], labels[over], step)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    if done != n:
+        raise SingularDiagram(f"the strands' crossing order has a cycle through {n - done} crossing(s)")
+
+    minor = []
+    for m in range(1, f):
+        row = {}
+        for g in range(1, f):
+            diff = dict(labels[2 * m - 1][g])
+            _accumulate(diff, labels[2 * m][g], 0, -1)
+            if diff:
+                row[g - 1] = LaurentPolynomial(diff)
+        minor.append(row)
+    det = det_poly_matrix(minor)
+    if det.is_zero:
+        raise SingularDiagram("bridge-relation determinant vanishes")
+    return det.normalized()
+
+
 def torus_alexander_oracle(params: TorusParams) -> LaurentPolynomial:
     """Closed form (t^{pq}-1)(t-1)/((t^p-1)(t^q-1)) by exact division."""
     p, q = params.p, params.q
@@ -255,8 +376,14 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
     left-handedness of same-direction crossings and the over-direction law of
     opposite-direction crossings are enforced; the Alexander polynomial must
     match the closed form in all cases.  The polynomial is built straight
-    from the set's passage positions, without a PD code.  Raises
-    IdentificationFailure naming the first violated condition.
+    from the set's crossings, without a PD code: by the x-sweep's (p-1)-row
+    bridge minor when x is one cosine term (see _alexander_from_sweep), else
+    by the (n-1)-row crossing-relation minor of the passage positions.
+    Either way it reads the curve's crossings, not a braid word.  Raises
+    IdentificationFailure naming the first violated condition; the sweep
+    raises SingularDiagram for a passage at a critical time of x, and both
+    routes IncompleteCrossingSet for coincident passages or a set that
+    dropped a singular candidate.
     """
     p, q = params.p, params.q
     indexed = crossings.fully_indexed()
@@ -282,7 +409,10 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
                     "type2-over-direction",
                     f"over-strand at t = {c.t_over:.6f} is not moving rightward",
                 )
-    alex = _alexander_from_positions(_passage_positions(crossings))
+    if len(knot.x) == 1:
+        alex = _alexander_from_sweep(knot, crossings)
+    else:  # the three-term winding form: no exact critical times yet
+        alex = _alexander_from_positions(_passage_positions(crossings))
     oracle = torus_alexander_oracle(params)
     if alex != oracle:
         raise IdentificationFailure(

@@ -534,11 +534,16 @@ def _sparse_unit_reduce(rows: list[dict[int, dict[int, int]]]):
 # Remainders up to this many rows go to the Bareiss engine, larger ones to
 # the modular engine.  Bareiss's integers, and with them the cost of each
 # exact division, grow with the remainder, while the modular engine pays a
-# fixed numpy cost per pivot.  On identify's remainders Bareiss wins every
-# case up to 10 rows (T(11,18): 9.9 ms against 13.7 ms), the two trade places
-# at 11 and 12 rows, and the modular engine wins every case from 13 rows on
-# (T(11,24), 17 rows: 62 ms against 242 ms; T(13,29), 35 rows: 0.74 s).
-BAREISS_MAX_SIZE = 12
+# fixed numpy cost per pivot.  Medians of 21 interleaved runs, Bareiss against
+# modular: on the x-sweep's dense minors the modular engine wins every case
+# from 11 rows (T(12,29): 68 against 47 ms; T(13,29), 12 rows: 102 against
+# 54 ms), while on the crossing-relation remainders Bareiss wins or ties all
+# six of 11 rows (T(10,19): 8.7 against 20.0 ms) and the two split at 12
+# (T(13,15) 20.4 against 25.2 ms, T(12,17) 33.9 against 26.6 ms).  So 11 rows
+# stay with Bareiss, and 12 go to the modular engine, which is ahead on the
+# sum of both kinds.  At 13 rows it wins 7 of 8 cases of both kinds, and
+# beyond the gap grows (T(11,24)'s 17-row remainder: 62 against 242 ms).
+BAREISS_MAX_SIZE = 11
 
 
 def det_poly_matrix(

@@ -122,7 +122,7 @@ def test_verify_output_pinned(capsys):
     )
 
 
-@pytest.mark.parametrize("pmax,qmax", [(13, 30), (14, 29), (2, 400), (50, 40)])
+@pytest.mark.parametrize("pmax,qmax", [(15, 30), (16, 29), (2, 400), (50, 40)])
 def test_verify_rejects_oversized_range(capsys, monkeypatch, pmax, qmax):
     import fourierknot.cli as cli_mod
 
@@ -133,7 +133,7 @@ def test_verify_rejects_oversized_range(capsys, monkeypatch, pmax, qmax):
     code, out, err = run_cli(capsys, "verify", "--pmax", str(pmax), "--qmax", str(qmax))
     assert code == 2
     assert out == ""
-    assert "712" in err
+    assert "826" in err
 
 
 def test_verify_accepts_the_budget_corner(capsys, monkeypatch):
@@ -146,9 +146,15 @@ def test_verify_accepts_the_budget_corner(capsys, monkeypatch):
         return dict.fromkeys(["counts", "type1-hand", "type2-dir", "alexander", "phase"], "pass"), True
 
     monkeypatch.setattr(cli_mod, "_verify_pair", passing)
-    code, out, _ = run_cli(capsys, "verify", "--pmax", "13", "--qmax", "29")
+    code, out, _ = run_cli(capsys, "verify", "--pmax", "15", "--qmax", "29")
     assert code == 0
-    assert max(seen, key=lambda pq: 2 * pq[0] * pq[1] - pq[0] - pq[1]) == (13, 29)
+    assert max(seen, key=lambda pq: 2 * pq[0] * pq[1] - pq[0] - pq[1]) == (15, 29)
+
+
+def test_verify_empty_range_is_an_error(capsys):
+    # refused through main's one error path, with its prefix
+    code, out, err = run_cli(capsys, "verify", "--pmax", "2", "--qmax", "2")
+    assert (code, out, err) == (2, "", "error: no coprime pairs in range\n")
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -17,6 +18,7 @@ from fourierknot import (
     PDCode,
     SingularDiagram,
     TorusParams,
+    WrongKnotShape,
     alexander_from_diagram,
     analytic_crossing_set,
     build_gauss_code,
@@ -36,7 +38,9 @@ from fourierknot.crossings import TYPE_I, TYPE_II, near_pairs
 L = LaurentPolynomial
 
 
+@functools.lru_cache(maxsize=None)
 def theorem_set(p, q, simplified=False):
+    # shared by the tests that walk PINNED_PAIRS; nothing mutates a set
     params = TorusParams(p, q)
     knot = gen_theorem_knot(params, simplified=simplified)
     return params, knot, analytic_crossing_set(knot, params)
@@ -280,6 +284,8 @@ def test_incomplete_passages_detected():
     broken = CrossingSet(knot, tuple(bad), "analytic")
     with pytest.raises(IncompleteCrossingSet):
         build_gauss_code(knot, broken)
+    with pytest.raises(IncompleteCrossingSet, match="coincide"):
+        identify(knot, broken, params)
 
 
 # -- Wirtinger rows ----------------------------------------------------------------
@@ -303,18 +309,88 @@ def captured_minor(monkeypatch, fn, *args):
     return seen[0]
 
 
-def test_identify_rows_pinned(monkeypatch):
-    # the minors identify builds from passage positions, entry for entry and in
-    # dict order, are the ones alexander_from_diagram builds from the PD code
+def test_pd_rows_pinned(monkeypatch):
+    # the (n-1)-row crossing-relation minors alexander_from_diagram builds
+    # from the PD code, entry for entry and in dict order
     digest = hashlib.sha256()
     for p, q in PINNED_PAIRS:
         params, knot, cs = theorem_set(p, q)
-        rows = captured_minor(monkeypatch, identify, knot, cs, params)
-        assert captured_minor(monkeypatch, alexander_from_diagram, build_pd_code(cs)) == rows
+        rows = captured_minor(monkeypatch, alexander_from_diagram, build_pd_code(cs))
         digest.update(f"{p} {q} {rows!r}\n".encode())
     assert digest.hexdigest() == (
         "5da002cba82176582a518076789cb517f8a6c3a112de7142b854b5d9e8dca9c5"
     )
+
+
+def test_sweep_rows_pinned(monkeypatch):
+    # the (p-1)-row bridge minors identify builds from the x-sweep
+    digest = hashlib.sha256()
+    for p, q in PINNED_PAIRS:
+        params, knot, cs = theorem_set(p, q)
+        rows = captured_minor(monkeypatch, identify, knot, cs, params)
+        assert len(rows) == p - 1
+        digest.update(f"{p} {q} {rows!r}\n".encode())
+    assert digest.hexdigest() == (
+        "141e2a216e89153effa602795f3c65d2b57e02e61966a7dda4e44c56d0f7447a"
+    )
+
+
+# -- the x-sweep ---------------------------------------------------------------
+
+
+def test_sweep_matches_pd_route_on_pinned_pairs():
+    for p, q in PINNED_PAIRS:
+        params, knot, cs = theorem_set(p, q)
+        assert diagram._alexander_from_sweep(knot, cs) == alexander_from_diagram(build_pd_code(cs)), (p, q)
+
+
+def test_sweep_matches_oracle_beyond_pinned_pairs():
+    # the coprime pairs with q < 30 and p <= 13 that PINNED_PAIRS leaves out
+    # (50 pairs, 330 to 712 crossings); all 241 pairs with q < 30 agree too
+    rest = [(p, q) for q in range(3, 30) for p in range(2, min(q, 14))
+            if math.gcd(p, q) == 1 and (p, q) not in PINNED_PAIRS]
+    assert len(rest) == 50
+    for p, q in rest:
+        params, knot, cs = theorem_set(p, q)
+        assert diagram._alexander_from_sweep(knot, cs) == torus_alexander_oracle(params), (p, q)
+
+
+@pytest.mark.parametrize("p, q, grid", [(3, 7, 2048), (7, 13, 4096), (5, 12, 4096)])
+def test_sweep_on_numeric_sets(p, q, grid):
+    params = TorusParams(p, q)
+    knot = gen_theorem_knot(params)
+    cs = find_crossings_numeric(knot, grid)
+    assert len(cs) == 2 * p * q - p - q
+    alex = diagram._alexander_from_sweep(knot, cs)
+    assert alex == alexander_from_diagram(build_pd_code(cs)) == torus_alexander_oracle(params)
+    assert identify(knot, cs, params).alexander == alex
+
+
+def test_sweep_refuses_passage_at_critical_time():
+    # the type I crossing whose earlier time is nearest a critical time k*pi/3
+    # of x = cos(3t), moved to within 5e-7 of it, could lie on either strand
+    from dataclasses import replace
+    from fourierknot import CrossingSet
+
+    params, knot, cs = theorem_set(3, 7)
+    critical = [k * math.pi / 3 for k in range(1, 6)]
+    i = min((i for i, c in enumerate(cs.crossings) if c.indices.kind == TYPE_I),
+            key=lambda i: min(abs(cs.crossings[i].t1 - t) for t in critical))
+    t = min(critical, key=lambda t: abs(cs.crossings[i].t1 - t))
+    moved = list(cs.crossings)
+    moved[i] = replace(moved[i], t1=t + 5e-7)
+    moved.sort(key=lambda c: (c.t1, c.t2))
+    with pytest.raises(SingularDiagram, match="critical time"):
+        diagram._alexander_from_sweep(knot, CrossingSet(knot, tuple(moved), "analytic"))
+
+
+def test_sweep_needs_one_cosine_term_in_x():
+    params, knot, cs = theorem_set(2, 3)
+    two_terms = FourierKnot(FourierSeries(knot.x.terms + (FourierTerm(0.1, 5),)), knot.y, knot.z)
+    constant = FourierKnot(FourierSeries((FourierTerm(1.0, 0),)), knot.y, knot.z)
+    for bad in (two_terms, constant):
+        with pytest.raises(WrongKnotShape):
+            diagram._alexander_from_sweep(bad, cs)
 
 
 def random_pd_codes(rng, count):
