@@ -12,7 +12,9 @@ torus closed form.  When x is one cosine term, as in every knot the theorem
 generator makes, identify takes the polynomial from a sweep across x
 instead: the curve's own crossings, read along the 2p strands between the
 critical times of x = cos(p t), give a p-bridge presentation whose
-(p-1)-row minor has the same determinant.
+(p-1)-row minor has the same determinant.  The sweep carries its labels in
+one integer array and updates a whole level of Kahn's order at once; the
+array turns into Python ints before a coefficient could overflow int64.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .crossings import EPS_DEDUPE, TYPE_I, TYPE_II, CrossingSet
 from .errors import (
@@ -244,32 +248,23 @@ def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
     return _alexander_from_positions(_pd_orientation(pd))
 
 
-def _accumulate(r: dict[int, int], src: dict[int, int], shift: int, sgn: int) -> None:
-    """r += sgn * t**shift * src on {exponent: coefficient} maps, keeping no zero."""
-    for e, c in src.items():
-        e += shift
-        v = r.get(e, 0) + sgn * c
-        if v:
-            r[e] = v
-        else:
-            del r[e]
+# labels stay int64 while three times their coefficient bound is at most this
+_INT64_LIMIT = 1 << 62
 
 
-def _cross_label(under: list[dict], over: list[dict], step: int) -> list[dict]:
-    """over + t**step * (under - over), generator by generator.
+def _exact(labels: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """The labels and a bound on their largest |coefficient|, safe for one more level.
 
-    Maps are never mutated once in a label, so a generator on which both
-    labels hold the same map keeps that map.
+    A level at most triples the largest |coefficient|.  When three times
+    the bound could pass _INT64_LIMIT the bound becomes the true largest
+    |coefficient|, and if that is still too large the labels become Python
+    ints (dtype object), which never wrap.
     """
-    out = []
-    for u, o in zip(under, over):
-        if u is not o:
-            o2 = dict(o)
-            _accumulate(o2, u, step, 1)
-            _accumulate(o2, o, step, -1)
-            o = o2
-        out.append(o)
-    return out
+    if labels.dtype != object and 3 * bound > _INT64_LIMIT:
+        bound = int(np.abs(labels).max())
+        if 3 * bound > _INT64_LIMIT:
+            labels = labels.astype(object)
+    return labels, bound
 
 
 def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentPolynomial:
@@ -288,8 +283,23 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     left of it and the over-strand's label O, is t*L + (1 - t)*O when the
     sign is +1 and x rises along the under-strand, or the sign is -1 and x
     falls; otherwise it is t^-1*(L - (1 - t)*O).  Both solve identify's
-    abelianized Wirtinger relation for that arc.  Maximum m gives the row
-    label(2m - 1) - label(2m); row 0 and column 0 are dropped.
+    abelianized Wirtinger relation for that arc, and both read
+    O + t^{+-1}*(L - O).  Maximum m gives the row label(2m - 1) - label(2m);
+    row 0 and column 0 are dropped.  With no crossing the minor is
+    unimodular and the polynomial is 1.
+
+    Kahn's order is taken a level at a time: level l holds the crossings
+    whose chain predecessors all lie in levels before it.  Two crossings
+    on one strand are ordered in its chain, so a level touches each strand
+    at most once and its updates are independent.  All labels live in one
+    array of shape (2f, (2D + 1)*f) for D levels: column e*f + g of strand
+    s holds the coefficient of t^(e - D) in generator g, and t^{+-1} is a
+    shift by f columns.  After level l every exponent lies in [-l, l], so
+    the labels a level reads lie in (-D, D) and the shift never pushes a
+    term out of the array.  Exactness: a level at most triples the largest
+    |coefficient|; the labels stay int64 while that bound allows and
+    otherwise turn into Python ints in place (see _exact), so nothing wraps
+    and nothing is refused.
 
     A passage within EPS_DEDUPE of a critical time raises SingularDiagram:
     it could lie on either strand, and EPS_DEDUPE is the distance at which
@@ -307,51 +317,90 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
         raise WrongKnotShape(f"the x-sweep needs x to be one non-constant cosine term, got {len(terms)} term(s)")
     f, a, phi = terms[0].frequency, terms[0].amplitude, terms[0].phase
     offset = phi / math.pi + (a < 0)
-    chains: list[list[tuple[float, int, bool]]] = [[] for _ in range(2 * f)]
-    for t, idx, is_over, _ in _sorted_passages(crossings):
-        w = (f * t / math.pi + offset) % (2 * f)
-        if min(w - math.floor(w), math.ceil(w) - w) * math.pi / f <= EPS_DEDUPE:
-            raise SingularDiagram(
-                f"passage of crossing {idx} at t = {t:.9f} lies within {EPS_DEDUPE:g} of a critical time of x"
-            )
-        chains[int(w)].append((w, idx, is_over))
+    events = _sorted_passages(crossings)
     n = len(crossings)
-    strand = [[0, 0] for _ in range(n)]  # [under strand, over strand] per crossing
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for s, chain in enumerate(chains):
-        chain.sort(reverse=s % 2 == 0)  # towards rising x
-        for _, idx, is_over in chain:
-            strand[idx][is_over] = s
-        for (_, i, _), (_, j, _) in zip(chain, chain[1:]):
-            succ[i].append(j)
-            indeg[j] += 1
+    if not n:
+        return LaurentPolynomial.one()
+    t, cid, is_over, _ = zip(*events)
+    t = np.array(t, dtype=np.float64)
+    cid = np.array(cid, dtype=np.intp)
+    is_over = np.array(is_over, dtype=np.intp)
+    w = (f * t / math.pi + offset) % (2 * f)
+    near = np.flatnonzero(np.minimum(w - np.floor(w), np.ceil(w) - w) * math.pi / f <= EPS_DEDUPE)
+    if near.size:
+        k = near[0]
+        raise SingularDiagram(
+            f"passage of crossing {cid[k]} at t = {t[k]:.9f} lies within {EPS_DEDUPE:g} of a critical time of x"
+        )
+    s = w.astype(np.intp)
+    strand = np.empty((n, 2), dtype=np.intp)  # [under strand, over strand] per crossing
+    strand[cid, is_over] = s
+    sign = np.array([c.sign for c in crossings.crossings], dtype=np.intp)
+    rising = (sign > 0) == (strand[:, 0] % 2 == 1)  # the new label is O + t*(L - O)
+    # each strand's passages towards rising x (theta falls on even strands)
+    chain = np.lexsort((np.where(s % 2 == 0, -w, w), s))
+    link = s[chain[1:]] == s[chain[:-1]]
+    head, tail = chain[:-1][link], chain[1:][link]
+    succ = np.full((n, 2), n, dtype=np.intp)  # [next on under strand, next on over strand]; n: none
+    succ[cid[head], is_over[head]] = cid[tail]
+    indeg = np.bincount(cid[tail], minlength=n + 1)
+    indeg[n] = -1  # the stand-in successor n never becomes ready
 
-    labels = [[{0: 1} if g == s // 2 else {} for g in range(f)] for s in range(2 * f)]
-    ready = [i for i in range(n) if indeg[i] == 0]
+    # Kahn's order a level at a time: per level the crossings' over strands,
+    # then their under strands, the rising ones first in both
+    succ, indeg, rising = succ.tolist(), indeg.tolist(), rising.tolist()
+    under, over = strand.T.tolist()
+    strands: list[int] = []
+    sizes: list[tuple[int, int]] = []  # (crossings, rising crossings) per level
+    ready = [i for i in range(n) if not indeg[i]]
     done = 0
     while ready:
-        i = ready.pop()
-        done += 1
-        under, over = strand[i]
-        step = 1 if (crossings.crossings[i].sign > 0) == (under % 2 == 1) else -1
-        labels[under] = _cross_label(labels[under], labels[over], step)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                ready.append(j)
+        up = [i for i in ready if rising[i]]
+        level = up + [i for i in ready if not rising[i]]
+        strands += [over[i] for i in level] + [under[i] for i in level]
+        sizes.append((len(level), len(up)))
+        done += len(level)
+        ready = []
+        for i in level:
+            for j in succ[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    ready.append(j)
     if done != n:
         raise SingularDiagram(f"the strands' crossing order has a cycle through {n - done} crossing(s)")
 
-    minor = []
-    for m in range(1, f):
-        row = {}
-        for g in range(1, f):
-            diff = dict(labels[2 * m - 1][g])
-            _accumulate(diff, labels[2 * m][g], 0, -1)
-            if diff:
-                row[g - 1] = LaurentPolynomial(diff)
-        minor.append(row)
+    depth = len(sizes)
+    labels = np.zeros((2 * f, (2 * depth + 1) * f), dtype=np.int64)
+    first = np.arange(2 * f, dtype=np.intp)
+    labels[first, depth * f + first // 2] = 1
+    gather = np.array(strands, dtype=np.intp)
+    bound = 1
+    lo = 0
+    for k, up in sizes:
+        labels, bound = _exact(labels, bound)
+        o = labels.take(gather[lo:lo + 2 * k], axis=0)
+        d = o[k:]
+        o = o[:k]
+        d -= o
+        if up:
+            o[:up, f:] += d[:up, :-f]
+        if up < k:
+            o[up:, :-f] += d[up:, f:]
+        labels[gather[lo + k:lo + 2 * k]] = o
+        bound *= 3
+        lo += 2 * k
+
+    labels, bound = _exact(labels, bound)  # the rows' difference is one more such step
+    diff = (labels[1:-1:2] - labels[2::2]).reshape(f - 1, 2 * depth + 1, f)[:, :, 1:].transpose(0, 2, 1)
+    row, col, exp = np.nonzero(diff)
+    coeff = diff[row, col, exp].tolist()
+    exp = (exp - depth).tolist()
+    opens = np.ones(len(coeff), dtype=bool)  # where a (row, column) entry's terms begin
+    opens[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+    start = np.flatnonzero(opens).tolist()
+    minor: list[dict[int, LaurentPolynomial]] = [{} for _ in range(f - 1)]
+    for r, c, i, j in zip(row[start].tolist(), col[start].tolist(), start, start[1:] + [len(coeff)]):
+        minor[r][c] = LaurentPolynomial._adopt(dict(zip(exp[i:j], coeff[i:j])))
     det = det_poly_matrix(minor)
     if det.is_zero:
         raise SingularDiagram("bridge-relation determinant vanishes")
@@ -403,12 +452,16 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
             raise IdentificationFailure(
                 "type1-handedness", f"{len(bad)} same-direction crossings are not left-handed"
             )
-        for c in type2:
-            if knot.x.eval_derivative(c.t_over) <= 0.0:
-                raise IdentificationFailure(
-                    "type2-over-direction",
-                    f"over-strand at t = {c.t_over:.6f} is not moving rightward",
-                )
+        # for x = cos(p t) the analytic passages lie at least pi/(2pq) from a
+        # critical time, so |x'| >= p*sin(pi/(2q)) there: the sign test has room
+        over_times = np.array([c.t_over for c in type2], dtype=np.float64)
+        wrong = np.flatnonzero(knot.x.eval_derivative(over_times) <= 0.0)
+        if wrong.size:
+            c = type2[wrong[0]]
+            raise IdentificationFailure(
+                "type2-over-direction",
+                f"over-strand at t = {c.t_over:.6f} is not moving rightward",
+            )
     if len(knot.x) == 1:
         alex = _alexander_from_sweep(knot, crossings)
     else:  # the three-term winding form: no exact critical times yet

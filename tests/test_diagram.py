@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fourierknot import (
@@ -16,6 +17,8 @@ from fourierknot import (
     LaurentPolynomial,
     NotAKnot,
     PDCode,
+    PhasePoint,
+    SingularCrossing,
     SingularDiagram,
     TorusParams,
     WrongKnotShape,
@@ -23,6 +26,7 @@ from fourierknot import (
     analytic_crossing_set,
     build_gauss_code,
     build_pd_code,
+    det_poly_matrix,
     find_crossings_numeric,
     gen_standard_knot,
     gen_theorem_knot,
@@ -222,6 +226,20 @@ def test_identify_mirror_fails_on_handedness():
     assert err.value.condition == "type1-handedness"
 
 
+def test_identify_names_first_over_direction_failure():
+    # x = cos(3t - pi/2) keeps the crossing times but turns half the
+    # over-strands of T(3, 7) leftward, the fourth one first; identify names
+    # the first in the set's order
+    params, knot, cs = theorem_set(3, 7)
+    turned = FourierKnot(FourierSeries((FourierTerm(1.0, 3, -math.pi / 2),)), knot.y, knot.z)
+    type2 = cs.of_kind(TYPE_II)
+    wrong = [c for c in type2 if turned.x.eval_derivative(c.t_over) <= 0.0]
+    assert wrong and wrong[0] is not type2[0]
+    with pytest.raises(IdentificationFailure, match=f"over-strand at t = {wrong[0].t_over:.6f} is not") as err:
+        identify(turned, cs, params)
+    assert err.value.condition == "type2-over-direction"
+
+
 def test_identify_standard_knot_numeric():
     params = TorusParams(2, 3)
     knot = gen_standard_knot(params)
@@ -322,6 +340,9 @@ def test_pd_rows_pinned(monkeypatch):
     )
 
 
+SWEEP_ROWS_DIGEST = "141e2a216e89153effa602795f3c65d2b57e02e61966a7dda4e44c56d0f7447a"
+
+
 def test_sweep_rows_pinned(monkeypatch):
     # the (p-1)-row bridge minors identify builds from the x-sweep
     digest = hashlib.sha256()
@@ -330,9 +351,7 @@ def test_sweep_rows_pinned(monkeypatch):
         rows = captured_minor(monkeypatch, identify, knot, cs, params)
         assert len(rows) == p - 1
         digest.update(f"{p} {q} {rows!r}\n".encode())
-    assert digest.hexdigest() == (
-        "141e2a216e89153effa602795f3c65d2b57e02e61966a7dda4e44c56d0f7447a"
-    )
+    assert digest.hexdigest() == SWEEP_ROWS_DIGEST
 
 
 # -- the x-sweep ---------------------------------------------------------------
@@ -391,6 +410,75 @@ def test_sweep_needs_one_cosine_term_in_x():
     for bad in (two_terms, constant):
         with pytest.raises(WrongKnotShape):
             diagram._alexander_from_sweep(bad, cs)
+
+
+def test_sweep_refuses_a_cycle():
+    # x = cos t: strand 0 (t in [0, pi], x falls) meets crossing B before A
+    # towards rising x, strand 1 (t in [pi, 2*pi]) meets A before B
+    from fourierknot import CrossingSet
+    from fourierknot.crossings import Crossing
+
+    knot = one_crossing_knot()
+    a = Crossing(0.5, 4.0, -1, "t1", (0.0, 0.0))
+    b = Crossing(1.0, 5.0, -1, "t1", (0.0, 0.0))
+    with pytest.raises(SingularDiagram, match="cycle through 2 crossing"):
+        diagram._alexander_from_sweep(knot, CrossingSet(knot, (a, b), "analytic"))
+
+
+def test_sweep_without_crossings_is_one():
+    # no crossing leaves every label at its minimum's generator: a unimodular minor
+    from fourierknot import CrossingSet
+
+    params, knot, cs = theorem_set(3, 7)
+    assert diagram._alexander_from_sweep(knot, CrossingSet(knot, (), "analytic")) == L.one()
+
+
+def test_sweep_switches_to_python_ints(monkeypatch):
+    # with the int64 limit at 5 the bound is recomputed while every
+    # coefficient is 1 and the labels turn into Python ints once one is 2;
+    # every captured minor and polynomial stays as it was
+    monkeypatch.setattr(diagram, "_INT64_LIMIT", 5)
+    exact = diagram._exact
+    dtypes = set()
+
+    def spy(labels, bound):
+        out = exact(labels, bound)
+        if labels.dtype != object and 3 * bound > 5:
+            dtypes.add(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(diagram, "_exact", spy)
+    digest = hashlib.sha256()
+    for p, q in PINNED_PAIRS:
+        params, knot, cs = theorem_set(p, q)
+        rows = captured_minor(monkeypatch, diagram._alexander_from_sweep, knot, cs)
+        digest.update(f"{p} {q} {rows!r}\n".encode())
+    assert digest.hexdigest() == SWEEP_ROWS_DIGEST
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    # equal minors give equal polynomials; a sample runs the whole route
+    monkeypatch.setattr(diagram, "det_poly_matrix", det_poly_matrix)
+    for p, q in PINNED_PAIRS[::8]:
+        params, knot, cs = theorem_set(p, q)
+        assert diagram._alexander_from_sweep(knot, cs) == torus_alexander_oracle(params), (p, q)
+
+
+def test_sweep_matches_pd_route_at_random_phases():
+    # no oracle: knots at random phase points have diagrams that are not the
+    # torus knot's, and the sweep must agree with the PD route on each
+    pairs = [(p, q) for q in range(3, 9) for p in range(2, q) if math.gcd(p, q) == 1]
+    rng = random.Random(17)
+    polys = set()
+    for _ in range(60):
+        params = TorusParams(*rng.choice(pairs))
+        knot = knot_with_phases(params, PhasePoint(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
+        try:
+            cs = analytic_crossing_set(knot, params)
+        except SingularCrossing:
+            continue
+        alex = diagram._alexander_from_sweep(knot, cs)
+        assert alex == alexander_from_diagram(build_pd_code(cs)), (params, knot)
+        polys.add(alex.pairs())
+    assert len(polys) >= 10
 
 
 def random_pd_codes(rng, count):
