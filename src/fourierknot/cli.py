@@ -9,6 +9,7 @@ the level name in the KNOT_LOG env var, WARNING for any other value.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -50,14 +51,14 @@ EXIT_BAD_ARGS = 2
 EXIT_ORACLE_DISAGREE = 3
 
 # verify's budget on the corner pair's 2pq - p - q, set from whole-range wall
-# times.  The slowest range a budget admits is the p = 2 line, which holds
-# the most pairs near the budget (T(2,275), 823 crossings, 0.23 s a pair;
-# T(13,29), 712, 0.15 s; T(20,21), 799, 0.35 s).  At 826 crossings, the
-# count of T(15,29), `--pmax 2 --qmax 276` takes 10.8-11.9 s at 39 MB max
-# RSS, against 12.8-13.7 s at 44 MB for the slowest range the Wirtinger-minor
-# identify admitted under its budget of 712 (`--pmax 16 --qmax 23`).  Summed
-# pair times put the break-even near 870 crossings.
-MAX_VERIFY_CROSSINGS = 826
+# times: the slowest range a budget admits should take no longer than the
+# slowest one the Wirtinger-minor identify admitted under its budget of 712,
+# `--pmax 16 --qmax 23` (11.6-13.2 s at 44 MB max RSS in the same runs).  At
+# 1054 crossings, the count of T(19,29), the slowest admitted range is
+# `--pmax 19 --qmax 29` (211 pairs, 9.6-11.4 s at 44 MB), whose minors past
+# 11 rows go to the modular engine; the p = 2 line, `--pmax 2 --qmax 352`
+# (175 pairs), takes 7.6-8.9 s at 42 MB.
+MAX_VERIFY_CROSSINGS = 1054
 
 # crossings' and render's budget on 2pq - p - q: at the cap `crossings` peaks near
 # 123 MB max RSS (2 s), and `render`, which samples the curve 128q times, 286 MB
@@ -229,7 +230,7 @@ def cmd_verify(args) -> int:
     if p >= 2 and crossing_count(p, q) > MAX_VERIFY_CROSSINGS:
         raise ValueError(
             f"verify range too large: T({p},{q}) would have {crossing_count(p, q)} crossings, "
-            f"above the budget of {MAX_VERIFY_CROSSINGS} (T(15,29))"
+            f"above the budget of {MAX_VERIFY_CROSSINGS} (T(19,29))"
         )
     pairs = [
         (p, q)
@@ -283,7 +284,9 @@ def cmd_phase_map(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main dispatches on args.command."""
     parser = argparse.ArgumentParser(
         prog="fourierknot",
         description="Torus knots as cosine-series curves: generation, crossings, invariants, phase maps.",
@@ -306,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--major", type=float, default=2.0, help="winding form: major radius R (default 2)")
     g.add_argument("--minor", type=float, default=1.0, help="winding form: tube radius r (default 1)")
     g.add_argument("--format", choices=["json", "text"], default="json")
-    g.set_defaults(func=cmd_gen)
 
     budget = f"A knot with more than {MAX_CROSSINGS} crossings (2pq - p - q) is refused with exit 2."
     c = sub.add_parser("crossings", help="enumerate and classify projection crossings", description=budget)
@@ -322,30 +324,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--check", action="store_true", help="cross-check numeric against analytic (exit 3 on mismatch)")
     c.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    c.set_defaults(func=cmd_crossings)
 
     v = sub.add_parser(
         "verify",
         help="run the identification conditions over a (p, q) range",
         description="Run the identification conditions for every coprime 2 <= p < q, p <= pmax, "
         f"q <= qmax.  A range whose largest pair would have more than {MAX_VERIFY_CROSSINGS} "
-        "crossings (2pq - p - q, the count of T(15,29)) is refused with exit 2 before any work; "
-        "--pmax 15 --qmax 29 (178 pairs) takes about 8 s and the slowest admitted range, "
-        "--pmax 2 --qmax 276, about 12 s.",
+        "crossings (2pq - p - q, the count of T(19,29)) is refused with exit 2 before any work; "
+        "the slowest admitted range, --pmax 19 --qmax 29 (211 pairs), takes about 10 s and "
+        "--pmax 2 --qmax 352 about 8 s.",
     )
     v.add_argument("--pmax", type=int, required=True)
     v.add_argument(
         "--qmax", type=int, required=True,
         help=f"the corner pair (min(pmax, qmax - 1), qmax) may have at most {MAX_VERIFY_CROSSINGS} crossings",
     )
-    v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("render", help="SVG of the xy-projection with under-strand gaps", description=budget)
     add_pq(r)
     add_common(r)
     r.add_argument("--simplified", action="store_true")
     r.add_argument("--size", type=_positive_int, default=640, help="image side in pixels")
-    r.set_defaults(func=cmd_render)
 
     m = sub.add_parser("phase-map", help="phase-square map of sign-vector classes")
     add_pq(m)
@@ -365,17 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="mark the theorem and simplified phase points (on by default)",
     )
-    m.set_defaults(func=cmd_phase_map)
     return parser
 
 
 def main(argv=None) -> int:
     level = logging.getLevelName(os.environ.get("KNOT_LOG", "WARNING").upper())
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on every call, so a cmd_* rebound on the module is the one that runs
+    commands = {"gen": cmd_gen, "crossings": cmd_crossings, "verify": cmd_verify,
+                "render": cmd_render, "phase-map": cmd_phase_map}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (KnotError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS

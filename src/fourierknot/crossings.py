@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SingularCrossing, WrongKnotShape
-from .series import TWO_PI, FourierKnot, FourierSeries, TorusParams, fmt_float, reduce_angle
+from .series import TWO_PI, FourierKnot, FourierSeries, TorusParams, fmt_float, reduce_angle, theorem_xy
 
 log = logging.getLogger("fourierknot.crossings")
 
@@ -379,7 +379,15 @@ class CrossingSet:
 
 
 def analytic_crossing_set(knot: FourierKnot, params: TorusParams) -> CrossingSet:
-    """Enumerate both closed-form families and classify against the knot's z."""
+    """Enumerate both closed-form families and classify against the knot's z.
+
+    The families are the crossings of the theorem's x and y (theorem_xy), so
+    a knot with any other x or y raises WrongKnotShape; z is free.
+    """
+    if (knot.x, knot.y) != theorem_xy(params):
+        raise WrongKnotShape(
+            f"the closed-form crossings need x = cos({params.p} t) and y = cos({params.q} t + pi/{2 * params.p})"
+        )
     entries = _crossing_table(params).entries()
     crossings = [classify(knot, t1, t2, idx) for idx, t1, t2 in entries]
     crossings.sort(key=lambda c: (c.t1, c.t2))

@@ -3,24 +3,22 @@
 The diagram is read off the circle of parameter times: each crossing
 contributes two passages, and sorting all 2N passages gives every crossing
 one record, the positions of its under- and over-passage (and its sign).
-The Gauss code, the planar-diagram (PD) code and the crossing-relation
-(Wirtinger) matrix are all written from that record; a PD code is read back
-into it, and ``alexander_from_diagram`` takes the polynomial from its
-(n-1)-row minor.  Identification combines the crossing-family counts and
+The Gauss code and the planar-diagram (PD) code are written from that
+record; ``alexander_from_diagram`` reads a PD code back into it and takes
+the polynomial from the (n-1)-row minor of the crossing-relation
+(Wirtinger) matrix.  Identification combines the crossing-family counts and
 handedness laws with the Alexander polynomial, checked against the classical
-torus closed form.  When x is one cosine term, as in every knot the theorem
-generator makes, identify takes the polynomial from a sweep across x
-instead: the curve's own crossings, read along the 2p strands between the
-critical times of x = cos(p t), give a p-bridge presentation whose
-(p-1)-row minor has the same determinant.  The sweep carries its labels in
-one integer array and updates a whole level of Kahn's order at once; the
-array turns into Python ints before a coefficient could overflow int64.
+torus closed form.  identify takes the polynomial from a sweep across x
+instead: the passages, cut into strands wherever the direction of x turns,
+give a bridge presentation (p bridges for x = cos(p t)) whose minor, one
+row per maximum but the first, has the same determinant.  The sweep carries its labels in one
+integer array and updates a whole level of Kahn's order at once; the array
+turns into Python ints before a coefficient could overflow int64.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +29,6 @@ from .errors import (
     IncompleteCrossingSet,
     NotAKnot,
     SingularDiagram,
-    WrongKnotShape,
 )
 from .laurent import LaurentPolynomial, det_poly_matrix, exact_div
 from .series import FourierKnot, TorusParams
@@ -197,17 +194,21 @@ def _pd_orientation(pd: PDCode) -> list[tuple[int, int, int]]:
     return out
 
 
-def _alexander_from_positions(record: list[tuple[int, int, int]]) -> LaurentPolynomial:
-    """Alexander polynomial from (under position, over position, sign) per crossing.
+def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
+    """Alexander polynomial of a PD code from its crossing-relation matrix.
 
-    The 2N passages must take every position once, else the diagram is not
-    one closed strand.  Arcs break at under-passages: the arc leaving
-    position e is the count of under-passages at positions 1..e, mod N.
-    Each crossing gives one abelianized Wirtinger relation over Z[t, 1/t];
-    one row and one column are deleted, and the determinant is expanded
-    exactly and normalized.  The sparse {column: entry} rows share three
-    constants (1 - t, t and -1) unless two arcs of a relation coincide.
+    The passages read back from the labels must take every position once,
+    else the diagram is not one closed strand.  Arcs break at
+    under-passages: the arc leaving position e is the count of
+    under-passages at positions 1..e, mod N.  Each crossing gives one
+    abelianized Wirtinger relation over Z[t, 1/t]; one row and one column
+    are deleted, and the determinant is expanded exactly and normalized.
+    The sparse {column: entry} rows share three constants (1 - t, t and -1)
+    unless two arcs of a relation coincide.  Raises NotAKnot for
+    non-consecutive under edges or several strands, and SingularDiagram for
+    non-consecutive over edges or a zero determinant.
     """
+    record = _pd_orientation(pd)
     n = len(record)
     if n == 0:
         return LaurentPolynomial.one()
@@ -239,15 +240,6 @@ def _alexander_from_positions(record: list[tuple[int, int, int]]) -> LaurentPoly
     return det.normalized()
 
 
-def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
-    """Alexander polynomial of a PD code, by identify's crossing-relation matrix.
-
-    Raises NotAKnot for non-consecutive under edges or several strands, and
-    SingularDiagram for non-consecutive over edges or a zero determinant.
-    """
-    return _alexander_from_positions(_pd_orientation(pd))
-
-
 # labels stay int64 while three times their coefficient bound is at most this
 _INT64_LIMIT = 1 << 62
 
@@ -268,25 +260,42 @@ def _exact(labels: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
 
 
 def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentPolynomial:
-    """Alexander polynomial from a sweep across x = a*cos(f*t + phi): a (f-1)-row minor.
+    """Alexander polynomial from a sweep across x: a (f-1)-row bridge minor.
 
-    Write x = |a| cos(theta) with theta = f*t + phi (plus pi when a < 0).
-    The 2f critical times theta = k*pi cut the curve into 2f strands on
-    which x is monotone: strand s holds theta in [s*pi, (s+1)*pi] mod 2f*pi,
-    x falls on even s, minimum m joins strands 2m and 2m + 1 and maximum m
-    joins 2m - 1 and 2m.  That is an f-bridge presentation: one generator
-    per minimum, labels in Z[t, 1/t]^f, and both strands of minimum m start
-    at e_m.  Each strand's crossings, ordered by time and oriented towards
-    rising x, form a chain; crossings are taken in Kahn order over the
-    chains, never sorted by float x, and a cycle raises SingularDiagram.
-    At a crossing the under-strand's label right of it, from its label L
-    left of it and the over-strand's label O, is t*L + (1 - t)*O when the
-    sign is +1 and x rises along the under-strand, or the sign is -1 and x
-    falls; otherwise it is t^-1*(L - (1 - t)*O).  Both solve identify's
-    abelianized Wirtinger relation for that arc, and both read
-    O + t^{+-1}*(L - O).  Maximum m gives the row label(2m - 1) - label(2m);
-    row 0 and column 0 are dropped.  With no crossing the minor is
-    unimodular and the polynomial is 1.
+    The passages, in time order, are cut into strands on which x moves one
+    way; a passage rises when x' > 0.  Passage 0 lies on strand 0 if it
+    falls and on strand 1 if it rises; each later passage starts a new
+    strand when the direction turned (one more) or when x gained at most
+    delta = EPS_DEDUPE*sum|a_k|*f_k towards rising x since the previous
+    passage (a fold: two more, leaving an empty strand of the other
+    direction between).  So x falls on even strands, t = 0 is always a cut,
+    and the last passage's strand s gives 2f strands, f = s // 2 + 1; for
+    x = cos(p t) the cuts are the critical times k*pi/p.  Minimum m joins
+    strands 2m and 2m + 1, maximum m joins 2m - 1 and 2m (0 and 2f - 1
+    across t = 0): an f-bridge presentation with one generator per minimum,
+    labels in Z[t, 1/t]^f, and both strands of minimum m starting at e_m.
+    Each strand's crossings, ordered by time and oriented towards rising x,
+    form a chain; crossings are taken in Kahn order over the chains, never
+    sorted by float x, and a cycle raises SingularDiagram.  At a crossing
+    the under-strand's label right of it, from its label L left of it and
+    the over-strand's label O, is t*L + (1 - t)*O when the sign is +1 and x
+    rises along the under-strand, or the sign is -1 and x falls; otherwise
+    it is t^-1*(L - (1 - t)*O).  Both solve identify's abelianized
+    Wirtinger relation for that arc, and both read O + t^{+-1}*(L - O).
+    Maximum m gives the row label(2m - 1) - label(2m); row 0 and column 0
+    are dropped.  With no crossing the minor is unimodular and the
+    polynomial is 1.
+
+    Any cuts between passages give the polynomial: a cut adds one arc and
+    the relation equating its two sides, which a Tietze move takes away
+    again, so the determinant is the polynomial up to a unit whenever
+    Kahn's order exists.  On a genuine crossing set it does: x grows by
+    more than delta at each step of a chain, and a crossing's two passages
+    agree in x to far less than delta/2, so x at the crossings orders every
+    chain.  A passage with |x'| <= EPS_DEDUPE*sum|a_k|*f_k^2 raises
+    SingularDiagram: its direction is unsettled, and the bound covers every
+    passage within EPS_DEDUPE of a critical time (|x''| <= sum|a_k|*f_k^2),
+    the distance at which the set calls two passage times the same.
 
     Kahn's order is taken a level at a time: level l holds the crossings
     whose chain predecessors all lie in levels before it.  Two crossings
@@ -300,23 +309,7 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     |coefficient|; the labels stay int64 while that bound allows and
     otherwise turn into Python ints in place (see _exact), so nothing wraps
     and nothing is refused.
-
-    A passage within EPS_DEDUPE of a critical time raises SingularDiagram:
-    it could lie on either strand, and EPS_DEDUPE is the distance at which
-    the set already calls two passage times the same.  The analytic set of
-    cos(p t) never trips it.  With u = pi/(2pq) each passage time is t_u*u
-    for an integer t_u, and the critical times are the multiples of
-    pi/p = 2q*u.  Type I times (2pj - 1 -/+ 2qk)*u are odd in u.  A type II
-    time 2(qj -/+ pk)*u is a multiple of 2q*u only if q | pk, which
-    gcd(p, q) = 1 and 0 < k < q exclude.  So every passage is at least u
-    from a critical time, and u > EPS_DEDUPE while pq < 1,500,000.
-    Any x but one cosine term raises WrongKnotShape.
     """
-    terms = knot.x.terms
-    if len(terms) != 1 or terms[0].frequency == 0 or terms[0].amplitude == 0.0:
-        raise WrongKnotShape(f"the x-sweep needs x to be one non-constant cosine term, got {len(terms)} term(s)")
-    f, a, phi = terms[0].frequency, terms[0].amplitude, terms[0].phase
-    offset = phi / math.pi + (a < 0)
     events = _sorted_passages(crossings)
     n = len(crossings)
     if not n:
@@ -325,22 +318,31 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     t = np.array(t, dtype=np.float64)
     cid = np.array(cid, dtype=np.intp)
     is_over = np.array(is_over, dtype=np.intp)
-    w = (f * t / math.pi + offset) % (2 * f)
-    near = np.flatnonzero(np.minimum(w - np.floor(w), np.ceil(w) - w) * math.pi / f <= EPS_DEDUPE)
+    slope = knot.x.eval_derivative(t)
+    speed = sum(abs(tm.amplitude) * tm.frequency for tm in knot.x.terms)  # bounds |x'|
+    bend = sum(abs(tm.amplitude) * tm.frequency ** 2 for tm in knot.x.terms)  # bounds |x''|
+    near = np.flatnonzero(np.abs(slope) <= EPS_DEDUPE * bend)
     if near.size:
         k = near[0]
         raise SingularDiagram(
-            f"passage of crossing {cid[k]} at t = {t[k]:.9f} lies within {EPS_DEDUPE:g} of a critical time of x"
+            f"passage of crossing {cid[k]} at t = {t[k]:.9f} may lie within {EPS_DEDUPE:g} "
+            f"of a critical time of x (|x'| = {abs(slope[k]):.3g})"
         )
-    s = w.astype(np.intp)
+    up = slope > 0.0
+    gain = np.diff(knot.x.eval(t))
+    gain[~up[1:]] *= -1.0  # towards rising x: back in time on a falling strand
+    # passage to passage: a new strand where the direction turns, two at a fold, none on a chain link
+    step = np.where(up[1:] != up[:-1], 1, 2 * (gain <= EPS_DEDUPE * speed))
+    s = np.cumsum(np.concatenate(([up[0]], step)))
+    f = int(s[-1]) // 2 + 1
     strand = np.empty((n, 2), dtype=np.intp)  # [under strand, over strand] per crossing
     strand[cid, is_over] = s
     sign = np.array([c.sign for c in crossings.crossings], dtype=np.intp)
     rising = (sign > 0) == (strand[:, 0] % 2 == 1)  # the new label is O + t*(L - O)
-    # each strand's passages towards rising x (theta falls on even strands)
-    chain = np.lexsort((np.where(s % 2 == 0, -w, w), s))
-    link = s[chain[1:]] == s[chain[:-1]]
-    head, tail = chain[:-1][link], chain[1:][link]
+    # chain links join passages i and i + 1 on one strand, oriented towards rising x
+    link = np.flatnonzero(step == 0)
+    head = link + ~up[link + 1]
+    tail = link + up[link + 1]
     succ = np.full((n, 2), n, dtype=np.intp)  # [next on under strand, next on over strand]; n: none
     succ[cid[head], is_over[head]] = cid[tail]
     indeg = np.bincount(cid[tail], minlength=n + 1)
@@ -425,13 +427,13 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
     left-handedness of same-direction crossings and the over-direction law of
     opposite-direction crossings are enforced; the Alexander polynomial must
     match the closed form in all cases.  The polynomial is built straight
-    from the set's crossings, without a PD code: by the x-sweep's (p-1)-row
-    bridge minor when x is one cosine term (see _alexander_from_sweep), else
-    by the (n-1)-row crossing-relation minor of the passage positions.
-    Either way it reads the curve's crossings, not a braid word.  Raises
-    IdentificationFailure naming the first violated condition; the sweep
-    raises SingularDiagram for a passage at a critical time of x, and both
-    routes IncompleteCrossingSet for coincident passages or a set that
+    from the set's crossings, without a PD code, by the x-sweep's bridge
+    minor for any x (see _alexander_from_sweep): the strands are cut where
+    the direction of x turns at the passages, and any cuts between passages
+    give the polynomial, so it reads the curve's crossings, not a braid
+    word.  Raises IdentificationFailure naming the first violated condition;
+    the sweep raises SingularDiagram for a passage near a critical time of
+    x, and IncompleteCrossingSet for coincident passages or a set that
     dropped a singular candidate.
     """
     p, q = params.p, params.q
@@ -462,10 +464,7 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
                 "type2-over-direction",
                 f"over-strand at t = {c.t_over:.6f} is not moving rightward",
             )
-    if len(knot.x) == 1:
-        alex = _alexander_from_sweep(knot, crossings)
-    else:  # the three-term winding form: no exact critical times yet
-        alex = _alexander_from_positions(_passage_positions(crossings))
+    alex = _alexander_from_sweep(knot, crossings)
     oracle = torus_alexander_oracle(params)
     if alex != oracle:
         raise IdentificationFailure(

@@ -22,7 +22,7 @@ class SingularCrossing(KnotError):
 
 
 class WrongKnotShape(KnotError):
-    """Operation needs the two-term z series and got something else."""
+    """Operation needs another knot shape: the theorem's x and y, or a two-term z series."""
 
 
 class IncompleteCrossingSet(KnotError):

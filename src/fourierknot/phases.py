@@ -25,6 +25,7 @@ from .series import (
     TorusParams,
     reduce_angle,
     reduce_angles,
+    theorem_xy,
 )
 
 _CERT_TOL = 1e-9
@@ -132,12 +133,9 @@ def simplified_phase_point(params: TorusParams) -> PhasePoint:
 
 def knot_with_phases(params: TorusParams, point: PhasePoint) -> FourierKnot:
     """Theorem x/y with z = cos(p t + phi1) + cos((q-p) t + phi2)."""
-    p, q = params.p, params.q
-    return FourierKnot(
-        x=FourierSeries((FourierTerm(1.0, p, 0.0),)),
-        y=FourierSeries((FourierTerm(1.0, q, math.pi / (2 * p)),)),
-        z=FourierSeries((FourierTerm(1.0, p, point.phi1), FourierTerm(1.0, q - p, point.phi2))),
-    )
+    x, y = theorem_xy(params)
+    z = FourierSeries((FourierTerm(1.0, params.p, point.phi1), FourierTerm(1.0, params.q - params.p, point.phi2)))
+    return FourierKnot(x, y, z)
 
 
 def gen_theorem_knot(params: TorusParams, simplified: bool = False) -> FourierKnot:

@@ -221,6 +221,12 @@ def gen_standard_knot(
     return FourierKnot(x, y, z)
 
 
+def theorem_xy(params: TorusParams) -> tuple[FourierSeries, FourierSeries]:
+    """The theorem's x = cos(p t) and y = cos(q t + pi/(2p)); the closed-form crossings are theirs."""
+    p, q = params.p, params.q
+    return FourierSeries((FourierTerm(1.0, p, 0.0),)), FourierSeries((FourierTerm(1.0, q, math.pi / (2 * p)),))
+
+
 def standard_torus_point(params: TorusParams, geom: StandardTorusGeometry, t):
     """Direct product-form evaluation of the winding parameterization.
 

@@ -9,13 +9,17 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fourierknot.cli import main
+from fourierknot.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_gen_json_3_7(capsys):
@@ -122,7 +126,7 @@ def test_verify_output_pinned(capsys):
     )
 
 
-@pytest.mark.parametrize("pmax,qmax", [(15, 30), (16, 29), (2, 400), (50, 40)])
+@pytest.mark.parametrize("pmax,qmax", [(19, 30), (20, 29), (2, 400), (50, 40)])
 def test_verify_rejects_oversized_range(capsys, monkeypatch, pmax, qmax):
     import fourierknot.cli as cli_mod
 
@@ -133,7 +137,7 @@ def test_verify_rejects_oversized_range(capsys, monkeypatch, pmax, qmax):
     code, out, err = run_cli(capsys, "verify", "--pmax", str(pmax), "--qmax", str(qmax))
     assert code == 2
     assert out == ""
-    assert "826" in err
+    assert "1054" in err
 
 
 def test_verify_accepts_the_budget_corner(capsys, monkeypatch):
@@ -146,9 +150,9 @@ def test_verify_accepts_the_budget_corner(capsys, monkeypatch):
         return dict.fromkeys(["counts", "type1-hand", "type2-dir", "alexander", "phase"], "pass"), True
 
     monkeypatch.setattr(cli_mod, "_verify_pair", passing)
-    code, out, _ = run_cli(capsys, "verify", "--pmax", "15", "--qmax", "29")
+    code, out, _ = run_cli(capsys, "verify", "--pmax", "19", "--qmax", "29")
     assert code == 0
-    assert max(seen, key=lambda pq: 2 * pq[0] * pq[1] - pq[0] - pq[1]) == (15, 29)
+    assert max(seen, key=lambda pq: 2 * pq[0] * pq[1] - pq[0] - pq[1]) == (19, 29)
 
 
 def test_verify_empty_range_is_an_error(capsys):

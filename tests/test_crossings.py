@@ -8,16 +8,23 @@ from hypothesis import strategies as st
 
 from fourierknot import (
     CrossingSet,
+    FourierKnot,
+    FourierSeries,
+    FourierTerm,
     SingularCrossing,
     TorusParams,
     WrongKnotShape,
+    alexander_from_diagram,
     analytic_crossing_set,
+    build_pd_code,
     classify,
     direction_product,
     enumerate_type1,
     enumerate_type2,
+    find_crossings_numeric,
     gen_standard_knot,
     gen_theorem_knot,
+    torus_alexander_oracle,
     zdiff,
 )
 from fourierknot.crossings import (
@@ -234,6 +241,20 @@ def test_analytic_set_sorted_and_counted():
     assert pairs == sorted(pairs)
     assert len(cs.of_kind(TYPE_I)) == 14
     assert len(cs.of_kind(TYPE_II)) == 18
+
+
+def test_analytic_set_refuses_another_x_or_y():
+    # with y = cos(7t + 1) the curve is another knot (its numeric set says
+    # so), which the theorem's crossing times would have passed off as T(3,7)
+    params = TorusParams(3, 7)
+    knot = gen_theorem_knot(params)
+    other_y = FourierKnot(knot.x, FourierSeries((FourierTerm(1.0, 7, 1.0),)), knot.z)
+    numeric = alexander_from_diagram(build_pd_code(find_crossings_numeric(other_y, 2048)))
+    assert numeric != torus_alexander_oracle(params)
+    other_x = FourierKnot(FourierSeries((FourierTerm(1.0, 3, 0.5),)), knot.y, knot.z)
+    for other in (other_y, other_x, gen_standard_knot(params)):
+        with pytest.raises(WrongKnotShape, match="closed-form crossings"):
+            analytic_crossing_set(other, params)
 
 
 def test_crossing_set_rejects_duplicates():

@@ -21,7 +21,6 @@ from fourierknot import (
     SingularCrossing,
     SingularDiagram,
     TorusParams,
-    WrongKnotShape,
     alexander_from_diagram,
     analytic_crossing_set,
     build_gauss_code,
@@ -403,13 +402,22 @@ def test_sweep_refuses_passage_at_critical_time():
         diagram._alexander_from_sweep(knot, CrossingSet(knot, tuple(moved), "analytic"))
 
 
-def test_sweep_needs_one_cosine_term_in_x():
+@pytest.mark.parametrize("pq", [(2, 3), (2, 5), (3, 4)])
+def test_sweep_on_winding_form_numeric_sets(pq):
+    # three cosine terms in x: the strands come from the direction of x at the passages
+    params = TorusParams(*pq)
+    knot = gen_standard_knot(params)
+    cs = find_crossings_numeric(knot, 2048)
+    alex = diagram._alexander_from_sweep(knot, cs)
+    assert alex == alexander_from_diagram(build_pd_code(cs)) == torus_alexander_oracle(params)
+
+
+def test_sweep_refuses_constant_x():
+    # x' = 0 at every passage: no passage has a direction
     params, knot, cs = theorem_set(2, 3)
-    two_terms = FourierKnot(FourierSeries(knot.x.terms + (FourierTerm(0.1, 5),)), knot.y, knot.z)
     constant = FourierKnot(FourierSeries((FourierTerm(1.0, 0),)), knot.y, knot.z)
-    for bad in (two_terms, constant):
-        with pytest.raises(WrongKnotShape):
-            diagram._alexander_from_sweep(bad, cs)
+    with pytest.raises(SingularDiagram, match="critical time"):
+        diagram._alexander_from_sweep(constant, cs)
 
 
 def test_sweep_refuses_a_cycle():
@@ -586,11 +594,20 @@ def test_set_with_dropped_singular_candidates_is_refused(q):
             build()
 
 
-def random_cosine_series(rng):
+def random_cosine_series(rng, terms=2, top=4):
+    """1 to terms cosine terms with frequencies 1 to top."""
     return FourierSeries(tuple(
-        FourierTerm(rng.uniform(0.5, 1.5), rng.randint(1, 4), rng.uniform(0.0, 2 * math.pi))
-        for _ in range(rng.randint(1, 2))
+        FourierTerm(rng.uniform(0.5, 1.5), rng.randint(1, top), rng.uniform(0.0, 2 * math.pi))
+        for _ in range(rng.randint(1, terms))
     ))
+
+
+def has_fold(knot, cs):
+    """Whether x turns twice between two passages that move the same way: the sweep must cut there."""
+    t = np.array([passage[0] for passage in cs.passages])
+    up = knot.x.eval_derivative(t) > 0.0
+    back = np.diff(knot.x.eval(t)) * np.where(up[1:], 1.0, -1.0) <= 0.0
+    return bool(np.any((up[1:] == up[:-1]) & back))
 
 
 def with_phases(knot, phase):
@@ -601,8 +618,8 @@ def with_phases(knot, phase):
     return FourierKnot(series(knot.x), series(knot.y), series(knot.z))
 
 
-def numeric_alexander(knot):
-    """Alexander polynomial of the knot's numeric set at grid 2048 by both routes.
+def numeric_alexander(knot, folds=None):
+    """Alexander polynomial of the knot's numeric set at grid 2048 by the PD route and the sweep.
 
     None when the finder reported a failed candidate.  A set that dropped a
     singular candidate must be refused.
@@ -614,48 +631,54 @@ def numeric_alexander(knot):
             build_pd_code(cs)
     if diagnostics:
         return None
-    record = diagram._passage_positions(cs)
     pd = build_pd_code(cs)
-    assert diagram._pd_orientation(pd) == record
-    alex = diagram._alexander_from_positions(record)
-    assert alexander_from_diagram(pd) == alex
+    assert diagram._pd_orientation(pd) == diagram._passage_positions(cs)
+    alex = alexander_from_diagram(pd)
+    assert diagram._alexander_from_sweep(knot, cs) == alex
+    if folds is not None:
+        folds.append(has_fold(knot, cs))
     return alex
 
 
 def test_random_cosine_knots_alexander_metamorphic():
-    # no oracle: the PD route and the set route agree, and the polynomial is
-    # unchanged by the mirror z -> -z, a shift of t and a reversal of t
+    # no oracle: the PD route and the sweep agree, and the polynomial is
+    # unchanged by the mirror z -> -z, a shift of t and a reversal of t; with
+    # 1-3 terms and frequencies up to 7 several knot types come out, and
+    # some sets make the sweep cut at a fold of x
     rng = random.Random(4)
-    usable = nontrivial = 0
-    for _ in range(60):
-        knot = FourierKnot(*(random_cosine_series(rng) for _ in range(3)))
+    usable = 0
+    seen = set()
+    folds: list[bool] = []
+    for _ in range(80):
+        knot = FourierKnot(*(random_cosine_series(rng, 3, 7) for _ in range(3)))
         delta = rng.uniform(0.0, 2 * math.pi)
         variants = [
-            knot,
             mirrored(knot),
             with_phases(knot, lambda t: t.phase + t.frequency * delta),
             with_phases(knot, lambda t: -t.phase),
         ]
-        polys = [numeric_alexander(k) for k in variants]
+        alex = numeric_alexander(knot, folds)
+        if alex is None:
+            continue
+        polys = [numeric_alexander(k, folds) for k in variants]
         if None in polys:
             continue
         usable += 1
-        alex = polys[0]
-        nontrivial += alex != L.one()
-        assert polys == [alex] * 4
+        seen.add(alex.pairs())
+        assert polys == [alex] * 3
         assert abs(alex.evaluate_int(1)) == 1
         assert alex.reciprocal().normalized() == alex
-    assert usable >= 20 and nontrivial >= 1
+    assert usable >= 50 and len(seen) >= 10 and any(folds)
 
 
 def test_random_cosine_knots_grid_doubling():
-    # no oracle: on the metamorphic test's 60 draws, every one without
-    # diagnostics at grids 2048 and 4096 finds the same crossings at both
+    # no oracle: of 60 seeded knots with 1-2 terms and frequencies up to 4,
+    # every one without diagnostics at grids 2048 and 4096 finds the same
+    # crossings at both
     rng = random.Random(4)
     compared = 0
     for _ in range(60):
         knot = FourierKnot(*(random_cosine_series(rng) for _ in range(3)))
-        rng.uniform(0.0, 2 * math.pi)  # that test's shift, drawn so the knots match
         diagnostics = []
         coarse = find_crossings_numeric(knot, 2048, diagnostics)
         fine = find_crossings_numeric(knot, 4096, diagnostics)
