@@ -84,9 +84,14 @@ def _write(path: str | None, payload: str | bytes) -> None:
 
 
 def _check_output(path: str | None) -> None:
-    """Refuse, before any work, an -o path in a missing or unwritable directory; creates nothing."""
-    folder = os.path.dirname(os.path.abspath(path or "-"))
-    if path not in (None, "-") and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+    """Refuse, before any work, an empty -o path, a directory, or a path in a
+    missing or unwritable directory; creates nothing."""
+    if path in (None, "-"):
+        return
+    if not path or os.path.isdir(path):
+        raise OSError(f"cannot write {path!r}: the -o path must name a file")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise OSError(f"cannot write {path}: {folder} is not a writable directory")
 
 
@@ -133,19 +138,12 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _build_sets(args, params):
-    knot = gen_theorem_knot(params, simplified=args.simplified)
-    analytic = analytic_crossing_set(knot, params)
-    numeric = None
-    if args.numeric or args.check:
-        numeric = find_crossings_numeric(knot, args.grid)
-    return knot, analytic, numeric
-
-
 def cmd_crossings(args) -> int:
     _check_output(args.output)
     params = _torus_params(args)
-    _, analytic, numeric = _build_sets(args, params)
+    knot = gen_theorem_knot(params, simplified=args.simplified)
+    analytic = analytic_crossing_set(knot, params)
+    numeric = find_crossings_numeric(knot, args.grid) if args.numeric or args.check else None
     chosen = numeric if args.numeric else analytic
     if args.check:
         assert numeric is not None

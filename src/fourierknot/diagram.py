@@ -394,15 +394,10 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
 
     labels, bound = _exact(labels, bound)  # the rows' difference is one more such step
     diff = (labels[1:-1:2] - labels[2::2]).reshape(f - 1, 2 * depth + 1, f)[:, :, 1:].transpose(0, 2, 1)
-    row, col, exp = np.nonzero(diff)
-    coeff = diff[row, col, exp].tolist()
-    exp = (exp - depth).tolist()
-    opens = np.ones(len(coeff), dtype=bool)  # where a (row, column) entry's terms begin
-    opens[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
-    start = np.flatnonzero(opens).tolist()
-    minor: list[dict[int, LaurentPolynomial]] = [{} for _ in range(f - 1)]
-    for r, c, i, j in zip(row[start].tolist(), col[start].tolist(), start, start[1:] + [len(coeff)]):
-        minor[r][c] = LaurentPolynomial._adopt(dict(zip(exp[i:j], coeff[i:j])))
+    minor: list[dict[int, LaurentPolynomial]] = []
+    for row in diff.tolist():
+        terms = ({e - depth: v for e, v in enumerate(entry) if v} for entry in row)
+        minor.append({c: LaurentPolynomial._adopt(entry) for c, entry in enumerate(terms) if entry})
     det = det_poly_matrix(minor)
     if det.is_zero:
         raise SingularDiagram("bridge-relation determinant vanishes")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,13 +50,14 @@ class PhasePoint:
             object.__setattr__(self, name, reduce_angle(value))
 
 
-@dataclass(frozen=True)
-class SingularLine:
+class SingularLine(NamedTuple):
     """A line in the phase square where one crossing's height gap vanishes.
 
     Same-direction crossings give horizontal lines (slope 0, phi2 =
     intercept); opposite-direction crossings give diagonals phi2 =
     slope * phi1 + intercept with slope +-1 set by the parity of k and m.
+    A line is a tuple of its six fields: it iterates over them and compares
+    equal to a plain tuple of them.
     """
 
     kind: str
@@ -64,20 +66,6 @@ class SingularLine:
     m: int
     slope: int
     intercept: float
-
-    @classmethod
-    def _build(cls, kind: str, k: int, j: int, m: int, slope: int, intercept: float) -> SingularLine:
-        """SingularLine(kind, k, j, m, slope, intercept), its fields written straight
-        into the instance dict instead of by one object.__setattr__ call each."""
-        line = object.__new__(cls)
-        fields = line.__dict__
-        fields["kind"] = kind
-        fields["k"] = k
-        fields["j"] = j
-        fields["m"] = m
-        fields["slope"] = slope
-        fields["intercept"] = intercept
-        return line
 
     def phi2_at(self, phi1: float) -> float:
         return reduce_angle(self.slope * phi1 + self.intercept)
@@ -233,9 +221,8 @@ def singular_lines(params: TorusParams) -> list[SingularLine]:
     phi2 = _phi2_along(slopes, intercepts, _CERT_PHI1)
     residual = np.abs(table.height_gap(rows[:, None], _CERT_PHI1, phi2))
     owners = [table.indices[r] for r in rows.tolist()]
-    build = SingularLine._build
     lines = [
-        build(ix.kind, ix.k, ix.j, mi, slope, intercept)
+        SingularLine(ix.kind, ix.k, ix.j, mi, slope, intercept)
         for ix, mi, slope, intercept in zip(owners, m.tolist(), slopes.tolist(), intercepts.tolist())
     ]
     failing = np.argwhere(residual > _CERT_TOL)

@@ -188,15 +188,13 @@ def phase_map_svg(pmap, size: int = 640) -> str:
             x2, y2 = to_px(TWO_PI, line.intercept)
             segs = [((x1, y1), (x2, y2))]
         else:
-            # split the diagonal where it wraps across phi2 = 0 or 2*pi
+            # split the diagonal where it wraps across phi2 = 0 or 2*pi.  With the
+            # intercept c in [0, 2*pi) and slope +-1, phi1 + c passes 2*pi only at
+            # phi1 = 2*pi - c, and c - phi1 passes 0 only at phi1 = c, so over
+            # phi1 in (0, 2*pi) there is at most one break
+            wrap = TWO_PI - line.intercept if line.slope > 0 else line.intercept
+            breaks = [0.0, wrap, TWO_PI] if 0.0 < wrap < TWO_PI else [0.0, TWO_PI]
             segs = []
-            breaks = [0.0]
-            for wrap in range(-2, 3):
-                phi1b = (wrap * TWO_PI - line.intercept) * line.slope
-                if 0.0 < phi1b < TWO_PI:
-                    breaks.append(phi1b)
-            breaks.append(TWO_PI)
-            breaks.sort()
             for a, b in zip(breaks, breaks[1:]):
                 if b - a < 1e-9:
                     continue

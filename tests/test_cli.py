@@ -353,13 +353,7 @@ def test_determinism_byte_identical():
     assert a == b and len(a) > 100
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "-p", "2", "-q", "3"],
-    ["render", "-p", "2", "-q", "3"],
-    ["phase-map", "-p", "2", "-q", "3", "--grid", "64"],
-    ["crossings", "-p", "2", "-q", "3"],
-])
-def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv):
+def stop_before_work(monkeypatch):
     import fourierknot.cli as cli_mod
 
     def reached(*args, **kwargs):
@@ -368,12 +362,39 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv):
     # crossings, render and phase-map check -o before their expensive call
     monkeypatch.setattr(cli_mod, "analytic_crossing_set", reached)
     monkeypatch.setattr(cli_mod, "phase_map_render", reached)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "-p", "2", "-q", "3"],
+    ["render", "-p", "2", "-q", "3"],
+    ["phase-map", "-p", "2", "-q", "3", "--grid", "64"],
+    ["crossings", "-p", "2", "-q", "3"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv):
+    stop_before_work(monkeypatch)
     target = tmp_path / "missing" / "out.svg"
     code, out, err = run_cli(capsys, *argv, "-o", str(target))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("target", ["", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["render", "-p", "2", "-q", "3"],
+    ["phase-map", "-p", "2", "-q", "3", "--grid", "64"],
+    ["crossings", "-p", "2", "-q", "3", "--numeric"],
+])
+def test_output_that_names_no_file_exits_2(tmp_path, capsys, monkeypatch, argv, target):
+    # an empty -o and an existing directory are refused before the expensive call
+    stop_before_work(monkeypatch)
+    path = str(tmp_path) if target else ""
+    code, out, err = run_cli(capsys, *argv, "-o", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path!r}") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_check_neither_creates_nor_truncates(tmp_path, capsys):

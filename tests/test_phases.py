@@ -357,14 +357,16 @@ def test_singular_lines_unchanged_for_small_pairs():
     assert digest.hexdigest() == "e83948101aef5b349f27deabb2e1c5a2d3b9620b48536c18dbc5467c471fdb2e"
 
 
-def test_built_singular_lines_equal_constructed_ones():
+def test_singular_lines_are_immutable_records():
     for line in singular_lines(TorusParams(7, 11)):
-        twin = SingularLine(line.kind, line.k, line.j, line.m, line.slope, line.intercept)
+        fields = (line.kind, line.k, line.j, line.m, line.slope, line.intercept)
         assert type(line) is SingularLine
-        assert line == twin and hash(line) == hash(twin) and repr(line) == repr(twin)
-        assert vars(line) == vars(twin)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert line == SingularLine(*fields) == fields
+        with pytest.raises(AttributeError):
             line.intercept = 0.0
+    # CertificationFailure messages embed a line's repr
+    first = singular_lines(TorusParams(3, 7))[0]
+    assert repr(first) == "SingularLine(kind='I', k=1, j=3, m=-1, slope=0, intercept=1.1967972013675405)"
 
 
 def test_wrong_intercept_fails_certification(monkeypatch):

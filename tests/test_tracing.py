@@ -1,0 +1,19 @@
+"""The benchmark tracer's targets name functions the package still has."""
+
+import importlib.util
+from pathlib import Path
+
+import fourierknot.cli  # noqa: F401  (loads every module the tracer patches)
+
+
+def test_every_traced_name_exists():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()
