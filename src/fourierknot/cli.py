@@ -84,13 +84,14 @@ def _write(path: str | None, payload: str | bytes) -> None:
 
 
 def _check_output(path: str | None) -> None:
-    """Refuse, before any work, an empty -o path, a directory, or a path in a
-    missing or unwritable directory; creates nothing."""
+    """Refuse, before any work, an -o path that names no file (empty, ending
+    in a separator, or a directory), or a path in a missing or unwritable
+    directory; creates nothing."""
     if path in (None, "-"):
         return
-    if not path or os.path.isdir(path):
+    if not os.path.basename(path) or os.path.isdir(path):
         raise OSError(f"cannot write {path!r}: the -o path must name a file")
-    folder = os.path.dirname(os.path.abspath(path))
+    folder = os.path.abspath(os.path.dirname(path))
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise OSError(f"cannot write {path}: {folder} is not a writable directory")
 
@@ -118,6 +119,7 @@ def _angle_str(value: float, degrees: bool) -> str:
 
 
 def cmd_gen(args) -> int:
+    _check_output(args.output)
     params = TorusParams(args.p, args.q)
     if args.standard:
         knot = gen_standard_knot(params, StandardTorusGeometry(args.major, args.minor))

@@ -15,12 +15,22 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import SingularCrossing, WrongKnotShape
-from .series import TWO_PI, FourierKnot, FourierSeries, TorusParams, fmt_float, reduce_angle, theorem_xy
+from .series import (
+    TWO_PI,
+    FourierKnot,
+    FourierSeries,
+    TorusParams,
+    fmt_float,
+    reduce_angle,
+    reduce_angles,
+    theorem_xy,
+)
 
 log = logging.getLogger("fourierknot.crossings")
 
@@ -263,30 +273,81 @@ def zdiff(knot: FourierKnot, t1: float, t2: float) -> float:
     return pair_difference(knot.z, t1, t2)
 
 
-def classify(knot: FourierKnot, t1: float, t2: float, indices: CrossingIndices | None = None) -> Crossing:
-    """Resolve a projection double point into a signed over/under crossing.
+class _Classified(NamedTuple):
+    """Double points classified in one array pass: times ordered a <= b per row."""
 
-    The crossing sign is the sign of
-    [x'(t1) y'(t2) - x'(t2) y'(t1)] * [z(t1) - z(t2)], which is symmetric in
-    (t1, t2), so the times may be reordered freely into canonical form.
+    a: np.ndarray
+    b: np.ndarray
+    sign: np.ndarray  # +1 right-handed, -1 left-handed
+    over_t1: np.ndarray  # z(a) > z(b): the strand at a passes on top
+    singular: dict[int, str]  # failing row -> SingularCrossing message, in row order
+
+
+def _classify_pairs(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray) -> _Classified:
+    """Resolve the double points at times (t1, t2), row by row, in one array pass.
+
+    Each row's times are reduced mod 2*pi and ordered into (a, b).  The
+    crossing sign is the sign of [x'(a) y'(b) - x'(b) y'(a)] * [z(a) - z(b)],
+    which is symmetric in the two times, and the strand with the larger z
+    passes over.  A row is singular when |z(a) - z(b)| <= EPS_SINGULAR (the
+    strands meet in space) or else |planar| <= EPS_SINGULAR (a projection
+    tangency); its sign and over are then meaningless.
     """
-    a, b = reduce_angle(t1), reduce_angle(t2)
-    if a > b:
-        a, b = b, a
-    z1 = knot.z.eval(a)
-    z2 = knot.z.eval(b)
+    a, b = reduce_angles(t1), reduce_angles(t2)
+    swap = a > b
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    z1, z2 = knot.z.eval(a), knot.z.eval(b)
     dz = z1 - z2
     planar = (
         knot.x.eval_derivative(a) * knot.y.eval_derivative(b)
         - knot.x.eval_derivative(b) * knot.y.eval_derivative(a)
     )
-    if abs(dz) <= EPS_SINGULAR:
-        raise SingularCrossing(f"strands meet in space at ({a:.6f}, {b:.6f}): |dz| = {abs(dz):.3e}")
-    if abs(planar) <= EPS_SINGULAR:
-        raise SingularCrossing(f"projection tangency at ({a:.6f}, {b:.6f}): |cross| = {abs(planar):.3e}")
-    sign = 1 if planar * dz > 0 else -1
-    over = "t1" if z1 > z2 else "t2"
-    return Crossing(a, b, sign, over, (knot.x.eval(a), knot.y.eval(a)), indices)
+    meet = np.abs(dz) <= EPS_SINGULAR
+    singular = {}
+    for i in np.flatnonzero(meet | (np.abs(planar) <= EPS_SINGULAR)).tolist():
+        if meet[i]:
+            singular[i] = f"strands meet in space at ({a[i]:.6f}, {b[i]:.6f}): |dz| = {abs(dz[i]):.3e}"
+        else:
+            singular[i] = f"projection tangency at ({a[i]:.6f}, {b[i]:.6f}): |cross| = {abs(planar[i]):.3e}"
+    return _Classified(a, b, np.where(planar * dz > 0, 1, -1), z1 > z2, singular)
+
+
+def _eval_at(series: FourierSeries, ts: np.ndarray) -> list[float]:
+    """series.eval(t) for each t of ts, bitwise: the scalar path's math.cos terms, summed by sum."""
+    columns = [
+        [tm.amplitude * math.cos(u) for u in (tm.frequency * ts + tm.phase).tolist()] for tm in series.terms
+    ]
+    return list(map(sum, zip(*columns)))
+
+
+def _crossings(knot: FourierKnot, classified: _Classified, rows, indices=None) -> list[Crossing]:
+    """The Crossings of the given classified rows, in that order; indices, when given, one per row.
+
+    Positions are (x(a), y(a)) from math.cos, like FourierSeries.eval on a
+    scalar, so they do not depend on numpy's cos.
+    """
+    a, b = classified.a[rows], classified.b[rows]
+    overs = ["t1" if over else "t2" for over in classified.over_t1[rows].tolist()]
+    positions = zip(_eval_at(knot.x, a), _eval_at(knot.y, a))
+    if indices is None:
+        indices = itertools.repeat(None)
+    return [
+        Crossing(*fields)
+        for fields in zip(a.tolist(), b.tolist(), classified.sign[rows].tolist(), overs, positions, indices)
+    ]
+
+
+def classify(knot: FourierKnot, t1: float, t2: float, indices: CrossingIndices | None = None) -> Crossing:
+    """Resolve one projection double point into a signed over/under crossing.
+
+    A one-row call of the array classifier the crossing sets use: the times
+    are reduced and put in canonical order, and a singular point raises
+    SingularCrossing (see _classify_pairs).
+    """
+    classified = _classify_pairs(knot, np.array([t1], dtype=float), np.array([t2], dtype=float))
+    if classified.singular:
+        raise SingularCrossing(classified.singular[0])
+    return _crossings(knot, classified, [0], [indices])[0]
 
 
 @dataclass(frozen=True)
@@ -379,18 +440,24 @@ class CrossingSet:
 
 
 def analytic_crossing_set(knot: FourierKnot, params: TorusParams) -> CrossingSet:
-    """Enumerate both closed-form families and classify against the knot's z.
+    """Enumerate both closed-form families and classify them against the knot's z.
 
     The families are the crossings of the theorem's x and y (theorem_xy), so
-    a knot with any other x or y raises WrongKnotShape; z is free.
+    a knot with any other x or y raises WrongKnotShape; z is free.  The whole
+    crossing table is classified in one array pass and sorted by (t1, t2)
+    with a lexsort; the first singular row in table order raises
+    SingularCrossing.
     """
     if (knot.x, knot.y) != theorem_xy(params):
         raise WrongKnotShape(
             f"the closed-form crossings need x = cos({params.p} t) and y = cos({params.q} t + pi/{2 * params.p})"
         )
-    entries = _crossing_table(params).entries()
-    crossings = [classify(knot, t1, t2, idx) for idx, t1, t2 in entries]
-    crossings.sort(key=lambda c: (c.t1, c.t2))
+    table = _crossing_table(params)
+    classified = _classify_pairs(knot, table.t1, table.t2)
+    if classified.singular:
+        raise SingularCrossing(next(iter(classified.singular.values())))
+    order = np.lexsort((classified.b, classified.a))
+    crossings = _crossings(knot, classified, order, [table.indices[i] for i in order.tolist()])
     return CrossingSet(knot, tuple(crossings), "analytic")
 
 
@@ -471,14 +538,17 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
                 continue  # converged onto the trivial diagonal
         refined.append((int(i), int(j), status, t1, t2))
     ok = [k for k, r in enumerate(refined) if r[2] == "ok"]
+    pairs = [refined[k][3:] for k in ok]
     earlier: dict[int, list[int]] = {}
-    for a, b in near_pairs([refined[k][3:] for k in ok]):
+    for a, b in near_pairs(pairs):
         earlier.setdefault(ok[b], []).append(ok[a])
+    row = {k: m for m, k in enumerate(ok)}
+    classified = _classify_pairs(knot, *np.array(pairs, dtype=float).reshape(-1, 2).T)
 
-    accepted: list[Crossing] = []
+    accepted: list[int] = []
     kept: set[int] = set()
     singular = 0
-    for k, (i, j, status, t1, t2) in enumerate(refined):
+    for k, (i, j, status, _, _) in enumerate(refined):
         if status != "ok":
             log.warning("candidate (%d, %d) failed refinement: %s", i, j, status)
             if diagnostics is not None:
@@ -486,15 +556,15 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
             continue
         if not kept.isdisjoint(earlier.get(k, ())):
             continue
-        try:
-            crossing = classify(knot, t1, t2)
-        except SingularCrossing as exc:
-            log.warning("candidate (%d, %d) is singular: %s", i, j, exc)
+        message = classified.singular.get(row[k])
+        if message is not None:
+            log.warning("candidate (%d, %d) is singular: %s", i, j, message)
             singular += 1
             if diagnostics is not None:
                 diagnostics.append(("singular", i, j))
             continue
         kept.add(k)
-        accepted.append(crossing)
-    accepted.sort(key=lambda c: (c.t1, c.t2))
-    return CrossingSet(knot, tuple(accepted), "numeric", singular)
+        accepted.append(row[k])
+    rows = np.array(accepted, dtype=np.intp)
+    order = rows[np.lexsort((classified.b[rows], classified.a[rows]))]
+    return CrossingSet(knot, tuple(_crossings(knot, classified, order)), "numeric", singular)

@@ -380,16 +380,18 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("target", ["", "directory"])
+@pytest.mark.parametrize("target", ["", "directory", "missing directory/"])
 @pytest.mark.parametrize("argv", [
     ["render", "-p", "2", "-q", "3"],
     ["phase-map", "-p", "2", "-q", "3", "--grid", "64"],
     ["crossings", "-p", "2", "-q", "3", "--numeric"],
+    ["gen", "-p", "2", "-q", "3"],
 ])
 def test_output_that_names_no_file_exits_2(tmp_path, capsys, monkeypatch, argv, target):
-    # an empty -o and an existing directory are refused before the expensive call
+    # an empty -o, an existing directory and a path ending in a separator
+    # are refused before the expensive call
     stop_before_work(monkeypatch)
-    path = str(tmp_path) if target else ""
+    path = {"": "", "directory": str(tmp_path), "missing directory/": str(tmp_path / "missing") + os.sep}[target]
     code, out, err = run_cli(capsys, *argv, "-o", path)
     assert code == 2
     assert out == ""

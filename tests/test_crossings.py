@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,9 @@ from fourierknot import (
     FourierKnot,
     FourierSeries,
     FourierTerm,
+    PhasePoint,
     SingularCrossing,
+    SingularPoint,
     TorusParams,
     WrongKnotShape,
     alexander_from_diagram,
@@ -24,6 +29,11 @@ from fourierknot import (
     find_crossings_numeric,
     gen_standard_knot,
     gen_theorem_knot,
+    knot_with_phases,
+    sign_vector,
+    simplified_phase_point,
+    singular_lines,
+    theorem_phase_point,
     torus_alexander_oracle,
     zdiff,
 )
@@ -32,6 +42,7 @@ from fourierknot.crossings import (
     TYPE_I,
     TYPE_II,
     Crossing,
+    _eval_at,
     circular_distance,
     crossing_count,
     near_pairs,
@@ -181,6 +192,18 @@ def test_classify_canonical_order():
     assert 0.0 <= a.t1 < a.t2 < 2 * math.pi
 
 
+def test_crossing_positions_equal_scalar_eval_bitwise():
+    # positions come from math.cos over a list, summed like the scalar eval
+    # (sum() compensates float sums from Python 3.12 on), not from np.cos
+    rng = random.Random(23)
+    ts = np.array([rng.uniform(0, TWO_PI) for _ in range(200)] + [0.0, math.pi])
+    for terms in (1, 2, 3, 5):
+        series = FourierSeries(tuple(
+            FourierTerm(rng.uniform(-2, 2), rng.randint(0, 30), rng.uniform(0, TWO_PI)) for _ in range(terms)
+        ))
+        assert [v.hex() for v in _eval_at(series, ts)] == [series.eval(t).hex() for t in ts.tolist()]
+
+
 def test_zdiff_zero_on_diagonal():
     knot = gen_theorem_knot(TorusParams(3, 7))
     assert zdiff(knot, 0.83, 0.83) == 0.0
@@ -255,6 +278,46 @@ def test_analytic_set_refuses_another_x_or_y():
     for other in (other_y, other_x, gen_standard_knot(params)):
         with pytest.raises(WrongKnotShape, match="closed-form crossings"):
             analytic_crossing_set(other, params)
+
+
+# sha256 of every analytic record's (kind, k, j, t1, t2, sign, over), the
+# times as little-endian doubles, without x and y, which come from libm; the
+# 241 coprime pairs with q < 30 at the theorem point, at the simplified point
+# for even p and at two random points
+ANALYTIC_SET_DIGEST = "245355a5cd82572273d8baad62bbc3a51d19e231efed409632379c29bf3dc49b"
+
+
+def test_analytic_set_pinned():
+    pairs = [(p, q) for q in range(3, 30) for p in range(2, q) if math.gcd(p, q) == 1]
+    assert len(pairs) == 241
+    rng = random.Random(2007)
+    digest = hashlib.sha256()
+    for p, q in pairs:
+        params = TorusParams(p, q)
+        points = [theorem_phase_point(params)] + [simplified_phase_point(params)] * (p % 2 == 0)
+        points += [PhasePoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)) for _ in range(2)]
+        for point in points:
+            cs = analytic_crossing_set(knot_with_phases(params, point), params).crossings
+            digest.update(repr([(c.indices.key(), c.sign, c.over) for c in cs]).encode())
+            digest.update(struct.pack(f"<{2 * len(cs)}d", *(t for c in cs for t in (c.t1, c.t2))))
+    assert digest.hexdigest() == ANALYTIC_SET_DIGEST
+
+
+def test_analytic_set_on_a_singular_line_names_the_first_singular_row():
+    # the point lies on the lines of six type-II crossings; the refusal names
+    # the first of them in table order, (II, 1, 4), by its reduced times
+    params = TorusParams(5, 12)
+    lines = singular_lines(params)
+    line = lines[len(lines) // 2]
+    assert (line.kind, line.k, line.j) == (TYPE_II, 1, 4)
+    point = PhasePoint(1.0, line.phi2_at(1.0))
+    with pytest.raises(SingularPoint) as degenerate:
+        sign_vector(params, point)
+    assert len(degenerate.value.indices) == 6
+    [(_, t1, t2)] = [e for e in enumerate_type2(params) if e[0] == degenerate.value.indices[0]]
+    assert (f"{t1:.6f}", f"{t2:.6f}") == ("2.251475", "2.775074")
+    with pytest.raises(SingularCrossing, match=r"^strands meet in space at \(2\.251475, 2\.775074\): \|dz\| = "):
+        analytic_crossing_set(knot_with_phases(params, point), params)
 
 
 def test_crossing_set_rejects_duplicates():
