@@ -353,6 +353,53 @@ def test_determinism_byte_identical():
     assert a == b and len(a) > 100
 
 
+# sha256 of stdout per knot: crossings as json, csv and text, then render.
+# Recorded before the crossing set held columns.  The simplified point of an
+# even p gives the same crossings, so the same bytes.  x, y and the SVG
+# coordinates come from libm, so these run on Linux only.
+PINNED_CLI_OUTPUTS = {
+    (2, 3): ("e12da3353eb6764af2eeac1dd019d672a14396d6cc8acb7ddf59a3f2bc618917",
+             "deac61a2747f1861e2fe0c2416abb797c8ea97c44d42c37bcb5b853cfdcb2ed7",
+             "7d3e4ab31a8c0b37c902b3c1a3f817c765e364db1aa3fdb746502a5dfd1cfb6d",
+             "a777dfeade1aab3bec869f8c5c675cfbec4d407412ce6aade57eaaed71200c24"),
+    (3, 7): ("e05a093b3812dcecfc6672a0f7429a3fa9f30dc6973dcab3491706beeabecfe5",
+             "036dacbd0f1e5e036b305d9865d6ffe89b4c3fd6b17f806d06b65fd701508442",
+             "5be10573b781d5752dbc12025d85bd68bcdaaebf377c9f3aa49d2ce2de71d011",
+             "37e821bf0908be5a80158ca48139ae6c56c38b2342cbdb78cd80e77066a6fed0"),
+    (4, 9): ("ecada707ca9caa03f6ed672a0a999ff831774a74847e74344e11a434a0dad6f9",
+             "0555dc032d0b6ec7880fba75dc24c93954da068037f1a20d827fec54186d2594",
+             "b28ae4d1d83e119ea8514eec68fb37e17ddf2ea7e2d6825892b46430aab15fdd",
+             "c1e2dde9fd396cd1b23493479524f5aae289f65ce9fdab67e295aca4af8607e4"),
+    (7, 13): ("e1503d0751e060a4ee25bae4057a53a8ae47077c96eff2b2b587eb752aff2a8a",
+              "afa5120b9cb9240a7577a3a18517aaf36e3fcdf593495836839557f961365012",
+              "29256b6a12298ccab9c6c60b2f73807f7599db2919d00a32c242097d752285fa",
+              "7b9b756ae51392545f5e27030c929ee0d1014cccfe07c6259c28763a06212339"),
+}
+
+
+def sha256_of_stdout(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("pq,simplified", [(pq, False) for pq in PINNED_CLI_OUTPUTS] + [((2, 3), True), ((4, 9), True)])
+def test_crossings_and_render_outputs_pinned(capsys, pq, simplified):
+    knot = ["-p", str(pq[0]), "-q", str(pq[1])] + ["--simplified"] * simplified
+    json_digest, csv_digest, text_digest, svg_digest = PINNED_CLI_OUTPUTS[pq]
+    for fmt, digest in (("json", json_digest), ("csv", csv_digest), ("text", text_digest)):
+        assert sha256_of_stdout(capsys, "crossings", *knot, "--format", fmt) == digest
+    # --check prints the analytic set it checked
+    assert sha256_of_stdout(capsys, "crossings", *knot, "--check") == json_digest
+    assert sha256_of_stdout(capsys, "render", *knot) == svg_digest
+
+
+def test_crossings_text_in_degrees_pinned(capsys):
+    assert sha256_of_stdout(capsys, "crossings", "-p", "3", "-q", "7", "--format", "text", "--degrees") == (
+        "ef160cdfa9640516598dc134fe3b289d3709a17990d7aa42630926a1b277665e"
+    )
+
+
 def stop_before_work(monkeypatch):
     import fourierknot.cli as cli_mod
 

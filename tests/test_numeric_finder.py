@@ -9,6 +9,7 @@ from fourierknot import (
     FourierSeries,
     TorusParams,
     analytic_crossing_set,
+    classify,
     find_crossings_numeric,
     gen_standard_knot,
     gen_theorem_knot,
@@ -210,3 +211,17 @@ def test_diagnostics_listable():
     find_crossings_numeric(knot, 512, diagnostics=diags)
     for kind, i, j in diags:
         assert kind in {"tangential", "divergence", "singular"}
+
+
+@pytest.mark.parametrize("knot", [
+    gen_theorem_knot(TorusParams(3, 7)),
+    gen_theorem_knot(TorusParams(7, 13)),
+    gen_standard_knot(TorusParams(2, 5)),
+], ids=["T(3,7)", "T(7,13)", "winding T(2,5)"])
+def test_numeric_rows_equal_classify_bitwise(knot):
+    # the finder's samples come from np.cos, so its rows are not pinned by a
+    # digest; each row must be what classify makes of its two times
+    for c in find_crossings_numeric(knot, 2048).crossings:
+        ref = classify(knot, c.t1, c.t2)
+        assert (ref.t1, ref.t2, ref.sign, ref.over) == (c.t1, c.t2, c.sign, c.over)
+        assert [v.hex() for v in ref.position] == [v.hex() for v in c.position]
