@@ -144,14 +144,15 @@ def cmd_crossings(args) -> int:
     _check_output(args.output)
     params = _torus_params(args)
     knot = gen_theorem_knot(params, simplified=args.simplified)
-    analytic = analytic_crossing_set(knot, params)
+    # the analytic set is built only when it is printed or checked
+    analytic = analytic_crossing_set(knot, params) if args.check or not args.numeric else None
     numeric = find_crossings_numeric(knot, args.grid) if args.numeric or args.check else None
     chosen = numeric if args.numeric else analytic
     if args.check:
-        assert numeric is not None
+        assert analytic is not None and numeric is not None
         # equal counts, and every numeric pair within EPS_DEDUPE of an analytic one
         n = len(analytic)
-        pairs = [(c.t1, c.t2) for c in analytic.crossings + numeric.crossings]
+        pairs = [pair for cs in (analytic, numeric) for pair in zip(cs.t1.tolist(), cs.t2.tolist())]
         matched = {j for i, j in near_pairs(pairs) if i < n <= j}
         if len(numeric) != n or len(matched) != n:
             print(

@@ -80,14 +80,6 @@ class Crossing:
     position: tuple[float, float]
     indices: CrossingIndices | None = None
 
-    @property
-    def t_over(self) -> float:
-        return self.t1 if self.over == "t1" else self.t2
-
-    @property
-    def t_under(self) -> float:
-        return self.t2 if self.over == "t1" else self.t1
-
 
 def circular_distance(a: float, b: float) -> float:
     """Distance between two angles on the circle."""
@@ -126,17 +118,19 @@ def near_pairs(pairs) -> list[tuple[int, int]]:
     b - a <= x <= (2*pi - u) - (D - u/2) < 2*pi - D; and the wrap's span
     fl(last - first) >= D leaves 2*pi minus it at most 2*pi - D, exactly.
     """
-    passages = sorted((t, k) for k, pair in enumerate(pairs) for t in pair)
-    return _near_pairs(pairs, passages)[1]
+    t1, t2 = [a for a, _ in pairs], [b for _, b in pairs]
+    times = np.array(t1 + t2, dtype=np.float64)
+    owners = np.tile(np.arange(len(t1)), 2)
+    order = np.lexsort((owners, times))
+    return _near_pairs(t1, t2, times[order], owners[order])[1]
 
 
-def _near_pairs(pairs, passages) -> tuple[list[int], list[tuple[int, int]]]:
-    """near_pairs' (close gaps, near pairs), given passages (time, pair index, ...) sorted by time."""
-    times = np.array([e[0] for e in passages], dtype=np.float64)
+def _near_pairs(t1, t2, times, owners) -> tuple[list[int], list[tuple[int, int]]]:
+    """near_pairs' (close gaps, near pairs) of the pairs (t1[i], t2[i]), given their times sorted and each one's i."""
     inside = (times >= 0.0) & (times < TWO_PI)
     if not inside.all():
-        a, b = pairs[min(passages[i][1] for i in np.flatnonzero(~inside).tolist())]
-        raise ValueError(f"crossing time outside [0, 2*pi): ({a}, {b})")
+        i = int(owners[~inside].min())
+        raise ValueError(f"crossing time outside [0, 2*pi): ({t1[i]}, {t2[i]})")
     gaps = np.append(np.diff(times), times[-1:] - times[:1])
     close = np.flatnonzero((gaps <= EPS_DEDUPE) | (TWO_PI - gaps <= EPS_DEDUPE)).tolist()
     runs: list[list[int]] = []
@@ -149,10 +143,10 @@ def _near_pairs(pairs, passages) -> tuple[list[int], list[tuple[int, int]]]:
         runs[0] += runs.pop()
     near = set()
     for run in runs:
-        owners = sorted({passages[i][1] for i in run})
+        members = sorted(set(owners[run].tolist()))
         near.update(
-            (a, b) for a, b in itertools.combinations(owners, 2)
-            if pair_distance(pairs[a], pairs[b]) <= EPS_DEDUPE
+            (a, b) for a, b in itertools.combinations(members, 2)
+            if pair_distance((t1[a], t2[a]), (t1[b], t2[b])) <= EPS_DEDUPE
         )
     return close, sorted(near)
 
@@ -320,23 +314,6 @@ def _eval_at(series: FourierSeries, ts: np.ndarray) -> list[float]:
     return list(map(sum, zip(*columns)))
 
 
-def _crossings(knot: FourierKnot, classified: _Classified, rows, indices=None) -> list[Crossing]:
-    """The Crossings of the given classified rows, in that order; indices, when given, one per row.
-
-    Positions are (x(a), y(a)) from math.cos, like FourierSeries.eval on a
-    scalar, so they do not depend on numpy's cos.
-    """
-    a, b = classified.a[rows], classified.b[rows]
-    overs = ["t1" if over else "t2" for over in classified.over_t1[rows].tolist()]
-    positions = zip(_eval_at(knot.x, a), _eval_at(knot.y, a))
-    if indices is None:
-        indices = itertools.repeat(None)
-    return [
-        Crossing(*fields)
-        for fields in zip(a.tolist(), b.tolist(), classified.sign[rows].tolist(), overs, positions, indices)
-    ]
-
-
 def classify(knot: FourierKnot, t1: float, t2: float, indices: CrossingIndices | None = None) -> Crossing:
     """Resolve one projection double point into a signed over/under crossing.
 
@@ -347,12 +324,18 @@ def classify(knot: FourierKnot, t1: float, t2: float, indices: CrossingIndices |
     classified = _classify_pairs(knot, np.array([t1], dtype=float), np.array([t2], dtype=float))
     if classified.singular:
         raise SingularCrossing(classified.singular[0])
-    return _crossings(knot, classified, [0], [indices])[0]
+    (a,), (b,), (sign,), (over,) = (column.tolist() for column in classified[:4])
+    return Crossing(a, b, sign, "t1" if over else "t2", (knot.x.eval(a), knot.y.eval(a)), indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossingSet:
-    """All crossings of one knot, sorted by (t1, t2), deduplicated.
+    """All crossings of one knot as columns, one row per crossing, sorted by (t1, t2), deduplicated.
+
+    t1 <= t2 are float64 times; sign is +1 (right-handed) or -1; over_t1
+    (bool) says the strand at t1 passes on top; kind is 0 for type I, 1 for
+    type II and -1 without analytic indices, and (k, j) holds the indices.
+    The ``crossings`` records are built on first read, for output only.
 
     Every time must be finite and in [0, 2*pi), and no two crossings may lie
     within EPS_DEDUPE of each other under ``pair_distance``; both are
@@ -360,7 +343,7 @@ class CrossingSet:
     and refused with ValueError.  A duplicate error names the
     lexicographically first near pair.
 
-    ``passages`` are sorted once per set; the Gauss and PD codes read them.
+    ``passages`` are sorted once per set; the codes and the sweep read them.
     ``coincident_passage`` is the first i whose passage lies within
     EPS_DEDUPE of the next one (i = 2n - 1: the last against the first,
     across the wrap, checked last), else None; close passages of distinct
@@ -370,44 +353,59 @@ class CrossingSet:
     """
 
     knot: FourierKnot
-    crossings: tuple[Crossing, ...]
+    t1: np.ndarray
+    t2: np.ndarray
+    sign: np.ndarray
+    over_t1: np.ndarray
+    kind: np.ndarray
+    k: np.ndarray
+    j: np.ndarray
     method: str  # "analytic" | "numeric"
     singular_candidates: int = 0
-    coincident_passage: int | None = field(init=False, default=None, repr=False, compare=False)
+    coincident_passage: int | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "crossings", tuple(self.crossings))
-        cs = self.crossings
-        for a, b in zip(cs, cs[1:]):
-            if (a.t1, a.t2) > (b.t1, b.t2):
-                raise ValueError("crossings must be sorted by (t1, t2)")
-        close, near = _near_pairs([(c.t1, c.t2) for c in cs], self.passages)
+        t1, t2 = self.t1, self.t2
+        if np.any((t1[:-1] > t1[1:]) | ((t1[:-1] == t1[1:]) & (t2[:-1] > t2[1:]))):
+            raise ValueError("crossings must be sorted by (t1, t2)")
+        times, ids, _ = self.passages
+        t1, t2 = t1.tolist(), t2.tolist()
+        close, near = _near_pairs(t1, t2, times, ids)
         if near:
-            c, d = cs[near[0][0]], cs[near[0][1]]
+            a, b = near[0]
             raise ValueError(
                 f"duplicate time pair within {EPS_DEDUPE:g}: "
-                f"({c.t1}, {c.t2}) vs ({d.t1}, {d.t2})"
+                f"({t1[a]}, {t2[a]}) vs ({t1[b]}, {t2[b]})"
             )
         object.__setattr__(self, "coincident_passage", close[0] if close else None)
 
     @functools.cached_property
-    def passages(self) -> list[tuple[float, int, bool, int]]:
-        """All 2n passages in time order: (time, crossing index, is_over, sign)."""
-        events = []
-        for idx, c in enumerate(self.crossings):
-            events.append((c.t1, idx, c.over == "t1", c.sign))
-            events.append((c.t2, idx, c.over == "t2", c.sign))
-        events.sort()
-        return events
+    def passages(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All 2n passages in time order as arrays (time, crossing index, is_over 0 or 1); ties: index, under first."""
+        times = np.concatenate((self.t1, self.t2))
+        ids = np.tile(np.arange(len(self)), 2)
+        is_over = np.concatenate((self.over_t1, ~self.over_t1)).astype(np.intp)
+        order = np.lexsort((is_over, ids, times))
+        return times[order], ids[order], is_over[order]
+
+    @functools.cached_property
+    def crossings(self) -> tuple[Crossing, ...]:
+        """The rows as Crossing records, built on first read.
+
+        Positions are (x(t1), y(t1)) from math.cos, like FourierSeries.eval
+        on a scalar, so they do not depend on numpy's cos.
+        """
+        indices = [
+            CrossingIndices((TYPE_I, TYPE_II)[kind], k, j) if kind >= 0 else None
+            for kind, k, j in zip(self.kind.tolist(), self.k.tolist(), self.j.tolist())
+        ]
+        overs = ["t1" if over else "t2" for over in self.over_t1.tolist()]
+        positions = zip(_eval_at(self.knot.x, self.t1), _eval_at(self.knot.y, self.t1))
+        rows = zip(self.t1.tolist(), self.t2.tolist(), self.sign.tolist(), overs, positions, indices)
+        return tuple(itertools.starmap(Crossing, rows))
 
     def __len__(self) -> int:
-        return len(self.crossings)
-
-    def of_kind(self, kind: str) -> tuple[Crossing, ...]:
-        return tuple(c for c in self.crossings if c.indices is not None and c.indices.kind == kind)
-
-    def fully_indexed(self) -> bool:
-        return all(c.indices is not None for c in self.crossings)
+        return len(self.t1)
 
     def to_json(self) -> str:
         """Array of crossing records sorted by (t1, t2); 17-digit floats."""
@@ -457,8 +455,9 @@ def analytic_crossing_set(knot: FourierKnot, params: TorusParams) -> CrossingSet
     if classified.singular:
         raise SingularCrossing(next(iter(classified.singular.values())))
     order = np.lexsort((classified.b, classified.a))
-    crossings = _crossings(knot, classified, order, [table.indices[i] for i in order.tolist()])
-    return CrossingSet(knot, tuple(crossings), "analytic")
+    kind = (order >= table.n_type1).astype(np.int64)
+    columns = (column[order] for column in classified[:4])  # a, b, sign, over_t1
+    return CrossingSet(knot, *columns, kind, table.k[order], table.j[order], "analytic")
 
 
 def _newton_refine(knot: FourierKnot, t1: float, t2: float):
@@ -567,4 +566,6 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
         accepted.append(row[k])
     rows = np.array(accepted, dtype=np.intp)
     order = rows[np.lexsort((classified.b[rows], classified.a[rows]))]
-    return CrossingSet(knot, tuple(_crossings(knot, classified, order)), "numeric", singular)
+    unindexed = np.full(len(order), -1)
+    columns = (column[order] for column in classified[:4])  # a, b, sign, over_t1
+    return CrossingSet(knot, *columns, unindexed, unindexed, unindexed, "numeric", singular)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossings import EPS_DEDUPE, TYPE_I, TYPE_II, CrossingSet
+from .crossings import EPS_DEDUPE, CrossingSet
 from .errors import (
     IdentificationFailure,
     IncompleteCrossingSet,
@@ -118,34 +118,38 @@ class DiagramSummary:
 
 
 def _sorted_passages(crossings: CrossingSet):
-    """The set's passages in time order; raises if a singular candidate was dropped or two coincide."""
+    """The set's passage arrays in time order; raises if a singular candidate was dropped or two coincide."""
     if crossings.singular_candidates:
         raise IncompleteCrossingSet(f"{crossings.singular_candidates} singular candidate(s) dropped")
-    events = crossings.passages
+    times, ids, is_over = crossings.passages
     i = crossings.coincident_passage
     if i is not None:
-        if i == len(events) - 1:
+        if i == len(times) - 1:
             raise IncompleteCrossingSet("first and last passages coincide across the wrap")
-        (ta, ia, _, _), (_, ib, _, _) = events[i], events[i + 1]
-        raise IncompleteCrossingSet(f"passages of crossings {ia} and {ib} coincide at t = {ta:.9f}")
-    return events
+        raise IncompleteCrossingSet(
+            f"passages of crossings {ids[i]} and {ids[i + 1]} coincide at t = {times[i]:.9f}"
+        )
+    return times, ids, is_over
 
 
 def build_gauss_code(knot: FourierKnot, crossings: CrossingSet) -> GaussCode:
     """Signed Gauss code in traversal order (ids follow the (t1,t2) sort)."""
     del knot  # the passage times already determine the code
-    events = _sorted_passages(crossings)
-    return GaussCode(tuple((idx + 1, OVER if is_over else UNDER, sign) for _, idx, is_over, sign in events))
+    _, ids, is_over = _sorted_passages(crossings)
+    marks = [OVER if over else UNDER for over in is_over.tolist()]
+    return GaussCode(tuple(zip((ids + 1).tolist(), marks, crossings.sign[ids].tolist())))
 
 
-def _passage_positions(crossings: CrossingSet) -> list[tuple[int, int, int]]:
-    """Per crossing, in index order: (under position, over position, sign).
+def _passage_positions(crossings: CrossingSet) -> np.ndarray:
+    """Per crossing, in index order: its (under, over) positions, an (N, 2) array.
 
     Positions index the sorted passages, 0..2N-1.  The 2N passages lie on one
     circle of parameter times, so the positions are a permutation.
     """
-    pos = {(idx, is_over): p for p, (_, idx, is_over, _) in enumerate(_sorted_passages(crossings))}
-    return [(pos[i, False], pos[i, True], c.sign) for i, c in enumerate(crossings.crossings)]
+    _, ids, is_over = _sorted_passages(crossings)
+    pos = np.empty((len(crossings), 2), dtype=np.intp)
+    pos[ids, is_over] = np.arange(len(ids))
+    return pos
 
 
 def build_pd_code(crossings: CrossingSet) -> PDCode:
@@ -154,17 +158,16 @@ def build_pd_code(crossings: CrossingSet) -> PDCode:
     The passage at position pos enters on edge pos (2N for pos 0) and leaves
     on edge pos + 1.
     """
+    pu, po = _passage_positions(crossings).T
     n2 = 2 * len(crossings)
-    tuples = []
-    for pu, po, sign in _passage_positions(crossings):
-        a, c, o_in, o_out = pu or n2, pu + 1, po or n2, po + 1
-        tuples.append((a, o_out, c, o_in) if sign > 0 else (a, o_in, c, o_out))
-    return PDCode(tuple(tuples))
+    a, c, o_in, o_out = np.where(pu, pu, n2), pu + 1, np.where(po, po, n2), po + 1
+    right = crossings.sign > 0
+    return PDCode(np.column_stack((a, np.where(right, o_out, o_in), c, np.where(right, o_in, o_out))).tolist())
 
 
 def writhe(crossings: CrossingSet) -> int:
     """Sum of crossing signs."""
-    return sum(c.sign for c in crossings.crossings)
+    return int(crossings.sign.sum())
 
 
 def _pd_orientation(pd: PDCode) -> list[tuple[int, int, int]]:
@@ -310,14 +313,10 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     otherwise turn into Python ints in place (see _exact), so nothing wraps
     and nothing is refused.
     """
-    events = _sorted_passages(crossings)
+    t, cid, is_over = _sorted_passages(crossings)
     n = len(crossings)
     if not n:
         return LaurentPolynomial.one()
-    t, cid, is_over, _ = zip(*events)
-    t = np.array(t, dtype=np.float64)
-    cid = np.array(cid, dtype=np.intp)
-    is_over = np.array(is_over, dtype=np.intp)
     slope = knot.x.eval_derivative(t)
     speed = sum(abs(tm.amplitude) * tm.frequency for tm in knot.x.terms)  # bounds |x'|
     bend = sum(abs(tm.amplitude) * tm.frequency ** 2 for tm in knot.x.terms)  # bounds |x''|
@@ -337,8 +336,7 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     f = int(s[-1]) // 2 + 1
     strand = np.empty((n, 2), dtype=np.intp)  # [under strand, over strand] per crossing
     strand[cid, is_over] = s
-    sign = np.array([c.sign for c in crossings.crossings], dtype=np.intp)
-    rising = (sign > 0) == (strand[:, 0] % 2 == 1)  # the new label is O + t*(L - O)
+    rising = (crossings.sign > 0) == (strand[:, 0] % 2 == 1)  # the new label is O + t*(L - O)
     # chain links join passages i and i + 1 on one strand, oriented towards rising x
     link = np.flatnonzero(step == 0)
     head = link + ~up[link + 1]
@@ -432,32 +430,31 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
     dropped a singular candidate.
     """
     p, q = params.p, params.q
-    indexed = crossings.fully_indexed()
-    type1 = crossings.of_kind(TYPE_I)
-    type2 = crossings.of_kind(TYPE_II)
+    indexed = bool(np.all(crossings.kind >= 0))
+    type1, type2 = crossings.kind == 0, crossings.kind == 1
+    n1, n2 = int(type1.sum()), int(type2.sum())
     if indexed:
-        if len(type1) != p * q - q:
+        if n1 != p * q - q:
             raise IdentificationFailure(
-                "type1-count", f"expected {p * q - q} same-direction crossings, found {len(type1)}"
+                "type1-count", f"expected {p * q - q} same-direction crossings, found {n1}"
             )
-        if len(type2) != p * q - p:
+        if n2 != p * q - p:
             raise IdentificationFailure(
-                "type2-count", f"expected {p * q - p} opposite-direction crossings, found {len(type2)}"
+                "type2-count", f"expected {p * q - p} opposite-direction crossings, found {n2}"
             )
-        bad = [c for c in type1 if c.sign != -1]
+        bad = int(np.count_nonzero(crossings.sign[type1] != -1))
         if bad:
             raise IdentificationFailure(
-                "type1-handedness", f"{len(bad)} same-direction crossings are not left-handed"
+                "type1-handedness", f"{bad} same-direction crossings are not left-handed"
             )
         # for x = cos(p t) the analytic passages lie at least pi/(2pq) from a
         # critical time, so |x'| >= p*sin(pi/(2q)) there: the sign test has room
-        over_times = np.array([c.t_over for c in type2], dtype=np.float64)
+        over_times = np.where(crossings.over_t1, crossings.t1, crossings.t2)[type2]
         wrong = np.flatnonzero(knot.x.eval_derivative(over_times) <= 0.0)
         if wrong.size:
-            c = type2[wrong[0]]
             raise IdentificationFailure(
                 "type2-over-direction",
-                f"over-strand at t = {c.t_over:.6f} is not moving rightward",
+                f"over-strand at t = {over_times[wrong[0]]:.6f} is not moving rightward",
             )
     alex = _alexander_from_sweep(knot, crossings)
     oracle = torus_alexander_oracle(params)
@@ -468,7 +465,7 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
     return DiagramSummary(
         crossing_count=len(crossings),
         writhe=writhe(crossings),
-        type1_count=len(type1) if indexed else None,
-        type2_count=len(type2) if indexed else None,
+        type1_count=n1 if indexed else None,
+        type2_count=n2 if indexed else None,
         alexander=alex,
     )

@@ -54,7 +54,7 @@ def knot_diagram_svg(knot: FourierKnot, crossings: CrossingSet, size: int = 640)
     0.12 in t, narrowed to 0.35 of the closest spacing of under-passages.
     """
     samples = max(1024, 128 * knot.max_frequency())
-    under_times = sorted(c.t_under for c in crossings.crossings)
+    under_times = np.sort(np.where(crossings.over_t1, crossings.t2, crossings.t1)).tolist()
     gap = 0.12
     if len(under_times) >= 2:
         spacings = [b - a for a, b in zip(under_times, under_times[1:])]

@@ -123,7 +123,8 @@ def test_criterion_04_opposite_direction_over_law():
         knot = gen_theorem_knot(params)
         for ix, t1, t2 in enumerate_type2(params):
             crossing = classify(knot, t1, t2, ix)
-            assert knot.x.eval_derivative(crossing.t_over) > 0, (p, q, ix)
+            t_over = crossing.t1 if crossing.over == "t1" else crossing.t2
+            assert knot.x.eval_derivative(t_over) > 0, (p, q, ix)
             lhs = knot.x.eval_derivative(t1) * zdiff(knot, t1, t2)
             bracket = 1 - (-1) ** ix.k * math.sin(
                 ix.j * q * math.pi / p + math.pi / (2 * p) - math.pi / (4 * q)

@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from fourierknot.cli import build_parser, main
+from planted import crossing_set
 
 
 def run_cli(capsys, *argv):
@@ -78,7 +79,7 @@ def test_crossings_check_disagreement_exits_3(capsys, monkeypatch):
 
     def broken(knot, grid, diagnostics=None):
         cs = find_crossings_numeric(knot, grid)
-        return type(cs)(cs.knot, cs.crossings[:-1], cs.method)
+        return crossing_set(cs.knot, cs.crossings[:-1], cs.method)
 
     monkeypatch.setattr(cli_mod, "find_crossings_numeric", broken)
     code, _, err = run_cli(capsys, "crossings", "-p", "2", "-q", "3", "--numeric", "--grid", "512", "--check")
@@ -392,6 +393,15 @@ def test_crossings_and_render_outputs_pinned(capsys, pq, simplified):
     # --check prints the analytic set it checked
     assert sha256_of_stdout(capsys, "crossings", *knot, "--check") == json_digest
     assert sha256_of_stdout(capsys, "render", *knot) == svg_digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_numeric_crossings_build_no_analytic_set(capsys, monkeypatch, fmt):
+    # --numeric without --check prints the numeric set only, so it builds no analytic set
+    argv = ("crossings", "-p", "3", "-q", "7", "--numeric", "--format", fmt)
+    expected = sha256_of_stdout(capsys, *argv)
+    stop_at_crossing_set(monkeypatch)
+    assert sha256_of_stdout(capsys, *argv) == expected
 
 
 def test_crossings_text_in_degrees_pinned(capsys):

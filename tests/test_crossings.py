@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourierknot import (
-    CrossingSet,
     FourierKnot,
     FourierSeries,
     FourierTerm,
@@ -50,6 +49,7 @@ from fourierknot.crossings import (
     pair_distance,
 )
 from fourierknot.series import TWO_PI, reduce_angle
+from planted import crossing_set
 
 COPRIME_PAIRS = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1]
 
@@ -172,8 +172,9 @@ def test_classify_type2_over_moves_right_3_7():
     knot = gen_theorem_knot(params)
     for ix, t1, t2 in enumerate_type2(params):
         c = classify(knot, t1, t2, ix)
-        assert knot.x.eval_derivative(c.t_over) > 0
-        assert knot.x.eval_derivative(c.t_under) < 0
+        t_over, t_under = (c.t1, c.t2) if c.over == "t1" else (c.t2, c.t1)
+        assert knot.x.eval_derivative(t_over) > 0
+        assert knot.x.eval_derivative(t_under) < 0
 
 
 def test_classify_singular_heights():
@@ -262,8 +263,8 @@ def test_analytic_set_sorted_and_counted():
     assert len(cs) == 2 * 3 * 7 - 3 - 7
     pairs = [(c.t1, c.t2) for c in cs.crossings]
     assert pairs == sorted(pairs)
-    assert len(cs.of_kind(TYPE_I)) == 14
-    assert len(cs.of_kind(TYPE_II)) == 18
+    assert [c.indices.kind for c in cs.crossings].count(TYPE_I) == 14
+    assert [c.indices.kind for c in cs.crossings].count(TYPE_II) == 18
 
 
 def test_analytic_set_refuses_another_x_or_y():
@@ -326,12 +327,12 @@ def test_crossing_set_rejects_duplicates():
     cs = analytic_crossing_set(knot, params)
     doubled = sorted(cs.crossings + cs.crossings[:1], key=lambda c: (c.t1, c.t2))
     with pytest.raises(ValueError):
-        CrossingSet(knot, tuple(doubled), "analytic")
+        crossing_set(knot, doubled)
 
 
 def _set_of(*pairs):
     knot = gen_theorem_knot(TorusParams(2, 3))
-    return CrossingSet(knot, tuple(Crossing(a, b, 1, "t1", (0.0, 0.0)) for a, b in pairs), "numeric")
+    return crossing_set(knot, (Crossing(a, b, 1, "t1", (0.0, 0.0)) for a, b in pairs), "numeric")
 
 
 def test_crossing_set_rejects_duplicate_across_wrap_with_swapped_roles():
@@ -379,12 +380,17 @@ def near_duplicate_check_reference(cs):
                 )
 
 
-def coincident_passage_reference(cs):
-    """The coincidence scan the Gauss and PD builders ran over freshly sorted passages."""
-    events = sorted(
+def passages_reference(cs):
+    """The passages as the sorted (time, crossing index, is_over, sign) tuples they once were."""
+    return sorted(
         e for i, c in enumerate(cs)
         for e in ((c.t1, i, c.over == "t1", c.sign), (c.t2, i, c.over == "t2", c.sign))
     )
+
+
+def coincident_passage_reference(cs):
+    """The coincidence scan the Gauss and PD builders ran over freshly sorted passages."""
+    events = passages_reference(cs)
     for i, ((ta, *_), (tb, *_)) in enumerate(zip(events, events[1:])):
         if circular_distance(ta, tb) <= EPS_DEDUPE:
             return i
@@ -436,6 +442,7 @@ def planted_time_pairs(draw):
 @example(pairs=[(1.0, 1.0 + 5e-7)])  # both passages of one crossing close
 @example(pairs=[(-1e-7, 3.0), (3.0 + 1e-7, TWO_PI - 1e-7)])  # a time below 0: refused as out of range
 @example(pairs=[(1.0, 2.0), (math.nan, 3.0), (4.0, 5.0)])  # NaN: refused as out of range
+@example(pairs=[(1.0, 2.0), (1.0, 4.0), (2.0, 3.0), (3.0, 3.0)])  # equal passage times, within a crossing too
 @given(pairs=planted_time_pairs())
 def test_crossing_set_matches_full_duplicate_check(pairs):
     knot = gen_theorem_knot(TorusParams(2, 3))
@@ -449,12 +456,15 @@ def test_crossing_set_matches_full_duplicate_check(pairs):
     except ValueError as exc:
         expected = str(exc)
     try:
-        cs = CrossingSet(knot, crossings, "numeric")
+        cs = crossing_set(knot, crossings, "numeric")
     except ValueError as exc:
         assert str(exc) == expected
         return
     assert expected is None
     assert cs.coincident_passage == coincident_passage_reference(crossings)
+    times, ids, is_over = cs.passages
+    reference = passages_reference(crossings)
+    assert list(zip(times.tolist(), ids.tolist(), is_over.tolist())) == [e[:3] for e in reference]
 
 
 def test_crossing_set_accepts_close_passages_of_distinct_pairs():

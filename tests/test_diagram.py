@@ -37,6 +37,7 @@ from fourierknot import (
 )
 from fourierknot import diagram
 from fourierknot.crossings import TYPE_I, TYPE_II, near_pairs
+from planted import crossing_set
 
 L = LaurentPolynomial
 
@@ -47,6 +48,11 @@ def theorem_set(p, q, simplified=False):
     params = TorusParams(p, q)
     knot = gen_theorem_knot(params, simplified=simplified)
     return params, knot, analytic_crossing_set(knot, params)
+
+
+def of_kind(cs, kind):
+    """The set's records of one analytic family, in the set's order."""
+    return [c for c in cs.crossings if c.indices is not None and c.indices.kind == kind]
 
 
 def mirrored(knot):
@@ -105,9 +111,7 @@ def test_gauss_code_type1_signs_negative():
 def test_gauss_code_empty():
     params = TorusParams(2, 3)
     knot = gen_theorem_knot(params)
-    from fourierknot import CrossingSet
-
-    empty = CrossingSet(knot, (), "analytic")
+    empty = crossing_set(knot, ())
     assert len(build_gauss_code(knot, empty)) == 0
 
 
@@ -186,20 +190,18 @@ def test_alexander_symmetry_from_diagram(pq):
 
 
 def test_writhe_empty():
-    from fourierknot import CrossingSet
-
     knot = gen_theorem_knot(TorusParams(2, 3))
-    assert writhe(CrossingSet(knot, (), "analytic")) == 0
+    assert writhe(crossing_set(knot, ())) == 0
 
 
 def test_writhe_type1_contribution_3_7():
     params, knot, cs = theorem_set(3, 7)
-    assert sum(c.sign for c in cs.of_kind(TYPE_I)) == -14
+    assert sum(c.sign for c in of_kind(cs, TYPE_I)) == -14
 
 
 def test_writhe_decomposition_2_3():
     params, knot, cs = theorem_set(2, 3)
-    type2_sum = sum(c.sign for c in cs.of_kind(TYPE_II))
+    type2_sum = sum(c.sign for c in of_kind(cs, TYPE_II))
     assert writhe(cs) == -3 + type2_sum
 
 
@@ -219,7 +221,7 @@ def test_identify_mirror_fails_on_handedness():
     knot = mirrored(gen_theorem_knot(params))
     cs = analytic_crossing_set(knot, params)
     assert len(cs) == 7  # counts are mirror-invariant
-    assert all(c.sign == 1 for c in cs.of_kind(TYPE_I))
+    assert all(c.sign == 1 for c in of_kind(cs, TYPE_I))
     with pytest.raises(IdentificationFailure) as err:
         identify(knot, cs, params)
     assert err.value.condition == "type1-handedness"
@@ -231,10 +233,10 @@ def test_identify_names_first_over_direction_failure():
     # the first in the set's order
     params, knot, cs = theorem_set(3, 7)
     turned = FourierKnot(FourierSeries((FourierTerm(1.0, 3, -math.pi / 2),)), knot.y, knot.z)
-    type2 = cs.of_kind(TYPE_II)
-    wrong = [c for c in type2 if turned.x.eval_derivative(c.t_over) <= 0.0]
-    assert wrong and wrong[0] is not type2[0]
-    with pytest.raises(IdentificationFailure, match=f"over-strand at t = {wrong[0].t_over:.6f} is not") as err:
+    over_times = [c.t1 if c.over == "t1" else c.t2 for c in of_kind(cs, TYPE_II)]
+    wrong = [t for t in over_times if turned.x.eval_derivative(t) <= 0.0]
+    assert wrong and wrong[0] != over_times[0]
+    with pytest.raises(IdentificationFailure, match=f"over-strand at t = {wrong[0]:.6f} is not") as err:
         identify(turned, cs, params)
     assert err.value.condition == "type2-over-direction"
 
@@ -287,18 +289,37 @@ def test_identify_outputs_pinned():
     )
 
 
+def test_identify_path_builds_no_crossing_records(monkeypatch):
+    # the set, both codes and identify read the columns, never a Crossing record
+    from fourierknot import crossings as crossings_mod
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Crossing record was built")
+
+    monkeypatch.setattr(crossings_mod, "Crossing", refused)
+    params = TorusParams(13, 29)
+    knot = gen_theorem_knot(params)
+    cs = analytic_crossing_set(knot, params)
+    assert len(build_gauss_code(knot, cs)) == 2 * len(cs) == 2 * len(build_pd_code(cs))
+    assert identify(knot, cs, params).alexander == torus_alexander_oracle(params)
+    params = TorusParams(3, 7)
+    knot = gen_theorem_knot(params)
+    assert identify(knot, find_crossings_numeric(knot, 2048), params).type1_count is None
+    with pytest.raises(AssertionError, match="record was built"):
+        cs.crossings
+
+
 def test_incomplete_passages_detected():
     params = TorusParams(2, 3)
     knot = gen_theorem_knot(params)
     cs = analytic_crossing_set(knot, params)
     from dataclasses import replace
-    from fourierknot import CrossingSet
 
     # clone one crossing onto a distinct-but-coincident passage time
     bad = list(cs.crossings)
     bad[1] = replace(bad[1], t1=bad[0].t1)
     bad.sort(key=lambda c: (c.t1, c.t2))
-    broken = CrossingSet(knot, tuple(bad), "analytic")
+    broken = crossing_set(knot, bad)
     with pytest.raises(IncompleteCrossingSet):
         build_gauss_code(knot, broken)
     with pytest.raises(IncompleteCrossingSet, match="coincide"):
@@ -388,7 +409,6 @@ def test_sweep_refuses_passage_at_critical_time():
     # the type I crossing whose earlier time is nearest a critical time k*pi/3
     # of x = cos(3t), moved to within 5e-7 of it, could lie on either strand
     from dataclasses import replace
-    from fourierknot import CrossingSet
 
     params, knot, cs = theorem_set(3, 7)
     critical = [k * math.pi / 3 for k in range(1, 6)]
@@ -399,7 +419,7 @@ def test_sweep_refuses_passage_at_critical_time():
     moved[i] = replace(moved[i], t1=t + 5e-7)
     moved.sort(key=lambda c: (c.t1, c.t2))
     with pytest.raises(SingularDiagram, match="critical time"):
-        diagram._alexander_from_sweep(knot, CrossingSet(knot, tuple(moved), "analytic"))
+        diagram._alexander_from_sweep(knot, crossing_set(knot, moved))
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (2, 5), (3, 4)])
@@ -423,22 +443,19 @@ def test_sweep_refuses_constant_x():
 def test_sweep_refuses_a_cycle():
     # x = cos t: strand 0 (t in [0, pi], x falls) meets crossing B before A
     # towards rising x, strand 1 (t in [pi, 2*pi]) meets A before B
-    from fourierknot import CrossingSet
     from fourierknot.crossings import Crossing
 
     knot = one_crossing_knot()
     a = Crossing(0.5, 4.0, -1, "t1", (0.0, 0.0))
     b = Crossing(1.0, 5.0, -1, "t1", (0.0, 0.0))
     with pytest.raises(SingularDiagram, match="cycle through 2 crossing"):
-        diagram._alexander_from_sweep(knot, CrossingSet(knot, (a, b), "analytic"))
+        diagram._alexander_from_sweep(knot, crossing_set(knot, (a, b)))
 
 
 def test_sweep_without_crossings_is_one():
     # no crossing leaves every label at its minimum's generator: a unimodular minor
-    from fourierknot import CrossingSet
-
     params, knot, cs = theorem_set(3, 7)
-    assert diagram._alexander_from_sweep(knot, CrossingSet(knot, (), "analytic")) == L.one()
+    assert diagram._alexander_from_sweep(knot, crossing_set(knot, ())) == L.one()
 
 
 def test_sweep_switches_to_python_ints(monkeypatch):
@@ -556,6 +573,11 @@ def test_pd_code_link_with_over_pair_fault():
 # -- passage positions -----------------------------------------------------------
 
 
+def passage_positions(cs):
+    """(under position, over position, sign) per crossing, as _pd_orientation reads them back."""
+    return [(u, o, s) for (u, o), s in zip(diagram._passage_positions(cs).tolist(), cs.sign.tolist())]
+
+
 def one_crossing_knot():
     """x = cos t, y = cos(2t + pi/2), z = cos(t - pi/2): a single left-handed crossing."""
     def term(frequency, phase):
@@ -572,7 +594,7 @@ def test_one_crossing_code_reads_back_left_handed():
     assert pd.crossings == ((1, 2, 2, 1),)
     # with N = 1 both readings of the over pair fit; the over-strand enters
     # on the edge the under-strand does not
-    assert diagram._pd_orientation(pd) == diagram._passage_positions(cs) == [(1, 0, -1)]
+    assert diagram._pd_orientation(pd) == passage_positions(cs) == [(1, 0, -1)]
     assert alexander_from_diagram(pd) == L.one()
 
 
@@ -604,7 +626,7 @@ def random_cosine_series(rng, terms=2, top=4):
 
 def has_fold(knot, cs):
     """Whether x turns twice between two passages that move the same way: the sweep must cut there."""
-    t = np.array([passage[0] for passage in cs.passages])
+    t = cs.passages[0]
     up = knot.x.eval_derivative(t) > 0.0
     back = np.diff(knot.x.eval(t)) * np.where(up[1:], 1.0, -1.0) <= 0.0
     return bool(np.any((up[1:] == up[:-1]) & back))
@@ -632,7 +654,7 @@ def numeric_alexander(knot, folds=None):
     if diagnostics:
         return None
     pd = build_pd_code(cs)
-    assert diagram._pd_orientation(pd) == diagram._passage_positions(cs)
+    assert diagram._pd_orientation(pd) == passage_positions(cs)
     alex = alexander_from_diagram(pd)
     assert diagram._alexander_from_sweep(knot, cs) == alex
     if folds is not None:
