@@ -144,7 +144,6 @@ def cmd_crossings(args) -> int:
     _check_output(args.output)
     params = _torus_params(args)
     knot = gen_theorem_knot(params, simplified=args.simplified)
-    # the analytic set is built only when it is printed or checked
     analytic = analytic_crossing_set(knot, params) if args.check or not args.numeric else None
     numeric = find_crossings_numeric(knot, args.grid) if args.numeric or args.check else None
     chosen = numeric if args.numeric else analytic
