@@ -41,6 +41,7 @@ from fourierknot.crossings import (
     TYPE_I,
     TYPE_II,
     Crossing,
+    _crossing_table,
     _eval_at,
     circular_distance,
     crossing_count,
@@ -302,6 +303,27 @@ def test_analytic_set_pinned():
             digest.update(repr([(c.indices.key(), c.sign, c.over) for c in cs]).encode())
             digest.update(struct.pack(f"<{2 * len(cs)}d", *(t for c in cs for t in (c.t1, c.t2))))
     assert digest.hexdigest() == ANALYTIC_SET_DIGEST
+
+
+# sha256 of every crossing table's n_type1, its columns as little-endian
+# bytes (k, j, the raw unreduced t1 and t2, s_u, d_u, intercept_u) and the
+# repr of its index records, over the 241 coprime pairs with q < 30
+CROSSING_TABLE_DIGEST = "0cb6064b9106048d13381d915c577054b17ddbc0a3d2e955b199117414da0013"
+
+
+def test_crossing_table_pinned():
+    pairs = [(p, q) for q in range(3, 30) for p in range(2, q) if math.gcd(p, q) == 1]
+    assert len(pairs) == 241
+    digest = hashlib.sha256()
+    for p, q in pairs:
+        table = _crossing_table(TorusParams(p, q))
+        digest.update(repr((p, q, table.n_type1)).encode())
+        for column in (table.k, table.j, table.s_u, table.d_u, table.intercept_u):
+            digest.update(column.astype("<i8").tobytes())
+        for column in (table.t1, table.t2):
+            digest.update(column.astype("<f8").tobytes())
+        digest.update(repr(table.indices).encode())
+    assert digest.hexdigest() == CROSSING_TABLE_DIGEST
 
 
 def test_analytic_set_on_a_singular_line_names_the_first_singular_row():

@@ -37,6 +37,7 @@ from fourierknot.crossings import (
     EPS_SINGULAR,
     TYPE_I,
     TYPE_II,
+    CrossingIndices,
     _crossing_table,
     enumerate_type1,
     enumerate_type2,
@@ -89,6 +90,29 @@ def test_matches_pair_difference_bitwise(pq):
         z = knot_with_phases(params, point).z
         for ix, t1, t2 in _crossing_table(params).entries():
             assert zdiff_at_phases(params, point, ix) == pair_difference(z, t1, t2), (point, ix)
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (3, 7), (4, 9)])
+def test_zdiff_at_phases_refuses_indices_outside_the_table(pq):
+    params = TorusParams(*pq)
+    point = PhasePoint(1.234, 2.345)
+    families = {TYPE_I: enumerate_type1(params), TYPE_II: enumerate_type2(params)}
+    first_type2 = families[TYPE_II][0][0]
+    outside = [
+        CrossingIndices("III", first_type2.k, first_type2.j),
+        CrossingIndices(TYPE_I, 0, 1),
+        CrossingIndices(TYPE_II, 0, 1),
+        CrossingIndices(TYPE_I, params.p, 1 + params.q // 2),
+        CrossingIndices(TYPE_II, params.q, 1 + params.p // 2),
+    ]
+    for kind, entries in families.items():
+        ks = [ix.k for ix, _, _ in entries]
+        for k in (min(ks), max(ks)):
+            js = [ix.j for ix, _, _ in entries if ix.k == k]
+            outside += [CrossingIndices(kind, k, min(js) - 1), CrossingIndices(kind, k, max(js) + 1)]
+    for ix in outside:
+        with pytest.raises(KeyError):
+            zdiff_at_phases(params, point, ix)
 
 
 def test_antisymmetry_under_time_swap():
@@ -301,8 +325,6 @@ def test_lines_2_3_type1_horizontal_and_certified():
     one_two = [l for l in t1_lines if (l.k, l.j) == (1, 2)]
     assert one_two
     rng = random.Random(4)
-    from fourierknot.crossings import CrossingIndices
-
     for line in one_two:
         for _ in range(10):
             point = PhasePoint(rng.uniform(0, TWO_PI), line.intercept)
