@@ -157,7 +157,7 @@ def crossing_count(p: int, q: int) -> int:
 
 
 class _CrossingTable:
-    """Both closed-form crossing families of T(p, q), one row per crossing.
+    """Both closed-form crossing families of T(p, q), one row per crossing, as columns.
 
     Rows run over type I then type II, k then j, in enumeration order, which
     is the sorted order of their CrossingIndices.  The first n_type1 rows are
@@ -167,49 +167,53 @@ class _CrossingTable:
     integer multiples of u = pi/(2pq), held exactly in s_u and d_u (int64,
     in units of u); intercept_u holds the numerator N of the row's singular
     lines phi2 = slope * phi1 + (N + 2pq m) u.  The phase raster's signs
-    come from these integers.
+    come from these integers.  The columns are the only store: ``indices``
+    builds every row's CrossingIndices on first read, ``records`` some rows'.
     """
 
     def __init__(self, params: TorusParams):
         p, q = params.p, params.q
-        indices, t1, t2 = [], [], []
+        families = []
         # type I (same direction): t = j*pi/q - pi/(2pq) -/+ k*pi/p, 0 < k < p;
         # type II (opposite direction): t = j*pi/p -/+ k*pi/q, 0 < k < q.
         # The j bounds are floors of rationals, computed in exact integer
-        # arithmetic because kq/p + 1/(2p) can sit at an integer; nudge is
-        # the shift in units of pi/(2pq).
-        for kind, a, b, shift, nudge in (
-            (TYPE_I, p, q, math.pi / (2 * p * q), 1),
-            (TYPE_II, q, p, 0.0, 0),
-        ):
-            for k in range(1, a):
-                half = k * math.pi / a
-                j_lo = 1 + (2 * k * b + nudge) // (2 * a)
-                j_hi = (4 * a * b - 2 * k * b + nudge) // (2 * a)
-                for j in range(j_lo, j_hi + 1):
-                    base = j * math.pi / b - shift
-                    indices.append(CrossingIndices(kind, k, j))
-                    t1.append(base - half)
-                    t2.append(base + half)
-        self.p, self.q = p, q
-        self.indices = tuple(indices)
-        self.row = {ix: i for i, ix in enumerate(self.indices)}
-        self.n_type1 = sum(ix.kind == TYPE_I for ix in indices)
-        self.k = k = np.array([ix.k for ix in indices], dtype=np.int64)
-        self.j = j = np.array([ix.j for ix in indices], dtype=np.int64)
-        self.t1, self.t2 = np.array(t1), np.array(t2)
-        # in units of u, type I has base 2pj - 1 and half 2qk, type II base 2qj and half 2pk
-        type1 = np.arange(len(indices)) < self.n_type1
-        self.s_u = np.where(type1, 2 * p * j - 1, 2 * q * j)
-        self.d_u = np.where(type1, -2 * q * k, -2 * p * k)
+        # arithmetic because kq/p + 1/(2p) can sit at an integer.  In units
+        # of u, the shift is nudge, base is 2aj - nudge and half is 2bk.
+        for a, b, shift, nudge in ((p, q, math.pi / (2 * p * q), 1), (q, p, 0.0, 0)):
+            k = np.arange(1, a, dtype=np.int64)
+            j_lo = 1 + (2 * k * b + nudge) // (2 * a)
+            count = (4 * a * b - 2 * k * b + nudge) // (2 * a) - j_lo + 1
+            k, j = np.repeat(k, count), np.repeat(j_lo, count) + _kernels._ranges(count)
+            half, base = k * math.pi / a, j * math.pi / b - shift
+            families.append((k, j, base - half, base + half, 2 * a * j - nudge, -2 * b * k))
+        k, j, t1, t2, s_u, d_u = (np.concatenate(columns) for columns in zip(*families))
+        self.p, self.q, self.n_type1 = p, q, len(families[0][0])
+        self.k, self.j, self.t1, self.t2, self.s_u, self.d_u = k, j, t1, t2, s_u, d_u
+        type1 = np.arange(len(k)) < self.n_type1
         self.intercept_u = np.where(type1, 2 * p * p * j + q - p, -2 * q * q * j)
         for column in (self.k, self.j, self.t1, self.t2, self.s_u, self.d_u, self.intercept_u):
             column.flags.writeable = False
 
-    def entries(self, kind: str | None = None) -> list[tuple[CrossingIndices, float, float]]:
-        """(indices, raw t1, raw t2) per row, optionally of one kind only."""
-        rows = zip(self.indices, self.t1.tolist(), self.t2.tolist())
-        return [row for row in rows if kind is None or row[0].kind == kind]
+    def kinds(self, rows) -> list[str]:
+        """The kind, TYPE_I or TYPE_II, of each of the rows (an int array)."""
+        return np.where(rows < self.n_type1, TYPE_I, TYPE_II).tolist()
+
+    def records(self, rows) -> list[CrossingIndices]:
+        """The CrossingIndices of the rows (an int array), in their order."""
+        return list(map(CrossingIndices, self.kinds(rows), self.k[rows].tolist(), self.j[rows].tolist()))
+
+    @functools.cached_property
+    def indices(self) -> tuple[CrossingIndices, ...]:
+        """Every row's CrossingIndices, in row order (which is sorted order), built on first read."""
+        return tuple(self.records(np.arange(len(self.k))))
+
+    def row_of(self, indices: CrossingIndices) -> int:
+        """The row of a crossing's indices; KeyError unless they name a crossing of T(p, q)."""
+        rows = {TYPE_I: slice(0, self.n_type1), TYPE_II: slice(self.n_type1, None)}.get(indices.kind, slice(0, 0))
+        hit = np.flatnonzero((self.k[rows] == indices.k) & (self.j[rows] == indices.j))
+        if not len(hit):
+            raise KeyError(indices)
+        return rows.start + int(hit[0])
 
     def height_gap(self, rows, phi1, phi2):
         """z(t1) - z(t2) for z = cos(p t + phi1) + cos((q-p) t + phi2).
@@ -229,20 +233,25 @@ def _crossing_table(params: TorusParams) -> _CrossingTable:
     return _CrossingTable(params)
 
 
+def _family(params: TorusParams, kind: str):
+    """The table rows of one kind as ((kind,k,j), t1, t2), times reduced mod 2*pi individually."""
+    table = _crossing_table(params)
+    rows = zip(table.indices, table.t1.tolist(), table.t2.tolist())
+    return [(ix, reduce_angle(a), reduce_angle(b)) for ix, a, b in rows if ix.kind == kind]
+
+
 def enumerate_type1(params: TorusParams):
     """Same-direction double points: pq - q entries of ((kind,k,j), t1, t2).
 
     Times keep their formula roles (t1 carries the -k shift) and are reduced
     mod 2*pi individually.
     """
-    entries = _crossing_table(params).entries(TYPE_I)
-    return [(ix, reduce_angle(a), reduce_angle(b)) for ix, a, b in entries]
+    return _family(params, TYPE_I)
 
 
 def enumerate_type2(params: TorusParams):
     """Opposite-direction double points: pq - p entries of ((kind,k,j), t1, t2)."""
-    entries = _crossing_table(params).entries(TYPE_II)
-    return [(ix, reduce_angle(a), reduce_angle(b)) for ix, a, b in entries]
+    return _family(params, TYPE_II)
 
 
 def direction_product(knot: FourierKnot, t1: float, t2: float) -> float:
@@ -411,11 +420,8 @@ class CrossingSet:
         """Array of crossing records sorted by (t1, t2); 17-digit floats."""
         rows = []
         for c in self.crossings:
-            if c.indices is not None:
-                kind = f'"{c.indices.kind}"'
-                k, j = str(c.indices.k), str(c.indices.j)
-            else:
-                kind = k = j = "null"
+            ix = c.indices
+            kind, k, j = (f'"{ix.kind}"', ix.k, ix.j) if ix is not None else ("null",) * 3
             rows.append(
                 f'{{"kind":{kind},"k":{k},"j":{j},'
                 f'"t1":{fmt_float(c.t1)},"t2":{fmt_float(c.t2)},'
@@ -429,10 +435,8 @@ class CrossingSet:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["kind", "k", "j", "t1", "t2", "sign", "over", "x", "y"])
         for c in self.crossings:
-            kind = c.indices.kind if c.indices else ""
-            k = c.indices.k if c.indices else ""
-            j = c.indices.j if c.indices else ""
-            w.writerow([kind, k, j, fmt_float(c.t1), fmt_float(c.t2), c.sign, c.over,
+            ix = (c.indices.kind, c.indices.k, c.indices.j) if c.indices is not None else ("",) * 3
+            w.writerow([*ix, fmt_float(c.t1), fmt_float(c.t2), c.sign, c.over,
                         fmt_float(c.position[0]), fmt_float(c.position[1])])
         return buf.getvalue()
 

@@ -18,6 +18,7 @@ turns into Python ints before a coefficient could overflow int64.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
@@ -77,12 +78,10 @@ class PDCode:
 
     def __post_init__(self):
         object.__setattr__(self, "crossings", tuple(tuple(x) for x in self.crossings))
-        counts: dict[int, int] = {}
         for tup in self.crossings:
             if len(tup) != 4:
                 raise SingularDiagram(f"PD tuple {tup} must have four edge labels")
-            for label in tup:
-                counts[label] = counts.get(label, 0) + 1
+        counts = collections.Counter(itertools.chain.from_iterable(self.crossings))
         bad = {k: v for k, v in counts.items() if v != 2}
         if bad:
             raise SingularDiagram(f"edge labels must appear exactly twice, violations: {bad}")

@@ -145,7 +145,7 @@ def zdiff_at_phases(params: TorusParams, point: PhasePoint, indices: CrossingInd
     indices must name a crossing of T(p, q); any other raises KeyError.
     """
     table = _crossing_table(params)
-    return float(table.height_gap(table.row[indices], point.phi1, point.phi2))
+    return float(table.height_gap(table.row_of(indices), point.phi1, point.phi2))
 
 
 def _positive_gaps(table, point: PhasePoint) -> np.ndarray:
@@ -153,7 +153,7 @@ def _positive_gaps(table, point: PhasePoint) -> np.ndarray:
     gaps = table.height_gap(slice(None), point.phi1, point.phi2)
     degenerate = np.abs(gaps) <= EPS_SINGULAR
     if degenerate.any():
-        raise SingularPoint([table.indices[i] for i in np.flatnonzero(degenerate).tolist()])
+        raise SingularPoint(table.records(np.flatnonzero(degenerate)))
     return gaps > 0.0
 
 
@@ -196,7 +196,7 @@ def _line_candidates(table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     the floats base + m pi, in table order and then by m.
     """
     p, q = table.p, table.q
-    type1 = np.arange(len(table.indices)) < table.n_type1
+    type1 = np.arange(len(table.k)) < table.n_type1
     base = np.where(type1, table.j * p * math.pi / q + _TYPE1_CONST(p, q), -table.j * q * math.pi / p)
     m = -(table.intercept_u // (2 * p * q))[:, None] + np.arange(2)
     intercept = base[:, None] + m * math.pi
@@ -220,16 +220,13 @@ def singular_lines(params: TorusParams) -> list[SingularLine]:
     rows, m, slopes, intercepts = _line_candidates(table)
     phi2 = _phi2_along(slopes, intercepts, _CERT_PHI1)
     residual = np.abs(table.height_gap(rows[:, None], _CERT_PHI1, phi2))
-    owners = [table.indices[r] for r in rows.tolist()]
-    lines = [
-        SingularLine(ix.kind, ix.k, ix.j, mi, slope, intercept)
-        for ix, mi, slope, intercept in zip(owners, m.tolist(), slopes.tolist(), intercepts.tolist())
-    ]
+    owners = table.kinds(rows), table.k[rows].tolist(), table.j[rows].tolist()
+    lines = list(map(SingularLine, *owners, m.tolist(), slopes.tolist(), intercepts.tolist()))
     failing = np.argwhere(residual > _CERT_TOL)
     if len(failing):
         i, s = failing[0]
         raise CertificationFailure(
-            f"line {lines[i]} fails for crossing {owners[i].key()}: "
+            f"line {lines[i]} fails for crossing {lines[i].kind}:{lines[i].k}:{lines[i].j}: "
             f"residual {residual[i, s]:.3e} at phi1={_CERT_PHI1[s]:.6f}"
         )
     return lines

@@ -31,12 +31,15 @@ from fourierknot import (
     gen_theorem_knot,
     identify,
     knot_with_phases,
+    same_knot_by_phases,
     simplified_phase_point,
+    singular_lines,
+    theorem_phase_point,
     torus_alexander_oracle,
     writhe,
 )
 from fourierknot import diagram
-from fourierknot.crossings import TYPE_I, TYPE_II, near_pairs
+from fourierknot.crossings import TYPE_I, TYPE_II, crossing_count, near_pairs
 from planted import crossing_set
 
 L = LaurentPolynomial
@@ -143,6 +146,18 @@ def test_pd_code_rejects_bad_labels():
     for code in [((1, 2, 3, 4),), ((5, 6, 6, 5),), ((3, 3, 2, 2),), ((1, 1, 0, 0),)]:
         with pytest.raises(SingularDiagram):
             PDCode(code)
+
+
+@pytest.mark.parametrize("code, message", [
+    (((1, 2, 3),), "PD tuple (1, 2, 3) must have four edge labels"),
+    # violations in first-appearance order, not sorted
+    (((4, 2, 2, 1), (1, 3, 3, 3)), "edge labels must appear exactly twice, violations: {4: 1, 3: 3}"),
+    (((5, 6, 6, 5),), "edge labels must be 1..2"),
+])
+def test_pd_code_refusal_messages(code, message):
+    with pytest.raises(SingularDiagram) as err:
+        PDCode(code)
+    assert str(err.value) == message
 
 
 def test_pd_code_rejects_links():
@@ -290,13 +305,20 @@ def test_identify_outputs_pinned():
 
 
 def test_identify_path_builds_no_crossing_records(monkeypatch):
-    # the set, both codes and identify read the columns, never a Crossing record
+    # the set, both codes, identify and verify's phase column read the
+    # columns, never a Crossing record or a crossing table's index record
     from fourierknot import crossings as crossings_mod
+    from fourierknot import phases as phases_mod
 
-    def refused(*args, **kwargs):
-        raise AssertionError("a Crossing record was built")
+    def refused(name):
+        def build(*args, **kwargs):
+            raise AssertionError(f"a {name} record was built")
+        return build
 
-    monkeypatch.setattr(crossings_mod, "Crossing", refused)
+    monkeypatch.setattr(crossings_mod, "Crossing", refused("Crossing"))
+    for module in (crossings_mod, phases_mod):
+        monkeypatch.setattr(module, "CrossingIndices", refused("CrossingIndices"))
+    crossings_mod._crossing_table.cache_clear()
     params = TorusParams(13, 29)
     knot = gen_theorem_knot(params)
     cs = analytic_crossing_set(knot, params)
@@ -305,6 +327,10 @@ def test_identify_path_builds_no_crossing_records(monkeypatch):
     params = TorusParams(3, 7)
     knot = gen_theorem_knot(params)
     assert identify(knot, find_crossings_numeric(knot, 2048), params).type1_count is None
+    # verify's phase column for an even p
+    params = TorusParams(8, 17)
+    assert len(singular_lines(params)) == 2 * crossing_count(8, 17)
+    assert same_knot_by_phases(params, theorem_phase_point(params), simplified_phase_point(params))
     with pytest.raises(AssertionError, match="record was built"):
         cs.crossings
 

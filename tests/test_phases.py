@@ -53,6 +53,12 @@ from fourierknot.render import phase_map_png, png_bytes
 from fourierknot.series import TWO_PI
 
 
+def table_rows(params):
+    """(indices, raw t1, raw t2) per crossing-table row, in table order."""
+    table = _crossing_table(params)
+    return list(zip(table.indices, table.t1.tolist(), table.t2.tolist()))
+
+
 def all_indices(params):
     return [ix for ix, _, _ in enumerate_type1(params)] + [
         ix for ix, _, _ in enumerate_type2(params)
@@ -73,7 +79,7 @@ def test_matches_knot_evaluation():
     params = TorusParams(3, 7)
     point = PhasePoint(1.234, 2.345)
     knot = knot_with_phases(params, point)
-    for ix, t1, t2 in _crossing_table(params).entries():
+    for ix, t1, t2 in table_rows(params):
         direct = knot.z.eval(t1) - knot.z.eval(t2)
         assert zdiff_at_phases(params, point, ix) == pytest.approx(direct, abs=1e-12)
 
@@ -88,7 +94,7 @@ def test_matches_pair_difference_bitwise(pq):
     points += [PhasePoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)) for _ in range(10)]
     for point in points:
         z = knot_with_phases(params, point).z
-        for ix, t1, t2 in _crossing_table(params).entries():
+        for ix, t1, t2 in table_rows(params):
             assert zdiff_at_phases(params, point, ix) == pair_difference(z, t1, t2), (point, ix)
 
 
@@ -546,7 +552,7 @@ def phase_classes_dense(params, grid):
     number of distinct ids on non-singular cells).
     """
     p, q = params.p, params.q
-    entries = _crossing_table(params).entries()
+    entries = table_rows(params)
     phi = (np.arange(grid) + 0.5) * (TWO_PI / grid)
     n = len(entries)
     term1 = np.empty((n, grid))
