@@ -127,6 +127,34 @@ def test_gauss_code_validation():
         GaussCode(((1, "O", 1),))
 
 
+@pytest.mark.parametrize("code, message", [
+    (((1, "X", 1), (1, "U", 1)), "malformed entry (1, 'X', 1)"),
+    (((1, "O", 2), (1, "U", 2)), "malformed entry (1, 'O', 2)"),
+    # a malformed entry is named before any count, wherever it sits
+    (((1, "O", 1), (2, "X", 1)), "malformed entry (2, 'X', 1)"),
+    (((1, "O", 1),), "crossing 1 appears 1 times, expected 2"),
+    (((1, "O", 1), (1, "U", 1), (1, "O", 1)), "crossing 1 appears 3 times, expected 2"),
+    (((1, "O", 1), (1, "O", 1)), "crossing 1 lacks an over/under pair"),
+    (((1, "O", 1), (1, "U", -1)), "crossing 1 has inconsistent signs"),
+    # two bad crossings: the one that appears first is named, whatever its fault
+    (((2, "O", 1), (1, "O", 1), (1, "U", 1), (2, "U", -1), (1, "O", 1)),
+     "crossing 2 has inconsistent signs"),
+    (((2, "O", 1), (1, "O", 1), (1, "U", 1), (2, "U", 1), (3, "U", 1), (1, "O", 1)),
+     "crossing 1 appears 3 times, expected 2"),
+])
+def test_gauss_code_refusal_messages(code, message):
+    with pytest.raises(IncompleteCrossingSet) as err:
+        GaussCode(code)
+    assert str(err.value) == message
+
+
+def test_gauss_code_accepts_any_hashable_id_and_the_empty_code():
+    code = (("a", "O", -1), ("b", "U", 1), ("a", "U", -1), ("b", "O", 1))
+    assert GaussCode(code).entries == code
+    assert GaussCode(()).entries == ()
+    assert len(GaussCode([])) == 0
+
+
 # -- pd code ------------------------------------------------------------------
 
 
