@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import collections
 import itertools
+import operator
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,37 +33,135 @@ from .errors import (
     NotAKnot,
     SingularDiagram,
 )
-from .laurent import LaurentPolynomial, det_poly_matrix, exact_div
+from .laurent import LaurentPolynomial, det_poly_matrix
 from .series import FourierKnot, TorusParams
 
 OVER = "O"
 UNDER = "U"
 
 
+# a passage's and a sign's bits in a Gauss key 4*id + 2*over + plus
+_OVER_BIT = {UNDER: 0, OVER: 2}
+_PLUS_BIT = {-1: 0, 1: 1}
+
+
+def _paired(key: np.ndarray) -> bool:
+    """Whether the Gauss keys 4*id + 2*over + plus pair every id's passages.
+
+    One bincount: an id's four counts (under -, under +, over -, over +)
+    must read (0, 0, 0, 0), (1, 0, 1, 0) or (0, 1, 0, 1), that is one
+    under- and one over-passage of one sign, or none.
+    """
+    # key | 3 is the last key of its id, so the counts fill whole rows of four
+    counts = np.bincount(key, minlength=(int(key.max()) | 3) + 1 if key.size else 0)
+    under_minus, under_plus, over_minus, over_plus = counts.reshape(-1, 4).T
+    pairs = (under_minus == over_minus) & (under_plus == over_plus) & (under_minus + under_plus <= 1)
+    return bool(np.all(pairs))
+
+
+def _gauss_keys(entries) -> np.ndarray | None:
+    """Gauss keys of nonempty (id, passage, sign) entries, ids ranked by first appearance.
+
+    None when an entry is not a triple, or a passage, sign or id is not
+    one the maps above (or a dict) can take; the walk names the fault.
+    """
+    if set(map(len, entries)) != {3}:
+        return None
+    ids, passages, signs = zip(*entries)
+    n = len(entries)
+    try:
+        over = np.fromiter(map(_OVER_BIT.__getitem__, passages), dtype=np.intp, count=n)
+        plus = np.fromiter(map(_PLUS_BIT.__getitem__, signs), dtype=np.intp, count=n)
+        rank = dict(zip(dict.fromkeys(ids), itertools.count()))
+    except (KeyError, TypeError):  # unknown or unhashable
+        return None
+    return 4 * np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=n) + over + plus
+
+
+def _refuse_gauss(entries) -> None:
+    """The per-entry walk: raises for the first malformed entry, else the first bad id."""
+    seen: dict[object, list[tuple[str, int]]] = {}
+    for entry in entries:
+        if len(entry) != 3:
+            raise IncompleteCrossingSet(f"malformed entry {entry!r}")
+        cid, passage, sign = entry
+        if passage not in (OVER, UNDER) or sign not in (1, -1):
+            raise IncompleteCrossingSet(f"malformed entry ({cid}, {passage!r}, {sign})")
+        seen.setdefault(cid, []).append((passage, sign))
+    for cid, events in seen.items():
+        if len(events) != 2:
+            raise IncompleteCrossingSet(f"crossing {cid} appears {len(events)} times, expected 2")
+        (p1, s1), (p2, s2) = events
+        if {p1, p2} != {OVER, UNDER}:
+            raise IncompleteCrossingSet(f"crossing {cid} lacks an over/under pair")
+        if s1 != s2:
+            raise IncompleteCrossingSet(f"crossing {cid} has inconsistent signs")
+
+
 @dataclass(frozen=True)
 class GaussCode:
-    """Cyclic passage record: (crossing id, "O"/"U", sign) per passage."""
+    """Cyclic passage record: (crossing id, "O"/"U", sign) per passage.
 
-    entries: tuple[tuple[int, str, int], ...]
+    Crossing ids may be any hashable.  Every id must appear exactly twice,
+    once over and once under, with one sign.  The check is one bincount
+    over int columns; only a code it refuses is walked entry by entry, to
+    name the first malformed entry, else the first bad id in order of
+    appearance.
+    """
+
+    entries: tuple[tuple[Hashable, str, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(e) for e in self.entries))
-        seen: dict[int, list[tuple[str, int]]] = {}
-        for cid, passage, sign in self.entries:
-            if passage not in (OVER, UNDER) or sign not in (1, -1):
-                raise IncompleteCrossingSet(f"malformed entry ({cid}, {passage!r}, {sign})")
-            seen.setdefault(cid, []).append((passage, sign))
-        for cid, events in seen.items():
-            if len(events) != 2:
-                raise IncompleteCrossingSet(f"crossing {cid} appears {len(events)} times, expected 2")
-            (p1, s1), (p2, s2) = events
-            if {p1, p2} != {OVER, UNDER}:
-                raise IncompleteCrossingSet(f"crossing {cid} lacks an over/under pair")
-            if s1 != s2:
-                raise IncompleteCrossingSet(f"crossing {cid} has inconsistent signs")
+        entries = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "entries", entries)
+        if entries:
+            key = _gauss_keys(entries)
+            if key is None or not _paired(key):
+                _refuse_gauss(entries)
+
+    @classmethod
+    def _of_columns(cls, ids: np.ndarray, is_over: np.ndarray, sign: np.ndarray) -> "GaussCode":
+        """The code of int columns (ids >= 0, is_over 0 or 1), checked on the columns."""
+        code = object.__new__(cls)
+        passages = [UNDER, OVER]
+        entries = tuple(zip(ids.tolist(), map(passages.__getitem__, is_over.tolist()), sign.tolist()))
+        object.__setattr__(code, "entries", entries)
+        if not (np.all(np.abs(sign) == 1) and _paired(4 * ids + 2 * is_over + (sign > 0))):
+            _refuse_gauss(entries)
+        return code
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _labels_paired(labels: np.ndarray, n2: int) -> bool:
+    """Whether the int labels take each of 1..n2 exactly twice: one bincount."""
+    if not labels.size:
+        return not n2
+    return bool(labels.min() >= 1 and labels.max() <= n2 and np.all(np.bincount(labels)[1:] == 2))
+
+
+def _refuse_pd(crossings) -> None:
+    """The per-tuple walk: raises for a wrong length, a non-integer label or the label counts.
+
+    Each in turn names its first offence; the label counts list every
+    violation in order of first appearance.
+    """
+    for tup in crossings:
+        if len(tup) != 4:
+            raise SingularDiagram(f"PD tuple {tup} must have four edge labels")
+    for tup in crossings:
+        for label in tup:
+            try:
+                operator.index(label)  # the test PDCode's array check makes
+            except TypeError:
+                raise SingularDiagram(f"PD tuple {tup} has a non-integer edge label {label!r}") from None
+    counts = collections.Counter(itertools.chain.from_iterable(crossings))
+    bad = {k: v for k, v in counts.items() if v != 2}
+    if bad:
+        raise SingularDiagram(f"edge labels must appear exactly twice, violations: {bad}")
+    if set(counts) != set(range(1, 2 * len(crossings) + 1)):
+        raise SingularDiagram(f"edge labels must be 1..{2 * len(crossings)}")
 
 
 @dataclass(frozen=True)
@@ -71,22 +171,39 @@ class PDCode:
     Edges are numbered 1..2N along the traversal.  The under-strand enters at
     a and leaves at c; edges are listed counterclockwise, so the over-strand
     enters at d for a right-handed crossing and at b for a left-handed one.
-    Every label 1..2N must appear exactly twice.
+    Every label must be an integer, and each of 1..2N must appear exactly
+    twice.  The check is one bincount over the labels; only a code it
+    refuses is walked tuple by tuple, to name the first offence.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "crossings", tuple(tuple(x) for x in self.crossings))
-        for tup in self.crossings:
-            if len(tup) != 4:
-                raise SingularDiagram(f"PD tuple {tup} must have four edge labels")
-        counts = collections.Counter(itertools.chain.from_iterable(self.crossings))
-        bad = {k: v for k, v in counts.items() if v != 2}
-        if bad:
-            raise SingularDiagram(f"edge labels must appear exactly twice, violations: {bad}")
-        if set(counts) != set(range(1, 2 * len(self.crossings) + 1)):
-            raise SingularDiagram(f"edge labels must be 1..{2 * len(self.crossings)}")
+        crossings = tuple(map(tuple, self.crossings))
+        object.__setattr__(self, "crossings", crossings)
+        if set(map(len, crossings)) <= {4}:
+            try:
+                labels = np.fromiter(
+                    map(operator.index, itertools.chain.from_iterable(crossings)),
+                    dtype=np.intp,
+                    count=4 * len(crossings),
+                )
+            except (TypeError, OverflowError):  # not an integer, or one beyond intp: the walk names it
+                pass
+            else:
+                if _labels_paired(labels, 2 * len(crossings)):
+                    return
+        _refuse_pd(crossings)
+
+    @classmethod
+    def _of_array(cls, labels: np.ndarray) -> "PDCode":
+        """The code of an (N, 4) int array, checked on the array."""
+        code = object.__new__(cls)
+        crossings = tuple(map(tuple, labels.tolist()))
+        object.__setattr__(code, "crossings", crossings)
+        if not _labels_paired(labels.ravel(), 2 * len(crossings)):
+            _refuse_pd(crossings)
+        return code
 
     def __len__(self) -> int:
         return len(self.crossings)
@@ -135,8 +252,7 @@ def build_gauss_code(knot: FourierKnot, crossings: CrossingSet) -> GaussCode:
     """Signed Gauss code in traversal order (ids follow the (t1,t2) sort)."""
     del knot  # the passage times already determine the code
     _, ids, is_over = _sorted_passages(crossings)
-    marks = [OVER if over else UNDER for over in is_over.tolist()]
-    return GaussCode(tuple(zip((ids + 1).tolist(), marks, crossings.sign[ids].tolist())))
+    return GaussCode._of_columns(ids + 1, is_over, crossings.sign[ids])
 
 
 def _passage_positions(crossings: CrossingSet) -> np.ndarray:
@@ -161,7 +277,7 @@ def build_pd_code(crossings: CrossingSet) -> PDCode:
     n2 = 2 * len(crossings)
     a, c, o_in, o_out = np.where(pu, pu, n2), pu + 1, np.where(po, po, n2), po + 1
     right = crossings.sign > 0
-    return PDCode(np.column_stack((a, np.where(right, o_out, o_in), c, np.where(right, o_in, o_out))).tolist())
+    return PDCode._of_array(np.column_stack((a, np.where(right, o_out, o_in), c, np.where(right, o_in, o_out))))
 
 
 def writhe(crossings: CrossingSet) -> int:
@@ -402,14 +518,26 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
 
 
 def torus_alexander_oracle(params: TorusParams) -> LaurentPolynomial:
-    """Closed form (t^{pq}-1)(t-1)/((t^p-1)(t^q-1)) by exact division."""
+    """Closed form (t^{pq}-1)(t-1)/((t^p-1)(t^q-1)), read off the semigroup <p, q>.
+
+    Delta(t) = (1 - t)*sum_{s in <p,q>, s < c} t^s + t^c, with c = (p-1)(q-1)
+    the conductor of the semigroup generated by p and q (Campillo, Delgado
+    and Gusein-Zade, "The Alexander polynomial of a plane curve singularity
+    via the ring of functions on it", 2003).  The semigroup below c is the
+    union of the progressions a + q*N over the multiples a of p below c.
+    The result is normalized: its lowest term is the constant 1.
+    """
     p, q = params.p, params.q
-
-    def cyc(n: int) -> LaurentPolynomial:
-        return LaurentPolynomial({n: 1, 0: -1})
-
-    num = cyc(p * q) * LaurentPolynomial({1: 1, 0: -1})
-    return exact_div(exact_div(num, cyc(p)), cyc(q)).normalized()
+    c = (p - 1) * (q - 1)
+    member = np.zeros(c, dtype=np.int64)
+    for a in range(0, c, p):
+        member[a::q] = 1
+    coeffs = np.zeros(c + 1, dtype=np.int64)
+    coeffs[:c] += member
+    coeffs[1:] -= member
+    coeffs[c] += 1
+    exps = np.flatnonzero(coeffs)
+    return LaurentPolynomial._adopt(dict(zip(exps.tolist(), coeffs[exps].tolist())))
 
 
 def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> DiagramSummary:

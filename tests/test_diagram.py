@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -6,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fourierknot import (
     FourierKnot,
@@ -26,6 +29,7 @@ from fourierknot import (
     build_gauss_code,
     build_pd_code,
     det_poly_matrix,
+    exact_div,
     find_crossings_numeric,
     gen_standard_knot,
     gen_theorem_knot,
@@ -86,6 +90,31 @@ def test_oracle_symmetry_and_unit_value(pq):
     poly = torus_alexander_oracle(TorusParams(*pq))
     assert poly.reciprocal().normalized() == poly
     assert abs(poly.evaluate_int(1)) == 1
+
+
+def exact_div_oracle(p, q):
+    """The reference closed form (t^{pq}-1)(t-1)/((t^p-1)(t^q-1)) by exact division."""
+
+    def cyc(n):
+        return L({n: 1, 0: -1})
+
+    return exact_div(exact_div(cyc(p * q) * L({1: 1, 0: -1}), cyc(p)), cyc(q)).normalized()
+
+
+ORACLE_PAIRS = [(p, q) for q in range(3, 30) for p in range(2, q) if math.gcd(p, q) == 1]
+ORACLE_PAIRS += [(19, 41), (23, 47), (29, 59)]
+
+
+def test_oracle_matches_exact_division():
+    assert len(ORACLE_PAIRS) == 241 + 3
+    for p, q in ORACLE_PAIRS:
+        poly = torus_alexander_oracle(TorusParams(p, q))
+        assert poly == exact_div_oracle(p, q), (p, q)
+        # degree (p-1)(q-1) from the constant 1, value 1 at t = 1, palindromic, coefficients in {-1, 0, 1}
+        assert poly.valuation() == 0 and poly.degree() == (p - 1) * (q - 1), (p, q)
+        assert poly.evaluate_int(1) == 1, (p, q)
+        assert poly.reciprocal().normalized() == poly, (p, q)
+        assert {c for _, c in poly.pairs()} <= {-1, 1}, (p, q)
 
 
 # -- gauss code ---------------------------------------------------------------
@@ -186,6 +215,150 @@ def test_pd_code_refusal_messages(code, message):
     with pytest.raises(SingularDiagram) as err:
         PDCode(code)
     assert str(err.value) == message
+
+
+def test_malformed_entries_raise_the_domain_error():
+    # not a triple: no unpacking error
+    with pytest.raises(IncompleteCrossingSet, match=r"^malformed entry \(1, 'O'\)$"):
+        GaussCode(((1, "O"),))
+    with pytest.raises(IncompleteCrossingSet, match=r"^malformed entry \(1, 'O', 1, 2\)$"):
+        GaussCode(((1, "O", 1, 2), (1, "U", 1)))
+    # a float label is refused by PDCode, so alexander_from_diagram never indexes with it
+    params, knot, cs = theorem_set(2, 3)
+    (a, b, c, d), *rest = build_pd_code(cs).crossings
+    with pytest.raises(SingularDiagram) as err:
+        alexander_from_diagram(PDCode(((a, b, float(c), d), *rest)))
+    assert str(err.value) == f"PD tuple {(a, b, float(c), d)} has a non-integer edge label {float(c)!r}"
+    with pytest.raises(SingularDiagram, match="non-integer edge label '1'"):
+        PDCode((("1", 1, 2, 2),))
+    with pytest.raises(SingularDiagram, match=r"non-integer edge label \(2, 2\)$"):
+        PDCode(((1, 1, 2, (2, 2)),))
+    # numpy integers are integers
+    assert alexander_from_diagram(PDCode(np.array(build_pd_code(cs).crossings))) == L({0: 1, 1: -1, 2: 1})
+
+
+def test_built_codes_hold_python_ints():
+    params, knot, cs = theorem_set(3, 7)
+    gauss, pd = build_gauss_code(knot, cs), build_pd_code(cs)
+    assert {type(v) for cid, _, sign in gauss.entries for v in (cid, sign)} == {int}
+    assert {type(label) for tup in pd.crossings for label in tup} == {int}
+    assert GaussCode(gauss.entries) == gauss and PDCode(pd.crossings) == pd
+
+
+# -- code validation against the entry-by-entry reference ----------------------
+
+
+def reference_gauss_check(entries):
+    """GaussCode's entry-by-entry validation before it moved to a bincount."""
+    entries = tuple(tuple(e) for e in entries)
+    seen = {}
+    for cid, passage, sign in entries:
+        if passage not in ("O", "U") or sign not in (1, -1):
+            raise IncompleteCrossingSet(f"malformed entry ({cid}, {passage!r}, {sign})")
+        seen.setdefault(cid, []).append((passage, sign))
+    for cid, events in seen.items():
+        if len(events) != 2:
+            raise IncompleteCrossingSet(f"crossing {cid} appears {len(events)} times, expected 2")
+        (p1, s1), (p2, s2) = events
+        if {p1, p2} != {"O", "U"}:
+            raise IncompleteCrossingSet(f"crossing {cid} lacks an over/under pair")
+        if s1 != s2:
+            raise IncompleteCrossingSet(f"crossing {cid} has inconsistent signs")
+
+
+def reference_pd_check(crossings):
+    """PDCode's tuple-by-tuple validation before it moved to a bincount (integer labels)."""
+    crossings = tuple(tuple(x) for x in crossings)
+    for tup in crossings:
+        if len(tup) != 4:
+            raise SingularDiagram(f"PD tuple {tup} must have four edge labels")
+    counts = collections.Counter(itertools.chain.from_iterable(crossings))
+    bad = {k: v for k, v in counts.items() if v != 2}
+    if bad:
+        raise SingularDiagram(f"edge labels must appear exactly twice, violations: {bad}")
+    if set(counts) != set(range(1, 2 * len(crossings) + 1)):
+        raise SingularDiagram(f"edge labels must be 1..{2 * len(crossings)}")
+
+
+def outcome(check, code):
+    """None when check accepts the code, else the exception's type and message."""
+    try:
+        check(code)
+    except Exception as err:
+        return type(err), str(err)
+    return None
+
+
+@st.composite
+def gauss_codes(draw):
+    """A valid code of small int and string ids in random order, then up to three mutations."""
+    ids = draw(st.lists(st.integers(-2, 5) | st.sampled_from("ab"), unique=True, max_size=5))
+    entries = []
+    for cid in ids:
+        sign = draw(st.sampled_from([1, -1]))
+        entries += [(cid, "O", sign), (cid, "U", sign)]
+    entries = draw(st.permutations(entries))
+    for _ in range(draw(st.integers(0, 3))):
+        if not entries:
+            break
+        i = draw(st.integers(0, len(entries) - 1))
+        cid, passage, sign = entries[i]
+        mutation = draw(st.sampled_from(["drop", "copy", "id", "passage", "sign"]))
+        if mutation == "drop":
+            del entries[i]
+        elif mutation == "copy":
+            entries.insert(draw(st.integers(0, len(entries))), entries[i])
+        elif mutation == "id":
+            entries[i] = (draw(st.integers(-2, 6) | st.sampled_from("abc")), passage, sign)
+        elif mutation == "passage":
+            entries[i] = (cid, draw(st.sampled_from(["O", "U", "X", ""])), sign)
+        else:
+            entries[i] = (cid, passage, draw(st.sampled_from([1, -1, 0, 2, True, 1.0])))
+    return tuple(entries)
+
+
+@st.composite
+def pd_codes(draw):
+    """Labels 1..2N, each twice, in random order, then up to three mutations."""
+    n = draw(st.integers(0, 4))
+    labels = draw(st.permutations([label for label in range(1, 2 * n + 1) for _ in range(2)]))
+    code = [list(labels[4 * i:4 * i + 4]) for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        if not code:
+            break
+        i = draw(st.integers(0, len(code) - 1))
+        mutation = draw(st.sampled_from(["label", "drop", "copy", "length"]))
+        if mutation == "label":
+            code[i][draw(st.integers(0, 3)) % len(code[i])] = draw(st.integers(-1, 2 * n + 2))
+        elif mutation == "drop":
+            del code[i]
+        elif mutation == "copy":
+            code.insert(draw(st.integers(0, len(code))), list(code[i]))
+        elif draw(st.booleans()):
+            code[i].append(draw(st.integers(1, 2 * n)))
+        elif code[i]:
+            code[i].pop()
+    return tuple(map(tuple, code))
+
+
+@settings(max_examples=400, deadline=None)
+@example(code=())
+@example(code=((2, "O", 1), (1, "O", 1), (1, "U", 1), (2, "U", -1), (1, "O", 1)))  # first to appear is named
+@example(code=((1, "O", 1), (2, "X", 1)))  # a malformed entry is named before any count
+@example(code=((1, "O", 1), (True, "U", 1.0)))  # 1 == True == 1.0: one crossing, one sign
+@given(code=gauss_codes())
+def test_gauss_code_check_matches_reference(code):
+    assert outcome(GaussCode, code) == outcome(reference_gauss_check, code)
+
+
+@settings(max_examples=400, deadline=None)
+@example(code=())
+@example(code=((4, 2, 2, 1), (1, 3, 3, 3)))  # violations in first-appearance order
+@example(code=((1, 2, 3), (1, 2, 3, 4, 4)))  # the first tuple of the wrong length
+@example(code=((3, 3, 4, 4), (1, 1, 2, 5)))  # counts before the range
+@given(code=pd_codes())
+def test_pd_code_check_matches_reference(code):
+    assert outcome(PDCode, code) == outcome(reference_pd_check, code)
 
 
 def test_pd_code_rejects_links():
