@@ -395,6 +395,22 @@ def test_crossings_and_render_outputs_pinned(capsys, pq, simplified):
     assert sha256_of_stdout(capsys, "render", *knot) == svg_digest
 
 
+# sha256 of `crossings --numeric` JSON per (p, q, grid).  The finder samples
+# with np.cos and refines with math.cos, so these run on Linux only.
+PINNED_NUMERIC_JSON = {
+    (3, 7, 2048): "fae35efb785e0b7b1e717f633764ad7ca04c0dd934cd73b44295eb451a91c0b0",
+    (7, 13, 2048): "f6a5319d47141469bb437cf09d5d348b525ec46df5b8c4d40040b8cd13f7ee4b",
+    (13, 29, 2048): "0f3678015add29ab7cda88da12803c22e09a83c68947d067c673198ba77e5b68",
+    (3, 7, 4096): "292398776531e95715cb2ef9621582d904b05ef0afaf9abbe2145499807d9e6b",
+}
+
+
+@pytest.mark.parametrize("p, q, grid", list(PINNED_NUMERIC_JSON))
+def test_numeric_crossings_json_pinned(capsys, p, q, grid):
+    argv = ("crossings", "-p", str(p), "-q", str(q), "--numeric", "--grid", str(grid), "--format", "json")
+    assert sha256_of_stdout(capsys, *argv) == PINNED_NUMERIC_JSON[p, q, grid]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_numeric_crossings_build_no_analytic_set(capsys, monkeypatch, fmt):
     # --numeric without --check prints the numeric set only, so it builds no analytic set

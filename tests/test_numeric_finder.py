@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from fourierknot import (
     find_crossings_numeric,
     gen_standard_knot,
     gen_theorem_knot,
+    knot_with_phases,
+    simplified_phase_point,
 )
 from fourierknot import _kernels
 from fourierknot.crossings import pair_distance
@@ -213,14 +216,36 @@ def test_diagnostics_listable():
         assert kind in {"tangential", "divergence", "singular"}
 
 
+# sha256 of the diagnostics list and then the JSON of the set, at grid 2048,
+# for the short phase pi/(2p) of T(3, q), where the finder drops singular
+# candidates.  The finder samples with np.cos, so these run on Linux only.
+PINNED_DIAGNOSTICS = {
+    5: ("45b46b802f2b1d61bb0b30da772bad509ce619282f47ec0bda7a8f60fbf0fb50",
+        "90676797620cb8541191c0d926d06d63306c0a0e34e7b534eb6603614dc20191"),
+    7: ("036372e43cdd888b194e1ea2ef2f62a015e8281d4f4753f66fcb7871e7ae6f8f",
+        "d7eb3a64cfc6500d0a6abf0a7b2ec949dd08ddcf6bdbfbaec0db2c80afa16baa"),
+}
+
+
+@pytest.mark.parametrize("q", list(PINNED_DIAGNOSTICS))
+def test_numeric_diagnostics_pinned(q):
+    params = TorusParams(3, q)
+    diagnostics: list = []
+    cs = find_crossings_numeric(knot_with_phases(params, simplified_phase_point(params)), 2048, diagnostics)
+    assert diagnostics
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (repr(diagnostics), cs.to_json()))
+    assert digests == PINNED_DIAGNOSTICS[q]
+
+
 @pytest.mark.parametrize("knot", [
     gen_theorem_knot(TorusParams(3, 7)),
     gen_theorem_knot(TorusParams(7, 13)),
     gen_standard_knot(TorusParams(2, 5)),
 ], ids=["T(3,7)", "T(7,13)", "winding T(2,5)"])
 def test_numeric_rows_equal_classify_bitwise(knot):
-    # the finder's samples come from np.cos, so its rows are not pinned by a
-    # digest; each row must be what classify makes of its two times
+    # the finder's samples come from np.cos, so a digest pins its rows on
+    # Linux only; on any platform each row must be what classify makes of its
+    # two times
     for c in find_crossings_numeric(knot, 2048).crossings:
         ref = classify(knot, c.t1, c.t2)
         assert (ref.t1, ref.t2, ref.sign, ref.over) == (c.t1, c.t2, c.sign, c.over)
