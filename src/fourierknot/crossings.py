@@ -346,11 +346,13 @@ class CrossingSet:
     type II and -1 without analytic indices, and (k, j) holds the indices.
     The ``crossings`` records are built on first read, for output only.
 
-    Every time must be finite and in [0, 2*pi), and no two crossings may lie
-    within EPS_DEDUPE of each other under ``pair_distance``; both are
-    checked once, by ``near_pairs``' search over the sorted ``passages``,
-    and refused with ValueError.  A duplicate error names the
-    lexicographically first near pair.
+    The seven columns must be 1-D and of one length, every sign 1 or -1
+    and over_t1 of bool dtype.  Every time must be finite and in
+    [0, 2*pi), and no two crossings may lie within EPS_DEDUPE of each other
+    under ``pair_distance``; the times are checked once, by ``near_pairs``'
+    search over the sorted ``passages``.  Each check refuses with
+    ValueError, and a duplicate error names the lexicographically first
+    near pair.
 
     ``passages`` are sorted once per set; the codes and the sweep read them.
     ``coincident_passage`` is the first i whose passage lies within
@@ -374,6 +376,15 @@ class CrossingSet:
     coincident_passage: int | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        names = ("t1", "t2", "sign", "over_t1", "kind", "k", "j")
+        shapes = {name: np.shape(getattr(self, name)) for name in names}
+        if len(shapes["t1"]) != 1 or len(set(shapes.values())) != 1:
+            raise ValueError(f"the columns must be 1-D and of one length, got shapes {shapes}")
+        if not np.all(np.abs(self.sign) == 1):
+            raise ValueError("every sign must be 1 or -1")
+        over_dtype = np.asarray(self.over_t1).dtype
+        if over_dtype != bool:
+            raise ValueError(f"over_t1 must have bool dtype, got {over_dtype}")
         t1, t2 = self.t1, self.t2
         if np.any((t1[:-1] > t1[1:]) | ((t1[:-1] == t1[1:]) & (t2[:-1] > t2[1:]))):
             raise ValueError("crossings must be sorted by (t1, t2)")
@@ -467,17 +478,18 @@ def analytic_crossing_set(knot: FourierKnot, params: TorusParams) -> CrossingSet
 def _newton_refine(knot: FourierKnot, t1: float, t2: float):
     """Polish a candidate double point; returns (status, t1, t2).
 
-    status: "ok", "tangential" (singular Jacobian), "divergence".
+    status: "ok", "tangential" (singular Jacobian), "divergence".  Each
+    point is evaluated once: the accepted trial point's differences are the
+    next step's (fx, fy).
     """
-    def residual(a, b):
-        return math.hypot(knot.x.eval(a) - knot.x.eval(b), knot.y.eval(a) - knot.y.eval(b))
+    def differences(a, b):
+        return knot.x.eval(a) - knot.x.eval(b), knot.y.eval(a) - knot.y.eval(b)
 
-    res = residual(t1, t2)
+    fx, fy = differences(t1, t2)
+    res = math.hypot(fx, fy)
     for _ in range(_NEWTON_BUDGET):
         if res < _NEWTON_TOL:
             return "ok", t1, t2
-        fx = knot.x.eval(t1) - knot.x.eval(t2)
-        fy = knot.y.eval(t1) - knot.y.eval(t2)
         j11 = knot.x.eval_derivative(t1)
         j12 = -knot.x.eval_derivative(t2)
         j21 = knot.y.eval_derivative(t1)
@@ -490,9 +502,10 @@ def _newton_refine(knot: FourierKnot, t1: float, t2: float):
         lam = 1.0
         while True:
             n1, n2 = t1 + lam * dt1, t2 + lam * dt2
-            new_res = residual(n1, n2)
+            gx, gy = differences(n1, n2)
+            new_res = math.hypot(gx, gy)
             if new_res < res:
-                t1, t2, res = n1, n2, new_res
+                t1, t2, fx, fy, res = n1, n2, gx, gy, new_res
                 break
             lam *= 0.5
             if lam < 1e-7:

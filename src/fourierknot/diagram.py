@@ -40,11 +40,6 @@ OVER = "O"
 UNDER = "U"
 
 
-# a passage's and a sign's bits in a Gauss key 4*id + 2*over + plus
-_OVER_BIT = {UNDER: 0, OVER: 2}
-_PLUS_BIT = {-1: 0, 1: 1}
-
-
 def _paired(key: np.ndarray) -> bool:
     """Whether the Gauss keys 4*id + 2*over + plus pair every id's passages.
 
@@ -59,35 +54,32 @@ def _paired(key: np.ndarray) -> bool:
     return bool(np.all(pairs))
 
 
-def _gauss_keys(entries) -> np.ndarray | None:
-    """Gauss keys of nonempty (id, passage, sign) entries, ids ranked by first appearance.
-
-    None when an entry is not a triple, or a passage, sign or id is not
-    one the maps above (or a dict) can take; the walk names the fault.
-    """
-    if set(map(len, entries)) != {3}:
-        return None
-    ids, passages, signs = zip(*entries)
-    n = len(entries)
+def _as_tuple(item):
+    """The item as a tuple, or the item itself when it is not iterable, for the check to refuse."""
     try:
-        over = np.fromiter(map(_OVER_BIT.__getitem__, passages), dtype=np.intp, count=n)
-        plus = np.fromiter(map(_PLUS_BIT.__getitem__, signs), dtype=np.intp, count=n)
-        rank = dict(zip(dict.fromkeys(ids), itertools.count()))
-    except (KeyError, TypeError):  # unknown or unhashable
-        return None
-    return 4 * np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=n) + over + plus
+        return tuple(item)
+    except TypeError:
+        return item
 
 
-def _refuse_gauss(entries) -> None:
-    """The per-entry walk: raises for the first malformed entry, else the first bad id."""
+def _check_gauss(entries) -> None:
+    """The per-entry walk: raises for the first malformed entry, else the first bad id.
+
+    An entry is malformed unless it is a triple whose passage is "O" or
+    "U", whose sign is 1 or -1 and whose id can be hashed.
+    """
     seen: dict[object, list[tuple[str, int]]] = {}
     for entry in entries:
-        if len(entry) != 3:
+        if not isinstance(entry, tuple) or len(entry) != 3:
             raise IncompleteCrossingSet(f"malformed entry {entry!r}")
         cid, passage, sign = entry
-        if passage not in (OVER, UNDER) or sign not in (1, -1):
-            raise IncompleteCrossingSet(f"malformed entry ({cid}, {passage!r}, {sign})")
-        seen.setdefault(cid, []).append((passage, sign))
+        if passage in (OVER, UNDER) and sign in (1, -1):
+            try:
+                seen.setdefault(cid, []).append((passage, sign))
+                continue
+            except TypeError:  # an id that cannot be hashed
+                pass
+        raise IncompleteCrossingSet(f"malformed entry ({cid}, {passage!r}, {sign})")
     for cid, events in seen.items():
         if len(events) != 2:
             raise IncompleteCrossingSet(f"crossing {cid} appears {len(events)} times, expected 2")
@@ -103,21 +95,19 @@ class GaussCode:
     """Cyclic passage record: (crossing id, "O"/"U", sign) per passage.
 
     Crossing ids may be any hashable.  Every id must appear exactly twice,
-    once over and once under, with one sign.  The check is one bincount
-    over int columns; only a code it refuses is walked entry by entry, to
-    name the first malformed entry, else the first bad id in order of
-    appearance.
+    once over and once under, with one sign.  The entries are walked one
+    by one, and a refusal names the first malformed entry, else the first
+    bad id in order of appearance.  build_gauss_code's codes are checked
+    instead by one bincount over its int columns (_of_columns), which
+    accepts the same codes and hands any it refuses to the walk.
     """
 
     entries: tuple[tuple[Hashable, str, int], ...]
 
     def __post_init__(self):
-        entries = tuple(map(tuple, self.entries))
+        entries = tuple(map(_as_tuple, self.entries))
         object.__setattr__(self, "entries", entries)
-        if entries:
-            key = _gauss_keys(entries)
-            if key is None or not _paired(key):
-                _refuse_gauss(entries)
+        _check_gauss(entries)
 
     @classmethod
     def _of_columns(cls, ids: np.ndarray, is_over: np.ndarray, sign: np.ndarray) -> "GaussCode":
@@ -127,7 +117,7 @@ class GaussCode:
         entries = tuple(zip(ids.tolist(), map(passages.__getitem__, is_over.tolist()), sign.tolist()))
         object.__setattr__(code, "entries", entries)
         if not (np.all(np.abs(sign) == 1) and _paired(4 * ids + 2 * is_over + (sign > 0))):
-            _refuse_gauss(entries)
+            _check_gauss(entries)
         return code
 
     def __len__(self) -> int:
@@ -141,19 +131,19 @@ def _labels_paired(labels: np.ndarray, n2: int) -> bool:
     return bool(labels.min() >= 1 and labels.max() <= n2 and np.all(np.bincount(labels)[1:] == 2))
 
 
-def _refuse_pd(crossings) -> None:
+def _check_pd(crossings) -> None:
     """The per-tuple walk: raises for a wrong length, a non-integer label or the label counts.
 
     Each in turn names its first offence; the label counts list every
     violation in order of first appearance.
     """
     for tup in crossings:
-        if len(tup) != 4:
+        if not isinstance(tup, tuple) or len(tup) != 4:
             raise SingularDiagram(f"PD tuple {tup} must have four edge labels")
     for tup in crossings:
         for label in tup:
             try:
-                operator.index(label)  # the test PDCode's array check makes
+                operator.index(label)
             except TypeError:
                 raise SingularDiagram(f"PD tuple {tup} has a non-integer edge label {label!r}") from None
     counts = collections.Counter(itertools.chain.from_iterable(crossings))
@@ -172,28 +162,18 @@ class PDCode:
     a and leaves at c; edges are listed counterclockwise, so the over-strand
     enters at d for a right-handed crossing and at b for a left-handed one.
     Every label must be an integer, and each of 1..2N must appear exactly
-    twice.  The check is one bincount over the labels; only a code it
-    refuses is walked tuple by tuple, to name the first offence.
+    twice.  The tuples are walked one by one, and a refusal names the first
+    offence.  build_pd_code's codes are checked instead by one bincount
+    over its label array (_of_array), which accepts the same codes and
+    hands any it refuses to the walk.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
-        crossings = tuple(map(tuple, self.crossings))
+        crossings = tuple(map(_as_tuple, self.crossings))
         object.__setattr__(self, "crossings", crossings)
-        if set(map(len, crossings)) <= {4}:
-            try:
-                labels = np.fromiter(
-                    map(operator.index, itertools.chain.from_iterable(crossings)),
-                    dtype=np.intp,
-                    count=4 * len(crossings),
-                )
-            except (TypeError, OverflowError):  # not an integer, or one beyond intp: the walk names it
-                pass
-            else:
-                if _labels_paired(labels, 2 * len(crossings)):
-                    return
-        _refuse_pd(crossings)
+        _check_pd(crossings)
 
     @classmethod
     def _of_array(cls, labels: np.ndarray) -> "PDCode":
@@ -202,7 +182,7 @@ class PDCode:
         crossings = tuple(map(tuple, labels.tolist()))
         object.__setattr__(code, "crossings", crossings)
         if not _labels_paired(labels.ravel(), 2 * len(crossings)):
-            _refuse_pd(crossings)
+            _check_pd(crossings)
         return code
 
     def __len__(self) -> int:

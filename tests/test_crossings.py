@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourierknot import (
+    CrossingSet,
     FourierKnot,
     FourierSeries,
     FourierTerm,
@@ -499,6 +500,51 @@ def test_crossing_set_refuses_times_outside_the_circle(pair):
     with pytest.raises(ValueError) as exc:
         _set_of(*sorted([(1.0, 2.0), pair]))
     assert str(exc.value) == f"crossing time outside [0, 2*pi): ({pair[0]}, {pair[1]})"
+
+
+def _with_column(name, change):
+    """T(3,7)'s analytic set with one column replaced by change(column)."""
+    params = TorusParams(3, 7)
+    cs = analytic_crossing_set(gen_theorem_knot(params), params)
+    columns = {column: getattr(cs, column) for column in ("t1", "t2", "sign", "over_t1", "kind", "k", "j")}
+    columns[name] = change(columns[name])
+    return CrossingSet(cs.knot, **columns, method=cs.method)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_crossing_set_refuses_a_sign_other_than_plus_or_minus_one(sign):
+    # a sign of 0 was written as a left-handed crossing, and the writhe read -13 for -14
+    with pytest.raises(ValueError, match=r"^every sign must be 1 or -1$"):
+        _with_column("sign", lambda column: np.r_[column[:3], sign, column[4:]])
+
+
+@pytest.mark.parametrize("change", [
+    lambda over: np.where(over, 2, 0),  # build_pd_code raised a raw IndexError on it
+    lambda over: over.astype(np.int64),
+    lambda over: over.astype(np.float64),
+], ids=["int 2", "int 0 or 1", "float"])
+def test_crossing_set_refuses_an_over_column_without_bool_dtype(change):
+    with pytest.raises(ValueError, match=r"^over_t1 must have bool dtype, got (int64|float64)$"):
+        _with_column("over_t1", change)
+
+
+@pytest.mark.parametrize("name, change", [
+    ("k", lambda column: column[:-1]),
+    ("sign", lambda column: column[:, None]),
+    ("over_t1", lambda column: np.r_[column, True]),
+    ("t1", lambda column: column[0]),
+], ids=["k short", "sign 2-D", "over_t1 long", "t1 scalar"])
+def test_crossing_set_refuses_columns_of_other_shapes(name, change):
+    with pytest.raises(ValueError, match=r"^the columns must be 1-D and of one length, got shapes "):
+        _with_column(name, change)
+
+
+def test_crossing_set_refuses_two_dimensional_columns():
+    params = TorusParams(3, 7)
+    cs = analytic_crossing_set(gen_theorem_knot(params), params)
+    columns = (cs.t1, cs.t2, cs.sign, cs.over_t1, cs.kind, cs.k, cs.j)
+    with pytest.raises(ValueError, match=r"^the columns must be 1-D and of one length, got shapes "):
+        CrossingSet(cs.knot, *(column[:, None] for column in columns), cs.method)
 
 
 def near_pairs_reference(pairs):

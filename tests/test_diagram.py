@@ -237,6 +237,22 @@ def test_malformed_entries_raise_the_domain_error():
     assert alexander_from_diagram(PDCode(np.array(build_pd_code(cs).crossings))) == L({0: 1, 1: -1, 2: 1})
 
 
+def test_non_iterable_entries_and_unhashable_ids_raise_the_domain_error():
+    with pytest.raises(IncompleteCrossingSet, match=r"^malformed entry 1$"):
+        GaussCode((1,))
+    # the first malformed entry is named, wherever it sits
+    with pytest.raises(IncompleteCrossingSet, match=r"^malformed entry None$"):
+        GaussCode(((1, "O", 1), None, (1, "U", 1), 2))
+    with pytest.raises(IncompleteCrossingSet, match=r"^malformed entry \(\['a'\], 'O', 1\)$"):
+        GaussCode(((["a"], "O", 1), (["a"], "U", 1)))
+    with pytest.raises(IncompleteCrossingSet, match=r"^malformed entry \(\{\}, 'U', -1\)$"):
+        GaussCode((("a", "O", -1), ("a", "U", -1), ({}, "U", -1)))
+    with pytest.raises(SingularDiagram, match=r"^PD tuple 5 must have four edge labels$"):
+        PDCode((5,))
+    with pytest.raises(SingularDiagram, match=r"^PD tuple None must have four edge labels$"):
+        PDCode(((1, 2, 1, 2), None))
+
+
 def test_built_codes_hold_python_ints():
     params, knot, cs = theorem_set(3, 7)
     gauss, pd = build_gauss_code(knot, cs), build_pd_code(cs)
@@ -359,6 +375,41 @@ def test_gauss_code_check_matches_reference(code):
 @given(code=pd_codes())
 def test_pd_code_check_matches_reference(code):
     assert outcome(PDCode, code) == outcome(reference_pd_check, code)
+
+
+def gauss_columns(cs):
+    """build_gauss_code's int columns: ids + 1, is_over and sign per passage, in time order."""
+    _, ids, is_over = cs.passages
+    return ids + 1, is_over.copy(), cs.sign[ids]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda ids, is_over, sign: sign.__setitem__(3, 0),
+    lambda ids, is_over, sign: sign.__setitem__(3, 2),
+    lambda ids, is_over, sign: sign.__setitem__(3, -sign[3]),
+    lambda ids, is_over, sign: is_over.__setitem__(3, 1 - is_over[3]),
+    lambda ids, is_over, sign: ids.__setitem__(3, ids[4]),
+    lambda ids, is_over, sign: ids.__setitem__(3, 0),
+], ids=["sign 0", "sign 2", "sign flipped", "passage flipped", "id repeated", "id new"])
+def test_gauss_columns_refused_with_the_walks_message(mutate):
+    # a checked CrossingSet never hands the builders such columns, so they are planted here
+    params, knot, cs = theorem_set(3, 7)
+    ids, is_over, sign = gauss_columns(cs)
+    mutate(ids, is_over, sign)
+    entries = tuple(zip(ids.tolist(), ["UO"[o] for o in is_over.tolist()], sign.tolist()))
+    expected = outcome(GaussCode, entries)
+    assert expected is not None
+    assert outcome(lambda _: GaussCode._of_columns(ids, is_over, sign), None) == expected
+
+
+@pytest.mark.parametrize("row, col, label", [(2, 1, 0), (2, 1, 65), (2, 1, -3), (5, 0, 7), (0, 3, 43)])
+def test_pd_array_refused_with_the_walks_message(row, col, label):
+    params, knot, cs = theorem_set(3, 7)
+    labels = np.array(build_pd_code(cs).crossings)
+    labels[row, col] = label
+    expected = outcome(PDCode, labels.tolist())
+    assert expected is not None
+    assert outcome(PDCode._of_array, labels) == expected
 
 
 def test_pd_code_rejects_links():
