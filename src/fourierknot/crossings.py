@@ -380,7 +380,7 @@ class CrossingSet:
         shapes = {name: np.shape(getattr(self, name)) for name in names}
         if len(shapes["t1"]) != 1 or len(set(shapes.values())) != 1:
             raise ValueError(f"the columns must be 1-D and of one length, got shapes {shapes}")
-        if not np.all(np.abs(self.sign) == 1):
+        if not (np.abs(self.sign) == 1).all():
             raise ValueError("every sign must be 1 or -1")
         over_dtype = np.asarray(self.over_t1).dtype
         if over_dtype != bool:
