@@ -377,12 +377,6 @@ def test_pd_code_check_matches_reference(code):
     assert outcome(PDCode, code) == outcome(reference_pd_check, code)
 
 
-def gauss_columns(cs):
-    """build_gauss_code's int columns: ids + 1, is_over and sign per passage, in time order."""
-    _, ids, is_over = cs.passages
-    return ids + 1, is_over.copy(), cs.sign[ids]
-
-
 @pytest.mark.parametrize("mutate", [
     lambda ids, is_over, sign: sign.__setitem__(3, 0),
     lambda ids, is_over, sign: sign.__setitem__(3, 2),
@@ -394,7 +388,8 @@ def gauss_columns(cs):
 def test_gauss_columns_refused_with_the_walks_message(mutate):
     # a checked CrossingSet never hands the builders such columns, so they are planted here
     params, knot, cs = theorem_set(3, 7)
-    ids, is_over, sign = gauss_columns(cs)
+    _, ids, is_over = cs.passages
+    ids, is_over, sign = ids + 1, is_over.copy(), cs.sign[ids]  # build_gauss_code's columns
     mutate(ids, is_over, sign)
     entries = tuple(zip(ids.tolist(), ["UO"[o] for o in is_over.tolist()], sign.tolist()))
     expected = outcome(GaussCode, entries)
