@@ -9,6 +9,12 @@ candidates of the dense all-pairs scan, with the same float expressions and
 in the same lexicographic (i, j) order.  A closed polyline of n segments
 spans at most n cells per axis, so cell keys fit easily in int64.
 
+The registrations are put in (cell, segment) order by one stable argsort of
+the cell keys, since they are made in segment order.  A pair that shares
+two or more cells comes out once per shared cell; one in-place sort of the
+pair keys i * n + j (below n**2, far inside int64) and a mask keeping each
+key that differs from the one before it drop the repeats.
+
 This is a filter, not a sweep: well-spread curves give O(grid) candidate
 pairs, but adversarial inputs (many long segments crowding a few cells) can
 still reach O(grid^2).
@@ -45,14 +51,20 @@ def _shared_cell_pairs(px, py, rx, ry):
     seg = np.repeat(np.arange(n), counts)
     k = _ranges(counts)
     cell = (lo_x[seg] + k % wide[seg]) * (hi_y.max() + 1) + lo_y[seg] + k // wide[seg]
-    order = np.lexsort((seg, cell))
+    # seg ascends, so a stable sort on cell alone orders by (cell, seg)
+    order = np.argsort(cell, kind="stable")
     seg = seg[order]
     cell = cell[order]
     # pair every registration with the later ones in its cell
     later = np.searchsorted(cell, cell, side="right") - np.arange(seg.size) - 1
     left = np.repeat(np.arange(seg.size), later)
     right = left + 1 + _ranges(later)
-    keys = np.unique(seg[left] * n + seg[right])
+    # drop the repeats of pairs that share two or more cells
+    keys = seg[left] * n + seg[right]
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
     return keys // n, keys % n
 
 

@@ -51,6 +51,8 @@ MAX_NUMERIC_GRID = 1 << 21
 
 _NEWTON_BUDGET = 50
 _NEWTON_TOL = 1e-12
+_NEWTON_STATUS = ("ok", "tangential", "divergence")  # _newton_refine's status codes
+_OK, _TANGENTIAL, _DIVERGENCE = range(3)
 
 
 @dataclass(frozen=True, order=True)
@@ -323,6 +325,15 @@ def _eval_at(series: FourierSeries, ts: np.ndarray) -> list[float]:
     return list(map(sum, zip(*columns)))
 
 
+def _eval_derivative_at(series: FourierSeries, ts: np.ndarray) -> list[float]:
+    """series.eval_derivative(t) for each t of ts, bitwise: the scalar path's math.sin terms, summed by sum."""
+    columns = [
+        [-tm.amplitude * tm.frequency * math.sin(u) for u in (tm.frequency * ts + tm.phase).tolist()]
+        for tm in series.terms
+    ]
+    return list(map(sum, zip(*columns)))
+
+
 def classify(knot: FourierKnot, t1: float, t2: float, indices: CrossingIndices | None = None) -> Crossing:
     """Resolve one projection double point into a signed over/under crossing.
 
@@ -475,54 +486,78 @@ def analytic_crossing_set(knot: FourierKnot, params: TorusParams) -> CrossingSet
     return CrossingSet(knot, *columns, kind, table.k[order], table.j[order], "analytic")
 
 
-def _newton_refine(knot: FourierKnot, t1: float, t2: float):
-    """Polish a candidate double point; returns (status, t1, t2).
+def _newton_refine(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray):
+    """Polish candidate double points in lockstep; returns (status, t1, t2) arrays.
 
-    status: "ok", "tangential" (singular Jacobian), "divergence".  Each
-    point is evaluated once: the accepted trial point's differences are the
-    next step's (fx, fy).
+    Damped Newton on (x(t1) - x(t2), y(t1) - y(t2)) from every start pair
+    (t1[i], t2[i]) at once.  Each round retires the converged candidates,
+    takes one Jacobian and one Newton direction for the rest, and halves a
+    shared step length until every one of them has accepted a trial point
+    that lowers its residual or has halved below 1e-7.  status[i] indexes
+    _NEWTON_STATUS: "ok", "tangential" (singular Jacobian) or "divergence"
+    (no descent, or no convergence within the step budget); the times are
+    where each candidate stopped.  Per candidate this is the scalar damped
+    Newton step for step: values from math.cos and math.sin summed by sum
+    (_eval_at), math.hypot residuals and the same float64 expressions, so
+    the times are bitwise those of polishing each candidate alone.  Each
+    point is evaluated once: an accepted trial point's differences are the
+    next round's.
     """
-    def differences(a, b):
-        return knot.x.eval(a) - knot.x.eval(b), knot.y.eval(a) - knot.y.eval(b)
+    t1 = np.array(t1, dtype=np.float64)
+    t2 = np.array(t2, dtype=np.float64)
+    status = np.full(len(t1), _DIVERGENCE, dtype=np.int8)
 
-    fx, fy = differences(t1, t2)
-    res = math.hypot(fx, fy)
+    def differences(a, b):
+        x, y = (np.array(_eval_at(series, np.concatenate((a, b)))) for series in (knot.x, knot.y))
+        fx, fy = x[:len(a)] - x[len(a):], y[:len(a)] - y[len(a):]
+        return fx, fy, np.array(list(map(math.hypot, fx.tolist(), fy.tolist())))
+
+    active = np.arange(len(t1))  # the candidates still moving
+    fx, fy, res = differences(t1, t2)
     for _ in range(_NEWTON_BUDGET):
-        if res < _NEWTON_TOL:
-            return "ok", t1, t2
-        j11 = knot.x.eval_derivative(t1)
-        j12 = -knot.x.eval_derivative(t2)
-        j21 = knot.y.eval_derivative(t1)
-        j22 = -knot.y.eval_derivative(t2)
+        converged = res < _NEWTON_TOL
+        status[active[converged]] = _OK
+        active, fx, fy, res = (v[~converged] for v in (active, fx, fy, res))
+        if not active.size:
+            break
+        a, b = t1[active], t2[active]
+        dx, dy = (np.array(_eval_derivative_at(series, np.concatenate((a, b)))) for series in (knot.x, knot.y))
+        j11, j12, j21, j22 = dx[:len(a)], -dx[len(a):], dy[:len(a)], -dy[len(a):]
         det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-12:
-            return "tangential", t1, t2
+        flat = np.abs(det) < 1e-12
+        status[active[flat]] = _TANGENTIAL
+        active, fx, fy, res, a, b, j11, j12, j21, j22, det = (
+            v[~flat] for v in (active, fx, fy, res, a, b, j11, j12, j21, j22, det)
+        )
         dt1 = -(j22 * fx - j12 * fy) / det
         dt2 = -(-j21 * fx + j11 * fy) / det
+        searching = np.arange(len(active))  # positions in active still halving lam
         lam = 1.0
-        while True:
-            n1, n2 = t1 + lam * dt1, t2 + lam * dt2
-            gx, gy = differences(n1, n2)
-            new_res = math.hypot(gx, gy)
-            if new_res < res:
-                t1, t2, fx, fy, res = n1, n2, gx, gy, new_res
-                break
+        while searching.size:
+            n1, n2 = a[searching] + lam * dt1[searching], b[searching] + lam * dt2[searching]
+            gx, gy, new_res = differences(n1, n2)
+            better = new_res < res[searching]
+            took = searching[better]
+            t1[active[took]], t2[active[took]] = n1[better], n2[better]
+            fx[took], fy[took], res[took] = gx[better], gy[better], new_res[better]
+            searching = searching[~better]
             lam *= 0.5
             if lam < 1e-7:
-                return "divergence", t1, t2
-    if res < _NEWTON_TOL:
-        return "ok", t1, t2
-    return "divergence", t1, t2
+                break
+        # the candidates still searching found no descent: they retire with status "divergence"
+        active, fx, fy, res = (np.delete(v, searching) for v in (active, fx, fy, res))
+    status[active[res < _NEWTON_TOL]] = _OK
+    return status, t1, t2
 
 
 def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | None = None) -> CrossingSet:
     """Find all transverse double points of the xy-projection numerically.
 
     Coarse candidates come from a segment-pair scan over a uniform t-grid,
-    then each candidate is polished by damped Newton on
-    (x(t1)-x(t2), y(t1)-y(t2)) and deduplicated on the unordered time pair:
-    a candidate within EPS_DEDUPE of an earlier kept one, in scan order, is
-    dropped.
+    then all of them are polished together, in one lockstep damped Newton
+    call (_newton_refine) on (x(t1)-x(t2), y(t1)-y(t2)), and deduplicated
+    on the unordered time pair: a candidate within EPS_DEDUPE of an earlier
+    kept one, in scan order, is dropped.
     Failed candidates are reported through the logger (and ``diagnostics``
     when given), never raised; the set counts the singular ones, and the
     diagram builders refuse it if there are any.  Memory grows as about 235
@@ -543,32 +578,29 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     ii, jj, ss, uu = _kernels.scan_segment_pairs(px, py)
 
     # refine every candidate, then keep each ok one unless an earlier kept one is near it
-    refined = []
-    for i, j, s, u in zip(ii, jj, ss, uu):
-        g1 = ts[i] + s * h
-        g2 = ts[j] + u * h
-        status, t1, t2 = _newton_refine(knot, g1, g2)
-        if status == "ok":
-            t1, t2 = sorted((reduce_angle(t1), reduce_angle(t2)))
-            if circular_distance(t1, t2) <= EPS_DEDUPE:
-                continue  # converged onto the trivial diagonal
-        refined.append((int(i), int(j), status, t1, t2))
-    ok = [k for k, r in enumerate(refined) if r[2] == "ok"]
-    pairs = [refined[k][3:] for k in ok]
+    status, t1, t2 = _newton_refine(knot, ts[ii] + ss * h, ts[jj] + uu * h)
+    a, b = reduce_angles(t1), reduce_angles(t2)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    gap = b - a  # circular_distance(a, b), as 0 <= a <= b < 2*pi
+    # ok candidates that converged onto the trivial diagonal are dropped
+    diagonal = (status == _OK) & (np.minimum(gap, TWO_PI - gap) <= EPS_DEDUPE)
+    ii, jj, status, a, b = (column[~diagonal] for column in (ii, jj, status, a, b))
+    refined = list(zip(ii.tolist(), jj.tolist(), status.tolist()))
+    ok = np.flatnonzero(status == _OK).tolist()
     earlier: dict[int, list[int]] = {}
-    for a, b in near_pairs(pairs):
-        earlier.setdefault(ok[b], []).append(ok[a])
+    for x, y in near_pairs(list(zip(a[ok].tolist(), b[ok].tolist()))):
+        earlier.setdefault(ok[y], []).append(ok[x])
     row = {k: m for m, k in enumerate(ok)}
-    classified = _classify_pairs(knot, *np.array(pairs, dtype=float).reshape(-1, 2).T)
+    classified = _classify_pairs(knot, a[ok], b[ok])
 
     accepted: list[int] = []
     kept: set[int] = set()
     singular = 0
-    for k, (i, j, status, _, _) in enumerate(refined):
-        if status != "ok":
-            log.warning("candidate (%d, %d) failed refinement: %s", i, j, status)
+    for k, (i, j, code) in enumerate(refined):
+        if code != _OK:
+            log.warning("candidate (%d, %d) failed refinement: %s", i, j, _NEWTON_STATUS[code])
             if diagnostics is not None:
-                diagnostics.append((status, i, j))
+                diagnostics.append((_NEWTON_STATUS[code], i, j))
             continue
         if not kept.isdisjoint(earlier.get(k, ())):
             continue

@@ -66,14 +66,16 @@ def _check_gauss(entries) -> None:
     """The per-entry walk: raises for the first malformed entry, else the first bad id.
 
     An entry is malformed unless it is a triple whose passage is "O" or
-    "U", whose sign is 1 or -1 and whose id can be hashed.
+    "U", whose sign is 1 or -1 and whose id can be hashed.  A numpy array
+    is neither a passage nor a sign: it compares element by element.
     """
     seen: dict[object, list[tuple[str, int]]] = {}
     for entry in entries:
         if not isinstance(entry, tuple) or len(entry) != 3:
             raise IncompleteCrossingSet(f"malformed entry {entry!r}")
         cid, passage, sign = entry
-        if passage in (OVER, UNDER) and sign in (1, -1):
+        arrays = isinstance(passage, np.ndarray) or isinstance(sign, np.ndarray)
+        if not arrays and passage in (OVER, UNDER) and sign in (1, -1):
             try:
                 seen.setdefault(cid, []).append((passage, sign))
                 continue
@@ -135,7 +137,9 @@ def _check_pd(crossings) -> None:
     """The per-tuple walk: raises for a wrong length, a non-integer label or the label counts.
 
     Each in turn names its first offence; the label counts list every
-    violation in order of first appearance.
+    violation in order of first appearance.  A label is an integer when
+    operator.index takes it and, for the counts, it can be hashed: a 0-d
+    numpy int array passes operator.index but not the hash.
     """
     for tup in crossings:
         if not isinstance(tup, tuple) or len(tup) != 4:
@@ -144,6 +148,7 @@ def _check_pd(crossings) -> None:
         for label in tup:
             try:
                 operator.index(label)
+                hash(label)
             except TypeError:
                 raise SingularDiagram(f"PD tuple {tup} has a non-integer edge label {label!r}") from None
     counts = collections.Counter(itertools.chain.from_iterable(crossings))

@@ -253,6 +253,24 @@ def test_non_iterable_entries_and_unhashable_ids_raise_the_domain_error():
         PDCode(((1, 2, 1, 2), None))
 
 
+def test_numpy_arrays_in_entries_raise_the_domain_error():
+    # an array compares element by element, and a 0-d int array passes
+    # operator.index but cannot be counted: each is refused, first offender first
+    with pytest.raises(IncompleteCrossingSet, match=r"^malformed entry \(1, 'O', \[1 1\]\)$"):
+        GaussCode(((1, "O", np.array([1, 1])), (1, "U", 1)))
+    with pytest.raises(IncompleteCrossingSet, match=r"^malformed entry \(1, array\(\['O', 'U'\]"):
+        GaussCode(((1, np.array(["O", "U"]), 1), (1, "U", 1)))
+    with pytest.raises(IncompleteCrossingSet, match=r"^malformed entry \(2, 'X', 1\)$"):
+        GaussCode(((1, "O", 1), (2, "X", 1), (1, "U", np.array([1])), (2, "U", 1)))
+    with pytest.raises(IncompleteCrossingSet, match=r"^malformed entry \(1, 'U', \[1\]\)$"):
+        GaussCode(((1, "O", 1), (1, "U", np.array([1]))))
+    with pytest.raises(SingularDiagram,
+                       match=r"^PD tuple \(1, 2, 1, array\(2\)\) has a non-integer edge label array\(2\)$"):
+        PDCode(((1, 2, 1, np.array(2)),))
+    with pytest.raises(SingularDiagram, match=r"non-integer edge label array\(\[1\]\)$"):
+        PDCode(((1, 2, 2, 1), (np.array([1]), 3, 4, 4)))
+
+
 def test_built_codes_hold_python_ints():
     params, knot, cs = theorem_set(3, 7)
     gauss, pd = build_gauss_code(knot, cs), build_pd_code(cs)

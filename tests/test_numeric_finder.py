@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourierknot import (
+    FourierKnot,
     FourierSeries,
     TorusParams,
     analytic_crossing_set,
@@ -17,8 +18,8 @@ from fourierknot import (
     knot_with_phases,
     simplified_phase_point,
 )
-from fourierknot import _kernels
-from fourierknot.crossings import pair_distance
+from fourierknot import _kernels, crossings
+from fourierknot.crossings import _NEWTON_STATUS, _newton_refine, pair_distance
 
 
 def test_counts_2_3():
@@ -57,16 +58,14 @@ def test_numeric_classification_agrees_with_analytic():
 
 def test_finder_keeps_first_come_along_a_chain(monkeypatch):
     """Refined times A ~ B ~ C with A not near C: B goes for A, and C stays, since B was not kept."""
-    from fourierknot import crossings
-
     params = TorusParams(3, 7)
     knot = gen_theorem_knot(params)
     c = analytic_crossing_set(knot, params).crossings[5]
     step = 0.9 * crossings.EPS_DEDUPE
     chain = [(c.t1 + k * step, c.t2 + k * step) for k in range(3)]
-    refined = iter(chain)
-    monkeypatch.setattr(_kernels, "scan_segment_pairs", lambda px, py: ([1, 2, 3], [10, 20, 30], [0.5] * 3, [0.5] * 3))
-    monkeypatch.setattr(crossings, "_newton_refine", lambda knot, g1, g2: ("ok", *next(refined)))
+    candidates = (np.array([1, 2, 3]), np.array([10, 20, 30]), np.full(3, 0.5), np.full(3, 0.5))
+    monkeypatch.setattr(_kernels, "scan_segment_pairs", lambda px, py: candidates)
+    monkeypatch.setattr(crossings, "_newton_refine", lambda knot, g1, g2: (np.zeros(3, np.int8), *np.array(chain).T))
     found = find_crossings_numeric(knot, 2048)
     assert [(x.t1, x.t2) for x in found.crossings] == [chain[0], chain[2]]
 
@@ -164,6 +163,47 @@ def test_bucketed_scan_matches_dense(x, y, extra):
         assert np.array_equal(g, w)
 
 
+def shared_cell_pairs_unique(px, py, rx, ry):
+    """The bucketed scan's pair step as it was with np.lexsort and np.unique: (raw keys i * n + j, i, j)."""
+    n = rx.shape[0]
+    side = max(np.abs(rx).max(), np.abs(ry).max())
+    lo_x = np.floor((np.minimum(px[:-1], px[1:]) - px.min()) / side).astype(np.int64)
+    hi_x = np.floor((np.maximum(px[:-1], px[1:]) - px.min()) / side).astype(np.int64)
+    lo_y = np.floor((np.minimum(py[:-1], py[1:]) - py.min()) / side).astype(np.int64)
+    hi_y = np.floor((np.maximum(py[:-1], py[1:]) - py.min()) / side).astype(np.int64)
+    wide = hi_x - lo_x + 1
+    counts = wide * (hi_y - lo_y + 1)
+    seg = np.repeat(np.arange(n), counts)
+    k = _kernels._ranges(counts)
+    cell = (lo_x[seg] + k % wide[seg]) * (hi_y.max() + 1) + lo_y[seg] + k // wide[seg]
+    order = np.lexsort((seg, cell))
+    seg, cell = seg[order], cell[order]
+    later = np.searchsorted(cell, cell, side="right") - np.arange(seg.size) - 1
+    left = np.repeat(np.arange(seg.size), later)
+    right = left + 1 + _kernels._ranges(later)
+    raw = seg[left] * n + seg[right]
+    keys = np.unique(raw)
+    return raw, keys // n, keys % n
+
+
+@pytest.mark.parametrize("pq", [(3, 7), (13, 29)])
+def test_shared_cell_pairs_drop_repeats_like_unique(pq):
+    # pairs that share two cells are listed twice before the dedupe, and the
+    # sort-and-mask dedupe must give np.unique's pairs, order and dtype
+    grid = 2048
+    knot = gen_theorem_knot(TorusParams(*pq))
+    ts = (np.arange(grid + 1) + crossings._GRID_OFFSET) * (2 * math.pi / grid)
+    px, py = knot.x.eval(ts), knot.y.eval(ts)
+    px[-1], py[-1] = px[0], py[0]
+    rx, ry = np.diff(px), np.diff(py)
+    raw, *want = shared_cell_pairs_unique(px, py, rx, ry)
+    assert np.unique(raw).size < raw.size
+    got = _kernels._shared_cell_pairs(px, py, rx, ry)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
 def test_scan_rejects_non_finite_coordinates():
     px = np.array([0.0, 1.0, math.nan, 0.0])
     py = np.array([0.0, 1.0, 0.0, 0.0])
@@ -250,3 +290,95 @@ def test_numeric_rows_equal_classify_bitwise(knot):
         ref = classify(knot, c.t1, c.t2)
         assert (ref.t1, ref.t2, ref.sign, ref.over) == (c.t1, c.t2, c.sign, c.over)
         assert [v.hex() for v in ref.position] == [v.hex() for v in c.position]
+
+
+def newton_refine_scalar(knot, t1, t2):
+    """One candidate's damped Newton, as the finder ran it before the lockstep pass: the reference."""
+    def differences(a, b):
+        return knot.x.eval(a) - knot.x.eval(b), knot.y.eval(a) - knot.y.eval(b)
+
+    fx, fy = differences(t1, t2)
+    res = math.hypot(fx, fy)
+    for _ in range(50):
+        if res < 1e-12:
+            return "ok", t1, t2
+        j11 = knot.x.eval_derivative(t1)
+        j12 = -knot.x.eval_derivative(t2)
+        j21 = knot.y.eval_derivative(t1)
+        j22 = -knot.y.eval_derivative(t2)
+        det = j11 * j22 - j12 * j21
+        if abs(det) < 1e-12:
+            return "tangential", t1, t2
+        dt1 = -(j22 * fx - j12 * fy) / det
+        dt2 = -(-j21 * fx + j11 * fy) / det
+        lam = 1.0
+        while True:
+            n1, n2 = t1 + lam * dt1, t2 + lam * dt2
+            gx, gy = differences(n1, n2)
+            new_res = math.hypot(gx, gy)
+            if new_res < res:
+                t1, t2, fx, fy, res = n1, n2, gx, gy, new_res
+                break
+            lam *= 0.5
+            if lam < 1e-7:
+                return "divergence", t1, t2
+    if res < 1e-12:
+        return "ok", t1, t2
+    return "divergence", t1, t2
+
+
+def lockstep_and_scalar(knot, t1, t2):
+    """Both Newton versions' (status, t1.hex(), t2.hex()) per candidate, and the scalar statuses."""
+    status, got1, got2 = _newton_refine(knot, np.array(t1, dtype=float), np.array(t2, dtype=float))
+    got = [(_NEWTON_STATUS[c], float(a).hex(), float(b).hex())
+           for c, a, b in zip(status.tolist(), got1.tolist(), got2.tolist())]
+    want = []
+    for a, b in zip(t1, t2):
+        code, a, b = newton_refine_scalar(knot, float(a), float(b))
+        want.append((code, float(a).hex(), float(b).hex()))
+    return got, want
+
+
+_knot_terms = st.lists(
+    st.tuples(st.floats(-2.0, 2.0), st.integers(0, 7), st.floats(0.0, 2 * math.pi)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # still descending after 49 steps: "divergence" by the 50-step budget
+    axes=([(0.01066370591568866, 4, 0.01814143591416862)],
+          [(-0.32582419894671233, 1, 2.0066518195273475), (-1.4683131164416277, 4, 5.926543652393895)],
+          [(1.0, 1, 0.0)]),
+    starts=[(float.fromhex("0x1.8ab9cb720f4cbp+2"), float.fromhex("0x1.eec33b9dc3317p+1"))],
+)
+@given(
+    axes=st.tuples(_knot_terms, _knot_terms, _knot_terms),
+    starts=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), max_size=12),
+)
+def test_lockstep_newton_matches_scalar(axes, starts):
+    # bitwise: each candidate ends with the scalar Newton's status and times
+    knot = FourierKnot(*map(FourierSeries.from_triples, axes))
+    got, want = lockstep_and_scalar(knot, [a for a, _ in starts], [b for _, b in starts])
+    assert got == want
+
+
+def test_lockstep_newton_matches_scalar_on_a_seeded_batch():
+    rng = np.random.default_rng(5)
+    statuses = set()
+    for _ in range(20):
+        knot = FourierKnot(*(FourierSeries.from_triples(
+            (rng.uniform(-2, 2), int(rng.integers(0, 8)), rng.uniform(0, 2 * math.pi))
+            for _ in range(rng.integers(1, 4))) for _ in range(3)))
+        t1, t2 = rng.uniform(0, 2 * math.pi, (2, 40))
+        got, want = lockstep_and_scalar(knot, t1.tolist(), t2.tolist())
+        assert got == want
+        statuses.update(code for code, _, _ in got)
+    assert statuses == {"ok", "tangential", "divergence"}
+
+
+def test_lockstep_newton_takes_no_candidates():
+    knot = gen_theorem_knot(TorusParams(3, 7))
+    status, t1, t2 = _newton_refine(knot, np.empty(0), np.empty(0))
+    assert status.shape == t1.shape == t2.shape == (0,)
