@@ -29,11 +29,20 @@ from .series import (
     fmt_float,
     reduce_angle,
     reduce_angles,
+    sine_split,
     theorem_xy,
 )
 
 log = logging.getLogger("fourierknot.crossings")
 
+# Against the series error bound (E0, E1 at |t| <= 2*pi; series docstring):
+# |dz| and |planar| err by at most 2*E0(z) and 2*(N1(x) E1(y) + N1(y) E1(x)),
+# 9e-14 and 7.8e-11 at T(19,29), and planar at most 7e-10 (T(2,351)) within
+# verify's budget, so a row above EPS_SINGULAR there has its exact sign; not so
+# at T(181,182) (3.4e-8).  EPS_DEDUPE parts time pairs, not set by the bound:
+# it is at most 1/36 of pi/(2pq), the least gap between two crossings of a
+# T(p, q) under the CLI's crossing cap, and far above a converged Newton
+# candidate's time error at a transverse crossing.
 EPS_SINGULAR = 1e-9
 EPS_DEDUPE = 1e-6
 
@@ -50,6 +59,8 @@ _GRID_OFFSET = 0.5 * (math.sqrt(5.0) - 1.0)
 MAX_NUMERIC_GRID = 1 << 21
 
 _NEWTON_BUDGET = 50
+# an exact double point's residual may read 2*hypot(E0(x), E0(y)): 9e-14 at
+# T(13,29), above _NEWTON_TOL past frequencies of 250 or at 16 times the amplitudes
 _NEWTON_TOL = 1e-12
 _NEWTON_STATUS = ("ok", "tangential", "divergence")  # _newton_refine's status codes
 _OK, _TANGENTIAL, _DIVERGENCE = range(3)
@@ -223,10 +234,7 @@ class _CrossingTable:
         The product-of-sines split of both z terms at the given rows; rows
         (any numpy index), phi1 and phi2 broadcast against each other.
         """
-        p, r = self.p, self.q - self.p
-        t1, t2 = self.t1[rows], self.t2[rows]
-        s, d = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
-        return (-2.0 * np.sin(p * s + phi1)) * np.sin(p * d) - (2.0 * np.sin(r * s + phi2)) * np.sin(r * d)
+        return sine_split(((1.0, self.p, phi1), (1.0, self.q - self.p, phi2)), self.t1[rows], self.t2[rows])
 
 
 @functools.lru_cache(maxsize=32)
@@ -262,13 +270,8 @@ def direction_product(knot: FourierKnot, t1: float, t2: float) -> float:
 
 
 def pair_difference(series: FourierSeries, t1: float, t2: float) -> float:
-    """series(t1) - series(t2) via the term-wise product-of-sines split."""
-    s = 0.5 * (t1 + t2)
-    d = 0.5 * (t1 - t2)
-    total = 0.0
-    for tm in series.terms:
-        total += -2.0 * tm.amplitude * math.sin(tm.frequency * s + tm.phase) * math.sin(tm.frequency * d)
-    return total
+    """series(t1) - series(t2) via the term-wise product-of-sines split (sine_split)."""
+    return float(sine_split([(tm.amplitude, tm.frequency, tm.phase) for tm in series.terms], t1, t2))
 
 
 def zdiff(knot: FourierKnot, t1: float, t2: float) -> float:
@@ -315,23 +318,6 @@ def _classify_pairs(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray) -> _Class
         else:
             singular[i] = f"projection tangency at ({a[i]:.6f}, {b[i]:.6f}): |cross| = {abs(planar[i]):.3e}"
     return _Classified(a, b, np.where(planar * dz > 0, 1, -1), z1 > z2, singular)
-
-
-def _eval_at(series: FourierSeries, ts: np.ndarray) -> list[float]:
-    """series.eval(t) for each t of ts, bitwise: the scalar path's math.cos terms, summed by sum."""
-    columns = [
-        [tm.amplitude * math.cos(u) for u in (tm.frequency * ts + tm.phase).tolist()] for tm in series.terms
-    ]
-    return list(map(sum, zip(*columns)))
-
-
-def _eval_derivative_at(series: FourierSeries, ts: np.ndarray) -> list[float]:
-    """series.eval_derivative(t) for each t of ts, bitwise: the scalar path's math.sin terms, summed by sum."""
-    columns = [
-        [-tm.amplitude * tm.frequency * math.sin(u) for u in (tm.frequency * ts + tm.phase).tolist()]
-        for tm in series.terms
-    ]
-    return list(map(sum, zip(*columns)))
 
 
 def classify(knot: FourierKnot, t1: float, t2: float, indices: CrossingIndices | None = None) -> Crossing:
@@ -423,15 +409,15 @@ class CrossingSet:
     def crossings(self) -> tuple[Crossing, ...]:
         """The rows as Crossing records, built on first read.
 
-        Positions are (x(t1), y(t1)) from math.cos, like FourierSeries.eval
-        on a scalar, so they do not depend on numpy's cos.
+        Positions are (x(t1), y(t1)) in the math order (eval_math), like
+        FourierSeries.eval on a scalar, so they do not depend on numpy's cos.
         """
         indices = [
             CrossingIndices((TYPE_I, TYPE_II)[kind], k, j) if kind >= 0 else None
             for kind, k, j in zip(self.kind.tolist(), self.k.tolist(), self.j.tolist())
         ]
         overs = ["t1" if over else "t2" for over in self.over_t1.tolist()]
-        positions = zip(_eval_at(self.knot.x, self.t1), _eval_at(self.knot.y, self.t1))
+        positions = zip(self.knot.x.eval_math(self.t1), self.knot.y.eval_math(self.t1))
         rows = zip(self.t1.tolist(), self.t2.tolist(), self.sign.tolist(), overs, positions, indices)
         return tuple(itertools.starmap(Crossing, rows))
 
@@ -497,18 +483,19 @@ def _newton_refine(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray):
     _NEWTON_STATUS: "ok", "tangential" (singular Jacobian) or "divergence"
     (no descent, or no convergence within the step budget); the times are
     where each candidate stopped.  Per candidate this is the scalar damped
-    Newton step for step: values from math.cos and math.sin summed by sum
-    (_eval_at), math.hypot residuals and the same float64 expressions, so
-    the times are bitwise those of polishing each candidate alone.  Each
-    point is evaluated once: an accepted trial point's differences are the
-    next round's.
+    Newton step for step: values and slopes in the math order (eval_math),
+    math.hypot residuals and the same float64 expressions, so the times are
+    bitwise those of polishing each candidate alone.  Each point is evaluated
+    once: an accepted trial point's differences are the next round's.
+    |det| < 1e-12 only guards the division and is not set by the series
+    bound: det is -planar, whose tangency test is the classifier's.
     """
     t1 = np.array(t1, dtype=np.float64)
     t2 = np.array(t2, dtype=np.float64)
     status = np.full(len(t1), _DIVERGENCE, dtype=np.int8)
 
     def differences(a, b):
-        x, y = (np.array(_eval_at(series, np.concatenate((a, b)))) for series in (knot.x, knot.y))
+        x, y = (np.array(series.eval_math(np.concatenate((a, b)))) for series in (knot.x, knot.y))
         fx, fy = x[:len(a)] - x[len(a):], y[:len(a)] - y[len(a):]
         return fx, fy, np.array(list(map(math.hypot, fx.tolist(), fy.tolist())))
 
@@ -521,7 +508,7 @@ def _newton_refine(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray):
         if not active.size:
             break
         a, b = t1[active], t2[active]
-        dx, dy = (np.array(_eval_derivative_at(series, np.concatenate((a, b)))) for series in (knot.x, knot.y))
+        dx, dy = (np.array(series.eval_math(np.concatenate((a, b)), True)) for series in (knot.x, knot.y))
         j11, j12, j21, j22 = dx[:len(a)], -dx[len(a):], dy[:len(a)], -dy[len(a):]
         det = j11 * j22 - j12 * j21
         flat = np.abs(det) < 1e-12
@@ -562,7 +549,8 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     when given), never raised; the set counts the singular ones, and the
     diagram builders refuse it if there are any.  Memory grows as about 235
     bytes per grid point, so grids above MAX_NUMERIC_GRID = 2**21 (about
-    490 MB) are refused with ValueError before anything is allocated.
+    490 MB) are refused with ValueError before anything is allocated, as
+    are xy amplitudes too small for the scan (_kernels._PARALLEL_SHARE).
     """
     if grid > MAX_NUMERIC_GRID:
         raise ValueError(f"grid must be at most {MAX_NUMERIC_GRID}, got {grid}")
@@ -570,6 +558,9 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     if grid < floor:
         raise ValueError(f"grid {grid} is below the sampling floor {floor}")
     h = TWO_PI / grid
+    largest = 2.0 * h * h * knot.x.norm(1) * knot.y.norm(1)  # no segment pair's cross product is larger
+    if not largest * _kernels._PARALLEL_SHARE >= _kernels._PARALLEL_EPS:
+        raise ValueError(f"xy amplitudes too small for grid {grid}: segment cross products reach {largest:.3g}")
     ts = (np.arange(grid + 1) + _GRID_OFFSET) * h
     px = np.asarray(knot.x.eval(ts))
     py = np.asarray(knot.y.eval(ts))

@@ -369,7 +369,7 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     way; a passage rises when x' > 0.  Passage 0 lies on strand 0 if it
     falls and on strand 1 if it rises; each later passage starts a new
     strand when the direction turned (one more) or when x gained at most
-    delta = EPS_DEDUPE*sum|a_k|*f_k towards rising x since the previous
+    delta = EPS_DEDUPE*x.norm(1) towards rising x since the previous
     passage (a fold: two more, leaving an empty strand of the other
     direction between).  So x falls on even strands, t = 0 is always a cut,
     and the last passage's strand s gives 2f strands, f = s // 2 + 1; for
@@ -395,9 +395,9 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     Kahn's order exists.  On a genuine crossing set it does: x grows by
     more than delta at each step of a chain, and a crossing's two passages
     agree in x to far less than delta/2, so x at the crossings orders every
-    chain.  A passage with |x'| <= EPS_DEDUPE*sum|a_k|*f_k^2 raises
+    chain.  A passage with |x'| <= EPS_DEDUPE*x.norm(2) raises
     SingularDiagram: its direction is unsettled, and the bound covers every
-    passage within EPS_DEDUPE of a critical time (|x''| <= sum|a_k|*f_k^2),
+    passage within EPS_DEDUPE of a critical time (|x''| <= x.norm(2)),
     the distance at which the set calls two passage times the same.
 
     Kahn's order is taken a level at a time: level l holds the crossings
@@ -418,9 +418,7 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     if not n:
         return LaurentPolynomial.one()
     slope = knot.x.eval_derivative(t)
-    speed = sum(abs(tm.amplitude) * tm.frequency for tm in knot.x.terms)  # bounds |x'|
-    bend = sum(abs(tm.amplitude) * tm.frequency ** 2 for tm in knot.x.terms)  # bounds |x''|
-    near = np.flatnonzero(np.abs(slope) <= EPS_DEDUPE * bend)
+    near = np.flatnonzero(np.abs(slope) <= EPS_DEDUPE * knot.x.norm(2))
     if near.size:
         k = near[0]
         raise SingularDiagram(
@@ -431,7 +429,7 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     gain = np.diff(knot.x.eval(t))
     gain[~up[1:]] *= -1.0  # towards rising x: back in time on a falling strand
     # passage to passage: a new strand where the direction turns, two at a fold, none on a chain link
-    step = np.where(up[1:] != up[:-1], 1, 2 * (gain <= EPS_DEDUPE * speed))
+    step = np.where(up[1:] != up[:-1], 1, 2 * (gain <= EPS_DEDUPE * knot.x.norm(1)))
     s = np.cumsum(np.concatenate(([up[0]], step)))
     f = int(s[-1]) // 2 + 1
     strand = np.empty((n, 2), dtype=np.intp)  # [under strand, over strand] per crossing

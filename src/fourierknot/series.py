@@ -5,6 +5,25 @@ frequencies, so every curve here is exactly 2*pi periodic.  Knots come in two
 parameterized families: a two-term-z form (one cosine on x and y, two on z;
 built in phases.py from its z phases) and the classical winding form
 rewritten as pure cosine series.
+
+Only this module evaluates a cosine series (standard_torus_point, the
+independent product-form check, aside), in two orders whose last bits may
+differ between platforms.  The numpy order (eval and eval_derivative on an
+array: np.cos or np.sin per term, accumulated into zeros) feeds decisions and
+sampling; the math order (eval_math, with or without derivative: math.cos or
+math.sin per term, summed by sum) feeds printed positions and Newton, and
+eval on a 0-d t is a one-element call of it.  No terms give zeros in both.
+
+Error bound (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+ch. 3), with N_m = norm(m) = sum |a_k| f_k**m over M terms, u = 2**-53 and
+c*u the error of one library cos or sin (c = 2k within k ulps): an angle
+fl(fl(f t) + phi), 0 <= phi < 2*pi, errs by at most u*(2 f |t| + 2*pi), which
+cos and sin do not enlarge; each product adds one rounding (two for -a*f*sin),
+and summing M terms from zero adds at most (M - 1)*u times the sum of their
+sizes (Python 3.12's compensated sum does no worse).  To first order in u,
+in both orders a value errs by at most E0 and a slope by at most E1, where
+    E0 = u*(2|t| N_1 + (2*pi + c + M) N_0),  E1 = u*(2|t| N_2 + (2*pi + c + M + 1) N_1).
+With c = 8 and |t| <= 2*pi, E0 is 4e-14 for cos(29 t); it scales with the amplitudes.
 """
 
 from __future__ import annotations
@@ -87,27 +106,38 @@ class FourierSeries:
         return len(self.terms)
 
     def eval(self, t):
-        """Value at t; accepts a scalar or an ndarray."""
-        if isinstance(t, (float, int)):
-            return sum(tm.amplitude * math.cos(tm.frequency * t + tm.phase) for tm in self.terms)
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for tm in self.terms:
-            out += tm.amplitude * np.cos(tm.frequency * t + tm.phase)
-        return out
+        """Value at t: a float in the math order for a 0-d t, else an array in the numpy order."""
+        return self._eval(t, derivative=False)
 
     def eval_derivative(self, t):
-        """d/dt value at t; accepts a scalar or an ndarray."""
-        if isinstance(t, (float, int)):
-            return sum(
-                -tm.amplitude * tm.frequency * math.sin(tm.frequency * t + tm.phase)
-                for tm in self.terms
-            )
+        """d/dt value at t: a float in the math order for a 0-d t, else an array in the numpy order."""
+        return self._eval(t, derivative=True)
+
+    def _waves(self, derivative: bool):
+        """(frequency, phase, coefficient) per term: coefficient a of cos, or -a*f of sin for the derivative."""
+        return [(tm.frequency, tm.phase, -tm.amplitude * tm.frequency if derivative else tm.amplitude)
+                for tm in self.terms]
+
+    def _eval(self, t, derivative: bool):
+        if np.ndim(t) == 0:
+            return self.eval_math([t], derivative)[0]
         t = np.asarray(t, dtype=float)
+        wave = np.sin if derivative else np.cos
         out = np.zeros_like(t)
-        for tm in self.terms:
-            out += -tm.amplitude * tm.frequency * np.sin(tm.frequency * t + tm.phase)
+        for f, phase, c in self._waves(derivative):
+            out += c * wave(f * t + phase)
         return out
+
+    def eval_math(self, ts, derivative: bool = False) -> list[float]:
+        """Values (or d/dt values) at each t of a 1-D array, in the math order."""
+        ts = np.asarray(ts, dtype=float)
+        wave = math.sin if derivative else math.cos
+        columns = [[c * wave(u) for u in (f * ts + phase).tolist()] for f, phase, c in self._waves(derivative)]
+        return list(map(sum, zip(*columns))) if columns else [0.0] * len(ts)
+
+    def norm(self, m: int = 0) -> float:
+        """sum |a_k| f_k**m: bounds the m-th derivative, and enters the error bound (module docstring)."""
+        return sum((abs(tm.amplitude) * tm.frequency ** m for tm in self.terms), 0.0)
 
     def max_frequency(self) -> int:
         return max((tm.frequency for tm in self.terms), default=0)
@@ -225,6 +255,20 @@ def theorem_xy(params: TorusParams) -> tuple[FourierSeries, FourierSeries]:
     """The theorem's x = cos(p t) and y = cos(q t + pi/(2p)); the closed-form crossings are theirs."""
     p, q = params.p, params.q
     return FourierSeries((FourierTerm(1.0, p, 0.0),)), FourierSeries((FourierTerm(1.0, q, math.pi / (2 * p)),))
+
+
+def sine_split(terms, t1, t2):
+    """sum a*(cos(f t1 + phi) - cos(f t2 + phi)) over (a, f, phi) terms: -2a sin(f s + phi) sin(f d) each.
+
+    s and d are the half-sum and half-difference of the times (floats or
+    arrays); the terms are accumulated into zeros in numpy, and times and
+    phases broadcast.
+    """
+    s, d = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
+    total = np.zeros(np.shape(s))
+    for a, f, phi in terms:
+        total = total + -2.0 * a * np.sin(f * s + phi) * np.sin(f * d)
+    return total
 
 
 def standard_torus_point(params: TorusParams, geom: StandardTorusGeometry, t):

@@ -43,7 +43,6 @@ from fourierknot.crossings import (
     TYPE_II,
     Crossing,
     _crossing_table,
-    _eval_at,
     circular_distance,
     crossing_count,
     near_pairs,
@@ -52,6 +51,7 @@ from fourierknot.crossings import (
 )
 from fourierknot.series import TWO_PI, reduce_angle
 from planted import crossing_set
+from series_reference import scalar_value
 
 COPRIME_PAIRS = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1]
 
@@ -196,15 +196,32 @@ def test_classify_canonical_order():
 
 
 def test_crossing_positions_equal_scalar_eval_bitwise():
-    # positions come from math.cos over a list, summed like the scalar eval
-    # (sum() compensates float sums from Python 3.12 on), not from np.cos
+    # positions come from the math order: math.cos per term summed like the
+    # scalar reference (sum() compensates float sums from Python 3.12 on), not np.cos
     rng = random.Random(23)
     ts = np.array([rng.uniform(0, TWO_PI) for _ in range(200)] + [0.0, math.pi])
     for terms in (1, 2, 3, 5):
         series = FourierSeries(tuple(
             FourierTerm(rng.uniform(-2, 2), rng.randint(0, 30), rng.uniform(0, TWO_PI)) for _ in range(terms)
         ))
-        assert [v.hex() for v in _eval_at(series, ts)] == [series.eval(t).hex() for t in ts.tolist()]
+        want = [scalar_value(series, t).hex() for t in ts.tolist()]
+        assert [v.hex() for v in series.eval_math(ts)] == want
+        knot = FourierKnot(series, series, series)
+        firsts = sorted(ts[:3].tolist())
+        rows = crossing_set(knot, [Crossing(t, t + 1e-3, 1, "t1", (0.0, 0.0)) for t in firsts])
+        assert [c.position[0].hex() for c in rows.crossings] == [scalar_value(series, t).hex() for t in firsts]
+
+
+def test_no_term_series_keeps_every_crossing_row():
+    # an empty x or y evaluates to 0.0 in the math order, so no row is dropped
+    knot = gen_theorem_knot(TorusParams(3, 7))
+    empty = FourierKnot(FourierSeries(()), FourierSeries(()), knot.z)
+    rows = crossing_set(empty, [Crossing(0.5, 1.5, 1, "t1", (0.0, 0.0))], method="numeric")
+    assert len(rows) == 1
+    assert [c.position for c in rows.crossings] == [(0.0, 0.0)]
+    assert rows.to_json() == (
+        '[{"kind":null,"k":null,"j":null,"t1":0.5,"t2":1.5,"sign":1,"over":"t1","x":0,"y":0}]'
+    )
 
 
 def test_zdiff_zero_on_diagonal():

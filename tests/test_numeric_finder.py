@@ -20,6 +20,7 @@ from fourierknot import (
 )
 from fourierknot import _kernels, crossings
 from fourierknot.crossings import _NEWTON_STATUS, _newton_refine, pair_distance
+from series_reference import scalar_derivative, scalar_value
 
 
 def test_counts_2_3():
@@ -75,6 +76,23 @@ def test_grid_floor_enforced():
     floor = 4 * knot.max_frequency() * knot.term_count()
     with pytest.raises(ValueError):
         find_crossings_numeric(knot, floor - 1)
+
+
+def scaled(knot, factor):
+    """The knot with every amplitude of x, y and z multiplied by factor."""
+    return FourierKnot(*(FourierSeries.from_triples((tm.amplitude * factor, tm.frequency, tm.phase) for tm in s.terms)
+                         for s in (knot.x, knot.y, knot.z)))
+
+
+def test_amplitudes_too_small_for_the_scan_are_refused(monkeypatch):
+    # at 2**-18 the scan's absolute parallel cutoff dropped all 32 crossings
+    # of T(3,7) without a diagnostic; now the knot is refused before the scan
+    knot = gen_theorem_knot(TorusParams(3, 7))
+    assert len(find_crossings_numeric(scaled(knot, 2.0 ** -10), 2048)) == 32
+    monkeypatch.setattr(_kernels, "scan_segment_pairs", lambda px, py: pytest.fail("scanned"))
+    for factor in (2.0 ** -18, 2.0 ** -12, 0.0):
+        with pytest.raises(ValueError, match="xy amplitudes too small for grid 2048"):
+            find_crossings_numeric(scaled(knot, factor), 2048)
 
 
 def test_standard_knot_crossing_count():
@@ -295,17 +313,18 @@ def test_numeric_rows_equal_classify_bitwise(knot):
 def newton_refine_scalar(knot, t1, t2):
     """One candidate's damped Newton, as the finder ran it before the lockstep pass: the reference."""
     def differences(a, b):
-        return knot.x.eval(a) - knot.x.eval(b), knot.y.eval(a) - knot.y.eval(b)
+        x, y = knot.x, knot.y
+        return scalar_value(x, a) - scalar_value(x, b), scalar_value(y, a) - scalar_value(y, b)
 
     fx, fy = differences(t1, t2)
     res = math.hypot(fx, fy)
     for _ in range(50):
         if res < 1e-12:
             return "ok", t1, t2
-        j11 = knot.x.eval_derivative(t1)
-        j12 = -knot.x.eval_derivative(t2)
-        j21 = knot.y.eval_derivative(t1)
-        j22 = -knot.y.eval_derivative(t2)
+        j11 = scalar_derivative(knot.x, t1)
+        j12 = -scalar_derivative(knot.x, t2)
+        j21 = scalar_derivative(knot.y, t1)
+        j22 = -scalar_derivative(knot.y, t2)
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-12:
             return "tangential", t1, t2

@@ -17,7 +17,8 @@ from fourierknot import (
     gen_theorem_knot,
     standard_torus_point,
 )
-from fourierknot.series import TWO_PI, reduce_angle, reduce_angles
+from fourierknot.series import TWO_PI, reduce_angle, reduce_angles, sine_split
+from series_reference import array_derivative, array_value, scalar_derivative, scalar_value
 
 COPRIME_PAIRS = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1]
 
@@ -199,3 +200,71 @@ def test_term_rejects_non_finite(field, bad):
     kwargs = {"amplitude": 1.0, "frequency": 3, "phase": 0.0, field: bad}
     with pytest.raises(ValueError, match=field):
         FourierTerm(**kwargs)
+
+
+def random_series(seed: int, terms: int) -> FourierSeries:
+    rng = np.random.default_rng(seed)
+    amplitudes, phases = rng.uniform(-2, 2, terms).tolist(), rng.uniform(0, TWO_PI, terms).tolist()
+    return FourierSeries.from_triples(zip(amplitudes, rng.integers(0, 30, terms).tolist(), phases))
+
+
+SERIES_TIMES = np.concatenate((np.random.default_rng(7).uniform(-10, 10, 300), [0.0, -0.0, math.pi, TWO_PI]))
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 5])
+def test_math_order_matches_the_scalar_reference_bitwise(terms):
+    # eval_math and eval on a scalar are the per-term math.cos / math.sin loop summed by sum()
+    series = random_series(terms, terms)
+    for ordered, scalar, reference in (
+        (series.eval_math, series.eval, scalar_value),
+        (lambda ts: series.eval_math(ts, True), series.eval_derivative, scalar_derivative),
+    ):
+        want = [reference(series, t).hex() for t in SERIES_TIMES.tolist()]
+        assert [v.hex() for v in ordered(SERIES_TIMES)] == want
+        assert [scalar(t).hex() for t in SERIES_TIMES.tolist()] == want
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 5])
+def test_numpy_order_matches_the_array_reference_bitwise(terms):
+    series = random_series(terms, terms)
+    grid = SERIES_TIMES.reshape(2, -1)
+    for ordered, reference in ((series.eval, array_value), (series.eval_derivative, array_derivative)):
+        assert ordered(SERIES_TIMES).tobytes() == reference(series, SERIES_TIMES).tobytes()
+        assert ordered(grid).tobytes() == reference(series, grid).tobytes()
+
+
+def test_zero_dim_inputs_take_the_math_order():
+    series = random_series(4, 3)
+    for t in (5, np.int64(5), np.float32(0.25), np.array(1.5), np.float64(-2.0)):
+        for scalar, reference in ((series.eval, scalar_value), (series.eval_derivative, scalar_derivative)):
+            got = scalar(t)
+            assert type(got) is float, (t, type(got))
+            assert got.hex() == float(reference(series, float(t))).hex(), t
+
+
+def test_no_term_series_is_zero_in_both_orders():
+    empty = FourierSeries(())
+    for scalar in (empty.eval, empty.eval_derivative):
+        assert type(scalar(1.0)) is float and scalar(1.0) == 0.0
+    assert empty.eval_math(SERIES_TIMES) == empty.eval_math(SERIES_TIMES, True) == [0.0] * len(SERIES_TIMES)
+    for ordered in (empty.eval, empty.eval_derivative):
+        assert ordered(SERIES_TIMES).tolist() == [0.0] * len(SERIES_TIMES)
+    assert sine_split((), SERIES_TIMES, 1.0).tolist() == [0.0] * len(SERIES_TIMES)
+    assert empty.norm(0) == empty.norm(2) == 0.0
+
+
+def test_norm_sums_amplitudes_times_frequency_powers():
+    series = FourierSeries.from_triples([(-1.5, 3, 0.2), (0.5, 0, 1.0), (2.0, 4, 0.0)])
+    assert [series.norm(m) for m in (0, 1, 2)] == [4.0, 12.5, 45.5]
+
+
+def test_sine_split_phases_broadcast():
+    # one row of times against a column of phases: each entry is the direct difference
+    series = random_series(9, 2)
+    t1, t2 = np.array([0.3, 1.1, 4.0]), np.array([2.0, 5.5, 0.7])
+    phases = np.linspace(0.0, TWO_PI, 5)[:, None]
+    split = sine_split([(tm.amplitude, tm.frequency, phases) for tm in series.terms], t1, t2)
+    assert split.shape == (5, 3)
+    for row, phi in zip(split, phases[:, 0].tolist()):
+        shifted = FourierSeries.from_triples((tm.amplitude, tm.frequency, phi) for tm in series.terms)
+        assert row == pytest.approx(shifted.eval(t1) - shifted.eval(t2), abs=1e-12)
