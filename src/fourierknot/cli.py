@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or an
 unwritable output path, 3 oracle disagreement.  Angles are radians
-everywhere; --degrees converts text-format display only.  The log level is
-the level name in the KNOT_LOG env var, WARNING for any other value.
+everywhere; --degrees converts the text output of gen and crossings.  The
+log level is the level name in the KNOT_LOG env var, WARNING for any other value.
 """
 
 from __future__ import annotations
@@ -297,13 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-p", type=int, required=True, help="longitudinal winding (2 <= p < q)")
         sp.add_argument("-q", type=int, required=True, help="meridional winding, coprime to p")
 
-    def add_common(sp):
+    def add_common(sp, degrees=False):
         sp.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
-        sp.add_argument("--degrees", action="store_true", help="display angles in degrees (text output only)")
+        if degrees:
+            sp.add_argument("--degrees", action="store_true", help="display angles in degrees (text output only)")
 
     g = sub.add_parser("gen", help="emit a knot parameterization as JSON")
     add_pq(g)
-    add_common(g)
+    add_common(g, degrees=True)
     g.add_argument("--simplified", action="store_true", help="use the short z phase pi/(2p) (even p only)")
     g.add_argument("--standard", action="store_true", help="emit the three-term winding form instead")
     g.add_argument("--major", type=float, default=2.0, help="winding form: major radius R (default 2)")
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget = f"A knot with more than {MAX_CROSSINGS} crossings (2pq - p - q) is refused with exit 2."
     c = sub.add_parser("crossings", help="enumerate and classify projection crossings", description=budget)
     add_pq(c)
-    add_common(c)
+    add_common(c, degrees=True)
     c.add_argument("--simplified", action="store_true")
     c.add_argument("--numeric", action="store_true", help="use the numeric double-point finder")
     c.add_argument(

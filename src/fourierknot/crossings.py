@@ -59,11 +59,13 @@ _GRID_OFFSET = 0.5 * (math.sqrt(5.0) - 1.0)
 MAX_NUMERIC_GRID = 1 << 21
 
 _NEWTON_BUDGET = 50
-# an exact double point's residual may read 2*hypot(E0(x), E0(y)): 9e-14 at
-# T(13,29), above _NEWTON_TOL past frequencies of 250 or at 16 times the amplitudes
+# an exact double point's residual may read 2*hypot(E0(x), E0(y)): 9e-14 at T(13,29),
+# above 1e-12 past frequencies of 250; E0 grows with the amplitudes, so Newton's
+# tolerance is _NEWTON_TOL * max(1, N0(x), N0(y)), 1e-12 for every theorem knot
 _NEWTON_TOL = 1e-12
 _NEWTON_STATUS = ("ok", "tangential", "divergence")  # _newton_refine's status codes
-_OK, _TANGENTIAL, _DIVERGENCE = range(3)
+_FATES = _NEWTON_STATUS + ("singular", "duplicate", "diagonal")  # a numeric candidate's fate
+_OK, _TANGENTIAL, _DIVERGENCE, _SINGULAR, _DUPLICATE, _DIAGONAL = range(6)
 
 
 @dataclass(frozen=True, order=True)
@@ -269,9 +271,10 @@ def direction_product(knot: FourierKnot, t1: float, t2: float) -> float:
     return knot.x.eval_derivative(t1) * knot.x.eval_derivative(t2)
 
 
-def pair_difference(series: FourierSeries, t1: float, t2: float) -> float:
-    """series(t1) - series(t2) via the term-wise product-of-sines split (sine_split)."""
-    return float(sine_split([(tm.amplitude, tm.frequency, tm.phase) for tm in series.terms], t1, t2))
+def pair_difference(series: FourierSeries, t1, t2):
+    """series(t1) - series(t2) via the term-wise product-of-sines split (sine_split): a float, or an array."""
+    gap = sine_split([(tm.amplitude, tm.frequency, tm.phase) for tm in series.terms], t1, t2)
+    return gap if np.ndim(gap) else float(gap)
 
 
 def zdiff(knot: FourierKnot, t1: float, t2: float) -> float:
@@ -297,15 +300,15 @@ def _classify_pairs(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray) -> _Class
     Each row's times are reduced mod 2*pi and ordered into (a, b).  The
     crossing sign is the sign of [x'(a) y'(b) - x'(b) y'(a)] * [z(a) - z(b)],
     which is symmetric in the two times, and the strand with the larger z
-    passes over.  A row is singular when |z(a) - z(b)| <= EPS_SINGULAR (the
-    strands meet in space) or else |planar| <= EPS_SINGULAR (a projection
-    tangency); its sign and over are then meaningless.
+    passes over; z(a) - z(b) is the height gap's sine split (pair_difference).
+    A row is singular when |z(a) - z(b)| <= EPS_SINGULAR (the strands meet
+    in space) or else |planar| <= EPS_SINGULAR (a projection tangency); its
+    sign and over are then meaningless.
     """
     a, b = reduce_angles(t1), reduce_angles(t2)
     swap = a > b
     a, b = np.where(swap, b, a), np.where(swap, a, b)
-    z1, z2 = knot.z.eval(a), knot.z.eval(b)
-    dz = z1 - z2
+    dz = pair_difference(knot.z, a, b)
     planar = (
         knot.x.eval_derivative(a) * knot.y.eval_derivative(b)
         - knot.x.eval_derivative(b) * knot.y.eval_derivative(a)
@@ -317,7 +320,7 @@ def _classify_pairs(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray) -> _Class
             singular[i] = f"strands meet in space at ({a[i]:.6f}, {b[i]:.6f}): |dz| = {abs(dz[i]):.3e}"
         else:
             singular[i] = f"projection tangency at ({a[i]:.6f}, {b[i]:.6f}): |cross| = {abs(planar[i]):.3e}"
-    return _Classified(a, b, np.where(planar * dz > 0, 1, -1), z1 > z2, singular)
+    return _Classified(a, b, np.where(planar * dz > 0, 1, -1), dz > 0, singular)
 
 
 def classify(knot: FourierKnot, t1: float, t2: float, indices: CrossingIndices | None = None) -> Crossing:
@@ -482,17 +485,19 @@ def _newton_refine(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray):
     that lowers its residual or has halved below 1e-7.  status[i] indexes
     _NEWTON_STATUS: "ok", "tangential" (singular Jacobian) or "divergence"
     (no descent, or no convergence within the step budget); the times are
-    where each candidate stopped.  Per candidate this is the scalar damped
-    Newton step for step: values and slopes in the math order (eval_math),
-    math.hypot residuals and the same float64 expressions, so the times are
-    bitwise those of polishing each candidate alone.  Each point is evaluated
-    once: an accepted trial point's differences are the next round's.
+    where each candidate stopped, converged below _NEWTON_TOL * max(1, N0(x),
+    N0(y)) or not.  Per candidate this is the scalar damped Newton step for
+    step: values and slopes in the math order (eval_math), math.hypot
+    residuals and the same float64 expressions, so the times are bitwise
+    those of polishing each candidate alone.  Each point is evaluated once:
+    an accepted trial point's differences are the next round's.
     |det| < 1e-12 only guards the division and is not set by the series
     bound: det is -planar, whose tangency test is the classifier's.
     """
     t1 = np.array(t1, dtype=np.float64)
     t2 = np.array(t2, dtype=np.float64)
     status = np.full(len(t1), _DIVERGENCE, dtype=np.int8)
+    tol = _NEWTON_TOL * max(1.0, knot.x.norm(), knot.y.norm())
 
     def differences(a, b):
         x, y = (np.array(series.eval_math(np.concatenate((a, b)))) for series in (knot.x, knot.y))
@@ -502,7 +507,7 @@ def _newton_refine(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray):
     active = np.arange(len(t1))  # the candidates still moving
     fx, fy, res = differences(t1, t2)
     for _ in range(_NEWTON_BUDGET):
-        converged = res < _NEWTON_TOL
+        converged = res < tol
         status[active[converged]] = _OK
         active, fx, fy, res = (v[~converged] for v in (active, fx, fy, res))
         if not active.size:
@@ -533,7 +538,7 @@ def _newton_refine(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray):
                 break
         # the candidates still searching found no descent: they retire with status "divergence"
         active, fx, fy, res = (np.delete(v, searching) for v in (active, fx, fy, res))
-    status[active[res < _NEWTON_TOL]] = _OK
+    status[active[res < tol]] = _OK
     return status, t1, t2
 
 
@@ -542,15 +547,17 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
 
     Coarse candidates come from a segment-pair scan over a uniform t-grid,
     then all of them are polished together, in one lockstep damped Newton
-    call (_newton_refine) on (x(t1)-x(t2), y(t1)-y(t2)), and deduplicated
-    on the unordered time pair: a candidate within EPS_DEDUPE of an earlier
-    kept one, in scan order, is dropped.
-    Failed candidates are reported through the logger (and ``diagnostics``
-    when given), never raised; the set counts the singular ones, and the
-    diagram builders refuse it if there are any.  Memory grows as about 235
-    bytes per grid point, so grids above MAX_NUMERIC_GRID = 2**21 (about
-    490 MB) are refused with ValueError before anything is allocated, as
-    are xy amplitudes too small for the scan (_kernels._PARALLEL_SHARE).
+    call (_newton_refine) on (x(t1)-x(t2), y(t1)-y(t2)).  Each candidate has
+    one fate (_FATES): its Newton status, or, for an ok one, "diagonal"
+    within EPS_DEDUPE of t1 = t2, "singular" as classified, or "duplicate"
+    within EPS_DEDUPE of an earlier kept one in scan order (over "singular").
+    The "ok" ones are kept; the tangential, divergent and singular ones are
+    reported in scan order through the logger (and ``diagnostics`` when
+    given), never raised.  The set counts the singular ones, and the diagram
+    builders refuse it if there are any.  Memory grows as about 235 bytes
+    per grid point, so grids above MAX_NUMERIC_GRID = 2**21 (about 490 MB)
+    are refused with ValueError before anything is allocated, as are xy
+    amplitudes too small for the scan (_kernels._PARALLEL_SHARE).
     """
     if grid > MAX_NUMERIC_GRID:
         raise ValueError(f"grid must be at most {MAX_NUMERIC_GRID}, got {grid}")
@@ -568,44 +575,32 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     py[-1] = py[0]
     ii, jj, ss, uu = _kernels.scan_segment_pairs(px, py)
 
-    # refine every candidate, then keep each ok one unless an earlier kept one is near it
-    status, t1, t2 = _newton_refine(knot, ts[ii] + ss * h, ts[jj] + uu * h)
+    # one fate per candidate, in scan order, from its Newton status
+    fate, t1, t2 = _newton_refine(knot, ts[ii] + ss * h, ts[jj] + uu * h)
     a, b = reduce_angles(t1), reduce_angles(t2)
     a, b = np.minimum(a, b), np.maximum(a, b)
     gap = b - a  # circular_distance(a, b), as 0 <= a <= b < 2*pi
-    # ok candidates that converged onto the trivial diagonal are dropped
-    diagonal = (status == _OK) & (np.minimum(gap, TWO_PI - gap) <= EPS_DEDUPE)
-    ii, jj, status, a, b = (column[~diagonal] for column in (ii, jj, status, a, b))
-    refined = list(zip(ii.tolist(), jj.tolist(), status.tolist()))
-    ok = np.flatnonzero(status == _OK).tolist()
-    earlier: dict[int, list[int]] = {}
-    for x, y in near_pairs(list(zip(a[ok].tolist(), b[ok].tolist()))):
-        earlier.setdefault(ok[y], []).append(ok[x])
-    row = {k: m for m, k in enumerate(ok)}
+    fate[(fate == _OK) & (np.minimum(gap, TWO_PI - gap) <= EPS_DEDUPE)] = _DIAGONAL
+    ok = np.flatnonzero(fate == _OK)
     classified = _classify_pairs(knot, a[ok], b[ok])
+    singular = dict(zip(ok[list(classified.singular)].tolist(), classified.singular.values()))
+    fate[list(singular)] = _SINGULAR
+    # sorted by first member, whose fate is final when read: a duplicate of a kept one, even if singular
+    for x, y in near_pairs(list(zip(a[ok].tolist(), b[ok].tolist()))):
+        if fate[ok[x]] == _OK:
+            fate[ok[y]] = _DUPLICATE
 
-    accepted: list[int] = []
-    kept: set[int] = set()
-    singular = 0
-    for k, (i, j, code) in enumerate(refined):
-        if code != _OK:
-            log.warning("candidate (%d, %d) failed refinement: %s", i, j, _NEWTON_STATUS[code])
-            if diagnostics is not None:
-                diagnostics.append((_NEWTON_STATUS[code], i, j))
-            continue
-        if not kept.isdisjoint(earlier.get(k, ())):
-            continue
-        message = classified.singular.get(row[k])
-        if message is not None:
-            log.warning("candidate (%d, %d) is singular: %s", i, j, message)
-            singular += 1
-            if diagnostics is not None:
-                diagnostics.append(("singular", i, j))
-            continue
-        kept.add(k)
-        accepted.append(row[k])
-    rows = np.array(accepted, dtype=np.intp)
+    reported = np.flatnonzero((fate > _OK) & (fate <= _SINGULAR))  # tangential, divergence, singular
+    for k, i, j, code in zip(reported.tolist(), *(v[reported].tolist() for v in (ii, jj, fate))):
+        if code == _SINGULAR:
+            log.warning("candidate (%d, %d) is singular: %s", i, j, singular[k])
+        else:
+            log.warning("candidate (%d, %d) failed refinement: %s", i, j, _FATES[code])
+        if diagnostics is not None:
+            diagnostics.append((_FATES[code], i, j))
+    rows = np.flatnonzero(fate[ok] == _OK)
     order = rows[np.lexsort((classified.b[rows], classified.a[rows]))]
     unindexed = np.full(len(order), -1)
     columns = (column[order] for column in classified[:4])  # a, b, sign, over_t1
-    return CrossingSet(knot, *columns, unindexed, unindexed, unindexed, "numeric", singular)
+    singular_candidates = int(np.count_nonzero(fate == _SINGULAR))
+    return CrossingSet(knot, *columns, unindexed, unindexed, unindexed, "numeric", singular_candidates)

@@ -29,7 +29,8 @@ from .series import (
     theorem_xy,
 )
 
-_CERT_TOL = 1e-9
+# a line certifies where its gap reads as zero to _positive_gaps (<= EPS_SINGULAR); on an exact
+# line the split reads only rounding, about 2*E0(z) (series docstring): <= 1.1e-12 up to T(2,351)
 _CERT_SAMPLES = 10
 # phi1 samples along each line checked by the certifications below
 _CERT_PHI1 = np.array([TWO_PI * (s + 0.37) / _CERT_SAMPLES for s in range(_CERT_SAMPLES)])
@@ -212,9 +213,9 @@ def singular_lines(params: TorusParams) -> list[SingularLine]:
     """All singular lines with intercepts in [0, 2*pi), each certified.
 
     Certification samples phi1 along the line and demands the owning
-    crossing's height gap, at the table row the line was made from, vanish
-    below 1e-9; a failing line raises CertificationFailure rather than being
-    dropped.
+    crossing's height gap, at the table row the line was made from, be at
+    most EPS_SINGULAR; a failing line raises CertificationFailure rather
+    than being dropped.
     """
     table = _crossing_table(params)
     rows, m, slopes, intercepts = _line_candidates(table)
@@ -222,7 +223,7 @@ def singular_lines(params: TorusParams) -> list[SingularLine]:
     residual = np.abs(table.height_gap(rows[:, None], _CERT_PHI1, phi2))
     owners = table.kinds(rows), table.k[rows].tolist(), table.j[rows].tolist()
     lines = list(map(SingularLine, *owners, m.tolist(), slopes.tolist(), intercepts.tolist()))
-    failing = np.argwhere(residual > _CERT_TOL)
+    failing = np.argwhere(residual > EPS_SINGULAR)
     if len(failing):
         i, s = failing[0]
         raise CertificationFailure(
@@ -252,7 +253,7 @@ def certify_intercept_reading(params: TorusParams) -> tuple[str, float, float]:
         results[name] = float(np.abs(table.height_gap(rows, _CERT_PHI1, phi2)).max())
     good = min(results, key=results.get)
     bad = max(results, key=results.get)
-    if results[good] > _CERT_TOL:
+    if results[good] > EPS_SINGULAR:
         raise CertificationFailure(f"neither intercept reading certifies: {results}")
     return good, results[good], results[bad]
 

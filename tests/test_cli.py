@@ -327,6 +327,16 @@ def test_non_positive_size_is_refused(capsys, command, size):
     assert "--size: must be a positive integer" in err
 
 
+@pytest.mark.parametrize("command", ["render", "phase-map"])
+def test_degrees_is_refused_where_no_text_is_printed(capsys, command):
+    # render and phase-map print no angles, so they take no --degrees
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, command, "-p", "2", "-q", "3", "--degrees")
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --degrees" in err
+
+
 def test_numeric_grid_too_large(capsys, monkeypatch):
     import numpy as np
 

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourierknot import (
+    CrossingSet,
     FourierKnot,
     FourierSeries,
     TorusParams,
@@ -19,7 +21,16 @@ from fourierknot import (
     simplified_phase_point,
 )
 from fourierknot import _kernels, crossings
-from fourierknot.crossings import _NEWTON_STATUS, _newton_refine, pair_distance
+from fourierknot.crossings import (
+    _NEWTON_STATUS,
+    EPS_DEDUPE,
+    _classify_pairs,
+    _crossing_table,
+    _newton_refine,
+    near_pairs,
+    pair_distance,
+)
+from fourierknot.series import TWO_PI, reduce_angles
 from series_reference import scalar_derivative, scalar_value
 
 
@@ -93,6 +104,26 @@ def test_amplitudes_too_small_for_the_scan_are_refused(monkeypatch):
     for factor in (2.0 ** -18, 2.0 ** -12, 0.0):
         with pytest.raises(ValueError, match="xy amplitudes too small for grid 2048"):
             find_crossings_numeric(scaled(knot, factor), 2048)
+
+
+@pytest.mark.parametrize("pq, grid, exponents", [
+    ((13, 29), 8192, (6, 8)),
+    ((7, 13), 4096, (8, 10)),
+    ((3, 7), 2048, (10, 12)),
+], ids=["T(13,29)", "T(7,13)", "T(3,7)"])
+def test_large_amplitudes_keep_every_crossing(pq, grid, exponents):
+    # with an absolute Newton tolerance of 1e-12 these scalings lost 5, 31 and
+    # 17 crossings at the first exponent and 300, 120 and 31 at the second, all
+    # as "divergence": the residual's rounding grows with the amplitudes
+    params = TorusParams(*pq)
+    knot = gen_theorem_knot(params)
+    want = [(c.t1, c.t2) for c in analytic_crossing_set(knot, params).crossings]
+    for e in exponents:
+        diagnostics: list = []
+        found = find_crossings_numeric(scaled(knot, 2.0 ** e), grid, diagnostics)
+        assert diagnostics == []
+        assert len(found) == len(want)
+        assert max(pair_distance((c.t1, c.t2), w) for c, w in zip(found.crossings, want)) < 1e-9
 
 
 def test_standard_knot_crossing_count():
@@ -316,10 +347,11 @@ def newton_refine_scalar(knot, t1, t2):
         x, y = knot.x, knot.y
         return scalar_value(x, a) - scalar_value(x, b), scalar_value(y, a) - scalar_value(y, b)
 
+    tol = 1e-12 * max(1.0, knot.x.norm(), knot.y.norm())
     fx, fy = differences(t1, t2)
     res = math.hypot(fx, fy)
     for _ in range(50):
-        if res < 1e-12:
+        if res < tol:
             return "ok", t1, t2
         j11 = scalar_derivative(knot.x, t1)
         j12 = -scalar_derivative(knot.x, t2)
@@ -341,7 +373,7 @@ def newton_refine_scalar(knot, t1, t2):
             lam *= 0.5
             if lam < 1e-7:
                 return "divergence", t1, t2
-    if res < 1e-12:
+    if res < tol:
         return "ok", t1, t2
     return "divergence", t1, t2
 
@@ -372,6 +404,10 @@ _knot_terms = st.lists(
           [(1.0, 1, 0.0)]),
     starts=[(float.fromhex("0x1.8ab9cb720f4cbp+2"), float.fromhex("0x1.eec33b9dc3317p+1"))],
 )
+@example(  # y's amplitudes sum to 2: converged below 2e-12
+    axes=([(1.0, 4, 0.0)], [(1.0, 4, 0.25), (1.0, 5, 0.0)], [(0.0, 0, 0.0)]),
+    starts=[(0.0, 1.0625)],
+)
 @given(
     axes=st.tuples(_knot_terms, _knot_terms, _knot_terms),
     starts=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), max_size=12),
@@ -401,3 +437,108 @@ def test_lockstep_newton_takes_no_candidates():
     knot = gen_theorem_knot(TorusParams(3, 7))
     status, t1, t2 = _newton_refine(knot, np.empty(0), np.empty(0))
     assert status.shape == t1.shape == t2.shape == (0,)
+
+
+def keep_pass_reference(knot, ii, jj, status, t1, t2, diagnostics, events):
+    """The finder's keep pass as a loop over every refined candidate, as it ran before the fate array: the reference.
+
+    Logs and lists the failures as the finder does, returns the kept set,
+    and adds to events the name of each rule it applied.
+    """
+    a, b = reduce_angles(t1), reduce_angles(t2)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    gap = b - a
+    diagonal = (status == 0) & (np.minimum(gap, TWO_PI - gap) <= EPS_DEDUPE)
+    events.update(["diagonal"] if diagonal.any() else [])
+    ii, jj, status, a, b = (column[~diagonal] for column in (ii, jj, status, a, b))
+    refined = list(zip(ii.tolist(), jj.tolist(), status.tolist()))
+    ok = np.flatnonzero(status == 0).tolist()
+    earlier: dict[int, list[int]] = {}
+    for x, y in near_pairs(list(zip(a[ok].tolist(), b[ok].tolist()))):
+        earlier.setdefault(ok[y], []).append(ok[x])
+    row = {k: m for m, k in enumerate(ok)}
+    classified = _classify_pairs(knot, a[ok], b[ok])
+    accepted, kept, singular = [], set(), 0
+    for k, (i, j, code) in enumerate(refined):
+        if code != 0:
+            events.add(_NEWTON_STATUS[code])
+            crossings.log.warning("candidate (%d, %d) failed refinement: %s", i, j, _NEWTON_STATUS[code])
+            diagnostics.append((_NEWTON_STATUS[code], i, j))
+            continue
+        if not kept.isdisjoint(earlier.get(k, ())):
+            events.add("duplicate of a singular row" if row[k] in classified.singular else "duplicate")
+            continue
+        message = classified.singular.get(row[k])
+        if message is not None:
+            events.add("singular")
+            crossings.log.warning("candidate (%d, %d) is singular: %s", i, j, message)
+            singular += 1
+            diagnostics.append(("singular", i, j))
+            continue
+        events.add("kept past a dropped neighbour" if k in earlier else "kept")
+        kept.add(k)
+        accepted.append(row[k])
+    rows = np.array(accepted, dtype=np.intp)
+    order = rows[np.lexsort((classified.b[rows], classified.a[rows]))]
+    unindexed = np.full(len(order), -1)
+    columns = (column[order] for column in classified[:4])
+    return CrossingSet(knot, *columns, unindexed, unindexed, unindexed, "numeric", singular)
+
+
+_CHAIN_STEPS = [(s1, s2) for s1 in (-1.0, 0.0, 1.0) for s2 in (-1.0, 0.0, 1.0) if s1 or s2]
+
+
+def planted_candidates(rng, knot, params):
+    """Refined candidates (ii, jj, status, t1, t2) around the crossing table's times, in a shuffled scan order.
+
+    Near chains (steps of 0.9 EPS_DEDUPE or 0 in each time, roles swapped or
+    a turn added) start at random rows and at every row singular for knot;
+    pairs on the diagonal and pairs near each other across t = 0 are added.
+    About one candidate in ten is "tangential" and one in ten "divergence".
+    """
+    table = _crossing_table(params)
+    singular = list(_classify_pairs(knot, table.t1, table.t2).singular)
+    pairs = []
+    for r in rng.choice(len(table.t1), 10, replace=False).tolist() + singular:
+        step1, step2 = 0.9 * EPS_DEDUPE * np.array(_CHAIN_STEPS[rng.integers(0, len(_CHAIN_STEPS))])
+        for k in range(int(rng.integers(1, 4))):
+            a, b = table.t1[r] + k * step1, table.t2[r] + k * step2 + TWO_PI * rng.integers(0, 2)
+            pairs.append((a, b) if rng.integers(0, 2) else (b, a))
+    for _ in range(3):
+        t, u = rng.uniform(0.0, TWO_PI, 2)
+        pairs.append((t, t + rng.uniform(-EPS_DEDUPE, EPS_DEDUPE)))
+        pairs += [(rng.uniform(0.0, 0.4 * EPS_DEDUPE), u), (TWO_PI - rng.uniform(0.0, 0.4 * EPS_DEDUPE), u)]
+    t1, t2 = np.array(pairs)[rng.permutation(len(pairs))].T
+    status = rng.choice(np.arange(3, dtype=np.int8), len(pairs), p=[0.8, 0.1, 0.1])
+    ii, jj = np.sort(rng.integers(0, 2048, (2, len(pairs))), axis=0)
+    return ii, jj, status, t1, t2
+
+
+def test_keep_pass_matches_the_loop_reference(monkeypatch, caplog):
+    # bitwise, on a seeded batch: the diagnostics, the log records,
+    # singular_candidates and every column of the kept set
+    caplog.set_level(logging.WARNING, logger=crossings.log.name)
+    knots = [(knot_with_phases(params, simplified_phase_point(params)), params)
+             for params in (TorusParams(3, 5), TorusParams(3, 7))]
+    knots.append((gen_theorem_knot(TorusParams(3, 7)), TorusParams(3, 7)))
+    rng = np.random.default_rng(7)
+    events: set = set()
+    for _ in range(30):
+        knot, params = knots[rng.integers(0, len(knots))]
+        ii, jj, status, t1, t2 = planted_candidates(rng, knot, params)
+        half = np.full(len(ii), 0.5)
+        monkeypatch.setattr(_kernels, "scan_segment_pairs", lambda px, py: (ii, jj, half, half))
+        monkeypatch.setattr(crossings, "_newton_refine", lambda knot, g1, g2: (status.copy(), t1.copy(), t2.copy()))
+        runs = []
+        for run in (lambda d: find_crossings_numeric(knot, 2048, d),
+                    lambda d: keep_pass_reference(knot, ii, jj, status, t1, t2, d, events)):
+            caplog.clear()
+            diagnostics: list = []
+            found = run(diagnostics)
+            columns = [(column.dtype.str, column.tobytes())
+                       for column in (found.t1, found.t2, found.sign, found.over_t1, found.kind, found.k, found.j)]
+            records = [(r.name, r.levelno, r.msg, r.args) for r in caplog.records]
+            runs.append((diagnostics, records, found.singular_candidates, found.method, columns))
+        assert runs[0] == runs[1]
+    assert events == {"kept", "kept past a dropped neighbour", "duplicate", "duplicate of a singular row",
+                      "singular", "diagonal", "tangential", "divergence"}
