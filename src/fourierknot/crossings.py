@@ -346,13 +346,15 @@ class CrossingSet:
     type II and -1 without analytic indices, and (k, j) holds the indices.
     The ``crossings`` records are built on first read, for output only.
 
-    The seven columns must be 1-D and of one length, every sign 1 or -1
-    and over_t1 of bool dtype.  Every time must be finite and in
-    [0, 2*pi), and no two crossings may lie within EPS_DEDUPE of each other
-    under ``pair_distance``; the times are checked once, by ``near_pairs``'
-    search over the sorted ``passages``.  Each check refuses with
-    ValueError, and a duplicate error names the lexicographically first
-    near pair.
+    The set holds read-only copies of its seven columns, so a write to a
+    column raises ValueError and a write to an array passed in does not
+    reach the set.  The columns must be 1-D and of one length, every sign 1
+    or -1, every kind an integer -1, 0 or 1 and over_t1 of bool dtype.
+    Every time must be finite and in [0, 2*pi), and no two crossings may
+    lie within EPS_DEDUPE of each other under ``pair_distance``; the times
+    are checked once, by ``near_pairs``' search over the sorted
+    ``passages``.  Each check refuses with ValueError, and a duplicate
+    error names the lexicographically first near pair.
 
     ``passages`` are sorted once per set; the codes and the sweep read them.
     ``coincident_passage`` is the first i whose passage lies within
@@ -377,14 +379,19 @@ class CrossingSet:
 
     def __post_init__(self):
         names = ("t1", "t2", "sign", "over_t1", "kind", "k", "j")
-        shapes = {name: np.shape(getattr(self, name)) for name in names}
+        for name in names:  # read-only copies: no later write to the caller's arrays reaches the set
+            column = np.array(getattr(self, name))
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        shapes = {name: getattr(self, name).shape for name in names}
         if len(shapes["t1"]) != 1 or len(set(shapes.values())) != 1:
             raise ValueError(f"the columns must be 1-D and of one length, got shapes {shapes}")
-        if not (np.abs(self.sign) == 1).all():
+        if not ((self.sign == 1) | (self.sign == -1)).all():
             raise ValueError("every sign must be 1 or -1")
-        over_dtype = np.asarray(self.over_t1).dtype
-        if over_dtype != bool:
-            raise ValueError(f"over_t1 must have bool dtype, got {over_dtype}")
+        if not (np.issubdtype(self.kind.dtype, np.integer) and ((self.kind >= -1) & (self.kind <= 1)).all()):
+            raise ValueError("every kind must be an integer -1, 0 or 1")
+        if self.over_t1.dtype != bool:
+            raise ValueError(f"over_t1 must have bool dtype, got {self.over_t1.dtype}")
         t1, t2 = self.t1, self.t2
         if np.any((t1[:-1] > t1[1:]) | ((t1[:-1] == t1[1:]) & (t2[:-1] > t2[1:]))):
             raise ValueError("crossings must be sorted by (t1, t2)")
@@ -401,12 +408,18 @@ class CrossingSet:
 
     @functools.cached_property
     def passages(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All 2n passages in time order as arrays (time, crossing index, is_over 0 or 1); ties: index, under first."""
+        """All 2n passages in time order as arrays (time, crossing index, is_over 0 or 1); ties: index, under first.
+
+        The arrays are read-only, like the columns.
+        """
         times = np.concatenate((self.t1, self.t2))
         ids = np.tile(np.arange(len(self)), 2)
         is_over = np.concatenate((self.over_t1, ~self.over_t1)).astype(np.intp)
         order = np.lexsort((is_over, ids, times))
-        return times[order], ids[order], is_over[order]
+        passages = times[order], ids[order], is_over[order]
+        for column in passages:
+            column.flags.writeable = False
+        return passages
 
     @functools.cached_property
     def crossings(self) -> tuple[Crossing, ...]:
@@ -556,9 +569,12 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     given), never raised.  The set counts the singular ones, and the diagram
     builders refuse it if there are any.  Memory grows as about 235 bytes
     per grid point, so grids above MAX_NUMERIC_GRID = 2**21 (about 490 MB)
-    are refused with ValueError before anything is allocated, as are xy
-    amplitudes too small for the scan (_kernels._PARALLEL_SHARE).
+    are refused with ValueError before anything is allocated, as are grids
+    below 1 or the sampling floor, and xy amplitudes too small for the scan
+    (_kernels._PARALLEL_SHARE).
     """
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
     if grid > MAX_NUMERIC_GRID:
         raise ValueError(f"grid must be at most {MAX_NUMERIC_GRID}, got {grid}")
     floor = 4 * knot.max_frequency() * knot.term_count()

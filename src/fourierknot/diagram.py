@@ -40,20 +40,6 @@ OVER = "O"
 UNDER = "U"
 
 
-def _paired(key: np.ndarray) -> bool:
-    """Whether the Gauss keys 4*id + 2*over + plus pair every id's passages.
-
-    One bincount: an id's four counts (under -, under +, over -, over +)
-    must read (0, 0, 0, 0), (1, 0, 1, 0) or (0, 1, 0, 1), that is one
-    under- and one over-passage of one sign, or none.
-    """
-    # key | 3 is the last key of its id, so the counts fill whole rows of four
-    counts = np.bincount(key, minlength=(int(key.max()) | 3) + 1 if key.size else 0)
-    under_minus, under_plus, over_minus, over_plus = counts.reshape(-1, 4).T
-    pairs = (under_minus == over_minus) & (under_plus == over_plus) & (under_minus + under_plus <= 1)
-    return bool(np.all(pairs))
-
-
 def _as_tuple(item):
     """The item as a tuple, or the item itself when it is not iterable, for the check to refuse."""
     try:
@@ -99,9 +85,9 @@ class GaussCode:
     Crossing ids may be any hashable.  Every id must appear exactly twice,
     once over and once under, with one sign.  The entries are walked one
     by one, and a refusal names the first malformed entry, else the first
-    bad id in order of appearance.  build_gauss_code's codes are checked
-    instead by one bincount over its int columns (_of_columns), which
-    accepts the same codes and hands any it refuses to the walk.
+    bad id in order of appearance.  build_gauss_code's codes are not
+    walked (_of_columns): read from a checked CrossingSet's read-only
+    columns, they are valid by construction.
     """
 
     entries: tuple[tuple[Hashable, str, int], ...]
@@ -113,24 +99,15 @@ class GaussCode:
 
     @classmethod
     def _of_columns(cls, ids: np.ndarray, is_over: np.ndarray, sign: np.ndarray) -> "GaussCode":
-        """The code of int columns (ids >= 0, is_over 0 or 1), checked on the columns."""
+        """The code of a checked set's passages: each id once over and once under (over_t1 is bool), one sign."""
         code = object.__new__(cls)
         passages = [UNDER, OVER]
         entries = tuple(zip(ids.tolist(), map(passages.__getitem__, is_over.tolist()), sign.tolist()))
         object.__setattr__(code, "entries", entries)
-        if not (np.all(np.abs(sign) == 1) and _paired(4 * ids + 2 * is_over + (sign > 0))):
-            _check_gauss(entries)
         return code
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def _labels_paired(labels: np.ndarray, n2: int) -> bool:
-    """Whether the int labels take each of 1..n2 exactly twice: one bincount."""
-    if not labels.size:
-        return not n2
-    return bool(labels.min() >= 1 and labels.max() <= n2 and np.all(np.bincount(labels)[1:] == 2))
 
 
 def _check_pd(crossings) -> None:
@@ -168,9 +145,9 @@ class PDCode:
     enters at d for a right-handed crossing and at b for a left-handed one.
     Every label must be an integer, and each of 1..2N must appear exactly
     twice.  The tuples are walked one by one, and a refusal names the first
-    offence.  build_pd_code's codes are checked instead by one bincount
-    over its label array (_of_array), which accepts the same codes and
-    hands any it refuses to the walk.
+    offence.  build_pd_code's codes are not walked (_of_array): read from
+    a checked CrossingSet's read-only columns, they are valid by
+    construction.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -182,12 +159,9 @@ class PDCode:
 
     @classmethod
     def _of_array(cls, labels: np.ndarray) -> "PDCode":
-        """The code of an (N, 4) int array, checked on the array."""
+        """The code of a checked set's (N, 4) labels: from a permutation of positions, so each of 1..2N comes twice."""
         code = object.__new__(cls)
-        crossings = tuple(map(tuple, labels.tolist()))
-        object.__setattr__(code, "crossings", crossings)
-        if not _labels_paired(labels.ravel(), 2 * len(crossings)):
-            _check_pd(crossings)
+        object.__setattr__(code, "crossings", tuple(map(tuple, labels.tolist())))
         return code
 
     def __len__(self) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 
 import numpy as np
 
@@ -323,32 +324,37 @@ def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> list[int]:
 
 # odd numbers per sieve window: about 6,100 primes below 2**31
 _SIEVE_ODDS = 1 << 16
+_SIEVED_PRIMES: list[int] = []  # the primes of every window sieved so far, descending
+_sieved_down_to = 1 << 31  # the bottom of those windows
+_SIEVE_LOCK = threading.Lock()  # two threads must not sieve, and append, one window twice
 
 
 @functools.cache
 def _primes_31bit(count: int) -> tuple[int, ...]:
-    """First ``count`` primes below 2**31, descending; computed once per count.
+    """First ``count`` primes below 2**31, descending; one shared tuple per count.
 
     Windows of odd numbers, going down from 2**31, are sieved by the odd
-    primes up to sqrt(2**31) until they hold ``count`` primes.
+    primes up to sqrt(2**31) until they hold ``count`` primes.  Each window
+    is sieved once per process, into _SIEVED_PRIMES, which every count slices.
     """
-    root = math.isqrt(1 << 31)
-    sieve = np.ones(root + 1, dtype=bool)
-    for i in range(3, math.isqrt(root) + 1, 2):
-        if sieve[i]:
-            sieve[i * i :: 2 * i] = False
-    small = (3 + 2 * np.flatnonzero(sieve[3::2])).tolist()
-    out: list[int] = []
-    hi = 1 << 31
-    while len(out) < count:
-        lo = hi - 2 * _SIEVE_ODDS  # odd[j] stands for lo + 1 + 2j
-        odd = np.ones(_SIEVE_ODDS, dtype=bool)
-        for p in small:
-            first = -(lo + 1) % p  # lo + 1 + first is the first multiple of p
-            odd[(first + p * (first % 2)) // 2 :: p] = False
-        out += (lo + 1 + 2 * np.flatnonzero(odd))[::-1].tolist()
-        hi = lo
-    return tuple(out[:count])
+    global _sieved_down_to
+    with _SIEVE_LOCK:
+        if len(_SIEVED_PRIMES) < count:
+            root = math.isqrt(1 << 31)
+            sieve = np.ones(root + 1, dtype=bool)
+            for i in range(3, math.isqrt(root) + 1, 2):
+                if sieve[i]:
+                    sieve[i * i :: 2 * i] = False
+            small = (3 + 2 * np.flatnonzero(sieve[3::2])).tolist()
+            while len(_SIEVED_PRIMES) < count:
+                lo = _sieved_down_to - 2 * _SIEVE_ODDS  # odd[j] stands for lo + 1 + 2j
+                odd = np.ones(_SIEVE_ODDS, dtype=bool)
+                for p in small:
+                    first = -(lo + 1) % p  # lo + 1 + first is the first multiple of p
+                    odd[(first + p * (first % 2)) // 2 :: p] = False
+                _SIEVED_PRIMES.extend((lo + 1 + 2 * np.flatnonzero(odd))[::-1].tolist())
+                _sieved_down_to = lo
+        return tuple(_SIEVED_PRIMES[:count])
 
 
 def _inverses_mod(v: np.ndarray, ps: np.ndarray) -> np.ndarray:

@@ -242,7 +242,7 @@ def certify_intercept_reading(params: TorusParams) -> tuple[str, float, float]:
     """
     p, q = params.p, params.q
     readings = {
-        "(1/p - 1/q) * pi/2": (1.0 / p - 1.0 / q) * math.pi / 2,
+        "(1/p - 1/q) * pi/2": _TYPE1_CONST(p, q),
         "(1/p - 1/q) / (2*pi)": (1.0 / p - 1.0 / q) / (2 * math.pi),
     }
     results = {}

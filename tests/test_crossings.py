@@ -21,6 +21,7 @@ from fourierknot import (
     WrongKnotShape,
     alexander_from_diagram,
     analytic_crossing_set,
+    build_gauss_code,
     build_pd_code,
     classify,
     direction_product,
@@ -528,11 +529,54 @@ def _with_column(name, change):
     return CrossingSet(cs.knot, **columns, method=cs.method)
 
 
-@pytest.mark.parametrize("sign", [0, 2, -2])
+@pytest.mark.parametrize("sign", [0, 2, -2, 1j])
 def test_crossing_set_refuses_a_sign_other_than_plus_or_minus_one(sign):
     # a sign of 0 was written as a left-handed crossing, and the writhe read -13 for -14
     with pytest.raises(ValueError, match=r"^every sign must be 1 or -1$"):
         _with_column("sign", lambda column: np.r_[column[:3], sign, column[4:]])
+
+
+@pytest.mark.parametrize("change", [
+    lambda kind: np.r_[kind[:3], 2, kind[4:]],  # .crossings raised a raw IndexError on it
+    lambda kind: np.r_[kind[:3], -2, kind[4:]],  # read as a crossing without indices
+    lambda kind: kind.astype(np.float64),
+], ids=["2", "-2", "float"])
+def test_crossing_set_refuses_a_kind_other_than_minus_one_zero_or_one(change):
+    with pytest.raises(ValueError, match=r"^every kind must be an integer -1, 0 or 1$"):
+        _with_column("kind", change)
+
+
+@pytest.mark.parametrize("name", ["t1", "t2", "sign", "over_t1", "kind", "k", "j"])
+def test_crossing_set_columns_are_read_only(name):
+    params = TorusParams(3, 7)
+    column = getattr(analytic_crossing_set(gen_theorem_knot(params), params), name)
+    with pytest.raises(ValueError, match="read-only"):
+        column[0] = column[1]
+
+
+def test_crossing_set_passages_are_read_only():
+    params = TorusParams(3, 7)
+    for column in analytic_crossing_set(gen_theorem_knot(params), params).passages:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+
+
+def test_crossing_set_does_not_share_the_arrays_passed_in():
+    # a write to an input array after the checks planted a duplicate in a checked set
+    params = TorusParams(3, 7)
+    cs = analytic_crossing_set(gen_theorem_knot(params), params)
+    names = ("t1", "t2", "sign", "over_t1", "kind", "k", "j")
+    columns = {name: getattr(cs, name).copy() for name in names}
+    planted = CrossingSet(cs.knot, **columns, method=cs.method)
+    passages = [column.copy() for column in planted.passages]
+    gauss, pd = build_gauss_code(cs.knot, planted), build_pd_code(planted)
+    for column in columns.values():
+        column[5] = column[4]
+        column[:3] = column[::-1][:3]
+    for name in names:
+        assert np.array_equal(getattr(planted, name), getattr(cs, name))
+    assert all(map(np.array_equal, planted.passages, passages))
+    assert build_gauss_code(cs.knot, planted) == gauss and build_pd_code(planted) == pd
 
 
 @pytest.mark.parametrize("change", [

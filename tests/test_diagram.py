@@ -395,36 +395,6 @@ def test_pd_code_check_matches_reference(code):
     assert outcome(PDCode, code) == outcome(reference_pd_check, code)
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda ids, is_over, sign: sign.__setitem__(3, 0),
-    lambda ids, is_over, sign: sign.__setitem__(3, 2),
-    lambda ids, is_over, sign: sign.__setitem__(3, -sign[3]),
-    lambda ids, is_over, sign: is_over.__setitem__(3, 1 - is_over[3]),
-    lambda ids, is_over, sign: ids.__setitem__(3, ids[4]),
-    lambda ids, is_over, sign: ids.__setitem__(3, 0),
-], ids=["sign 0", "sign 2", "sign flipped", "passage flipped", "id repeated", "id new"])
-def test_gauss_columns_refused_with_the_walks_message(mutate):
-    # a checked CrossingSet never hands the builders such columns, so they are planted here
-    params, knot, cs = theorem_set(3, 7)
-    _, ids, is_over = cs.passages
-    ids, is_over, sign = ids + 1, is_over.copy(), cs.sign[ids]  # build_gauss_code's columns
-    mutate(ids, is_over, sign)
-    entries = tuple(zip(ids.tolist(), ["UO"[o] for o in is_over.tolist()], sign.tolist()))
-    expected = outcome(GaussCode, entries)
-    assert expected is not None
-    assert outcome(lambda _: GaussCode._of_columns(ids, is_over, sign), None) == expected
-
-
-@pytest.mark.parametrize("row, col, label", [(2, 1, 0), (2, 1, 65), (2, 1, -3), (5, 0, 7), (0, 3, 43)])
-def test_pd_array_refused_with_the_walks_message(row, col, label):
-    params, knot, cs = theorem_set(3, 7)
-    labels = np.array(build_pd_code(cs).crossings)
-    labels[row, col] = label
-    expected = outcome(PDCode, labels.tolist())
-    assert expected is not None
-    assert outcome(PDCode._of_array, labels) == expected
-
-
 def test_pd_code_rejects_links():
     # Hopf-link-like pairing: edges split into two strand cycles
     with pytest.raises(NotAKnot):

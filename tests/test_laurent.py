@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -532,6 +534,29 @@ def test_primes_continue_across_sieve_windows():
     primes = laurent._primes_31bit(laurent._SIEVE_ODDS // 10)
     assert min(primes) < edge
     assert [p for p in primes if edge - 300 < p <= edge + 300] == near
+
+
+def test_prime_windows_are_sieved_once_under_threads(monkeypatch):
+    # each window is sieved once into a shared list; threads racing for it must not append one twice
+    monkeypatch.setattr(laurent, "_SIEVED_PRIMES", [])
+    monkeypatch.setattr(laurent, "_sieved_down_to", 1 << 31)
+    count = laurent._SIEVE_ODDS // 10  # past the first window
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(laurent._primes_31bit.__wrapped__(count)))
+                   for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(results) == 4
+    expected = laurent._primes_31bit(count)
+    assert all(result == expected for result in results)
+    assert laurent._SIEVED_PRIMES == sorted(set(laurent._SIEVED_PRIMES), reverse=True)
 
 
 def test_prime_table_is_shared_and_immutable():

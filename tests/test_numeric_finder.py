@@ -89,6 +89,15 @@ def test_grid_floor_enforced():
         find_crossings_numeric(knot, floor - 1)
 
 
+@pytest.mark.parametrize("z", [(), ((1.0, 0, 0.0),)], ids=["no terms", "frequency 0"])
+def test_grid_below_one_refused(z):
+    # with a sampling floor of 0, grid 0 raised a raw ZeroDivisionError at h = 2*pi/grid
+    series = FourierSeries.from_triples(z)
+    for grid in (0, -3):
+        with pytest.raises(ValueError, match=rf"^grid must be at least 1, got {grid}$"):
+            find_crossings_numeric(FourierKnot(series, series, series), grid)
+
+
 def scaled(knot, factor):
     """The knot with every amplitude of x, y and z multiplied by factor."""
     return FourierKnot(*(FourierSeries.from_triples((tm.amplitude * factor, tm.frequency, tm.phase) for tm in s.terms)
