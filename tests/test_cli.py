@@ -421,6 +421,24 @@ def test_numeric_crossings_json_pinned(capsys, p, q, grid):
     assert sha256_of_stdout(capsys, *argv) == PINNED_NUMERIC_JSON[p, q, grid]
 
 
+# sha256 of `crossings --numeric` CSV and text per (p, q, grid).  Numeric rows
+# carry no indices: their CSV kind, k and j are empty and their text key is "-".
+PINNED_NUMERIC_CSV_TEXT = {
+    (3, 7, 2048): ("d2acab3216501f39300fae4b51578517a29d8d9ed582bf264537a8c104540eed",
+                   "5897bf0f99920f9f062efe32e261853c6182b95369436156ef59961cc08c51f1"),
+    (7, 13, 4096): ("e24ef3e6ab6c4187af5a1900fc7b5016b0cfeb4bed9f5607e7796e62bb59f5cd",
+                    "9f163f5d31713d75a6545f804586e178ffcbdde66e80361e6d0db60fb8f1b87d"),
+}
+
+
+@pytest.mark.parametrize("p, q, grid", list(PINNED_NUMERIC_CSV_TEXT))
+def test_numeric_crossings_csv_and_text_pinned(capsys, p, q, grid):
+    argv = ("crossings", "-p", str(p), "-q", str(q), "--numeric", "--grid", str(grid), "--format")
+    csv_digest, text_digest = PINNED_NUMERIC_CSV_TEXT[p, q, grid]
+    assert sha256_of_stdout(capsys, *argv, "csv") == csv_digest
+    assert sha256_of_stdout(capsys, *argv, "text") == text_digest
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_numeric_crossings_build_no_analytic_set(capsys, monkeypatch, fmt):
     # --numeric without --check prints the numeric set only, so it builds no analytic set

@@ -223,6 +223,7 @@ def test_no_term_series_keeps_every_crossing_row():
     assert rows.to_json() == (
         '[{"kind":null,"k":null,"j":null,"t1":0.5,"t2":1.5,"sign":1,"over":"t1","x":0,"y":0}]'
     )
+    assert rows.to_csv() == "kind,k,j,t1,t2,sign,over,x,y\n,,,0.5,1.5,1,t1,0,0\n"
 
 
 def test_zdiff_zero_on_diagonal():
