@@ -18,6 +18,8 @@ import time
 
 from .crossings import (
     MAX_NUMERIC_GRID,
+    TYPE_I,
+    TYPE_II,
     analytic_crossing_set,
     crossing_count,
     find_crossings_numeric,
@@ -39,6 +41,7 @@ from .phases import (
 )
 from .render import knot_diagram_svg
 from .series import (
+    FLOAT_FORMAT,
     StandardTorusGeometry,
     TorusParams,
     fmt_float,
@@ -140,6 +143,23 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _crossings_text(crossings, degrees: bool) -> str:
+    """A count line, then one row per crossing read off the columns: its CrossingIndices.key()
+    or "-", its times as FLOAT_FORMAT (in degrees when asked), its sign and over-strand."""
+    kinds = crossings.kind.tolist()
+    keys = [
+        f"{(TYPE_I, TYPE_II)[kind]}:{k}:{j}" if kind >= 0 else "-"
+        for kind, k, j in zip(kinds, crossings.k.tolist(), crossings.j.tolist())
+    ]
+    t1, t2 = crossings.t1.tolist(), crossings.t2.tolist()
+    if degrees:
+        t1, t2 = list(map(math.degrees, t1)), list(map(math.degrees, t2))
+    overs = [("t2", "t1")[over] for over in crossings.over_t1.tolist()]
+    row = f"  %-10s t1={FLOAT_FORMAT} t2={FLOAT_FORMAT} sign=%+d over=%s"
+    rows = map(row.__mod__, zip(keys, t1, t2, crossings.sign.tolist(), overs))
+    return "\n".join([f"{len(crossings)} crossings ({crossings.method})", *rows]) + "\n"
+
+
 def cmd_crossings(args) -> int:
     _check_output(args.output)
     params = _torus_params(args)
@@ -162,14 +182,7 @@ def cmd_crossings(args) -> int:
     if args.format == "csv":
         _write(args.output, chosen.to_csv())
     elif args.format == "text":
-        rows = [f"{len(chosen)} crossings ({chosen.method})"]
-        for c in chosen.crossings:
-            ix = c.indices.key() if c.indices else "-"
-            rows.append(
-                f"  {ix:10s} t1={_angle_str(c.t1, args.degrees)} t2={_angle_str(c.t2, args.degrees)} "
-                f"sign={c.sign:+d} over={c.over}"
-            )
-        _write(args.output, "\n".join(rows) + "\n")
+        _write(args.output, _crossings_text(chosen, args.degrees))
     else:
         _write(args.output, chosen.to_json())
     return EXIT_OK

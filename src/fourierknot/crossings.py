@@ -8,9 +8,7 @@ for any cosine-series knot and serves as the independent oracle.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import logging
 import math
@@ -22,11 +20,11 @@ import numpy as np
 from . import _kernels
 from .errors import SingularCrossing, WrongKnotShape
 from .series import (
+    FLOAT_FORMAT,
     TWO_PI,
     FourierKnot,
     FourierSeries,
     TorusParams,
-    fmt_float,
     reduce_angle,
     reduce_angles,
     sine_split,
@@ -66,6 +64,12 @@ _NEWTON_TOL = 1e-12
 _NEWTON_STATUS = ("ok", "tangential", "divergence")  # _newton_refine's status codes
 _FATES = _NEWTON_STATUS + ("singular", "duplicate", "diagonal")  # a numeric candidate's fate
 _OK, _TANGENTIAL, _DIVERGENCE, _SINGULAR, _DUPLICATE, _DIAGONAL = range(6)
+
+# one row template per output format, filled by CrossingSet._rows with
+# (kind, k, j, t1, t2, sign, over, x, y); floats print as FLOAT_FORMAT, like fmt_float
+_F = FLOAT_FORMAT
+_JSON_ROW = f'{{"kind":%s,"k":%s,"j":%s,"t1":{_F},"t2":{_F},"sign":%s,"over":"%s","x":{_F},"y":{_F}}}'
+_CSV_ROW = f"%s,%s,%s,{_F},{_F},%s,%s,{_F},{_F}\n"
 
 
 @dataclass(frozen=True, order=True)
@@ -344,7 +348,9 @@ class CrossingSet:
     t1 <= t2 are float64 times; sign is +1 (right-handed) or -1; over_t1
     (bool) says the strand at t1 passes on top; kind is 0 for type I, 1 for
     type II and -1 without analytic indices, and (k, j) holds the indices.
-    The ``crossings`` records are built on first read, for output only.
+    The ``crossings`` records are built on first read, for API users only:
+    the JSON and CSV writers, the CLI text rows and the rendered crossing
+    dots all read the columns.
 
     The set holds read-only copies of its seven columns, so a write to a
     column raises ValueError and a write to an array passed in does not
@@ -423,46 +429,44 @@ class CrossingSet:
 
     @functools.cached_property
     def crossings(self) -> tuple[Crossing, ...]:
-        """The rows as Crossing records, built on first read.
-
-        Positions are (x(t1), y(t1)) in the math order (eval_math), like
-        FourierSeries.eval on a scalar, so they do not depend on numpy's cos.
-        """
+        """The rows as Crossing records, built on first read."""
         indices = [
             CrossingIndices((TYPE_I, TYPE_II)[kind], k, j) if kind >= 0 else None
             for kind, k, j in zip(self.kind.tolist(), self.k.tolist(), self.j.tolist())
         ]
         overs = ["t1" if over else "t2" for over in self.over_t1.tolist()]
-        positions = zip(self.knot.x.eval_math(self.t1), self.knot.y.eval_math(self.t1))
-        rows = zip(self.t1.tolist(), self.t2.tolist(), self.sign.tolist(), overs, positions, indices)
+        rows = zip(self.t1.tolist(), self.t2.tolist(), self.sign.tolist(), overs, zip(*self.positions()), indices)
         return tuple(itertools.starmap(Crossing, rows))
+
+    def positions(self) -> tuple[list[float], list[float]]:
+        """Every row's x(t1) and y(t1) as lists, in the math order (eval_math), so not from numpy's cos."""
+        return self.knot.x.eval_math(self.t1), self.knot.y.eval_math(self.t1)
 
     def __len__(self) -> int:
         return len(self.t1)
 
+    def _rows(self, template: str, labels: tuple[str, str, str]) -> list[str]:
+        """Each row as template % (kind, k, j, t1, t2, sign, over, x, y), read off the columns.
+
+        kind is labels[0] (type I) or labels[1] (type II); an unindexed row has labels[2] for kind, k and j.
+        """
+        kinds = self.kind.tolist()
+        k = [v if kind >= 0 else labels[2] for kind, v in zip(kinds, self.k.tolist())]
+        j = [v if kind >= 0 else labels[2] for kind, v in zip(kinds, self.j.tolist())]
+        overs = [("t2", "t1")[over] for over in self.over_t1.tolist()]
+        rows = zip([labels[kind] for kind in kinds], k, j, self.t1.tolist(), self.t2.tolist(),
+                   self.sign.tolist(), overs, *self.positions())
+        return list(map(template.__mod__, rows))
+
     def to_json(self) -> str:
-        """Array of crossing records sorted by (t1, t2); 17-digit floats."""
-        rows = []
-        for c in self.crossings:
-            ix = c.indices
-            kind, k, j = (f'"{ix.kind}"', ix.k, ix.j) if ix is not None else ("null",) * 3
-            rows.append(
-                f'{{"kind":{kind},"k":{k},"j":{j},'
-                f'"t1":{fmt_float(c.t1)},"t2":{fmt_float(c.t2)},'
-                f'"sign":{c.sign},"over":"{c.over}",'
-                f'"x":{fmt_float(c.position[0])},"y":{fmt_float(c.position[1])}}}'
-            )
-        return "[" + ",".join(rows) + "]"
+        """A JSON array of one object per row: kind ("I", "II" or null), k, j, t1, t2, sign,
+        over ("t1" or "t2"), x and y; an unindexed row has null k and j, floats print as FLOAT_FORMAT."""
+        return "[" + ",".join(self._rows(_JSON_ROW, ('"I"', '"II"', "null"))) + "]"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["kind", "k", "j", "t1", "t2", "sign", "over", "x", "y"])
-        for c in self.crossings:
-            ix = (c.indices.kind, c.indices.k, c.indices.j) if c.indices is not None else ("",) * 3
-            w.writerow([*ix, fmt_float(c.t1), fmt_float(c.t2), c.sign, c.over,
-                        fmt_float(c.position[0]), fmt_float(c.position[1])])
-        return buf.getvalue()
+        """A header kind,k,j,t1,t2,sign,over,x,y, then one line per row; an unindexed row
+        leaves kind, k and j empty, floats print as FLOAT_FORMAT, and every line ends in "\\n"."""
+        return "kind,k,j,t1,t2,sign,over,x,y\n" + "".join(self._rows(_CSV_ROW, ("I", "II", "")))
 
 
 def analytic_crossing_set(knot: FourierKnot, params: TorusParams) -> CrossingSet:

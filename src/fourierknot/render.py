@@ -111,8 +111,8 @@ def knot_diagram_svg(knot: FourierKnot, crossings: CrossingSet, size: int = 640)
     )
 
     dots = "".join(
-        f'<circle cx="{_f(to_px(*c.position)[0])}" cy="{_f(to_px(*c.position)[1])}" r="1.6" fill="#88889060"/>'
-        for c in crossings.crossings
+        f'<circle cx="{_f(u)}" cy="{_f(v)}" r="1.6" fill="#88889060"/>'
+        for u, v in map(to_px, *crossings.positions())
     )
 
     return (

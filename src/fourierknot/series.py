@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,14 @@ def reduce_angles(theta: np.ndarray) -> np.ndarray:
     return r + 0.0
 
 
+# every printed float: 17 significant digits, round-trip exact for doubles and
+# stable across runs; fmt_float and the crossing-set row templates use it
+FLOAT_FORMAT = "%.17g"
+
+
 def fmt_float(x: float) -> str:
-    """17 significant digits: round-trip exact for doubles, stable across runs."""
-    return format(float(x), ".17g")
+    """x printed as FLOAT_FORMAT."""
+    return FLOAT_FORMAT % float(x)
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,9 @@ class FourierKnot:
 class TorusParams:
     """Coprime winding numbers with 2 <= p < q.
 
-    p = 1 is rejected deliberately: it gives an unknotted curve whose crossing
+    p and q may be any integers operator.index takes (numpy ints too, not
+    bools) and are stored as Python ints, so equal pairs hash alike.  p = 1
+    is rejected deliberately: it gives an unknotted curve whose crossing
     families are empty and would degenerate everything downstream.
     """
 
@@ -198,9 +206,16 @@ class TorusParams:
     q: int
 
     def __post_init__(self):
-        p, q = self.p, self.q
-        if not (isinstance(p, int) and isinstance(q, int)) or p <= 0 or q <= 0:
-            raise InvalidParams(f"p and q must be positive integers, got ({p!r}, {q!r})")
+        try:
+            if isinstance(self.p, bool) or isinstance(self.q, bool):
+                raise TypeError
+            p, q = operator.index(self.p), operator.index(self.q)
+        except TypeError:
+            p = q = 0  # refused below, like a non-positive value
+        if p <= 0 or q <= 0:
+            raise InvalidParams(f"p and q must be positive integers, got ({self.p!r}, {self.q!r})")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
         if p >= q:
             raise InvalidParams(f"p < q required, got ({p}, {q})")
         if math.gcd(p, q) != 1:

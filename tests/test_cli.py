@@ -448,6 +448,30 @@ def test_numeric_crossings_build_no_analytic_set(capsys, monkeypatch, fmt):
     assert sha256_of_stdout(capsys, *argv) == expected
 
 
+def test_output_paths_build_no_crossing_records(capsys, monkeypatch):
+    # the writers, the text rows and the render dots read the columns: with
+    # the records unavailable every output still has its pinned bytes
+    from fourierknot import CrossingSet, TorusParams, analytic_crossing_set, gen_theorem_knot
+
+    def no_records(self):
+        raise AssertionError("an output path read CrossingSet.crossings")
+
+    monkeypatch.setattr(CrossingSet, "crossings", property(no_records))
+    json_digest, csv_digest, text_digest, svg_digest = PINNED_CLI_OUTPUTS[3, 7]
+    analytic = analytic_crossing_set(gen_theorem_knot(TorusParams(3, 7)), TorusParams(3, 7))
+    assert hashlib.sha256((analytic.to_json() + "\n").encode()).hexdigest() == json_digest
+    assert hashlib.sha256(analytic.to_csv().encode()).hexdigest() == csv_digest
+    numeric = ("--numeric", "--grid", "2048")
+    numeric_digests = dict(zip(("json", "csv", "text"),
+                               (PINNED_NUMERIC_JSON[3, 7, 2048], *PINNED_NUMERIC_CSV_TEXT[3, 7, 2048])))
+    for check in ((), ("--check",)):
+        for fmt, digest in (("json", json_digest), ("csv", csv_digest), ("text", text_digest)):
+            assert sha256_of_stdout(capsys, "crossings", "-p", "3", "-q", "7", *check, "--format", fmt) == digest
+            argv = ("crossings", "-p", "3", "-q", "7", *numeric, *check, "--format", fmt)
+            assert sha256_of_stdout(capsys, *argv) == numeric_digests[fmt]
+    assert sha256_of_stdout(capsys, "render", "-p", "3", "-q", "7") == svg_digest
+
+
 def test_crossings_text_in_degrees_pinned(capsys):
     assert sha256_of_stdout(capsys, "crossings", "-p", "3", "-q", "7", "--format", "text", "--degrees") == (
         "ef160cdfa9640516598dc134fe3b289d3709a17990d7aa42630926a1b277665e"

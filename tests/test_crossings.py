@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -50,7 +51,9 @@ from fourierknot.crossings import (
     pair_difference,
     pair_distance,
 )
+from fourierknot.cli import _crossings_text
 from fourierknot.series import TWO_PI, reduce_angle
+import crossings_reference
 from planted import crossing_set
 from series_reference import scalar_value
 
@@ -224,6 +227,63 @@ def test_no_term_series_keeps_every_crossing_row():
         '[{"kind":null,"k":null,"j":null,"t1":0.5,"t2":1.5,"sign":1,"over":"t1","x":0,"y":0}]'
     )
     assert rows.to_csv() == "kind,k,j,t1,t2,sign,over,x,y\n,,,0.5,1.5,1,t1,0,0\n"
+
+
+class FixedSeries:
+    """A stand-in x or y whose math-order values at the set's t1 are given: the positions the writers print."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def eval_math(self, ts):
+        assert len(ts) == len(self.values)
+        return list(self.values)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_set(method, p, q, simplified=False, grid=0):
+    knot = gen_theorem_knot(TorusParams(p, q), simplified=simplified)
+    if method == "numeric":
+        return find_crossings_numeric(knot, grid)
+    return analytic_crossing_set(knot, TorusParams(p, q))
+
+
+@st.composite
+def built_sets(draw):
+    """A user-built set: rows of every kind (-1 unindexed among them), both signs and
+    both overs, times on a coarse lattice with drawn offsets, -0.0 for a time 0,
+    and positions drawn from all floats: -0.0, subnormals, +-1.8e308, infinities."""
+    n = draw(st.integers(0, 6))
+    slots = draw(st.lists(st.integers(0, 99), min_size=2 * n, max_size=2 * n, unique=True))
+    offsets = draw(st.lists(st.floats(0.0, 0.5), min_size=2 * n, max_size=2 * n))
+    times = [(slot + offset) * (TWO_PI / 100) for slot, offset in zip(slots, offsets)]
+    if draw(st.booleans()):
+        times = [-0.0 if t == 0.0 else t for t in times]
+    pairs = sorted(tuple(sorted(times[2 * i : 2 * i + 2])) for i in range(n))
+    t1, t2 = (np.array([pair[i] for pair in pairs], dtype=np.float64) for i in (0, 1))
+
+    def column(strategy, dtype=np.int64):
+        return np.array(draw(st.lists(strategy, min_size=n, max_size=n)), dtype=dtype)
+
+    sign, over = column(st.sampled_from([1, -1])), column(st.booleans(), bool)
+    kind, k, j = column(st.sampled_from([-1, 0, 1])), column(st.integers(-9, 10**6)), column(st.integers(-9, 10**6))
+    xs, ys = (draw(st.lists(st.floats(), min_size=n, max_size=n)) for _ in range(2))
+    knot = FourierKnot(FixedSeries(xs), FixedSeries(ys), FourierSeries(()))
+    return CrossingSet(knot, t1, t2, sign, over, kind, k, j, draw(st.sampled_from(["analytic", "numeric"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=st.one_of(
+    st.sampled_from([("analytic", 2, 3), ("analytic", 3, 7), ("analytic", 4, 9, True), ("analytic", 7, 13),
+                     ("numeric", 2, 3, False, 64), ("numeric", 3, 7, False, 512)]).map(lambda a: reference_set(*a)),
+    built_sets(),
+))
+@example(cs=crossing_set(gen_theorem_knot(TorusParams(2, 3)), []))
+def test_writers_match_the_record_reference(cs):
+    assert cs.to_json() == crossings_reference.to_json(cs)
+    assert cs.to_csv() == crossings_reference.to_csv(cs)
+    for degrees in (False, True):
+        assert _crossings_text(cs, degrees) == crossings_reference.to_text(cs, degrees)
 
 
 def test_zdiff_zero_on_diagonal():

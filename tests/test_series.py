@@ -99,6 +99,20 @@ def test_invalid_params(p, q):
         TorusParams(p, q)
 
 
+def test_numpy_int_params_are_plain_ints():
+    # the params key _crossing_table's cache, so numpy ints must hash like the ints they equal
+    params = TorusParams(np.int64(2), np.int64(3))
+    assert params == TorusParams(2, 3) and hash(params) == hash(TorusParams(2, 3))
+    assert type(params.p) is int and type(params.q) is int
+    assert TorusParams(np.int32(3), np.array(7)) == TorusParams(3, 7)
+
+
+@pytest.mark.parametrize("p, q", [(True, 3), (2, np.True_), (2.0, 3), (2, "3"), (2, None)])
+def test_non_integer_params_are_refused(p, q):
+    with pytest.raises(InvalidParams, match="p and q must be positive integers"):
+        TorusParams(p, q)
+
+
 def test_standard_knot_terms_2_3():
     knot = gen_standard_knot(TorusParams(2, 3), StandardTorusGeometry(2.0, 1.0))
     assert [(t.amplitude, t.frequency, t.phase) for t in knot.x.terms] == [
