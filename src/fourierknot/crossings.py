@@ -354,8 +354,9 @@ class CrossingSet:
 
     The set holds read-only copies of its seven columns, so a write to a
     column raises ValueError and a write to an array passed in does not
-    reach the set.  The columns must be 1-D and of one length, every sign 1
-    or -1, every kind an integer -1, 0 or 1 and over_t1 of bool dtype.
+    reach the set.  The columns must be 1-D and of one length, every sign an
+    integer 1 or -1, every kind an integer -1, 0 or 1, k and j of integer
+    dtype and over_t1 of bool dtype.  A time of -0.0 is stored as 0.0.
     Every time must be finite and in [0, 2*pi), and no two crossings may
     lie within EPS_DEDUPE of each other under ``pair_distance``; the times
     are checked once, by ``near_pairs``' search over the sorted
@@ -387,15 +388,20 @@ class CrossingSet:
         names = ("t1", "t2", "sign", "over_t1", "kind", "k", "j")
         for name in names:  # read-only copies: no later write to the caller's arrays reaches the set
             column = np.array(getattr(self, name))
+            if name in ("t1", "t2") and column.dtype.kind == "f":
+                column += 0.0  # -0.0 + 0.0 is 0.0: a time of -0.0 is stored, and printed, as 0
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         shapes = {name: getattr(self, name).shape for name in names}
         if len(shapes["t1"]) != 1 or len(set(shapes.values())) != 1:
             raise ValueError(f"the columns must be 1-D and of one length, got shapes {shapes}")
-        if not ((self.sign == 1) | (self.sign == -1)).all():
-            raise ValueError("every sign must be 1 or -1")
+        if not (np.issubdtype(self.sign.dtype, np.integer) and ((self.sign == 1) | (self.sign == -1)).all()):
+            raise ValueError("every sign must be an integer 1 or -1")
         if not (np.issubdtype(self.kind.dtype, np.integer) and ((self.kind >= -1) & (self.kind <= 1)).all()):
             raise ValueError("every kind must be an integer -1, 0 or 1")
+        for name in ("k", "j"):
+            if not np.issubdtype(getattr(self, name).dtype, np.integer):
+                raise ValueError(f"every {name} must be an integer")
         if self.over_t1.dtype != bool:
             raise ValueError(f"over_t1 must have bool dtype, got {self.over_t1.dtype}")
         t1, t2 = self.t1, self.t2

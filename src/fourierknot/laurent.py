@@ -2,24 +2,18 @@
 
 Everything in this module is integer arithmetic: no floating point touches
 the topology.  A polynomial-matrix determinant is first shrunk by sparse
-unit-pivot reduction; the remainder goes to one of two exact engines.  Both
-compute the integer det(A(2**k)) at a Kronecker point sized by one Hadamard
-coefficient bound, and read the coefficients back as balanced base-2**k
-digits: fraction-free Bareiss over Z for small remainders, and elimination
-mod enough 31-bit primes joined by one CRT for large ones.
+unit-pivot reduction.  The remainder's determinant is the integer
+det(A(2**k)) at a Kronecker point sized by one Hadamard coefficient bound,
+computed by fraction-free Bareiss elimination over Z with complete pivoting
+on the shortest entry, and read back as balanced base-2**k digits.
 
 Inside the determinant entries are plain {exponent: coefficient} maps, which
-the reduction and both engines take and return; only det_poly_matrix converts.
+the reduction and the engine take and return; only det_poly_matrix converts.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import operator
-import threading
-
-import numpy as np
 
 # ---------------------------------------------------------------------------
 # Dense coefficient-list helpers (index = exponent, trailing zeros trimmed)
@@ -256,10 +250,10 @@ def exact_div(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomi
 
 
 # ---------------------------------------------------------------------------
-# Determinant engines.  Each takes the remainder as a list of rows, each row a
-# list of {exponent: coefficient} maps with non-negative exponents ({} is
-# zero), and returns the determinant's coefficient list.  Both compute the
-# integer det(A(2**k)), which equals det(A)(2**k), and read the determinant's
+# The determinant engine.  It takes the remainder as a list of rows, each row
+# a list of {exponent: coefficient} maps with non-negative exponents ({} is
+# zero), and returns the determinant's coefficient list.  It computes the
+# integer det(A(2**k)), which equals det(A)(2**k), and reads the determinant's
 # coefficients back from it as balanced base-2**k digits.
 
 
@@ -293,8 +287,13 @@ def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> list[int]:
     """Fraction-free Bareiss elimination over Z at the Kronecker point t = 2**k.
 
     m is the list of remainder rows; each entry's value at 2**k is summed
-    straight from its map.  Every elimination step is an exact integer
-    division.
+    straight from its map.  Each step pivots on the nonzero entry of the
+    remaining block with the fewest bits (the first in row-major order on a
+    tie), swapped into place by a row swap and a column swap that each flip
+    the sign.  Swaps inside the remaining block keep every entry a minor of
+    the permuted matrix, so each step's division stays exact.  The pivots
+    decide how long those minors get: the x-sweep's rows nearly cancel at
+    2**k, and short pivots keep the minors short.
     """
     n = len(m)
     if n == 0:
@@ -304,146 +303,29 @@ def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> list[int]:
     sign = 1
     prev = 1
     for i in range(n - 1):
-        if not a[i][i]:
-            for r in range(i + 1, n):
-                if a[r][i]:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return []
+        bits = 0
+        for r in range(i, n):
+            row = a[r]
+            for c in range(i, n):
+                x = row[c]
+                if x and (not bits or x.bit_length() < bits):
+                    bits, pr, pc = x.bit_length(), r, c
+        if not bits:  # the remaining block is zero
+            return []
+        if pr != i:
+            a[i], a[pr] = a[pr], a[i]
+            sign = -sign
+        if pc != i:
+            for row in a[i:]:
+                row[i], row[pc] = row[pc], row[i]
+            sign = -sign
         piv = a[i][i]
         pivot_tail = a[i][i + 1 :]
-        for r in range(i + 1, n):
-            row = a[r]
+        for row in a[i + 1 :]:
             head = row[i]
             row[i + 1 :] = [(x * piv - head * y) // prev for x, y in zip(row[i + 1 :], pivot_tail)]
         prev = piv
     return _balanced_digits(sign * a[n - 1][n - 1], k)
-
-
-# odd numbers per sieve window: about 6,100 primes below 2**31
-_SIEVE_ODDS = 1 << 16
-_SIEVED_PRIMES: list[int] = []  # the primes of every window sieved so far, descending
-_sieved_down_to = 1 << 31  # the bottom of those windows
-_SIEVE_LOCK = threading.Lock()  # two threads must not sieve, and append, one window twice
-
-
-@functools.cache
-def _primes_31bit(count: int) -> tuple[int, ...]:
-    """First ``count`` primes below 2**31, descending; one shared tuple per count.
-
-    Windows of odd numbers, going down from 2**31, are sieved by the odd
-    primes up to sqrt(2**31) until they hold ``count`` primes.  Each window
-    is sieved once per process, into _SIEVED_PRIMES, which every count slices.
-    """
-    global _sieved_down_to
-    with _SIEVE_LOCK:
-        if len(_SIEVED_PRIMES) < count:
-            root = math.isqrt(1 << 31)
-            sieve = np.ones(root + 1, dtype=bool)
-            for i in range(3, math.isqrt(root) + 1, 2):
-                if sieve[i]:
-                    sieve[i * i :: 2 * i] = False
-            small = (3 + 2 * np.flatnonzero(sieve[3::2])).tolist()
-            while len(_SIEVED_PRIMES) < count:
-                lo = _sieved_down_to - 2 * _SIEVE_ODDS  # odd[j] stands for lo + 1 + 2j
-                odd = np.ones(_SIEVE_ODDS, dtype=bool)
-                for p in small:
-                    first = -(lo + 1) % p  # lo + 1 + first is the first multiple of p
-                    odd[(first + p * (first % 2)) // 2 :: p] = False
-                _SIEVED_PRIMES.extend((lo + 1 + 2 * np.flatnonzero(odd))[::-1].tolist())
-                _sieved_down_to = lo
-        return tuple(_SIEVED_PRIMES[:count])
-
-
-def _inverses_mod(v: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """v**(p - 2) mod p lane by lane (the Fermat inverse; 0 maps to 0)."""
-    out = np.ones_like(v)
-    e = ps - 2
-    while e.any():
-        out = np.where(e & 1, out * v % ps, out)
-        v = v * v % ps
-        e = e >> 1
-    return out
-
-
-def _dets_mod_p_batch(a: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """det(a[b]) mod ps[b] for every lane b, all lanes eliminated in lockstep.
-
-    Entries are residues, so products of two stay below 2**62, inside int64.
-    A lane whose pivot is zero swaps in the first row below with a nonzero
-    entry in the pivot column, or has determinant zero if there is none.
-    a is overwritten.
-    """
-    nb, n, _ = a.shape
-    col = ps[:, None]
-    dets = np.ones(nb, dtype=np.int64)
-    for k in range(n):
-        zero = np.nonzero(a[:, k, k] == 0)[0]
-        if zero.size:
-            below = a[zero, k:, k] != 0
-            i = k + below.argmax(axis=1)  # k itself when the whole column is zero
-            a[zero, k], a[zero, i] = a[zero, i], a[zero, k]
-            dets[zero] = np.where(i > k, -dets[zero], 0)
-        piv = a[:, k, k]
-        dets = dets * piv % ps
-        if k + 1 == n:
-            break
-        factors = a[:, k + 1 :, k] * _inverses_mod(piv, ps)[:, None] % col
-        rest = a[:, k + 1 :, k + 1 :]
-        rest -= factors[:, :, None] * a[:, k, None, k + 1 :]
-        rest %= col[:, :, None]
-    return dets
-
-
-# Primes per elimination block: bounds the int64 working set to a few MB.
-_PRIME_BLOCK = 256
-
-
-def _det_modular_lists(m: list[list[dict[int, int]]]) -> list[int]:
-    """Exact determinant from det(A(2**k)) mod enough 31-bit primes, joined by CRT.
-
-    m is the list of remainder rows.  With D the sum of the rows' degrees,
-    |det(A(2**k))| < 2**(k(D+1)), and every prime exceeds 2**30, so
-    floor(k(D+1)/30) + 1 primes make a modulus above twice that size.  The
-    primes are eliminated in blocks, one lane per prime.  Coefficients must
-    fit in int64.
-    """
-    n = len(m)
-    if n == 0:
-        return [1]
-    k = _kronecker_bits(m)
-    deg_bound = sum(max((max(e) for e in row if e), default=0) for row in m)
-    primes = _primes_31bit(k * (deg_bound + 1) // 30 + 1)
-    cells = [e for row in m for e in row]
-    # per degree d: the cells with a nonzero t**d coefficient, and those coefficients
-    by_degree = [([], []) for _ in range(max((max(e) for e in cells if e), default=0) + 1)]
-    for i, e in enumerate(cells):
-        for d, c in e.items():
-            by_degree[d][0].append(i)
-            by_degree[d][1].append(c)
-    by_degree = [(np.array(i, dtype=np.intp), np.array(c, dtype=np.int64)) for i, c in by_degree]
-    residues = []
-    for lo in range(0, len(primes), _PRIME_BLOCK):
-        block = primes[lo : lo + _PRIME_BLOCK]
-        ps = np.array(block, dtype=np.int64)
-        col = ps[:, None]
-        x = np.array([pow(2, k, p) for p in block], dtype=np.int64)
-        xd = np.ones_like(x)  # (2**k)**d mod p
-        a = np.zeros((len(block), n * n), dtype=np.int64)
-        for cells, c in by_degree:  # each cell sums at most width residues
-            a[:, cells] += c % col * xd[:, None] % col
-            xd = xd * x % ps
-        a %= col
-        residues += _dets_mod_p_batch(a.reshape(-1, n, n), ps).tolist()
-    v, modulus = 0, 1
-    for p, r in zip(primes, residues):
-        v += modulus * ((r - v % p) * pow(modulus % p, -1, p) % p)
-        modulus *= p
-    if v > modulus // 2:
-        v -= modulus
-    return _balanced_digits(v, k)
 
 
 _FILL_LIMIT = 64
@@ -537,21 +419,6 @@ def _sparse_unit_reduce(rows: list[dict[int, dict[int, int]]]):
     return sign, shift, [[ents.get(c, {}) for c in col_order] for ents in entries.values()]
 
 
-# Remainders up to this many rows go to the Bareiss engine, larger ones to
-# the modular engine.  Bareiss's integers, and with them the cost of each
-# exact division, grow with the remainder, while the modular engine pays a
-# fixed numpy cost per pivot.  Medians of 21 interleaved runs, Bareiss against
-# modular: on the x-sweep's dense minors the modular engine wins every case
-# from 11 rows (T(12,29): 68 against 47 ms; T(13,29), 12 rows: 102 against
-# 54 ms), while on the crossing-relation remainders Bareiss wins or ties all
-# six of 11 rows (T(10,19): 8.7 against 20.0 ms) and the two split at 12
-# (T(13,15) 20.4 against 25.2 ms, T(12,17) 33.9 against 26.6 ms).  So 11 rows
-# stay with Bareiss, and 12 go to the modular engine, which is ahead on the
-# sum of both kinds.  At 13 rows it wins 7 of 8 cases of both kinds, and
-# beyond the gap grows (T(11,24)'s 17-row remainder: 62 against 242 ms).
-BAREISS_MAX_SIZE = 11
-
-
 def det_poly_matrix(
     rows: list[list[LaurentPolynomial] | dict[int, LaurentPolynomial]],
 ) -> LaurentPolynomial:
@@ -560,11 +427,10 @@ def det_poly_matrix(
     Each row is a list of n entries or a sparse {column: entry} dict.  The
     entries' {exponent: coefficient} maps go through sparse unit reduction,
     and each remainder row is shifted to non-negative exponents on its maps.
-    The remainder's determinant is read back from its value at t = 2**k: by
-    fraction-free Bareiss over Z up to BAREISS_MAX_SIZE rows, and beyond by
-    elimination mod 31-bit primes and CRT, unless a coefficient does not fit
-    in int64 (then by Bareiss).  Both are exact; the test suite checks them
-    against each other and against Bareiss on coefficient lists.
+    The remainder's determinant is read back from its value at t = 2**k,
+    computed by fraction-free Bareiss over Z with complete pivoting; the
+    test suite checks it against permutation expansion and against Bareiss
+    on coefficient lists.
     """
     n = len(rows)
     sparse: list[dict[int, dict[int, int]]] = []
@@ -589,6 +455,5 @@ def det_poly_matrix(
         v = min([min(e) for e in row if e] + [0])
         shift += v
         m.append([{d - v: c for d, c in e.items()} for e in row])
-    modular = len(m) > BAREISS_MAX_SIZE and all(abs(c) < 1 << 63 for r in m for e in r for c in e.values())
-    det = _det_modular_lists(m) if modular else _det_bareiss_lists(m)
+    det = _det_bareiss_lists(m)
     return LaurentPolynomial({shift + i: sign * c for i, c in enumerate(det)})

@@ -138,7 +138,11 @@ class FourierSeries:
         """Values (or d/dt values) at each t of a 1-D array, in the math order."""
         ts = np.asarray(ts, dtype=float)
         wave = math.sin if derivative else math.cos
-        columns = [[c * wave(u) for u in (f * ts + phase).tolist()] for f, phase, c in self._waves(derivative)]
+        waves = self._waves(derivative)
+        if len(waves) == 1:  # sum((v,)) is 0 + v, which turns -0.0 into 0.0
+            ((f, phase, c),) = waves
+            return [0 + c * wave(u) for u in (f * ts + phase).tolist()]
+        columns = [[c * wave(u) for u in (f * ts + phase).tolist()] for f, phase, c in waves]
         return list(map(sum, zip(*columns))) if columns else [0.0] * len(ts)
 
     def norm(self, m: int = 0) -> float:

@@ -590,11 +590,28 @@ def _with_column(name, change):
     return CrossingSet(cs.knot, **columns, method=cs.method)
 
 
-@pytest.mark.parametrize("sign", [0, 2, -2, 1j])
+@pytest.mark.parametrize("sign", [0, 2, -2, 1j, 1.0])  # a float column's JSON read "sign":1.0
 def test_crossing_set_refuses_a_sign_other_than_plus_or_minus_one(sign):
     # a sign of 0 was written as a left-handed crossing, and the writhe read -13 for -14
-    with pytest.raises(ValueError, match=r"^every sign must be 1 or -1$"):
+    with pytest.raises(ValueError, match=r"^every sign must be an integer 1 or -1$"):
         _with_column("sign", lambda column: np.r_[column[:3], sign, column[4:]])
+
+
+@pytest.mark.parametrize("name, change", [
+    ("k", lambda column: column.astype(np.float64)),  # its JSON read "k":1.0
+    ("j", lambda column: np.r_[column[:3], 2.5, column[4:]]),
+    ("k", lambda column: column.astype(bool)),
+], ids=["k float", "j 2.5", "k bool"])
+def test_crossing_set_refuses_non_integer_k_and_j(name, change):
+    with pytest.raises(ValueError, match=f"^every {name} must be an integer$"):
+        _with_column(name, change)
+
+
+def test_crossing_set_stores_a_time_of_minus_zero_as_zero():
+    # a t1 of -0.0 was kept, and printed as -0 in the JSON, CSV and text rows
+    cs = _set_of((-0.0, 2.0), (1.0, 3.0))
+    assert math.copysign(1.0, cs.t1[0]) == 1.0 and math.copysign(1.0, cs.passages[0][0]) == 1.0
+    assert '"t1":0,' in cs.to_json() and "\n,,,0,2," in cs.to_csv()
 
 
 @pytest.mark.parametrize("change", [

@@ -2,8 +2,6 @@ import hashlib
 import itertools
 import math
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -26,11 +24,6 @@ from fourierknot import (
 )
 
 L = LaurentPolynomial
-
-
-def force_engine(monkeypatch, engine):
-    """Make det_poly_matrix's size rule pick the named remainder engine."""
-    monkeypatch.setattr(laurent, "BAREISS_MAX_SIZE", 10**9 if engine == "bareiss" else -1)
 
 
 def det_reference(m):
@@ -177,9 +170,7 @@ def test_hash_and_equality():
     assert len({L({1: 3}), L({0: 3}), L({0: 3, 1: 3})}) == 3
 
 
-@pytest.mark.parametrize("engine", ["bareiss", "modular"])
-def test_det_engines_against_reference(engine, monkeypatch):
-    force_engine(monkeypatch, engine)
+def test_det_engines_against_reference():
     rng = random.Random(1234)
 
     def entry():
@@ -205,7 +196,7 @@ def test_det_singular_matrix():
     assert det_poly_matrix([row, row]).is_zero
 
 
-def test_det_engines_agree_on_larger_random(monkeypatch):
+def test_det_engines_agree_on_larger_random():
     rng = random.Random(77)
     for _ in range(5):
         n = 12
@@ -213,12 +204,7 @@ def test_det_engines_agree_on_larger_random(monkeypatch):
             [L({d: rng.randint(-2, 2) for d in range(2)}) for _ in range(n)]
             for _ in range(n)
         ]
-        dets = []
-        for engine in ("bareiss", "modular"):
-            with monkeypatch.context() as mp:
-                force_engine(mp, engine)
-                dets.append(det_poly_matrix(m))
-        assert dets[0] == dets[1]
+        assert det_poly_matrix(m) == det_by_list_bareiss(m)
 
 
 def test_det_rejects_malformed_rows():
@@ -230,18 +216,13 @@ def test_det_rejects_malformed_rows():
 
 
 # ---------------------------------------------------------------------------
-# The remainder engines (Bareiss over Z, and elimination mod primes with CRT,
-# both at t = 2**k) against the list Bareiss.
-
-
-def fits_int64(m):
-    """Whether every coefficient is small enough for the modular engine."""
-    return all(abs(c) < 1 << 63 for row in m for e in row for c in e)
+# The remainder engine (Bareiss over Z at t = 2**k, complete pivoting on the
+# shortest entry) against the list Bareiss, which pivots on the diagonal.
 
 
 def as_map(e):
     """A LaurentPolynomial or coefficient list as the {exponent: coefficient}
-    map that the sparse reduction and the remainder engines take."""
+    map that the sparse reduction and the remainder engine take."""
     pairs = e.pairs() if isinstance(e, L) else enumerate(e)
     return {d: c for d, c in pairs if c}
 
@@ -249,7 +230,7 @@ def as_map(e):
 @st.composite
 def coefficient_matrices(draw):
     """Square matrices of trimmed coefficient lists, the format det_bareiss_reference
-    takes; the engines get the same matrices as maps through as_map."""
+    takes; the engine gets the same matrices as maps through as_map."""
     n = draw(st.integers(0, 7))
     big = draw(st.sampled_from([3, (1 << 63) - 1, 10**30]))
     coeff = st.one_of(st.integers(-3, 3), st.integers(-big, big))
@@ -273,18 +254,22 @@ def coefficient_matrices(draw):
 @example(m=[[[1, 1], [2]], [[1, 1], [2]]])  # singular
 @example(m=[[[-(10**30), 7], [5]], [[-1], [0, 0, 10**30]]])
 @example(m=[[[1, 2], [3]], [[1], [-1, 1, -4]]])  # det -4 - t - 2t^2 - 8t^3
-# pivots that vanish modulo the first prime, 2**31 - 1, only: that lane swaps
-# rows, or finds its whole column zero
 @example(m=[[[(1 << 31) - 1], [1]], [[1], [1]]])
 @example(m=[[[(1 << 31) - 1], [1]], [[(1 << 31) - 1], [2]]])
 @example(m=[[[-(1 << 63) + 1, 5], [1 << 62]], [[3], [(1 << 63) - 1]]])
+# the shortest entry off the diagonal: a row swap, a column swap, and both
+@example(m=[[[9], [7], [5]], [[1], [8], [6]], [[4], [3], [9]]])
+@example(m=[[[9], [1], [5]], [[7], [8], [6]], [[4], [3], [9]]])
+@example(m=[[[9], [7], [5]], [[6], [8], [1]], [[4], [3], [9]]])
+@example(m=[[[], []], [[], []]])  # the whole block is zero at the first step
+# after the first step the remaining 2 x 2 block is all zero
+@example(m=[[[1], [2], [3]], [[2], [4], [6]], [[3], [6], [9]]])
+@example(m=[[[0, 0, 5]]])
 @given(m=coefficient_matrices())
 def test_remainder_engine_matches_list_bareiss(m):
     det = det_bareiss_reference(m)
     maps = [[as_map(e) for e in row] for row in m]
     assert laurent._det_bareiss_lists(maps) == det
-    if fits_int64(m):
-        assert laurent._det_modular_lists(maps) == det
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +390,9 @@ def test_remainder_engines_agree_on_alexander_minors(p, q, monkeypatch):
     remainders = []
     engine = laurent._det_bareiss_lists
     monkeypatch.setattr(laurent, "_det_bareiss_lists", lambda m: remainders.append(m) or engine(m))
-    force_engine(monkeypatch, "bareiss")
     det_poly_matrix(minor)
     (m,) = remainders  # every one of these minors leaves a remainder, of 1 to 11 rows
-    det = engine(m)
-    assert L.from_list(det) == det_by_list_bareiss([[L(e) for e in row] for row in m])
-    assert det == laurent._det_modular_lists(m)
+    assert L.from_list(engine(m)) == det_by_list_bareiss([[L(e) for e in row] for row in m])
 
 
 def test_identify_t11_24_matches_closed_form():
@@ -509,58 +491,9 @@ def test_reduction_leaves_its_input_unchanged(case, monkeypatch):
 
 @pytest.mark.parametrize("top", [1 << 62, 1 << 64])
 def test_det_with_huge_coefficients_above_the_crossover(top):
-    """A cycle too big for Bareiss's size rule, its constants at 2**62 (int64) or 2**64."""
-    n = laurent.BAREISS_MAX_SIZE + 9
+    """A 20-row cycle, its constants at 2**62 or 2**64."""
+    n = 20
     m = [{i: L({0: top + i}), (i + 1) % n: L({1: 2})} for i in range(n)]
     # det = prod(diagonal) + sign(n-cycle) * (2t)**n, sign = (-1)**(n - 1)
     expected = L({0: math.prod(top + i for i in range(n)), n: (-1) ** (n - 1) * 2**n})
     assert det_poly_matrix(m) == expected
-
-
-def _is_prime(n):
-    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
-
-
-def test_primes_match_trial_division():
-    top = 1 << 31
-    expected = [n for n in range(top - 1, top - 600, -1) if _is_prime(n)]
-    assert list(laurent._primes_31bit(len(expected))) == expected
-
-
-def test_primes_continue_across_sieve_windows():
-    edge = (1 << 31) - 2 * laurent._SIEVE_ODDS  # where the second window starts
-    near = [n for n in range(edge + 300, edge - 300, -1) if _is_prime(n)]
-    # a tenth of the window's odd numbers is more than the ~6,100 primes it holds
-    primes = laurent._primes_31bit(laurent._SIEVE_ODDS // 10)
-    assert min(primes) < edge
-    assert [p for p in primes if edge - 300 < p <= edge + 300] == near
-
-
-def test_prime_windows_are_sieved_once_under_threads(monkeypatch):
-    # each window is sieved once into a shared list; threads racing for it must not append one twice
-    monkeypatch.setattr(laurent, "_SIEVED_PRIMES", [])
-    monkeypatch.setattr(laurent, "_sieved_down_to", 1 << 31)
-    count = laurent._SIEVE_ODDS // 10  # past the first window
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=lambda: results.append(laurent._primes_31bit.__wrapped__(count)))
-                   for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads) and len(results) == 4
-    expected = laurent._primes_31bit(count)
-    assert all(result == expected for result in results)
-    assert laurent._SIEVED_PRIMES == sorted(set(laurent._SIEVED_PRIMES), reverse=True)
-
-
-def test_prime_table_is_shared_and_immutable():
-    primes = laurent._primes_31bit(6)
-    assert laurent._primes_31bit(6) is primes
-    assert isinstance(primes, tuple)
-    assert list(primes) == sorted(primes, reverse=True) and primes[0] == (1 << 31) - 1

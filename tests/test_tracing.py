@@ -5,6 +5,11 @@ from pathlib import Path
 
 import fourierknot.cli  # noqa: F401  (loads every module the tracer patches)
 
+# The spans of the deleted modular determinant engine, absent since the determinant
+# has one engine.  The benchmark change that drops them from TARGETS (ROADMAP item 1)
+# removes this exception, here and in CI's traced smoke step.
+DELETED_ENGINE_SPANS = ("laurent.modular", "laurent.prime_search")
+
 
 def test_every_traced_name_exists():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -14,6 +19,6 @@ def test_every_traced_name_exists():
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        assert tracer.absent == []
+        assert [span for span in tracer.absent if span not in DELETED_ENGINE_SPANS] == []
     finally:
         tracer.uninstall()
