@@ -14,11 +14,7 @@ from .crossings import (
     CrossingSet,
     analytic_crossing_set,
     classify,
-    direction_product,
-    enumerate_type1,
-    enumerate_type2,
     find_crossings_numeric,
-    zdiff,
 )
 from .diagram import (
     DiagramSummary,
@@ -45,7 +41,7 @@ from .errors import (
     SingularPoint,
     WrongKnotShape,
 )
-from .laurent import LaurentPolynomial, det_poly_matrix, exact_div
+from .laurent import LaurentPolynomial, det_poly_matrix
 from .phases import (
     PhaseMap,
     PhasePoint,
@@ -60,7 +56,6 @@ from .phases import (
     simplified_phase_point,
     singular_lines,
     theorem_phase_point,
-    zdiff_at_phases,
 )
 from .render import knot_diagram_svg
 from .series import (
@@ -70,7 +65,6 @@ from .series import (
     StandardTorusGeometry,
     TorusParams,
     gen_standard_knot,
-    standard_torus_point,
 )
 
 __version__ = "0.1.0"
@@ -113,10 +107,6 @@ __all__ = [
     "certify_intercept_reading",
     "classify",
     "det_poly_matrix",
-    "direction_product",
-    "enumerate_type1",
-    "enumerate_type2",
-    "exact_div",
     "find_crossings_numeric",
     "gen_standard_knot",
     "gen_theorem_knot",
@@ -128,10 +118,7 @@ __all__ = [
     "sign_vector",
     "simplified_phase_point",
     "singular_lines",
-    "standard_torus_point",
     "theorem_phase_point",
     "torus_alexander_oracle",
     "writhe",
-    "zdiff",
-    "zdiff_at_phases",
 ]

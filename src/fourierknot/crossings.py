@@ -25,7 +25,6 @@ from .series import (
     FourierKnot,
     FourierSeries,
     TorusParams,
-    reduce_angle,
     reduce_angles,
     sine_split,
     theorem_xy,
@@ -226,14 +225,6 @@ class _CrossingTable:
         """Every row's CrossingIndices, in row order (which is sorted order), built on first read."""
         return tuple(self.records(np.arange(len(self.k))))
 
-    def row_of(self, indices: CrossingIndices) -> int:
-        """The row of a crossing's indices; KeyError unless they name a crossing of T(p, q)."""
-        rows = {TYPE_I: slice(0, self.n_type1), TYPE_II: slice(self.n_type1, None)}.get(indices.kind, slice(0, 0))
-        hit = np.flatnonzero((self.k[rows] == indices.k) & (self.j[rows] == indices.j))
-        if not len(hit):
-            raise KeyError(indices)
-        return rows.start + int(hit[0])
-
     def height_gap(self, rows, phi1, phi2):
         """z(t1) - z(t2) for z = cos(p t + phi1) + cos((q-p) t + phi2).
 
@@ -245,47 +236,14 @@ class _CrossingTable:
 
 @functools.lru_cache(maxsize=32)
 def _crossing_table(params: TorusParams) -> _CrossingTable:
-    # cached: point queries (sign_vector, zdiff_at_phases) read one table many times
+    # cached: point queries (sign_vector, same_knot_by_phases) read one table many times
     return _CrossingTable(params)
-
-
-def _family(params: TorusParams, kind: str):
-    """The table rows of one kind as ((kind,k,j), t1, t2), times reduced mod 2*pi individually."""
-    table = _crossing_table(params)
-    rows = zip(table.indices, table.t1.tolist(), table.t2.tolist())
-    return [(ix, reduce_angle(a), reduce_angle(b)) for ix, a, b in rows if ix.kind == kind]
-
-
-def enumerate_type1(params: TorusParams):
-    """Same-direction double points: pq - q entries of ((kind,k,j), t1, t2).
-
-    Times keep their formula roles (t1 carries the -k shift) and are reduced
-    mod 2*pi individually.
-    """
-    return _family(params, TYPE_I)
-
-
-def enumerate_type2(params: TorusParams):
-    """Opposite-direction double points: pq - p entries of ((kind,k,j), t1, t2)."""
-    return _family(params, TYPE_II)
-
-
-def direction_product(knot: FourierKnot, t1: float, t2: float) -> float:
-    """x'(t1) * x'(t2): positive iff both strands head the same left/right way."""
-    return knot.x.eval_derivative(t1) * knot.x.eval_derivative(t2)
 
 
 def pair_difference(series: FourierSeries, t1, t2):
     """series(t1) - series(t2) via the term-wise product-of-sines split (sine_split): a float, or an array."""
     gap = sine_split([(tm.amplitude, tm.frequency, tm.phase) for tm in series.terms], t1, t2)
     return gap if np.ndim(gap) else float(gap)
-
-
-def zdiff(knot: FourierKnot, t1: float, t2: float) -> float:
-    """z(t1) - z(t2) via the product-of-sines expansion of the two z terms."""
-    if len(knot.z) != 2:
-        raise WrongKnotShape(f"z must carry exactly two cosine terms, got {len(knot.z)}")
-    return pair_difference(knot.z, t1, t2)
 
 
 class _Classified(NamedTuple):

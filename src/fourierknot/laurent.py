@@ -15,43 +15,6 @@ from __future__ import annotations
 
 import operator
 
-# ---------------------------------------------------------------------------
-# Dense coefficient-list helpers (index = exponent, trailing zeros trimmed)
-# for exact_div and the tests' list Bareiss; LaurentPolynomial wraps a dict.
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _exact_div(num: list[int], den: list[int]) -> list[int]:
-    """Quotient num/den in Z[t]; raises ArithmeticError unless exact."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return []
-    if len(num) < len(den):
-        raise ArithmeticError("inexact polynomial division")
-    rem = list(num)
-    lead = den[-1]
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        v = rem[i]
-        if v == 0:
-            continue
-        q, r = divmod(v, lead)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        out[i - dd] = q
-        for j in range(dd + 1):
-            rem[i - dd + j] -= q * den[j]
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return _trim(out)
-
 
 class LaurentPolynomial:
     """Immutable integer-coefficient polynomial in t and 1/t.
@@ -99,10 +62,6 @@ class LaurentPolynomial:
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
         return cls({exponent: coefficient})
-
-    @classmethod
-    def from_list(cls, coeffs: list[int], valuation: int = 0) -> "LaurentPolynomial":
-        return cls({valuation + i: v for i, v in enumerate(coeffs)})
 
     # -- inspection ---------------------------------------------------------
 
@@ -170,34 +129,15 @@ class LaurentPolynomial:
             return LaurentPolynomial({0: other})
         raise TypeError(f"cannot combine LaurentPolynomial with {type(other)!r}")
 
-    def shifted(self, k: int) -> "LaurentPolynomial":
-        """Multiply by t**k."""
-        return LaurentPolynomial._adopt({e + k: v for e, v in self._c.items()})
-
-    def reciprocal(self) -> "LaurentPolynomial":
-        """Substitute t -> 1/t."""
-        return LaurentPolynomial({-e: v for e, v in self._c.items()})
-
     def normalized(self) -> "LaurentPolynomial":
         """Strip units: lowest exponent 0, constant term positive."""
         if not self._c:
             return LaurentPolynomial()
         v = self.valuation()
-        shifted = {e - v: c for e, c in self._c.items()}
-        if shifted[0] < 0:
-            shifted = {e: -c for e, c in shifted.items()}
-        return LaurentPolynomial(shifted)
-
-    def evaluate_int(self, x: int):
-        """Exact value at an integer x (needs non-negative exponents)."""
-        if self.is_zero:
-            return 0
-        if self.valuation() < 0:
-            raise ValueError("evaluate_int needs non-negative exponents; normalize first")
-        total = 0
-        for e, v in self._c.items():
-            total += v * x**e
-        return total
+        out = {e - v: c for e, c in self._c.items()}
+        if out[0] < 0:
+            out = {e: -c for e, c in out.items()}
+        return LaurentPolynomial(out)
 
     # -- dunder plumbing -----------------------------------------------------
 
@@ -235,18 +175,6 @@ class LaurentPolynomial:
             else:
                 parts.append(f"+ {body}" if v > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def exact_div(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact quotient of Laurent polynomials; raises ArithmeticError otherwise."""
-    if den.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero:
-        return LaurentPolynomial()
-    nv, dv = num.valuation(), den.valuation()
-    nl = [num.coeff(e) for e in range(nv, num.degree() + 1)]
-    dl = [den.coeff(e) for e in range(dv, den.degree() + 1)]
-    return LaurentPolynomial.from_list(_exact_div(nl, dl), nv - dv)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +354,7 @@ def det_poly_matrix(
 
     Each row is a list of n entries or a sparse {column: entry} dict.  The
     entries' {exponent: coefficient} maps go through sparse unit reduction,
-    and each remainder row is shifted to non-negative exponents on its maps.
+    and each remainder row's maps are moved to non-negative exponents.
     The remainder's determinant is read back from its value at t = 2**k,
     computed by fraction-free Bareiss over Z with complete pivoting; the
     test suite checks it against permutation expansion and against Bareiss

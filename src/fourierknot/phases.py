@@ -71,11 +71,6 @@ class SingularLine(NamedTuple):
     def phi2_at(self, phi1: float) -> float:
         return reduce_angle(self.slope * phi1 + self.intercept)
 
-    def distance_to(self, point: PhasePoint) -> float:
-        """Vertical torus distance from the point to the line."""
-        d = abs(point.phi2 - self.phi2_at(point.phi1)) % TWO_PI
-        return min(d, TWO_PI - d)
-
 
 def _phi2_along(slopes: np.ndarray, intercepts: np.ndarray, phi1: np.ndarray) -> np.ndarray:
     """phi2_at of the lines (slopes, intercepts) at every phi1, shape (len(slopes), len(phi1)).
@@ -100,9 +95,6 @@ class SignVector:
         vector = object.__new__(cls)
         object.__setattr__(vector, "items", items)
         return vector
-
-    def as_dict(self) -> dict[CrossingIndices, int]:
-        return dict(self.items)
 
     def to_json(self) -> str:
         body = ",".join(f'"{ix.key()}":{s}' for ix, s in self.items)
@@ -140,15 +132,6 @@ def gen_theorem_knot(params: TorusParams, simplified: bool = False) -> FourierKn
     return knot_with_phases(params, point)
 
 
-def zdiff_at_phases(params: TorusParams, point: PhasePoint, indices: CrossingIndices) -> float:
-    """z(t1) - z(t2) at the crossing's analytic times, for the given phases.
-
-    indices must name a crossing of T(p, q); any other raises KeyError.
-    """
-    table = _crossing_table(params)
-    return float(table.height_gap(table.row_of(indices), point.phi1, point.phi2))
-
-
 def _positive_gaps(table, point: PhasePoint) -> np.ndarray:
     """height gap > 0 at every table row; on a line, SingularPoint with the degenerate indices in table order."""
     gaps = table.height_gap(slice(None), point.phi1, point.phi2)
@@ -184,7 +167,7 @@ def same_knot_by_phases(params: TorusParams, a: PhasePoint, b: PhasePoint) -> bo
 
 def _TYPE1_CONST(p: int, q: int) -> float:
     # intercept constant of the horizontal singular lines; certified
-    # numerically against zdiff_at_phases, see certify_intercept_reading
+    # numerically against the table's height gap, see certify_intercept_reading
     return (1.0 / p - 1.0 / q) * math.pi / 2
 
 
@@ -299,16 +282,6 @@ class PhaseMap:
     n_classes: int
     lines: list[SingularLine]
     marks: list[tuple[PhasePoint, str]] = field(default_factory=list)
-
-    def cell_of(self, point: PhasePoint) -> tuple[int, int]:
-        h = TWO_PI / self.grid
-        i1 = min(int(point.phi1 / h), self.grid - 1)
-        i2 = min(int(point.phi2 / h), self.grid - 1)
-        return i1, i2
-
-    def class_at(self, point: PhasePoint) -> int:
-        i1, i2 = self.cell_of(point)
-        return int(self.classes[i1, i2])
 
     def _rgb(self) -> np.ndarray:
         """(grid, grid, 3) uint8 image, row 0 at phi2 = 0 (flip when drawing)."""

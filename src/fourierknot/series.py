@@ -6,9 +6,8 @@ parameterized families: a two-term-z form (one cosine on x and y, two on z;
 built in phases.py from its z phases) and the classical winding form
 rewritten as pure cosine series.
 
-Only this module evaluates a cosine series (standard_torus_point, the
-independent product-form check, aside), in two orders whose last bits may
-differ between platforms.  The numpy order (eval and eval_derivative on an
+Only this module evaluates a cosine series, in two orders whose last bits
+may differ between platforms.  The numpy order (eval and eval_derivative on an
 array: np.cos or np.sin per term, accumulated into zeros) feeds decisions and
 sampling; the math order (eval_math, with or without derivative: math.cos or
 math.sin per term, summed by sum) feeds printed positions and Newton, and
@@ -28,7 +27,6 @@ With c = 8 and |t| <= 2*pi, E0 is 4e-14 for cos(29 t); it scales with the amplit
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -103,11 +101,6 @@ class FourierSeries:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    @classmethod
-    def from_triples(cls, triples) -> "FourierSeries":
-        """Build from an iterable of (amplitude, frequency, phase) triples."""
-        return cls(tuple(FourierTerm(a, n, phi) for a, n, phi in triples))
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -166,10 +159,6 @@ class FourierKnot:
         """Per-axis term counts (x, y, z)."""
         return (len(self.x), len(self.y), len(self.z))
 
-    def point(self, t):
-        """(x, y, z) at t; each component a scalar or ndarray matching t."""
-        return (self.x.eval(t), self.y.eval(t), self.z.eval(t))
-
     def max_frequency(self) -> int:
         return max(s.max_frequency() for s in (self.x, self.y, self.z))
 
@@ -186,14 +175,6 @@ class FourierKnot:
             ) + "]"
 
         return f'{{"x":{ser(self.x)},"y":{ser(self.y)},"z":{ser(self.z)}}}'
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierKnot":
-        data = json.loads(text)
-        series = {}
-        for axis in ("x", "y", "z"):
-            series[axis] = FourierSeries.from_triples(data[axis])
-        return cls(series["x"], series["y"], series["z"])
 
 
 @dataclass(frozen=True)
@@ -288,17 +269,3 @@ def sine_split(terms, t1, t2):
     for a, f, phi in terms:
         total = total + -2.0 * a * np.sin(f * s + phi) * np.sin(f * d)
     return total
-
-
-def standard_torus_point(params: TorusParams, geom: StandardTorusGeometry, t):
-    """Direct product-form evaluation of the winding parameterization.
-
-    Independent of gen_standard_knot; used to check the cosine-series rewrite.
-    """
-    p, q = params.p, params.q
-    R, r = geom.R, geom.r
-    t = np.asarray(t, dtype=float)
-    x = R * np.cos(p * t) + r * np.cos(p * t) * np.cos(q * t)
-    y = R * np.sin(p * t) + r * np.sin(p * t) * np.cos(q * t)
-    z = r * np.sin(q * t)
-    return x, y, z

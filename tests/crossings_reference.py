@@ -4,12 +4,18 @@ One Crossing record per row, each float through format(x, ".17g") (what
 fmt_float was written as), the CSV through the csv module: the writers
 CrossingSet.to_json, CrossingSet.to_csv and the ``crossings --format text``
 rows ran this way before they read the columns.  Tests compare the package
-with these byte for byte, so neither side checks itself.
+with these byte for byte, so neither side checks itself.  ``family`` lists
+one closed-form family off the crossing table's columns.
 """
 
 import csv
 import io
 import math
+
+import numpy as np
+
+from fourierknot.crossings import TYPE_I, _crossing_table
+from fourierknot.series import reduce_angles
 
 
 def fmt_float(x):
@@ -52,3 +58,14 @@ def to_text(crossing_set, degrees=False):
         ix = c.indices.key() if c.indices else "-"
         rows.append(f"  {ix:10s} t1={angle(c.t1)} t2={angle(c.t2)} sign={c.sign:+d} over={c.over}")
     return "\n".join(rows) + "\n"
+
+
+def family(params, kind):
+    """The crossing table's rows of one kind as (CrossingIndices, t1, t2), in table order.
+
+    Each time is reduced mod 2*pi on its own, so t1 keeps the formula's -k shift and may exceed t2.
+    """
+    table = _crossing_table(params)
+    rows = np.flatnonzero((np.arange(len(table.k)) < table.n_type1) == (kind == TYPE_I))
+    t1, t2 = (reduce_angles(column[rows]).tolist() for column in (table.t1, table.t2))
+    return list(zip(table.records(rows), t1, t2))

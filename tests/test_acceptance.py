@@ -28,22 +28,22 @@ from fourierknot import (
     sign_vector,
     simplified_phase_point,
     singular_lines,
-    standard_torus_point,
     theorem_phase_point,
     torus_alexander_oracle,
-    zdiff,
-    zdiff_at_phases,
 )
 from fourierknot.crossings import (
+    TYPE_I,
     TYPE_II,
     CrossingIndices,
-    enumerate_type1,
-    enumerate_type2,
+    _crossing_table,
     near_pairs,
+    pair_difference,
     pair_distance,
 )
 from fourierknot.phases import PhasePoint, same_knot_by_phases
 from fourierknot.series import TWO_PI
+from crossings_reference import family
+from series_reference import standard_torus_point
 
 FULL_RANGE = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1]
 IDENTIFY_RANGE = [
@@ -65,8 +65,8 @@ def test_criterion_01_crossing_counts():
     t0 = time.perf_counter()
     for p, q in FULL_RANGE:
         params = TorusParams(p, q)
-        assert len(enumerate_type1(params)) == p * q - q, (p, q)
-        assert len(enumerate_type2(params)) == p * q - p, (p, q)
+        assert len(family(params, TYPE_I)) == p * q - q, (p, q)
+        assert len(family(params, TYPE_II)) == p * q - p, (p, q)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"enumeration took {elapsed:.2f}s, budget 5s"
     report(1, f"analytic counts pq-q / pq-p exact for {len(FULL_RANGE)} pairs in {elapsed:.2f}s")
@@ -100,7 +100,7 @@ def test_criterion_03_same_direction_left_handed():
     for p, q in FULL_RANGE:
         params = TorusParams(p, q)
         knot = gen_theorem_knot(params)
-        for ix, t1, t2 in enumerate_type1(params):
+        for ix, t1, t2 in family(params, TYPE_I):
             crossing = classify(knot, t1, t2, ix)
             assert crossing.sign == -1, (p, q, ix)
             a = p * ix.j * math.pi / q
@@ -121,11 +121,11 @@ def test_criterion_04_opposite_direction_over_law():
     for p, q in FULL_RANGE:
         params = TorusParams(p, q)
         knot = gen_theorem_knot(params)
-        for ix, t1, t2 in enumerate_type2(params):
+        for ix, t1, t2 in family(params, TYPE_II):
             crossing = classify(knot, t1, t2, ix)
             t_over = crossing.t1 if crossing.over == "t1" else crossing.t2
             assert knot.x.eval_derivative(t_over) > 0, (p, q, ix)
-            lhs = knot.x.eval_derivative(t1) * zdiff(knot, t1, t2)
+            lhs = knot.x.eval_derivative(t1) * pair_difference(knot.z, t1, t2)
             bracket = 1 - (-1) ** ix.k * math.sin(
                 ix.j * q * math.pi / p + math.pi / (2 * p) - math.pi / (4 * q)
             )
@@ -186,8 +186,10 @@ def test_criterion_08_odd_p_boundary():
             sign_vector(params, point)
         degenerate_type2 = [ix for ix in err.value.indices if ix.kind == TYPE_II]
         assert len(degenerate_type2) >= 2, (p, q, err.value.indices)
+        table = _crossing_table(params)
         for ix in degenerate_type2:
-            assert abs(zdiff_at_phases(params, point, ix)) < 1e-9, (p, q, ix)
+            gap = table.height_gap(table.indices.index(ix), point.phi1, point.phi2)
+            assert abs(gap) < 1e-9, (p, q, ix)
     report(8, f"short z phase lands on >= 2 crossing-degeneracy lines for {len(ODD_P_RANGE)} odd-p pairs")
 
 
@@ -216,12 +218,13 @@ def test_criterion_10_singular_line_certification():
     for p, q in pairs:
         params = TorusParams(p, q)
         lines = singular_lines(params)  # raises CertificationFailure on any bad line
+        table = _crossing_table(params)
         for line in lines:
-            ix = CrossingIndices(line.kind, line.k, line.j)
+            row = table.indices.index(CrossingIndices(line.kind, line.k, line.j))
             for _ in range(10):
                 phi1 = rng.uniform(0.0, TWO_PI)
                 point = PhasePoint(phi1, line.phi2_at(phi1))
-                assert abs(zdiff_at_phases(params, point, ix)) < 1e-9, (p, q, line)
+                assert abs(table.height_gap(row, point.phi1, point.phi2)) < 1e-9, (p, q, line)
         total += len(lines)
     reading, good, bad = certify_intercept_reading(TorusParams(3, 7))
     assert reading == "(1/p - 1/q) * pi/2"

@@ -25,9 +25,6 @@ from fourierknot import (
     build_gauss_code,
     build_pd_code,
     classify,
-    direction_product,
-    enumerate_type1,
-    enumerate_type2,
     find_crossings_numeric,
     gen_standard_knot,
     gen_theorem_knot,
@@ -37,7 +34,6 @@ from fourierknot import (
     singular_lines,
     theorem_phase_point,
     torus_alexander_oracle,
-    zdiff,
 )
 from fourierknot.crossings import (
     EPS_DEDUPE,
@@ -54,6 +50,7 @@ from fourierknot.crossings import (
 from fourierknot.cli import _crossings_text
 from fourierknot.series import TWO_PI, reduce_angle
 import crossings_reference
+from crossings_reference import family
 from planted import crossing_set
 from series_reference import scalar_value
 
@@ -61,7 +58,7 @@ COPRIME_PAIRS = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p
 
 
 def test_type1_2_3_indices_and_times():
-    entries = enumerate_type1(TorusParams(2, 3))
+    entries = family(TorusParams(2, 3), TYPE_I)
     assert [(ix.k, ix.j) for ix, _, _ in entries] == [(1, 2), (1, 3), (1, 4)]
     ix, t1, t2 = entries[0]
     assert t1 == pytest.approx(math.pi / 12, abs=1e-12)
@@ -73,12 +70,12 @@ def test_type1_2_3_indices_and_times():
 
 
 def test_type1_counts():
-    assert len(enumerate_type1(TorusParams(2, 3))) == 3
-    assert len(enumerate_type1(TorusParams(3, 7))) == 14
+    assert len(family(TorusParams(2, 3), TYPE_I)) == 3
+    assert len(family(TorusParams(3, 7), TYPE_I)) == 14
 
 
 def test_type2_2_3_indices_and_times():
-    entries = enumerate_type2(TorusParams(2, 3))
+    entries = family(TorusParams(2, 3), TYPE_II)
     assert [(ix.k, ix.j) for ix, _, _ in entries] == [(1, 1), (1, 2), (1, 3), (2, 2)]
     ix, t1, t2 = entries[0]
     assert t1 == pytest.approx(math.pi / 6, abs=1e-12)
@@ -86,8 +83,8 @@ def test_type2_2_3_indices_and_times():
 
 
 def test_type2_counts():
-    assert len(enumerate_type2(TorusParams(2, 3))) == 4
-    assert len(enumerate_type2(TorusParams(3, 7))) == 18
+    assert len(family(TorusParams(2, 3), TYPE_II)) == 4
+    assert len(family(TorusParams(3, 7), TYPE_II)) == 18
 
 
 @pytest.mark.parametrize("pq", COPRIME_PAIRS)
@@ -105,7 +102,7 @@ def test_per_k_count_identity_exact(pq):
 def test_residuals_below_bound(pq):
     params = TorusParams(*pq)
     knot = gen_theorem_knot(params)
-    for _, t1, t2 in enumerate_type1(params) + enumerate_type2(params):
+    for _, t1, t2 in family(params, TYPE_I) + family(params, TYPE_II):
         assert abs(knot.x.eval(t1) - knot.x.eval(t2)) < 1e-9
         assert abs(knot.y.eval(t1) - knot.y.eval(t2)) < 1e-9
 
@@ -115,18 +112,13 @@ def test_direction_law(pq):
     params = TorusParams(*pq)
     p, q = pq
     knot = gen_theorem_knot(params)
-    for ix, t1, t2 in enumerate_type1(params):
-        d = direction_product(knot, t1, t2)
+    for ix, t1, t2 in family(params, TYPE_I):
+        d = knot.x.eval_derivative(t1) * knot.x.eval_derivative(t2)
         closed = p * p * math.sin(ix.j * p * math.pi / q - math.pi / (2 * q)) ** 2
         assert d > 0
         assert d == pytest.approx(closed, abs=1e-9)
-    for _, t1, t2 in enumerate_type2(params):
-        assert direction_product(knot, t1, t2) < 0
-
-
-def test_direction_product_diagonal_nonnegative():
-    knot = gen_theorem_knot(TorusParams(2, 3))
-    assert direction_product(knot, 1.3, 1.3) >= 0
+    for _, t1, t2 in family(params, TYPE_II):
+        assert knot.x.eval_derivative(t1) * knot.x.eval_derivative(t2) < 0
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (3, 7), (4, 9), (5, 11)])
@@ -136,8 +128,8 @@ def test_opposite_direction_over_law_closed_form(pq):
     params = TorusParams(*pq)
     p, q = pq
     knot = gen_theorem_knot(params)
-    for ix, t1, t2 in enumerate_type2(params):
-        lhs = knot.x.eval_derivative(t1) * zdiff(knot, t1, t2)
+    for ix, t1, t2 in family(params, TYPE_II):
+        lhs = knot.x.eval_derivative(t1) * pair_difference(knot.z, t1, t2)
         bracket = 1 - (-1) ** ix.k * math.sin(
             ix.j * q * math.pi / p + math.pi / (2 * p) - math.pi / (4 * q)
         )
@@ -153,7 +145,7 @@ def test_same_direction_handedness_closed_form(pq):
     params = TorusParams(*pq)
     p, q = pq
     knot = gen_theorem_knot(params)
-    for ix, t1, t2 in enumerate_type1(params):
+    for ix, t1, t2 in family(params, TYPE_I):
         planar = (
             knot.x.eval_derivative(t1) * knot.y.eval_derivative(t2)
             - knot.x.eval_derivative(t2) * knot.y.eval_derivative(t1)
@@ -169,14 +161,14 @@ def test_same_direction_handedness_closed_form(pq):
 def test_classify_type1_all_left_handed_2_3():
     params = TorusParams(2, 3)
     knot = gen_theorem_knot(params)
-    for ix, t1, t2 in enumerate_type1(params):
+    for ix, t1, t2 in family(params, TYPE_I):
         assert classify(knot, t1, t2, ix).sign == -1
 
 
 def test_classify_type2_over_moves_right_3_7():
     params = TorusParams(3, 7)
     knot = gen_theorem_knot(params)
-    for ix, t1, t2 in enumerate_type2(params):
+    for ix, t1, t2 in family(params, TYPE_II):
         c = classify(knot, t1, t2, ix)
         t_over, t_under = (c.t1, c.t2) if c.over == "t1" else (c.t2, c.t1)
         assert knot.x.eval_derivative(t_over) > 0
@@ -192,7 +184,7 @@ def test_classify_singular_heights():
 def test_classify_canonical_order():
     params = TorusParams(2, 3)
     knot = gen_theorem_knot(params)
-    ix, t1, t2 = enumerate_type1(params)[0]
+    ix, t1, t2 = family(params, TYPE_I)[0]
     a = classify(knot, t1, t2, ix)
     b = classify(knot, t2, t1, ix)
     assert (a.t1, a.t2, a.sign, a.over) == (b.t1, b.t2, b.sign, b.over)
@@ -288,7 +280,7 @@ def test_writers_match_the_record_reference(cs):
 
 def test_zdiff_zero_on_diagonal():
     knot = gen_theorem_knot(TorusParams(3, 7))
-    assert zdiff(knot, 0.83, 0.83) == 0.0
+    assert pair_difference(knot.z, 0.83, 0.83) == 0.0
 
 
 def test_zdiff_antisymmetric():
@@ -297,29 +289,23 @@ def test_zdiff_antisymmetric():
     for _ in range(100):
         t1 = rng.uniform(0, 2 * math.pi)
         t2 = rng.uniform(0, 2 * math.pi)
-        assert zdiff(knot, t1, t2) == pytest.approx(-zdiff(knot, t2, t1), abs=1e-15)
+        assert pair_difference(knot.z, t1, t2) == pytest.approx(-pair_difference(knot.z, t2, t1), abs=1e-15)
 
 
 def test_zdiff_matches_direct_difference():
     params = TorusParams(3, 7)
     knot = gen_theorem_knot(params)
-    for ix, t1, t2 in enumerate_type1(params):
+    for ix, t1, t2 in family(params, TYPE_I):
         if (ix.k, ix.j) == (1, 3):
             direct = knot.z.eval(t1) - knot.z.eval(t2)
-            assert zdiff(knot, t1, t2) == pytest.approx(direct, abs=1e-10)
+            assert pair_difference(knot.z, t1, t2) == pytest.approx(direct, abs=1e-10)
             break
     else:
         pytest.fail("index (1, 3) missing from the enumeration")
     rng = random.Random(9)
     for _ in range(50):
         t1, t2 = rng.uniform(0, 7), rng.uniform(0, 7)
-        assert zdiff(knot, t1, t2) == pytest.approx(knot.z.eval(t1) - knot.z.eval(t2), abs=1e-10)
-
-
-def test_zdiff_requires_two_term_z():
-    standard = gen_standard_knot(TorusParams(2, 3))
-    with pytest.raises(WrongKnotShape):
-        zdiff(standard, 0.1, 0.2)
+        assert pair_difference(knot.z, t1, t2) == pytest.approx(knot.z.eval(t1) - knot.z.eval(t2), abs=1e-10)
 
 
 def test_pair_difference_any_series():
@@ -335,7 +321,7 @@ def test_pair_difference_any_series():
 @pytest.mark.parametrize("pq", COPRIME_PAIRS)
 def test_crossing_count_matches_both_families(pq):
     params = TorusParams(*pq)
-    assert crossing_count(*pq) == len(enumerate_type1(params)) + len(enumerate_type2(params))
+    assert crossing_count(*pq) == len(family(params, TYPE_I)) + len(family(params, TYPE_II))
 
 
 def test_analytic_set_sorted_and_counted():
@@ -417,7 +403,7 @@ def test_analytic_set_on_a_singular_line_names_the_first_singular_row():
     with pytest.raises(SingularPoint) as degenerate:
         sign_vector(params, point)
     assert len(degenerate.value.indices) == 6
-    [(_, t1, t2)] = [e for e in enumerate_type2(params) if e[0] == degenerate.value.indices[0]]
+    [(_, t1, t2)] = [e for e in family(params, TYPE_II) if e[0] == degenerate.value.indices[0]]
     assert (f"{t1:.6f}", f"{t2:.6f}") == ("2.251475", "2.775074")
     with pytest.raises(SingularCrossing, match=r"^strands meet in space at \(2\.251475, 2\.775074\): \|dz\| = "):
         analytic_crossing_set(knot_with_phases(params, point), params)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fourierknot import (
     CrossingSet,
     FourierKnot,
-    FourierSeries,
     TorusParams,
     analytic_crossing_set,
     classify,
@@ -31,7 +30,7 @@ from fourierknot.crossings import (
     pair_distance,
 )
 from fourierknot.series import TWO_PI, reduce_angles
-from series_reference import scalar_derivative, scalar_value
+from series_reference import scalar_derivative, scalar_value, series_of
 
 
 def test_counts_2_3():
@@ -92,7 +91,7 @@ def test_grid_floor_enforced():
 @pytest.mark.parametrize("z", [(), ((1.0, 0, 0.0),)], ids=["no terms", "frequency 0"])
 def test_grid_below_one_refused(z):
     # with a sampling floor of 0, grid 0 raised a raw ZeroDivisionError at h = 2*pi/grid
-    series = FourierSeries.from_triples(z)
+    series = series_of(z)
     for grid in (0, -3):
         with pytest.raises(ValueError, match=rf"^grid must be at least 1, got {grid}$"):
             find_crossings_numeric(FourierKnot(series, series, series), grid)
@@ -100,7 +99,7 @@ def test_grid_below_one_refused(z):
 
 def scaled(knot, factor):
     """The knot with every amplitude of x, y and z multiplied by factor."""
-    return FourierKnot(*(FourierSeries.from_triples((tm.amplitude * factor, tm.frequency, tm.phase) for tm in s.terms)
+    return FourierKnot(*(series_of((tm.amplitude * factor, tm.frequency, tm.phase) for tm in s.terms)
                          for s in (knot.x, knot.y, knot.z)))
 
 
@@ -206,8 +205,8 @@ _terms = st.lists(
 @example(x=[(0.0, 3, 0.0)], y=[(1.5, 0, 0.0)], extra=0)  # zero-extent polyline
 @given(x=_terms, y=_terms, extra=st.integers(0, 256))
 def test_bucketed_scan_matches_dense(x, y, extra):
-    sx = FourierSeries.from_triples(x)
-    sy = FourierSeries.from_triples(y)
+    sx = series_of(x)
+    sy = series_of(y)
     grid = 8 * max(sx.max_frequency(), sy.max_frequency(), 1) + extra
     ts = (np.arange(grid + 1) + 0.618) * (2 * math.pi / grid)
     px = np.asarray(sx.eval(ts))
@@ -423,7 +422,7 @@ _knot_terms = st.lists(
 )
 def test_lockstep_newton_matches_scalar(axes, starts):
     # bitwise: each candidate ends with the scalar Newton's status and times
-    knot = FourierKnot(*map(FourierSeries.from_triples, axes))
+    knot = FourierKnot(*map(series_of, axes))
     got, want = lockstep_and_scalar(knot, [a for a, _ in starts], [b for _, b in starts])
     assert got == want
 
@@ -432,7 +431,7 @@ def test_lockstep_newton_matches_scalar_on_a_seeded_batch():
     rng = np.random.default_rng(5)
     statuses = set()
     for _ in range(20):
-        knot = FourierKnot(*(FourierSeries.from_triples(
+        knot = FourierKnot(*(series_of(
             (rng.uniform(-2, 2), int(rng.integers(0, 8)), rng.uniform(0, 2 * math.pi))
             for _ in range(rng.integers(1, 4))) for _ in range(3)))
         t1, t2 = rng.uniform(0, 2 * math.pi, (2, 40))

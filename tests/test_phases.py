@@ -31,7 +31,6 @@ from fourierknot import (
     simplified_phase_point,
     singular_lines,
     theorem_phase_point,
-    zdiff_at_phases,
 )
 from fourierknot.crossings import (
     EPS_SINGULAR,
@@ -39,8 +38,7 @@ from fourierknot.crossings import (
     TYPE_II,
     CrossingIndices,
     _crossing_table,
-    enumerate_type1,
-    enumerate_type2,
+    circular_distance,
     pair_difference,
 )
 from fourierknot.phases import (
@@ -51,6 +49,7 @@ from fourierknot.phases import (
 )
 from fourierknot.render import phase_map_png, png_bytes
 from fourierknot.series import TWO_PI
+from crossings_reference import family
 
 
 def table_rows(params):
@@ -59,29 +58,28 @@ def table_rows(params):
     return list(zip(table.indices, table.t1.tolist(), table.t2.tolist()))
 
 
-def all_indices(params):
-    return [ix for ix, _, _ in enumerate_type1(params)] + [
-        ix for ix, _, _ in enumerate_type2(params)
-    ]
+def height_gaps(params, point):
+    """The crossing table's height gap at every row, in table order, at the phase point."""
+    return _crossing_table(params).height_gap(slice(None), point.phi1, point.phi2).tolist()
 
 
-# -- zdiff_at_phases -----------------------------------------------------------
+# -- the table's height gap ------------------------------------------------------
 
 
 def test_theorem_point_never_degenerate_3_7():
     params = TorusParams(3, 7)
     point = theorem_phase_point(params)
-    for ix in all_indices(params):
-        assert abs(zdiff_at_phases(params, point, ix)) > 1e-9
+    for gap in height_gaps(params, point):
+        assert abs(gap) > 1e-9
 
 
 def test_matches_knot_evaluation():
     params = TorusParams(3, 7)
     point = PhasePoint(1.234, 2.345)
     knot = knot_with_phases(params, point)
-    for ix, t1, t2 in table_rows(params):
+    for gap, (_, t1, t2) in zip(height_gaps(params, point), table_rows(params)):
         direct = knot.z.eval(t1) - knot.z.eval(t2)
-        assert zdiff_at_phases(params, point, ix) == pytest.approx(direct, abs=1e-12)
+        assert gap == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (3, 7), (4, 9), (7, 13)])
@@ -92,33 +90,11 @@ def test_matches_pair_difference_bitwise(pq):
     rng = random.Random(pq[0] * 100 + pq[1])
     points = [theorem_phase_point(params), simplified_phase_point(params)]
     points += [PhasePoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)) for _ in range(10)]
+    table = _crossing_table(params)
     for point in points:
         z = knot_with_phases(params, point).z
-        for ix, t1, t2 in table_rows(params):
-            assert zdiff_at_phases(params, point, ix) == pair_difference(z, t1, t2), (point, ix)
-
-
-@pytest.mark.parametrize("pq", [(2, 3), (3, 7), (4, 9)])
-def test_zdiff_at_phases_refuses_indices_outside_the_table(pq):
-    params = TorusParams(*pq)
-    point = PhasePoint(1.234, 2.345)
-    families = {TYPE_I: enumerate_type1(params), TYPE_II: enumerate_type2(params)}
-    first_type2 = families[TYPE_II][0][0]
-    outside = [
-        CrossingIndices("III", first_type2.k, first_type2.j),
-        CrossingIndices(TYPE_I, 0, 1),
-        CrossingIndices(TYPE_II, 0, 1),
-        CrossingIndices(TYPE_I, params.p, 1 + params.q // 2),
-        CrossingIndices(TYPE_II, params.q, 1 + params.p // 2),
-    ]
-    for kind, entries in families.items():
-        ks = [ix.k for ix, _, _ in entries]
-        for k in (min(ks), max(ks)):
-            js = [ix.j for ix, _, _ in entries if ix.k == k]
-            outside += [CrossingIndices(kind, k, min(js) - 1), CrossingIndices(kind, k, max(js) + 1)]
-    for ix in outside:
-        with pytest.raises(KeyError):
-            zdiff_at_phases(params, point, ix)
+        for row, (ix, t1, t2) in enumerate(table_rows(params)):
+            assert table.height_gap(row, point.phi1, point.phi2) == pair_difference(z, t1, t2), (point, ix)
 
 
 def test_antisymmetry_under_time_swap():
@@ -127,19 +103,16 @@ def test_antisymmetry_under_time_swap():
     point = PhasePoint(0.7, 1.9)
     knot = knot_with_phases(params, point)
     rng = random.Random(2)
-    from fourierknot import zdiff
-
     for _ in range(50):
         t1, t2 = rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)
-        assert zdiff(knot, t1, t2) == pytest.approx(-zdiff(knot, t2, t1), abs=1e-15)
+        assert pair_difference(knot.z, t1, t2) == pytest.approx(-pair_difference(knot.z, t2, t1), abs=1e-15)
 
 
 def test_odd_p_simplified_point_hits_two_lines():
     params = TorusParams(3, 5)
     point = PhasePoint(math.pi / 2, math.pi / 6)  # the simplified point for (3, 5)
-    degenerate = [
-        ix for ix in all_indices(params) if abs(zdiff_at_phases(params, point, ix)) < 1e-9
-    ]
+    rows = zip(_crossing_table(params).indices, height_gaps(params, point))
+    degenerate = [ix for ix, gap in rows if abs(gap) < 1e-9]
     assert len(degenerate) >= 1
     assert all(ix.kind == TYPE_II for ix in degenerate)
 
@@ -159,14 +132,14 @@ def test_phase_point_rejects_non_finite(phi1, phi2, field):
 def test_sign_vector_2_3_theorem_point():
     params = TorusParams(2, 3)
     sv = sign_vector(params, theorem_phase_point(params))
-    entries = sv.as_dict()
+    entries = dict(sv.items)
     assert len(entries) == 7
     knot = gen_theorem_knot(params)
-    for ix, t1, t2 in enumerate_type1(params) + enumerate_type2(params):
+    for ix, t1, t2 in family(params, TYPE_I) + family(params, TYPE_II):
         direct = knot.z.eval(t1) - knot.z.eval(t2)
         assert entries[ix] == (1 if direct > 0 else -1)
     # every same-direction crossing of the theorem knot is left handed
-    for ix, t1, t2 in enumerate_type1(params):
+    for ix, t1, t2 in family(params, TYPE_I):
         assert classify(knot, t1, t2, ix).sign == -1
 
 
@@ -181,7 +154,7 @@ def test_sign_vector_singular_for_odd_p():
 def test_sign_vector_stable_under_small_nudges():
     params = TorusParams(2, 3)
     point = theorem_phase_point(params)
-    margin = min(abs(zdiff_at_phases(params, point, ix)) for ix in all_indices(params))
+    margin = min(map(abs, height_gaps(params, point)))
     assert margin > 1e-2
     base = sign_vector(params, point)
     eps = 1e-4
@@ -330,11 +303,13 @@ def test_lines_2_3_type1_horizontal_and_certified():
     assert all(l.slope == 0 for l in t1_lines)
     one_two = [l for l in t1_lines if (l.k, l.j) == (1, 2)]
     assert one_two
+    table = _crossing_table(params)
+    row = table.indices.index(CrossingIndices(TYPE_I, 1, 2))
     rng = random.Random(4)
     for line in one_two:
         for _ in range(10):
             point = PhasePoint(rng.uniform(0, TWO_PI), line.intercept)
-            v = zdiff_at_phases(params, point, CrossingIndices(TYPE_I, 1, 2))
+            v = table.height_gap(row, point.phi1, point.phi2)
             assert abs(v) < 1e-9
 
 
@@ -353,7 +328,7 @@ def test_every_crossing_owns_lines_in_range(pq):
     params = TorusParams(*pq)
     lines = singular_lines(params)
     owners = {(l.kind, l.k, l.j) for l in lines}
-    for ix in all_indices(params):
+    for ix in _crossing_table(params).indices:
         assert (ix.kind, ix.k, ix.j) in owners
     for line in lines:
         assert 0.0 <= line.intercept < TWO_PI
@@ -430,8 +405,8 @@ def test_equal_sign_vectors_give_equal_gauss_codes(pq):
         points.append((cand, vec))
     # nudge each point by a margin-bounded step: sign vector provably constant
     for cand, vec in points[:5]:
-        margin = min(abs(zdiff_at_phases(params, cand, ix)) for ix in all_indices(params))
-        step = margin / 8.0  # |d zdiff / d phi| <= 4, so this cannot flip signs
+        margin = min(map(abs, height_gaps(params, cand)))
+        step = margin / 8.0  # |d gap / d phi| <= 4, so this cannot flip signs
         nudged = PhasePoint(cand.phi1 + step / 2, cand.phi2 - step / 2)
         assert sign_vector(params, nudged) == vec
         assert gauss(nudged) == gauss(cand)
@@ -482,8 +457,13 @@ def test_even_p_gauss_code_and_identify(p, q):
 
 def test_phase_map_marks_same_class_2_3():
     pmap = phase_map_render(TorusParams(2, 3), 256)
-    a = pmap.class_at(theorem_phase_point(TorusParams(2, 3)))
-    b = pmap.class_at(simplified_phase_point(TorusParams(2, 3)))
+    h = TWO_PI / pmap.grid
+
+    def class_at(point):
+        return pmap.classes[int(point.phi1 / h), int(point.phi2 / h)]
+
+    a = class_at(theorem_phase_point(TorusParams(2, 3)))
+    b = class_at(simplified_phase_point(TorusParams(2, 3)))
     assert a == b and a >= 0
 
 
@@ -491,7 +471,7 @@ def test_phase_map_odd_p_point_on_line():
     params = TorusParams(3, 5)
     pmap = phase_map_render(params, 256)
     point = simplified_phase_point(params)
-    assert min(line.distance_to(point) for line in pmap.lines) < 1e-9
+    assert min(circular_distance(point.phi2, line.phi2_at(point.phi1)) for line in pmap.lines) < 1e-9
 
 
 def test_phase_map_grid_floor():

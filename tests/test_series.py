@@ -15,21 +15,20 @@ from fourierknot import (
     TorusParams,
     gen_standard_knot,
     gen_theorem_knot,
-    standard_torus_point,
 )
 from fourierknot.series import TWO_PI, reduce_angle, reduce_angles, sine_split
-from series_reference import array_derivative, array_value, scalar_derivative, scalar_value
+from series_reference import array_derivative, array_value, scalar_derivative, scalar_value, series_of, standard_torus_point
 
 COPRIME_PAIRS = [(p, q) for q in range(3, 14) for p in range(2, q) if math.gcd(p, q) == 1]
 
 
 def test_eval_constant_cosine():
-    s = FourierSeries.from_triples([(1.0, 3, 0.0)])
+    s = series_of([(1.0, 3, 0.0)])
     assert s.eval(0.0) == 1.0
 
 
 def test_eval_quarter_phase():
-    s = FourierSeries.from_triples([(1.0, 3, math.pi / 2)])
+    s = series_of([(1.0, 3, math.pi / 2)])
     assert abs(s.eval(0.0)) < 1e-12
 
 
@@ -42,13 +41,13 @@ def test_eval_theorem_z_at_zero():
 
 
 def test_derivative_at_zero():
-    s = FourierSeries.from_triples([(1.0, 1, 0.0)])
+    s = series_of([(1.0, 1, 0.0)])
     assert s.eval_derivative(0.0) == 0.0
 
 
 def test_derivative_peak():
     p = 5
-    s = FourierSeries.from_triples([(1.0, p, 0.0)])
+    s = series_of([(1.0, p, 0.0)])
     assert s.eval_derivative(math.pi / (2 * p)) == pytest.approx(-p, abs=1e-12)
 
 
@@ -125,7 +124,7 @@ def test_standard_knot_terms_2_3():
 
 def test_standard_knot_at_zero():
     knot = gen_standard_knot(TorusParams(2, 3), StandardTorusGeometry(2.0, 1.0))
-    x, y, z = knot.point(0.0)
+    x, y, z = (axis.eval(0.0) for axis in (knot.x, knot.y, knot.z))
     assert x == pytest.approx(3.0, abs=1e-12)
     assert y == pytest.approx(0.0, abs=1e-12)
     assert z == pytest.approx(0.0, abs=1e-12)
@@ -173,11 +172,11 @@ def test_periodicity():
 def test_json_round_trip_is_identical():
     knot = gen_theorem_knot(TorusParams(3, 7))
     text = knot.to_json()
-    again = FourierKnot.from_json(text)
+    data = json.loads(text)
+    again = FourierKnot(*(series_of(data[axis]) for axis in "xyz"))
     assert again == knot
     assert again.to_json() == text
     # document shape
-    data = json.loads(text)
     assert set(data) == {"x", "y", "z"}
     assert data["y"][0][2] == pytest.approx(0.5235987755982988)
 
@@ -219,7 +218,7 @@ def test_term_rejects_non_finite(field, bad):
 def random_series(seed: int, terms: int) -> FourierSeries:
     rng = np.random.default_rng(seed)
     amplitudes, phases = rng.uniform(-2, 2, terms).tolist(), rng.uniform(0, TWO_PI, terms).tolist()
-    return FourierSeries.from_triples(zip(amplitudes, rng.integers(0, 30, terms).tolist(), phases))
+    return series_of(zip(amplitudes, rng.integers(0, 30, terms).tolist(), phases))
 
 
 SERIES_TIMES = np.concatenate((np.random.default_rng(7).uniform(-10, 10, 300), [0.0, -0.0, math.pi, TWO_PI]))
@@ -268,7 +267,7 @@ def test_no_term_series_is_zero_in_both_orders():
 
 
 def test_norm_sums_amplitudes_times_frequency_powers():
-    series = FourierSeries.from_triples([(-1.5, 3, 0.2), (0.5, 0, 1.0), (2.0, 4, 0.0)])
+    series = series_of([(-1.5, 3, 0.2), (0.5, 0, 1.0), (2.0, 4, 0.0)])
     assert [series.norm(m) for m in (0, 1, 2)] == [4.0, 12.5, 45.5]
 
 
@@ -280,5 +279,5 @@ def test_sine_split_phases_broadcast():
     split = sine_split([(tm.amplitude, tm.frequency, phases) for tm in series.terms], t1, t2)
     assert split.shape == (5, 3)
     for row, phi in zip(split, phases[:, 0].tolist()):
-        shifted = FourierSeries.from_triples((tm.amplitude, tm.frequency, phi) for tm in series.terms)
+        shifted = series_of((tm.amplitude, tm.frequency, phi) for tm in series.terms)
         assert row == pytest.approx(shifted.eval(t1) - shifted.eval(t2), abs=1e-12)
