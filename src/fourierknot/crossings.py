@@ -241,9 +241,12 @@ def _crossing_table(params: TorusParams) -> _CrossingTable:
 
 
 def pair_difference(series: FourierSeries, t1, t2):
-    """series(t1) - series(t2) via the term-wise product-of-sines split (sine_split): a float, or an array."""
-    gap = sine_split([(tm.amplitude, tm.frequency, tm.phase) for tm in series.terms], t1, t2)
-    return gap if np.ndim(gap) else float(gap)
+    """series(t1) - series(t2) via the term-wise product-of-sines split (sine_split).
+
+    An array for array times; for scalar times an np.float64 (a float), or a
+    0-d array for a series with no terms.
+    """
+    return sine_split([(tm.amplitude, tm.frequency, tm.phase) for tm in series.terms], t1, t2)
 
 
 class _Classified(NamedTuple):

@@ -245,13 +245,6 @@ def certify_intercept_reading(params: TorusParams) -> tuple[str, float, float]:
 # Phase map raster
 
 
-_PALETTE = (
-    (31, 119, 180), (255, 127, 14), (44, 160, 44), (214, 39, 40),
-    (148, 103, 189), (140, 86, 75), (227, 119, 194), (127, 127, 127),
-    (188, 189, 34), (23, 190, 207), (174, 199, 232), (255, 187, 120),
-    (152, 223, 138), (255, 152, 150), (197, 176, 213), (196, 156, 148),
-)
-_SINGULAR_COLOR = (0, 0, 0)
 # the raster's memory budget (phase_map_render).  MAX_SIGN_TABLE caps
 # crossings x grid: the peak is 29 to 38 bytes per unit at large n under
 # tracemalloc (233 MB at T(90,91)/512, 280 MB at T(2,20001)/128), so at most
@@ -274,6 +267,8 @@ class PhaseMap:
     A cell's sign key is its bits (height gap > 0) over the crossing table's
     rows, type I first.  Ids are the ranks of the non-singular cells' keys in
     lexicographic order, so they run over 0 .. n_classes - 1.
+    to_png_bytes and to_svg draw the map (render.py): a cell takes the
+    colour of its id mod 16 in render's palette, or black when singular.
     """
 
     params: TorusParams
@@ -282,13 +277,6 @@ class PhaseMap:
     n_classes: int
     lines: list[SingularLine]
     marks: list[tuple[PhasePoint, str]] = field(default_factory=list)
-
-    def _rgb(self) -> np.ndarray:
-        """(grid, grid, 3) uint8 image, row 0 at phi2 = 0 (flip when drawing)."""
-        cls = self.classes.T  # rows follow phi2
-        colour = cls % len(_PALETTE)
-        colour[cls < 0] = len(_PALETTE)  # _SINGULAR_COLOR, after the palette
-        return np.take(np.array(_PALETTE + (_SINGULAR_COLOR,), dtype=np.uint8), colour, axis=0)
 
     def to_png_bytes(self, scale: int = 2) -> bytes:
         from .render import phase_map_png

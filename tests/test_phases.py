@@ -12,6 +12,7 @@ from fourierknot import (
     FourierKnot,
     FourierSeries,
     FourierTerm,
+    PhaseMap,
     PhasePoint,
     SignVector,
     SimplifyRequiresEvenP,
@@ -44,12 +45,14 @@ from fourierknot.crossings import (
 from fourierknot.phases import (
     _CERT_PHI1,
     MAX_SIGN_TABLE,
+    _dense_ids,
     _phase_classes,
     _phi2_along,
 )
-from fourierknot.render import phase_map_png, png_bytes
+from fourierknot.render import phase_map_png
 from fourierknot.series import TWO_PI
 from crossings_reference import family
+from render_reference import phase_rgb, rgb_png, upscaled
 
 
 def table_rows(params):
@@ -645,6 +648,24 @@ def test_phase_map_n_classes_counts_only_nonsingular_cells():
     assert np.array_equal(ids, np.arange(pmap.n_classes))  # no id skipped
 
 
+@pytest.mark.parametrize("n, size, dtype", [
+    (0, 1, np.int32), (0, 0, np.int32), (1, 1, np.int32), (500, 40, np.int32), (500, 500, np.int64),
+    (40, 10**6, np.int32), (300, 2**40, np.int64),
+])
+def test_dense_ids_match_unique(n, size, dtype):
+    # size <= n takes the presence table, size > n the sort; both must give
+    # the ascending distinct codes and int32 positions among them
+    codes = np.random.default_rng(n + size % 1000).integers(0, size, n).astype(dtype)
+    if n:
+        codes[n // 2] = size - 1
+    distinct, positions = _dense_ids(codes, size)
+    want, inverse = np.unique(codes, return_inverse=True)
+    assert np.array_equal(distinct, want)
+    assert np.all(np.diff(distinct) > 0)
+    assert positions.dtype == np.int32
+    assert np.array_equal(positions, inverse.ravel())
+
+
 # sha256 of to_png_bytes() and to_svg(), default marks.  Class ids rank the
 # non-singular cells' sign keys, whose signs are exact integer results, so no
 # libm sine enters these bytes.  T(2,3)/64 is as the byte-at-a-time raster
@@ -703,7 +724,7 @@ def phase_map_png_loop(pmap, scale=2):
     depend only on its (slope, intercept); each distinct pair is drawn once.
     """
     grid = pmap.grid
-    img = np.repeat(np.repeat(pmap._rgb()[::-1], scale, axis=0), scale, axis=1)
+    img = upscaled(phase_rgb(pmap), scale)
     side = grid * scale
 
     def px(phi):
@@ -720,7 +741,7 @@ def phase_map_png_loop(pmap, scale=2):
         lo_y, hi_y = max(0, side - 1 - cj - r), min(side, side - 1 - cj + r + 1)
         lo_x, hi_x = max(0, ci - r), min(side, ci + r + 1)
         img[lo_y:hi_y, lo_x:hi_x] = (255, 230, 0)
-    return png_bytes(np.ascontiguousarray(img))
+    return rgb_png(img)
 
 
 @pytest.mark.parametrize("p, q, grid", [(2, 3, 64), (3, 7, 256), (4, 5, 128), (7, 13, 128)])
@@ -731,6 +752,32 @@ def test_phase_map_png_matches_loop(p, q, grid):
     for marked in (pmap, dataclasses.replace(pmap, marks=[])):
         for scale in (1, 2, 3):
             assert phase_map_png(marked, scale=scale) == phase_map_png_loop(marked, scale), scale
+
+
+def _synthetic_map(grid, line_kind, seed):
+    """A PhaseMap of seeded random classes (-1 and ids up to 60, so the palette wraps), lines and corner marks."""
+    rng = np.random.default_rng(seed)
+    classes = rng.integers(-1, 61, (grid, grid)).astype(np.int32)
+    slopes = {"none": [], "horizontal": [0, 0, 0, 0], "diagonal": [1, -1, 1, -1]}[line_kind]
+    intercepts = rng.uniform(0.0, TWO_PI, len(slopes))
+    intercepts[:1] = 0.0
+    pairs = enumerate(zip(slopes, intercepts.tolist()))
+    lines = [SingularLine("I" if s == 0 else "II", 1, i, 0, s, c) for i, (s, c) in pairs]
+    lines += lines[:1]  # a repeated (slope, intercept) is drawn once
+    corners = [(0.0, 0.0), (0.0, TWO_PI - 1e-9), (TWO_PI - 1e-9, 0.0), (TWO_PI - 1e-9, TWO_PI - 1e-9)]
+    marks = [(PhasePoint(a, b), "corner") for a, b in corners]  # mark squares clipped at every edge
+    return PhaseMap(TorusParams(2, 3), grid, classes, 61, lines, marks)
+
+
+@pytest.mark.parametrize("line_kind", ["none", "horizontal", "diagonal"])
+@pytest.mark.parametrize("grid", [64, 97, 128])
+def test_phase_map_png_matches_reference_on_synthetic_maps(grid, line_kind):
+    # singular cells, palette wrap-around, odd grids, scales 1-4 and clipped
+    # marks, against the RGB image, upscaled and copied into scanlines
+    pmap = _synthetic_map(grid, line_kind, seed=grid)
+    assert (pmap.classes < 0).any() and pmap.classes.max() >= 32
+    for scale in (1, 2, 3, 4):
+        assert phase_map_png(pmap, scale=scale) == phase_map_png_loop(pmap, scale), scale
 
 
 def test_phase_map_output_bytes_pinned_with_duplicate_lines():
@@ -771,3 +818,17 @@ def test_phase_map_png_memory_is_blocked():
         tracemalloc.stop()
     assert len(pmap.lines) == 1424
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_phase_map_png_memory_at_3_4_512():
+    # an RGB image of the classes, upscaled in two copies and then copied into
+    # the scanlines, peaked at 6.9 MB; written straight into them, 5.1 MB
+    pmap = phase_map_render(TorusParams(3, 4), 512)
+    phase_map_png(pmap, scale=1)
+    tracemalloc.start()
+    try:
+        phase_map_png(pmap, scale=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
