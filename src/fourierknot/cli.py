@@ -30,13 +30,13 @@ from .errors import IdentificationFailure, KnotError, SingularPoint
 from .phases import (
     MAX_GRID,
     MAX_SIGN_TABLE,
+    certified_line_arrays,
     certify_intercept_reading,
     gen_theorem_knot,
     phase_map_render,
     same_knot_by_phases,
     sign_vector,
     simplified_phase_point,
-    singular_lines,
     theorem_phase_point,
 )
 from .render import knot_diagram_svg
@@ -212,9 +212,10 @@ def _verify_pair(params: TorusParams) -> tuple[dict[str, str], bool]:
         if cond == failed:
             row[column], verdict = "FAIL", "-"
         row.setdefault(column, verdict)
-    # phase condition: even p must keep the same region; odd p must be singular
+    # phase condition: the lines certify, and even p must keep the same
+    # region while odd p must be singular; the line records are not needed
     try:
-        singular_lines(params)
+        certified_line_arrays(params)
         if params.p % 2 == 0:
             same = same_knot_by_phases(params, theorem_phase_point(params), simplified_phase_point(params))
             simplified = gen_theorem_knot(params, simplified=True)

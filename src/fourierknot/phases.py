@@ -132,12 +132,18 @@ def gen_theorem_knot(params: TorusParams, simplified: bool = False) -> FourierKn
     return knot_with_phases(params, point)
 
 
-def _positive_gaps(table, point: PhasePoint) -> np.ndarray:
-    """height gap > 0 at every table row; on a line, SingularPoint with the degenerate indices in table order."""
-    gaps = table.height_gap(slice(None), point.phi1, point.phi2)
-    degenerate = np.abs(gaps) <= EPS_SINGULAR
-    if degenerate.any():
-        raise SingularPoint(table.records(np.flatnonzero(degenerate)))
+def _positive_gaps(table, phi1, phi2) -> np.ndarray:
+    """height gap > 0 at every table row, per point; on a line, SingularPoint.
+
+    phi1 and phi2 are one point's floats, or (k, 1) columns of k points that
+    give k rows of signs.  SingularPoint names the degenerate indices, in
+    table order, of the first point that has any.
+    """
+    gaps = table.height_gap(slice(None), phi1, phi2)
+    if np.abs(gaps).min() <= EPS_SINGULAR:
+        degenerate = np.abs(np.atleast_2d(gaps)) <= EPS_SINGULAR
+        first = degenerate.any(axis=1).argmax()
+        raise SingularPoint(table.records(np.flatnonzero(degenerate[first])))
     return gaps > 0.0
 
 
@@ -149,7 +155,7 @@ def sign_vector(params: TorusParams, point: PhasePoint) -> SignVector:
     rather than sorting them again.
     """
     table = _crossing_table(params)
-    signs = np.where(_positive_gaps(table, point), 1, -1).tolist()
+    signs = np.where(_positive_gaps(table, point.phi1, point.phi2), 1, -1).tolist()
     return SignVector._from_sorted(tuple(zip(table.indices, signs)))
 
 
@@ -158,11 +164,13 @@ def same_knot_by_phases(params: TorusParams, a: PhasePoint, b: PhasePoint) -> bo
 
     This is a sufficient test: distinct regions of the phase square could in
     principle share a sign vector, which would still mean equal diagrams.
-    Both vectors run over the same table rows, so they are compared as sign
-    arrays; a singular a raises SingularPoint before b is looked at.
+    Both points' gaps come from one height_gap call on a column of the two
+    points, and their signs are compared as two rows of one array; a
+    singular a raises SingularPoint with a's indices, whatever b is.
     """
     table = _crossing_table(params)
-    return np.array_equal(_positive_gaps(table, a), _positive_gaps(table, b))
+    positive = _positive_gaps(table, np.array([[a.phi1], [b.phi1]]), np.array([[a.phi2], [b.phi2]]))
+    return np.array_equal(positive[0], positive[1])
 
 
 def _TYPE1_CONST(p: int, q: int) -> float:
@@ -192,28 +200,39 @@ def _line_candidates(table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return row.ravel(), m.ravel(), slope.ravel(), intercept.ravel()
 
 
-def singular_lines(params: TorusParams) -> list[SingularLine]:
-    """All singular lines with intercepts in [0, 2*pi), each certified.
+def certified_line_arrays(params: TorusParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every singular line of params as (row, m, slope, intercept) arrays, each line certified.
 
     Certification samples phi1 along the line and demands the owning
     crossing's height gap, at the table row the line was made from, be at
     most EPS_SINGULAR; a failing line raises CertificationFailure rather
-    than being dropped.
+    than being dropped.  The arrays are _line_candidates'; singular_lines
+    builds its records from them, and verify certifies without the records.
     """
     table = _crossing_table(params)
     rows, m, slopes, intercepts = _line_candidates(table)
     phi2 = _phi2_along(slopes, intercepts, _CERT_PHI1)
     residual = np.abs(table.height_gap(rows[:, None], _CERT_PHI1, phi2))
-    owners = table.kinds(rows), table.k[rows].tolist(), table.j[rows].tolist()
-    lines = list(map(SingularLine, *owners, m.tolist(), slopes.tolist(), intercepts.tolist()))
     failing = np.argwhere(residual > EPS_SINGULAR)
     if len(failing):
         i, s = failing[0]
+        line = _lines(table, rows[i : i + 1], m[i : i + 1], slopes[i : i + 1], intercepts[i : i + 1])[0]
         raise CertificationFailure(
-            f"line {lines[i]} fails for crossing {lines[i].kind}:{lines[i].k}:{lines[i].j}: "
+            f"line {line} fails for crossing {line.kind}:{line.k}:{line.j}: "
             f"residual {residual[i, s]:.3e} at phi1={_CERT_PHI1[s]:.6f}"
         )
-    return lines
+    return rows, m, slopes, intercepts
+
+
+def _lines(table, rows, m, slopes, intercepts) -> list[SingularLine]:
+    """The SingularLine records of line arrays as certified_line_arrays returns them."""
+    owners = table.kinds(rows), table.k[rows].tolist(), table.j[rows].tolist()
+    return list(map(SingularLine, *owners, m.tolist(), slopes.tolist(), intercepts.tolist()))
+
+
+def singular_lines(params: TorusParams) -> list[SingularLine]:
+    """All singular lines with intercepts in [0, 2*pi), each certified (certified_line_arrays)."""
+    return _lines(_crossing_table(params), *certified_line_arrays(params))
 
 
 def certify_intercept_reading(params: TorusParams) -> tuple[str, float, float]:

@@ -145,6 +145,8 @@ _SINGULAR_COLOR = (0, 0, 0)
 _PALETTE_RGBX = (
     np.pad(np.array(_PALETTE + (_SINGULAR_COLOR,), np.uint8), ((0, 0), (0, 1))).view(np.uint32).ravel()
 )
+# cell rows per block in phase_map_png's copy of a block's first pixel row
+_COPY_ROWS = 64
 _LINE_COLOR = np.void(bytes((255, 255, 255)))
 _MARK_COLOR = np.void(bytes((255, 230, 0)))
 
@@ -163,9 +165,9 @@ def phase_map_png(pmap, scale: int = 2) -> bytes:
     A line is drawn at 4 * side samples of phi1.  Its pixels depend only on
     its (slope, intercept), and many lines share one (at T(13,29), 1424
     lines have 185 distinct pairs), so each distinct pair is drawn once.
-    Peaks under tracemalloc, at scale 2: 5.1 MB at T(3,4)/512 and 72 MB at
-    T(7,13)/2048 (MAX_GRID), where the RGB image and its upscaled copies
-    peaked at 6.9 and 104 MB.
+    Peaks under tracemalloc, at scale 2: 4.0 MB at T(3,4)/512 and 64 MB at
+    T(7,13)/2048 (MAX_GRID), the scanlines and the colour of each cell; the
+    row copies and the line index arrays stay below that.
     """
     grid = pmap.grid
     side = grid * scale
@@ -180,9 +182,13 @@ def phase_map_png(pmap, scale: int = 2) -> bytes:
     top = pixels[::scale]
     for j in range(scale):
         top[:, j::scale] = cells
-    del rgbx, cells  # freed first: numpy copies top for the row copies, which share its memory
-    for j in range(1, scale):
-        pixels[j::scale] = top
+    del rgbx, cells
+    # numpy copies a source that shares memory with its target first, so the
+    # rows are copied _COPY_ROWS blocks at a time to keep that temporary small
+    for start in range(0, grid, _COPY_ROWS):
+        block = top[start : start + _COPY_ROWS]
+        for j in range(1, scale):
+            pixels[start * scale + j : (start + len(block)) * scale : scale] = block
 
     def px(phi):
         return np.minimum((np.asarray(phi) / TWO_PI * side).astype(np.intp), side - 1)
@@ -192,12 +198,12 @@ def phase_map_png(pmap, scale: int = 2) -> bytes:
     # 4 c + 2 sits at column c + 1/2, so the samples fill the whole row
     level = np.array([intercept for slope, intercept in distinct if slope == 0])
     pixels[side - 1 - px(reduce_angles(level))] = _LINE_COLOR
-    # diagonals: a block of lines is drawn with one indexed write, and blocks
-    # of side // 16 lines keep the index arrays near the size of the image
+    # diagonals: a block of lines is drawn with one indexed write; a block of
+    # side // 256 lines makes each index array side^2 / 8 bytes, 1/24 of the image
     slopes, intercepts = np.array([pair for pair in distinct if pair[0] != 0]).reshape(-1, 2).T
     phi1 = TWO_PI * np.arange(4 * side) / (4 * side)
     cols = px(phi1)
-    block = max(1, side // 16)
+    block = max(1, side // 256)
     for start in range(0, len(slopes), block):
         phi2 = _phi2_along(slopes[start : start + block], intercepts[start : start + block], phi1)
         pixels[side - 1 - px(phi2), cols] = _LINE_COLOR

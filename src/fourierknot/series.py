@@ -12,6 +12,11 @@ array: np.cos or np.sin per term, accumulated into zeros) feeds decisions and
 sampling; the math order (eval_math, with or without derivative: math.cos or
 math.sin per term, summed by sum) feeds printed positions and Newton, and
 eval on a 0-d t is a one-element call of it.  No terms give zeros in both.
+A difference z(t1) - z(t2) is the product-of-sines split (sine_split, numpy
+order), -2a sin(f s + phi) sin(f d) per term, s and d the half-sum and
+half-difference of the times.  It is sine_sum of sine_factors: the factors
+f s and sin(f d) depend on the times alone, so a caller that asks for many
+phases at fixed times keeps them and runs only the sum, with the same bits.
 
 Error bound (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
 ch. 3), with N_m = norm(m) = sum |a_k| f_k**m over M terms, u = 2**-53 and
@@ -257,15 +262,35 @@ def theorem_xy(params: TorusParams) -> tuple[FourierSeries, FourierSeries]:
     return FourierSeries((FourierTerm(1.0, p, 0.0),)), FourierSeries((FourierTerm(1.0, q, math.pi / (2 * p)),))
 
 
+def sine_factors(frequencies, t1, t2) -> tuple[tuple[int, ...], list]:
+    """The half of sine_split that no phase enters: the times' shape, and (f*s, sin(f*d)) per frequency f.
+
+    s and d are the half-sum and half-difference of the times t1 and t2
+    (floats or arrays that broadcast), so each factor has their shape.
+    """
+    s, d = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
+    return np.shape(s), [(f * s, np.sin(f * d)) for f in frequencies]
+
+
+def sine_sum(waves, shape):
+    """The phase half of sine_split: -2a sin(f*s + phi) sin(f*d) over (a, phi, f*s, sin(f*d)) waves.
+
+    The waves are accumulated into zeros of the factors' shape, in order.
+    """
+    total = np.zeros(shape)
+    for a, phi, fs, sin_fd in waves:
+        total = total + -2.0 * a * np.sin(fs + phi) * sin_fd
+    return total
+
+
 def sine_split(terms, t1, t2):
     """sum a*(cos(f t1 + phi) - cos(f t2 + phi)) over (a, f, phi) terms: -2a sin(f s + phi) sin(f d) each.
 
     s and d are the half-sum and half-difference of the times (floats or
     arrays); the terms are accumulated into zeros in numpy, and times and
-    phases broadcast.
+    phases broadcast.  It is sine_sum of sine_factors: a caller that asks for
+    many phases at fixed times can keep the factors and pay only the sum.
     """
-    s, d = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
-    total = np.zeros(np.shape(s))
-    for a, f, phi in terms:
-        total = total + -2.0 * a * np.sin(f * s + phi) * np.sin(f * d)
-    return total
+    terms = tuple(terms)
+    shape, factors = sine_factors([f for _, f, _ in terms], t1, t2)
+    return sine_sum([(a, phi, *factor) for (a, _, phi), factor in zip(terms, factors)], shape)

@@ -127,6 +127,28 @@ def test_verify_output_pinned(capsys):
     )
 
 
+def test_verify_certifies_lines_without_line_records(capsys, monkeypatch):
+    # verify's phase column certifies the lines on arrays; the one failing
+    # line's record is built only for the message
+    import fourierknot.phases as ph
+
+    def no_records(*args):
+        raise AssertionError("SingularLine records were built")
+
+    real_lines = ph._lines
+    monkeypatch.setattr(ph, "_lines", no_records)
+    code, out, _ = run_cli(capsys, "verify", "--pmax", "3", "--qmax", "5")
+    assert code == 0 and "all 4 pairs pass" in out
+    monkeypatch.setattr(ph, "_lines", real_lines)
+    monkeypatch.setattr(ph, "_TYPE1_CONST", lambda p, q: (1.0 / p - 1.0 / q) / (2 * math.pi))
+    code, out, _ = run_cli(capsys, "verify", "--pmax", "2", "--qmax", "3")
+    assert code != 0
+    assert (
+        "FAIL (line SingularLine(kind='I', k=1, j=2, m=-1, slope=0, intercept=1.0737233750452466) "
+        "fails for crossing I:1:2: residual 4.662e-01 at phi1=0.232478)"
+    ) in out
+
+
 @pytest.mark.parametrize("pmax,qmax", [(19, 30), (20, 29), (2, 400), (50, 40)])
 def test_verify_rejects_oversized_range(capsys, monkeypatch, pmax, qmax):
     import fourierknot.cli as cli_mod

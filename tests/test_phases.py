@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -33,6 +34,7 @@ from fourierknot import (
     singular_lines,
     theorem_phase_point,
 )
+import fourierknot.crossings as crossings_mod
 from fourierknot.crossings import (
     EPS_SINGULAR,
     TYPE_I,
@@ -50,7 +52,7 @@ from fourierknot.phases import (
     _phi2_along,
 )
 from fourierknot.render import phase_map_png
-from fourierknot.series import TWO_PI
+from fourierknot.series import TWO_PI, sine_split
 from crossings_reference import family
 from render_reference import phase_rgb, rgb_png, upscaled
 
@@ -98,6 +100,56 @@ def test_matches_pair_difference_bitwise(pq):
         z = knot_with_phases(params, point).z
         for row, (ix, t1, t2) in enumerate(table_rows(params)):
             assert table.height_gap(row, point.phi1, point.phi2) == pair_difference(z, t1, t2), (point, ix)
+
+
+def test_height_gap_is_sine_split_of_the_raw_times_bitwise():
+    # the table keeps the point-independent factors of every row; a gap is
+    # still sine_split at the rows' raw times bit for bit, sign bits included,
+    # in the three shapes the point queries and certifications ask for
+    for q in range(3, 30):
+        for p in range(2, q):
+            if math.gcd(p, q) != 1:
+                continue
+            params = TorusParams(p, q)
+            table = _crossing_table(params)
+            rng = np.random.default_rng(100 * p + q)
+            points = rng.uniform(0.0, TWO_PI, (2, 2))
+            rows = rng.choice(len(table.k), size=min(7, len(table.k)), replace=False)
+            simplified = simplified_phase_point(params)
+            cases = [
+                (slice(None), simplified.phi1, simplified.phi2),  # on lines for odd p
+                (slice(None), float(points[0, 0]), float(points[0, 1])),
+                (slice(None), points[:, :1], points[:, 1:]),  # a (2, 1) column of two points
+                (rows[:, None], _CERT_PHI1, rng.uniform(0.0, TWO_PI, (len(rows), len(_CERT_PHI1)))),
+            ]
+            for index, phi1, phi2 in cases:
+                gap = table.height_gap(index, phi1, phi2)
+                split = sine_split(((1.0, p, phi1), (1.0, q - p, phi2)), table.t1[index], table.t2[index])
+                assert gap.shape == split.shape, (p, q)
+                assert np.array_equal(gap, split), (p, q)
+                assert np.array_equal(np.signbit(gap), np.signbit(split)), (p, q)
+
+
+def test_gap_factors_read_only_built_once_and_only_for_gaps(monkeypatch):
+    built = []
+    real = crossings_mod.sine_factors
+    monkeypatch.setattr(crossings_mod, "sine_factors", lambda *args: built.append(args) or real(*args))
+    params = TorusParams(5, 7)
+    _crossing_table.cache_clear()
+    knot = gen_theorem_knot(params)
+    analytic_crossing_set(knot, params)
+    table = _crossing_table(params)
+    _phase_classes(table, 64)
+    assert built == [] and "_gap_factors" not in vars(table)
+    sign_vector(params, theorem_phase_point(params))
+    same_knot_by_phases(params, theorem_phase_point(params), PhasePoint(1.0, 2.0))
+    singular_lines(params)
+    certify_intercept_reading(params)
+    assert _crossing_table(params) is table and len(built) == 1
+    for column in itertools.chain.from_iterable(table._gap_factors):
+        assert column.shape == table.t1.shape and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0.0
 
 
 def test_antisymmetry_under_time_swap():
@@ -276,6 +328,42 @@ def test_singular_indices_of_simplified_point_pinned():
     assert digest.hexdigest() == "1a9b3d4273597e530a2e75b5dab4d8c3c5229848fb449a1a197ec62b011f1345"
 
 
+def _refusal(params, point):
+    """sign_vector's JSON at the point, or the keys of the indices SingularPoint names."""
+    try:
+        return sign_vector(params, point).to_json()
+    except SingularPoint as err:
+        return [ix.key() for ix in err.indices]
+
+
+def test_refusal_boundary_pinned():
+    # taken before the height gap kept its factors on the table: which points
+    # are refused, and with which indices, at the simplified point and within
+    # 1e-10 of seeded lines; same_knot_by_phases names the near point's
+    # indices whichever side it is on
+    digest = hashlib.sha256()
+    for q in range(3, 14):
+        for p in range(2, q):
+            if math.gcd(p, q) != 1:
+                continue
+            params = TorusParams(p, q)
+            rng = random.Random(1000 * p + q)
+            lines = singular_lines(params)
+            regular = theorem_phase_point(params)
+            answers = [_refusal(params, simplified_phase_point(params))]
+            for line in rng.sample(lines, min(12, len(lines))):
+                phi1 = rng.uniform(0.0, TWO_PI)
+                point = PhasePoint(phi1, line.phi2_at(phi1) + rng.uniform(-1e-10, 1e-10))
+                answers.append(_refusal(params, point))
+                for a, b in ((point, regular), (regular, point)):
+                    try:
+                        answers.append(same_knot_by_phases(params, a, b))
+                    except SingularPoint as err:
+                        answers.append([ix.key() for ix in err.indices])
+            digest.update(repr((p, q, answers)).encode())
+    assert digest.hexdigest() == "cf7230157e7d67c86af3802da1fa877dc22dd45c358d3775479fda0c77633ecd"
+
+
 # -- same_knot_by_phases ----------------------------------------------------------
 
 
@@ -379,8 +467,15 @@ def test_wrong_intercept_fails_certification(monkeypatch):
     import fourierknot.phases as ph
 
     monkeypatch.setattr(ph, "_TYPE1_CONST", lambda p, q: (1.0 / p - 1.0 / q) / (2 * math.pi))
-    with pytest.raises(CertificationFailure):
-        singular_lines(TorusParams(2, 3))
+    # the message names the first failing line, built alone from the arrays
+    message = (
+        "line SingularLine(kind='I', k=1, j=2, m=-1, slope=0, intercept=1.0737233750452466) "
+        "fails for crossing I:1:2: residual 4.662e-01 at phi1=0.232478"
+    )
+    for certify in (singular_lines, ph.certified_line_arrays):
+        with pytest.raises(CertificationFailure) as err:
+            certify(TorusParams(2, 3))
+        assert str(err.value) == message
     # the lines a phase map draws are the certified ones
     with pytest.raises(CertificationFailure):
         phase_map_render(TorusParams(2, 3), 64)
@@ -822,7 +917,8 @@ def test_phase_map_png_memory_is_blocked():
 
 def test_phase_map_png_memory_at_3_4_512():
     # an RGB image of the classes, upscaled in two copies and then copied into
-    # the scanlines, peaked at 6.9 MB; written straight into them, 5.1 MB
+    # the scanlines, peaked at 6.9 MB; written straight into them, 5.1 MB; with
+    # the row copies and the line index arrays in small blocks, 4.0 MB
     pmap = phase_map_render(TorusParams(3, 4), 512)
     phase_map_png(pmap, scale=1)
     tracemalloc.start()
@@ -831,4 +927,4 @@ def test_phase_map_png_memory_at_3_4_512():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 4.5 * 2**20, f"peak {peak / 2**20:.1f} MB"
