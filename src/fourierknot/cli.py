@@ -16,10 +16,10 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .crossings import (
     MAX_NUMERIC_GRID,
-    TYPE_I,
-    TYPE_II,
     analytic_crossing_set,
     crossing_count,
     find_crossings_numeric,
@@ -147,11 +147,7 @@ def cmd_gen(args) -> int:
 def _crossings_text(crossings, degrees: bool) -> str:
     """A count line, then one row per crossing read off the columns: its CrossingIndices.key()
     or "-", its times as FLOAT_FORMAT (in degrees when asked), its sign and over-strand."""
-    kinds = crossings.kind.tolist()
-    keys = [
-        f"{(TYPE_I, TYPE_II)[kind]}:{k}:{j}" if kind >= 0 else "-"
-        for kind, k, j in zip(kinds, crossings.k.tolist(), crossings.j.tolist())
-    ]
+    keys = [ix.key() if ix else "-" for ix in crossings._indices()]
     t1, t2 = crossings.t1.tolist(), crossings.t2.tolist()
     if degrees:
         t1, t2 = list(map(math.degrees, t1)), list(map(math.degrees, t2))
@@ -172,8 +168,8 @@ def cmd_crossings(args) -> int:
         assert analytic is not None and numeric is not None
         # equal counts, and every numeric pair within EPS_DEDUPE of an analytic one
         n = len(analytic)
-        pairs = [pair for cs in (analytic, numeric) for pair in zip(cs.t1.tolist(), cs.t2.tolist())]
-        matched = {j for i, j in near_pairs(pairs) if i < n <= j}
+        pairs = near_pairs(np.concatenate((analytic.t1, numeric.t1)), np.concatenate((analytic.t2, numeric.t2)))
+        matched = {j for i, j in pairs if i < n <= j}
         if len(numeric) != n or len(matched) != n:
             print(
                 f"oracle disagreement: analytic {len(analytic)} vs numeric {len(numeric)} crossings",

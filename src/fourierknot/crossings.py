@@ -75,24 +75,22 @@ _JSON_ROW = f'{{"kind":%s,"k":%s,"j":%s,"t1":{_F},"t2":{_F},"sign":%s,"over":"%s
 _CSV_ROW = f"%s,%s,%s,{_F},{_F},%s,%s,{_F},{_F}\n"
 
 
-@dataclass(frozen=True, order=True)
-class CrossingIndices:
-    """Analytic family and index pair of a crossing: kind "I" or "II", (k, j)."""
+class CrossingIndices(NamedTuple):
+    """Analytic family and index pair of a crossing: kind "I" or "II", (k, j); a tuple of the three."""
 
     kind: str
     k: int
     j: int
 
     def key(self) -> str:
-        return f"{self.kind}:{self.k}:{self.j}"
+        return "%s:%s:%s" % self
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """A resolved double point: canonical times 0 <= t1 < t2 < 2*pi.
 
     sign is +1 for a right-handed crossing, -1 for left-handed; over names the
-    strand ("t1" or "t2") passing on top.
+    strand ("t1" or "t2") passing on top.  A tuple of its six fields.
     """
 
     t1: float
@@ -116,8 +114,8 @@ def pair_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return min(straight, crossed)
 
 
-def near_pairs(pairs) -> list[tuple[int, int]]:
-    """Every (i, j), i < j, with pair_distance(pairs[i], pairs[j]) <= EPS_DEDUPE, sorted.
+def near_pairs(t1, t2) -> list[tuple[int, int]]:
+    """Every (i, j), i < j, with pair_distance((t1[i], t2[i]), (t1[j], t2[j])) <= EPS_DEDUPE, sorted.
 
     Every time must be finite and in [0, 2*pi); any other raises ValueError
     naming the first such pair.  The 2n times are sorted, and gap i joins
@@ -140,11 +138,10 @@ def near_pairs(pairs) -> list[tuple[int, int]]:
     b - a <= x <= (2*pi - u) - (D - u/2) < 2*pi - D; and the wrap's span
     fl(last - first) >= D leaves 2*pi minus it at most 2*pi - D, exactly.
     """
-    t1, t2 = [a for a, _ in pairs], [b for _, b in pairs]
-    times = np.array(t1 + t2, dtype=np.float64)
+    times = np.concatenate((t1, t2), dtype=np.float64)
     owners = np.tile(np.arange(len(t1)), 2)
     order = np.lexsort((owners, times))
-    return _near_pairs(t1, t2, times[order], owners[order])[1]
+    return _near_pairs(times[: len(t1)].tolist(), times[len(t1) :].tolist(), times[order], owners[order])[1]
 
 
 def _near_pairs(t1, t2, times, owners) -> tuple[list[int], list[tuple[int, int]]]:
@@ -195,6 +192,7 @@ class _CrossingTable:
     point-independent factors, which the first ``height_gap`` builds over
     every row, so that each gap pays only for its phases.  A table that is
     never asked for a gap (the analytic set, the raster) never builds them.
+    Building one is most of an uncached point query, hence _crossing_table's cache.
     """
 
     def __init__(self, params: TorusParams):
@@ -256,9 +254,9 @@ class _CrossingTable:
 
 @functools.lru_cache(maxsize=32)
 def _crossing_table(params: TorusParams) -> _CrossingTable:
-    # cached: the point queries (sign_vector, same_knot_by_phases) of one
-    # (p, q) share one table, and with it its gap factors, built by the first
-    # query that asks for a gap; the benchmark's point-query gain is this reuse
+    # cached, so the point queries of one (p, q) share one table and its gap factors: at T(7,11)
+    # an uncached sign_vector takes about 170 us and a cached one 22 us, and one phase query
+    # batch of the benchmark (singular_lines, 16 sign vectors, 8 pairs) looks up its table 26 times
     return _CrossingTable(params)
 
 
@@ -419,13 +417,15 @@ class CrossingSet:
     @functools.cached_property
     def crossings(self) -> tuple[Crossing, ...]:
         """The rows as Crossing records, built on first read."""
-        indices = [
-            CrossingIndices((TYPE_I, TYPE_II)[kind], k, j) if kind >= 0 else None
-            for kind, k, j in zip(self.kind.tolist(), self.k.tolist(), self.j.tolist())
-        ]
         overs = ["t1" if over else "t2" for over in self.over_t1.tolist()]
+        indices = self._indices()
         rows = zip(self.t1.tolist(), self.t2.tolist(), self.sign.tolist(), overs, zip(*self.positions()), indices)
         return tuple(itertools.starmap(Crossing, rows))
+
+    def _indices(self) -> list[CrossingIndices | None]:
+        """Every row's CrossingIndices, or None for a row without analytic indices (kind -1)."""
+        return [CrossingIndices((TYPE_I, TYPE_II)[kind], k, j) if kind >= 0 else None
+                for kind, k, j in zip(self.kind.tolist(), self.k.tolist(), self.j.tolist())]
 
     def positions(self) -> tuple[list[float], list[float]]:
         """Every row's x(t1) and y(t1) as lists, in the math order (eval_math), so not from numpy's cos."""
@@ -595,7 +595,7 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     singular = dict(zip(ok[list(classified.singular)].tolist(), classified.singular.values()))
     fate[list(singular)] = _SINGULAR
     # sorted by first member, whose fate is final when read: a duplicate of a kept one, even if singular
-    for x, y in near_pairs(list(zip(a[ok].tolist(), b[ok].tolist()))):
+    for x, y in near_pairs(a[ok], b[ok]):
         if fate[ok[x]] == _OK:
             fate[ok[y]] = _DUPLICATE
 

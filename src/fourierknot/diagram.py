@@ -23,6 +23,7 @@ import itertools
 import operator
 from collections.abc import Hashable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,12 +169,11 @@ class PDCode:
         return len(self.crossings)
 
 
-@dataclass(frozen=True)
-class DiagramSummary:
+class DiagramSummary(NamedTuple):
     """Identification evidence: counts, writhe and the Alexander polynomial.
 
     Family counts are None when the crossings carry no analytic indices
-    (numeric crossing sets of arbitrary knots).
+    (numeric crossing sets of arbitrary knots).  A tuple of its five fields.
     """
 
     crossing_count: int

@@ -57,5 +57,5 @@ class SingularPoint(KnotError):
 
     def __init__(self, indices):
         self.indices = tuple(indices)
-        names = ", ".join(f"{ix.kind}:{ix.k}:{ix.j}" for ix in self.indices)
+        names = ", ".join(ix.key() for ix in self.indices)
         super().__init__(f"phase point is singular for crossings [{names}]")

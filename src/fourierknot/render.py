@@ -55,6 +55,8 @@ def knot_diagram_svg(knot: FourierKnot, crossings: CrossingSet, size: int = 640)
     sampled max(1024, 128 * max frequency) times; each break is a window of
     0.12 in t, narrowed to 0.35 of the closest spacing of under-passages.
     """
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     samples = max(1024, 128 * knot.max_frequency())
     under_times = np.sort(np.where(crossings.over_t1, crossings.t2, crossings.t1)).tolist()
     gap = 0.12
@@ -169,6 +171,8 @@ def phase_map_png(pmap, scale: int = 2) -> bytes:
     T(7,13)/2048 (MAX_GRID), the scanlines and the colour of each cell; the
     row copies and the line index arrays stay below that.
     """
+    if scale < 1:
+        raise ValueError(f"scale must be at least 1, got {scale}")
     grid = pmap.grid
     side = grid * scale
     # the colour of every class id, the palette repeated, then the singular
@@ -218,6 +222,8 @@ def phase_map_png(pmap, scale: int = 2) -> bytes:
 
 def phase_map_svg(pmap, size: int = 640) -> str:
     """Vector phase map: raster background, line overlay, point markers."""
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     raster = base64.b64encode(phase_map_png(pmap, scale=max(1, 512 // pmap.grid))).decode("ascii")
 
     def to_px(phi1: float, phi2: float) -> tuple[float, float]:

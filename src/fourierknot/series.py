@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,9 +152,8 @@ class FourierSeries:
         return max((tm.frequency for tm in self.terms), default=0)
 
 
-@dataclass(frozen=True)
-class FourierKnot:
-    """A closed space curve with one cosine series per coordinate."""
+class FourierKnot(NamedTuple):
+    """A closed space curve with one cosine series per coordinate; a tuple of the three."""
 
     x: FourierSeries
     y: FourierSeries

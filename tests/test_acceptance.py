@@ -84,7 +84,7 @@ def test_criterion_02_numeric_analytic_agreement():
         analytic = [(c.t1, c.t2) for c in analytic_crossing_set(knot, params).crossings]
         pairs = analytic + [(c.t1, c.t2) for c in numeric.crossings]
         near = {}  # per numeric crossing, its analytic pairs within EPS_DEDUPE = 1e-6
-        for i, j in near_pairs(pairs):
+        for i, j in near_pairs([a for a, _ in pairs], [b for _, b in pairs]):
             if i < len(analytic) <= j:
                 near.setdefault(j, []).append(i)
         for j, c in enumerate(numeric.crossings, len(analytic)):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourierknot import (
+    CrossingIndices,
     CrossingSet,
     FourierKnot,
     FourierSeries,
@@ -28,6 +29,7 @@ from fourierknot import (
     find_crossings_numeric,
     gen_standard_knot,
     gen_theorem_knot,
+    identify,
     knot_with_phases,
     sign_vector,
     simplified_phase_point,
@@ -392,6 +394,32 @@ def test_crossing_table_pinned():
     assert digest.hexdigest() == CROSSING_TABLE_DIGEST
 
 
+def test_index_records_are_tuples_with_one_key_format():
+    # the records with no checks are NamedTuples (FourierKnot too): each
+    # equals, hashes and orders as the tuple of its fields.  The repr and
+    # the SingularPoint message were taken from the frozen dataclasses
+    # these records replace
+    params = TorusParams(3, 7)
+    knot = gen_theorem_knot(params)
+    cs = analytic_crossing_set(knot, params)
+    crossing = cs.crossings[0]
+    summary = identify(knot, cs, params)
+    for record in (crossing.indices, crossing, summary, knot):
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert isinstance(record, tuple) and record == fields and hash(record) == hash(fields)
+    assert repr(CrossingIndices("II", 2, 5)) == "CrossingIndices(kind='II', k=2, j=5)"
+    assert CrossingIndices("I", 3, 1) < CrossingIndices("II", 1, 1) < CrossingIndices("II", 1, 2)
+    with pytest.raises(SingularPoint) as err:
+        sign_vector(params, simplified_phase_point(params))
+    assert str(err.value) == "phase point is singular for crossings [II:1:4, II:2:1, II:3:4]"
+    # key() is the key the CLI's text rows print, at every row
+    params = TorusParams(5, 7)
+    cs = analytic_crossing_set(gen_theorem_knot(params), params)
+    printed = [row.split()[0] for row in _crossings_text(cs, False).splitlines()[1:]]
+    assert printed == [c.indices.key() for c in cs.crossings]
+    assert len(printed) == crossing_count(5, 7)
+
+
 def test_analytic_set_on_a_singular_line_names_the_first_singular_row():
     # the point lies on the lines of six type-II crossings; the refusal names
     # the first of them in table order, (II, 1, 4), by its reduced times
@@ -710,7 +738,7 @@ def clustered_time_pairs(draw):
 @example(pairs=[(1.0, 2.0), (1.0 + 9e-7, 2.0 + 9e-7), (1.0 + 1.8e-6, 2.0 + 1.8e-6)])  # a chain
 @given(pairs=clustered_time_pairs())
 def test_near_pairs_matches_all_pairs(pairs):
-    assert near_pairs(pairs) == near_pairs_reference(pairs)
+    assert near_pairs([a for a, _ in pairs], [b for _, b in pairs]) == near_pairs_reference(pairs)
 
 
 def test_crossing_set_json_csv_shape():

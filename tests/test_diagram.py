@@ -580,11 +580,9 @@ def test_incomplete_passages_detected():
     params = TorusParams(2, 3)
     knot = gen_theorem_knot(params)
     cs = analytic_crossing_set(knot, params)
-    from dataclasses import replace
-
     # clone one crossing onto a distinct-but-coincident passage time
     bad = list(cs.crossings)
-    bad[1] = replace(bad[1], t1=bad[0].t1)
+    bad[1] = bad[1]._replace(t1=bad[0].t1)
     bad.sort(key=lambda c: (c.t1, c.t2))
     broken = crossing_set(knot, bad)
     with pytest.raises(IncompleteCrossingSet):
@@ -675,15 +673,13 @@ def test_sweep_on_numeric_sets(p, q, grid):
 def test_sweep_refuses_passage_at_critical_time():
     # the type I crossing whose earlier time is nearest a critical time k*pi/3
     # of x = cos(3t), moved to within 5e-7 of it, could lie on either strand
-    from dataclasses import replace
-
     params, knot, cs = theorem_set(3, 7)
     critical = [k * math.pi / 3 for k in range(1, 6)]
     i = min((i for i, c in enumerate(cs.crossings) if c.indices.kind == TYPE_I),
             key=lambda i: min(abs(cs.crossings[i].t1 - t) for t in critical))
     t = min(critical, key=lambda t: abs(cs.crossings[i].t1 - t))
     moved = list(cs.crossings)
-    moved[i] = replace(moved[i], t1=t + 5e-7)
+    moved[i] = moved[i]._replace(t1=t + 5e-7)
     moved.sort(key=lambda c: (c.t1, c.t2))
     with pytest.raises(SingularDiagram, match="critical time"):
         diagram._alexander_from_sweep(knot, crossing_set(knot, moved))
@@ -976,8 +972,8 @@ def test_random_cosine_knots_grid_doubling():
         compared += 1
         n = len(coarse)
         assert len(fine) == n
-        across = [(i, j) for i, j in near_pairs([(c.t1, c.t2) for c in coarse.crossings + fine.crossings])
-                  if i < n <= j]
+        pairs = near_pairs(np.concatenate((coarse.t1, fine.t1)), np.concatenate((coarse.t2, fine.t2)))
+        across = [(i, j) for i, j in pairs if i < n <= j]
         assert {i for i, _ in across} == set(range(n))
         assert {j for _, j in across} == set(range(n, 2 * n))
     assert compared >= 20

@@ -462,7 +462,7 @@ def keep_pass_reference(knot, ii, jj, status, t1, t2, diagnostics, events):
     refined = list(zip(ii.tolist(), jj.tolist(), status.tolist()))
     ok = np.flatnonzero(status == 0).tolist()
     earlier: dict[int, list[int]] = {}
-    for x, y in near_pairs(list(zip(a[ok].tolist(), b[ok].tolist()))):
+    for x, y in near_pairs(a[ok], b[ok]):
         earlier.setdefault(ok[y], []).append(ok[x])
     row = {k: m for m, k in enumerate(ok)}
     classified = _classify_pairs(knot, a[ok], b[ok])

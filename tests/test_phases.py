@@ -1,8 +1,8 @@
-import dataclasses
 import hashlib
 import itertools
 import math
 import random
+import struct
 import tracemalloc
 
 import numpy as np
@@ -51,7 +51,7 @@ from fourierknot.phases import (
     _phase_classes,
     _phi2_along,
 )
-from fourierknot.render import phase_map_png
+from fourierknot.render import knot_diagram_svg, phase_map_png
 from fourierknot.series import TWO_PI, sine_split
 from crossings_reference import family
 from render_reference import phase_rgb, rgb_png, upscaled
@@ -287,6 +287,48 @@ def test_point_queries_pinned():
         answers += [x for x in batch if isinstance(x, bool)]
     assert True in answers and False in answers
     assert digest.hexdigest() == "f5c317bc085179200e086833e4079d1a9737c59c6b37b03743ce0b1209532a45"
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (5, 9), (7, 13)])
+def test_uncached_point_queries_equal_cached_ones(pq):
+    # each uncached call builds its own crossing table (cache_clear first);
+    # the cached call before it reads a table whose gap factors are built
+    params = TorusParams(*pq)
+    rng = random.Random(pq[0] * 100 + pq[1])
+
+    def uncached(query, *args):
+        _crossing_table.cache_clear()
+        return query(params, *args)
+
+    points = []
+    while len(points) < 12:
+        point = PhasePoint(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
+        try:
+            cached = sign_vector(params, point)
+        except SingularPoint:
+            continue
+        fresh = uncached(sign_vector, point)
+        assert fresh.items == cached.items and fresh.to_json() == cached.to_json()
+        points.append(point)
+
+    def same(a, b, clear):
+        if clear:
+            _crossing_table.cache_clear()
+        try:
+            return same_knot_by_phases(params, a, b)
+        except SingularPoint as err:  # b may lie on a line
+            return err.indices
+
+    pairs = list(zip(points, points[1:])) + [(a, PhasePoint(a.phi1 + 1e-3, a.phi2)) for a in points]
+    answers = [same(a, b, False) for a, b in pairs]
+    assert [same(a, b, True) for a, b in pairs] == answers
+    assert True in answers and False in answers
+    if params.p % 2:
+        with pytest.raises(SingularPoint) as cached_err:
+            sign_vector(params, simplified_phase_point(params))
+        with pytest.raises(SingularPoint) as fresh_err:
+            uncached(sign_vector, simplified_phase_point(params))
+        assert fresh_err.value.indices == cached_err.value.indices and fresh_err.value.indices
 
 
 def _singular_indices(params, point=None):
@@ -579,6 +621,22 @@ def test_phase_map_grid_floor():
         phase_map_render(TorusParams(2, 3), 2049)
 
 
+def test_image_sizes_below_one_are_refused():
+    # they wrote an SVG of width "0" or "-5", or failed inside numpy (scale 0)
+    params = TorusParams(2, 3)
+    knot = gen_theorem_knot(params)
+    with pytest.raises(ValueError, match=r"^size must be at least 1, got 0$"):
+        knot_diagram_svg(knot, analytic_crossing_set(knot, params), size=0)
+    pmap = phase_map_render(params, 64)
+    with pytest.raises(ValueError, match=r"^size must be at least 1, got -5$"):
+        pmap.to_svg(size=-5)
+    with pytest.raises(ValueError, match=r"^scale must be at least 1, got 0$"):
+        pmap.to_png_bytes(scale=0)
+    assert 'width="1"' in knot_diagram_svg(knot, analytic_crossing_set(knot, params), size=1)
+    assert 'width="1"' in pmap.to_svg(size=1)
+    assert pmap.to_png_bytes(scale=1)[16:24] == struct.pack(">II", 64, 64)  # IHDR: width, height
+
+
 def test_phase_map_sign_table_budget(monkeypatch):
     import fourierknot.phases as ph
 
@@ -844,7 +902,7 @@ def test_phase_map_png_matches_loop(p, q, grid):
     # n = 7 to 156, with horizontal lines and +-1 diagonals that wrap at phi2 = 0
     pmap = phase_map_render(TorusParams(p, q), grid)
     assert {line.slope for line in pmap.lines} == {-1, 0, 1}
-    for marked in (pmap, dataclasses.replace(pmap, marks=[])):
+    for marked in (pmap, pmap._replace(marks=())):
         for scale in (1, 2, 3):
             assert phase_map_png(marked, scale=scale) == phase_map_png_loop(marked, scale), scale
 
