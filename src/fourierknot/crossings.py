@@ -117,11 +117,12 @@ def pair_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 def near_pairs(t1, t2) -> list[tuple[int, int]]:
     """Every (i, j), i < j, with pair_distance((t1[i], t2[i]), (t1[j], t2[j])) <= EPS_DEDUPE, sorted.
 
-    Every time must be finite and in [0, 2*pi); any other raises ValueError
-    naming the first such pair.  The 2n times are sorted, and gap i joins
-    time i to the next, circularly (i = 2n - 1: the last against the first,
-    across the wrap).  A gap is close when circular_distance would put its
-    times within EPS_DEDUPE: for sorted times in [0, 2*pi) that is
+    The columns must have one length, and every time must be finite and in
+    [0, 2*pi); anything else raises ValueError naming both lengths or the
+    first such pair.  The 2n times are sorted, and gap i joins time i to
+    the next, circularly (i = 2n - 1: the last against the first, across
+    the wrap).  A gap is close when circular_distance would put its times
+    within EPS_DEDUPE: for sorted times in [0, 2*pi) that is
     min(d, 2*pi - d) for d = fl(b - a), or fl(last - first) at the wrap (if
     d rounds to 2*pi the remainder is 0, and 2*pi - d = 0 agrees).  Runs of
     close gaps, the last merged into the first across the wrap, group the
@@ -138,6 +139,8 @@ def near_pairs(t1, t2) -> list[tuple[int, int]]:
     b - a <= x <= (2*pi - u) - (D - u/2) < 2*pi - D; and the wrap's span
     fl(last - first) >= D leaves 2*pi minus it at most 2*pi - D, exactly.
     """
+    if len(t1) != len(t2):
+        raise ValueError(f"near_pairs needs columns of one length, got {len(t1)} and {len(t2)} times")
     times = np.concatenate((t1, t2), dtype=np.float64)
     owners = np.tile(np.arange(len(t1)), 2)
     order = np.lexsort((owners, times))

@@ -11,9 +11,10 @@ handedness laws with the Alexander polynomial, checked against the classical
 torus closed form.  identify takes the polynomial from a sweep across x
 instead: the passages, cut into strands wherever the direction of x turns,
 give a bridge presentation (p bridges for x = cos(p t)) whose minor, one
-row per maximum but the first, has the same determinant.  The sweep carries its labels in one
-integer array and updates a whole level of Kahn's order at once; the array
-turns into Python ints before a coefficient could overflow int64.
+row per maximum but the first, has the same determinant.  The sweep packs
+each label into one Python int of small fixed-width fields, updates it with
+a shift per crossing in Kahn's order and certifies every update with one
+mask test, widening the fields and starting again when a test fails.
 """
 
 from __future__ import annotations
@@ -317,23 +318,59 @@ def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
     return det.normalized()
 
 
-# labels stay int64 while three times their coefficient bound is at most this
-_INT64_LIMIT = 1 << 62
+def _label_pass(steps: list[tuple[int, int, bool]], f: int, depth: int, bits: int) -> list[int] | None:
+    """The sweep's 2f strand labels after `steps` in fields of `bits` bits, or None when one overflowed.
 
-
-def _exact(labels: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
-    """The labels and a bound on their largest |coefficient|, safe for one more level.
-
-    A level at most triples the largest |coefficient|.  When three times
-    the bound could pass _INT64_LIMIT the bound becomes the true largest
-    |coefficient|, and if that is still too large the labels become Python
-    ints (dtype object), which never wrap.
+    A step (under, over, rising) sets the under-strand's label L to
+    O + t*(L - O) when rising, else O + t^-1*(L - O), for the over-strand's
+    label O.  A label is one Python int: field slot*(f - 1) + g - 1 holds
+    the coefficient of t^(slot - depth) in generator g plus 2^(bits - 3),
+    for generators 1..f - 1 and slots 0..2*depth, so t^{+-1} is a shift by
+    bits*(f - 1) and the biases cancel in L - O.  See _alexander_from_sweep
+    for why each step is exact.
     """
-    if labels.dtype != object and 3 * bound > _INT64_LIMIT:
-        bound = int(np.abs(labels).max())
-        if 3 * bound > _INT64_LIMIT:
-            labels = labels.astype(object)
-    return labels, bound
+    gens = f - 1
+    ones = ((1 << bits * (2 * depth + 1) * gens) - 1) // ((1 << bits) - 1)  # a 1 in every field
+    bias, mask, shift = ones << (bits - 3), ones * (3 << (bits - 2)), bits * gens
+    labels = [bias] * 2 + [bias + (1 << bits * (depth * gens + s // 2 - 1)) for s in range(2, 2 * f)]
+    for under, over, rising in steps:
+        o = labels[over]
+        new = o + ((labels[under] - o) << shift if rising else (labels[under] - o) >> shift)
+        if new & mask:  # a field left [0, 2^(bits - 2))
+            return None
+        labels[under] = new
+    return labels
+
+
+def _sweep_minor(steps: list[tuple[int, int, bool]], f: int, depth: int) -> list[dict[int, LaurentPolynomial]]:
+    """The sweep's f - 1 bridge rows from its steps in Kahn order, D = depth levels deep.
+
+    The labels are packed first in 8-bit fields and, while a field
+    overflows, again at twice the width (see _alexander_from_sweep).  The
+    2f - 2 labels the rows read are cut into fields with int.to_bytes and
+    np.frombuffer (Python ints for fields over 64 bits); the biases cancel
+    in each row label(2m - 1) - label(2m), and its {column: entry} map is
+    built from its nonzero coefficients only.
+    """
+    bits = 8
+    while (labels := _label_pass(steps, f, depth, bits)) is None:
+        bits *= 2
+    raw = b"".join(label.to_bytes((2 * depth + 1) * (f - 1) * bits // 8, "little") for label in labels[1:-1])
+    if bits <= 64:
+        fields = np.frombuffer(raw, dtype=f"<u{bits // 8}").astype(np.int64)
+    else:  # each field from its little-endian 64-bit limbs
+        limbs = np.frombuffer(raw, dtype="<u8").astype(object).reshape(-1, bits // 64)
+        fields = sum(limbs[:, j] << 64 * j for j in range(bits // 64))
+    pairs = fields.reshape(f - 1, 2, 2 * depth + 1, f - 1)  # [maximum, side, slot, generator]
+    diff = (pairs[:, 0] - pairs[:, 1]).transpose(0, 2, 1)  # [row, column, slot]
+    row, col, slot = np.nonzero(diff)
+    entries: dict[tuple[int, int], dict[int, int]] = {}
+    for r, c, e, v in zip(row.tolist(), col.tolist(), (slot - depth).tolist(), diff[row, col, slot].tolist()):
+        entries.setdefault((r, c), {})[e] = v
+    minor: list[dict[int, LaurentPolynomial]] = [{} for _ in range(f - 1)]
+    for (r, c), entry in entries.items():
+        minor[r][c] = LaurentPolynomial._adopt(entry)
+    return minor
 
 
 def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentPolynomial:
@@ -374,18 +411,31 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     passage within EPS_DEDUPE of a critical time (|x''| <= x.norm(2)),
     the distance at which the set calls two passage times the same.
 
-    Kahn's order is taken a level at a time: level l holds the crossings
-    whose chain predecessors all lie in levels before it.  Two crossings
-    on one strand are ordered in its chain, so a level touches each strand
-    at most once and its updates are independent.  All labels live in one
-    array of shape (2f, (2D + 1)*f) for D levels: column e*f + g of strand
-    s holds the coefficient of t^(e - D) in generator g, and t^{+-1} is a
-    shift by f columns.  After level l every exponent lies in [-l, l], so
-    the labels a level reads lie in (-D, D) and the shift never pushes a
-    term out of the array.  Exactness: a level at most triples the largest
-    |coefficient|; the labels stay int64 while that bound allows and
-    otherwise turn into Python ints in place (see _exact), so nothing wraps
-    and nothing is refused.
+    Kahn's order is walked one crossing at a time; it is taken a level at a
+    time only to count its D levels.  Level l holds the crossings whose
+    chain predecessors all lie in levels before it, so a crossing of level
+    l reads labels that levels before l wrote.  Generator 0 is dropped: its
+    column is deleted from the minor, and an update never mixes generators,
+    so it never feeds the others.  Each label is one Python int of K-bit
+    fields (see _label_pass): one field per exponent slot -D..D and
+    generator 1..f - 1, storing the coefficient plus 2^(K-3).  A crossing
+    costs one update O + ((L - O) << K*(f - 1)), or >> for t^-1, and one
+    AND with a mask of every field's top two bits.
+    Why each step is exact:
+    - the shifts: after level l every exponent lies in [-l, l], so the
+      labels a crossing of level l <= D reads lie in [-(D - 1), D - 1] and
+      leave the lowest and the highest slot empty.  The right shift then
+      drops only zero bits, and the left shift moves no term past the top
+      slot;
+    - the certificate: while every field lies in [0, 2^(K-2)), every
+      coefficient lies in [-2^(K-3), 2^(K-3)), so an update's true
+      coefficients lie within 3*2^(K-3) of 0 and its biased fields within
+      (-2^(K-2), 2^(K-1)).  The lowest field outside [0, 2^(K-2)) then
+      gets no carry from below and shows one of its top two bits, so a
+      passing mask test leaves no hidden carry and every field is its
+      biased coefficient;
+    - a failed test restarts the walk at 2K bits, from K = 8, so the labels
+      stay exact at any size and nothing is refused (see _sweep_minor).
     """
     t, cid, is_over = _sorted_passages(crossings)
     n = len(crossings)
@@ -418,56 +468,24 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     indeg = np.bincount(cid[tail], minlength=n + 1)
     indeg[n] = -1  # the stand-in successor n never becomes ready
 
-    # Kahn's order a level at a time: per level the crossings' over strands,
-    # then their under strands, the rising ones first in both
-    succ, indeg, rising = succ.tolist(), indeg.tolist(), rising.tolist()
-    under, over = strand.T.tolist()
-    strands: list[int] = []
-    sizes: list[tuple[int, int]] = []  # (crossings, rising crossings) per level
+    succ, indeg = succ.tolist(), indeg.tolist()
+    steps = list(zip(*strand.T.tolist(), rising.tolist()))  # (under, over, rising) per crossing
+    order: list[int] = []
     ready = [i for i in range(n) if not indeg[i]]
-    done = 0
+    depth = 0
     while ready:
-        up = [i for i in ready if rising[i]]
-        level = up + [i for i in ready if not rising[i]]
-        strands += [over[i] for i in level] + [under[i] for i in level]
-        sizes.append((len(level), len(up)))
-        done += len(level)
-        ready = []
+        order += ready
+        depth += 1
+        level, ready = ready, []
         for i in level:
             for j in succ[i]:
                 indeg[j] -= 1
                 if not indeg[j]:
                     ready.append(j)
-    if done != n:
-        raise SingularDiagram(f"the strands' crossing order has a cycle through {n - done} crossing(s)")
+    if len(order) != n:
+        raise SingularDiagram(f"the strands' crossing order has a cycle through {n - len(order)} crossing(s)")
 
-    depth = len(sizes)
-    labels = np.zeros((2 * f, (2 * depth + 1) * f), dtype=np.int64)
-    first = np.arange(2 * f, dtype=np.intp)
-    labels[first, depth * f + first // 2] = 1
-    gather = np.array(strands, dtype=np.intp)
-    bound = 1
-    lo = 0
-    for k, up in sizes:
-        labels, bound = _exact(labels, bound)
-        o = labels.take(gather[lo:lo + 2 * k], axis=0)
-        d = o[k:]
-        o = o[:k]
-        d -= o
-        if up:
-            o[:up, f:] += d[:up, :-f]
-        if up < k:
-            o[up:, :-f] += d[up:, f:]
-        labels[gather[lo + k:lo + 2 * k]] = o
-        bound *= 3
-        lo += 2 * k
-
-    labels, bound = _exact(labels, bound)  # the rows' difference is one more such step
-    diff = (labels[1:-1:2] - labels[2::2]).reshape(f - 1, 2 * depth + 1, f)[:, :, 1:].transpose(0, 2, 1)
-    minor: list[dict[int, LaurentPolynomial]] = []
-    for row in diff.tolist():
-        terms = ({e - depth: v for e, v in enumerate(entry) if v} for entry in row)
-        minor.append({c: LaurentPolynomial._adopt(entry) for c, entry in enumerate(terms) if entry})
+    minor = _sweep_minor([steps[i] for i in order], f, depth)
     det = det_poly_matrix(minor)
     if det.is_zero:
         raise SingularDiagram("bridge-relation determinant vanishes")

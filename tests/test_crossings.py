@@ -741,6 +741,13 @@ def test_near_pairs_matches_all_pairs(pairs):
     assert near_pairs([a for a, _ in pairs], [b for _, b in pairs]) == near_pairs_reference(pairs)
 
 
+def test_near_pairs_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError, match=r"^near_pairs needs columns of one length, got 1 and 2 times$"):
+        near_pairs([0.1], [0.2, 0.3])
+    with pytest.raises(ValueError, match=r"got 3 and 0 times$"):
+        near_pairs(np.array([0.1, 0.2, 0.3]), np.array([]))
+
+
 def test_crossing_set_json_csv_shape():
     params = TorusParams(2, 3)
     cs = analytic_crossing_set(gen_theorem_knot(params), params)

@@ -721,33 +721,86 @@ def test_sweep_without_crossings_is_one():
     assert diagram._alexander_from_sweep(knot, crossing_set(knot, ())) == L.one()
 
 
-def test_sweep_switches_to_python_ints(monkeypatch):
-    # with the int64 limit at 5 the bound is recomputed while every
-    # coefficient is 1 and the labels turn into Python ints once one is 2;
-    # every captured minor and polynomial stays as it was
-    monkeypatch.setattr(diagram, "_INT64_LIMIT", 5)
-    exact = diagram._exact
-    dtypes = set()
+@pytest.mark.parametrize("first", [16, 32, 64, 128, 256])
+def test_sweep_width_ladder(monkeypatch, first):
+    # passes in fields narrower than `first` bits are refused as if a field
+    # had overflowed, so every pinned pair widens from 8 bits to `first` and
+    # decodes there: through uint16/32/64 arrays, or through Python ints from
+    # 64-bit limbs above 64 bits; every captured minor stays as it was
+    label_pass = diagram._label_pass
+    widths = set()
 
-    def spy(labels, bound):
-        out = exact(labels, bound)
-        if labels.dtype != object and 3 * bound > 5:
-            dtypes.add(out[0].dtype)
-        return out
+    def narrow_refused(steps, f, depth, bits):
+        widths.add(bits)
+        return label_pass(steps, f, depth, bits) if bits >= first else None
 
-    monkeypatch.setattr(diagram, "_exact", spy)
+    monkeypatch.setattr(diagram, "_label_pass", narrow_refused)
     digest = hashlib.sha256()
     for p, q in PINNED_PAIRS:
         params, knot, cs = theorem_set(p, q)
         rows = captured_minor(monkeypatch, diagram._alexander_from_sweep, knot, cs)
         digest.update(f"{p} {q} {rows!r}\n".encode())
     assert digest.hexdigest() == SWEEP_ROWS_DIGEST
-    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    assert sorted(widths) == [8 << k for k in range(first.bit_length() - 3)]
     # equal minors give equal polynomials; a sample runs the whole route
     monkeypatch.setattr(diagram, "det_poly_matrix", det_poly_matrix)
     for p, q in PINNED_PAIRS[::8]:
         params, knot, cs = theorem_set(p, q)
         assert diagram._alexander_from_sweep(knot, cs) == torus_alexander_oracle(params), (p, q)
+
+
+def sweep_minor_reference(steps, f):
+    """The sweep's bridge rows from its steps by LaurentPolynomial arithmetic, generator 0 kept until the end."""
+    units = {True: L.monomial(1), False: L.monomial(-1)}
+    labels = [[L.one() if g == s // 2 else L.zero() for g in range(f)] for s in range(2 * f)]
+    for under, over, rising in steps:
+        labels[under] = [o + units[rising] * (l - o) for l, o in zip(labels[under], labels[over])]
+    rows = []
+    for m in range(1, f):
+        entries = [a - b for a, b in zip(labels[2 * m - 1], labels[2 * m])][1:]
+        rows.append([(c, e.pairs()) for c, e in enumerate(entries) if not e.is_zero])
+    return rows
+
+
+def test_sweep_widens_a_field_that_overflows(monkeypatch):
+    # three crossings repeated nine times on a 2-bridge sweep make the
+    # coefficients about four times larger per round (42 after three rounds,
+    # 169,766 after nine), so an update leaves an 8-bit field and then a
+    # 16-bit one; the mask catches both, and the rows come from the 32-bit
+    # pass, equal to LaurentPolynomial arithmetic rather than wrapped
+    steps = [(0, 2, True), (1, 0, True), (2, 1, True)] * 9
+    depth = len(steps)  # one crossing per level
+    for bits in (8, 16):
+        assert diagram._label_pass(steps, 2, depth, bits) is None
+    assert diagram._label_pass(steps, 2, depth, 32) is not None
+    label_pass = diagram._label_pass
+    widths = []
+
+    def spy(steps, f, depth, bits):
+        widths.append(bits)
+        return label_pass(steps, f, depth, bits)
+
+    monkeypatch.setattr(diagram, "_label_pass", spy)
+    rows = [[(c, e.pairs()) for c, e in row.items()] for row in diagram._sweep_minor(steps, 2, depth)]
+    assert widths == [8, 16, 32]
+    assert rows == sweep_minor_reference(steps, 2)
+    assert max(abs(v) for row in rows for _, pairs in row for _, v in pairs) > 1 << 13
+    # three rounds leave only the 8-bit field, and 16 bits hold them
+    steps = steps[:9]
+    widths.clear()
+    rows = [[(c, e.pairs()) for c, e in row.items()] for row in diagram._sweep_minor(steps, 2, len(steps))]
+    assert widths == [8, 16]
+    assert rows == sweep_minor_reference(steps, 2)
+
+
+def test_sweep_matches_oracle_on_the_p2_line():
+    # one generator, a 1 x 1 minor and about q levels, up to T(2, 351), the
+    # largest p = 2 pair within verify's budget; no pinned pair reaches it
+    for q in range(3, 352, 2):
+        params = TorusParams(2, q)
+        knot = gen_theorem_knot(params)
+        cs = analytic_crossing_set(knot, params)
+        assert diagram._alexander_from_sweep(knot, cs) == torus_alexander_oracle(params), q
 
 
 def test_sweep_matches_pd_route_at_random_phases():
