@@ -25,6 +25,7 @@ from .series import (
     FourierKnot,
     FourierSeries,
     TorusParams,
+    _int_at_least,
     reduce_angles,
     sine_factors,
     sine_split,
@@ -347,7 +348,9 @@ class CrossingSet:
     ``passages``.  Each check refuses with ValueError, and a duplicate
     error names the lexicographically first near pair.
 
-    ``passages`` are sorted once per set; the codes and the sweep read them.
+    ``passages`` holds all 2n passages in time order, sorted once as the set
+    is built, as read-only arrays (time, crossing index, is_over 0 or 1),
+    ties by index and then under first; the codes and the sweep read them.
     ``coincident_passage`` is the first i whose passage lies within
     EPS_DEDUPE of the next one (i = 2n - 1: the last against the first,
     across the wrap, checked last), else None; close passages of distinct
@@ -366,6 +369,7 @@ class CrossingSet:
     j: np.ndarray
     method: str  # "analytic" | "numeric"
     singular_candidates: int = 0
+    passages: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
     coincident_passage: int | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -391,6 +395,13 @@ class CrossingSet:
         t1, t2 = self.t1, self.t2
         if np.any((t1[:-1] > t1[1:]) | ((t1[:-1] == t1[1:]) & (t2[:-1] > t2[1:]))):
             raise ValueError("crossings must be sorted by (t1, t2)")
+        times = np.concatenate((t1, t2))
+        ids = np.tile(np.arange(len(t1)), 2)
+        is_over = np.concatenate((self.over_t1, ~self.over_t1)).astype(np.intp)
+        order = np.lexsort((is_over, ids, times))
+        object.__setattr__(self, "passages", (times[order], ids[order], is_over[order]))
+        for column in self.passages:
+            column.flags.writeable = False
         times, ids, _ = self.passages
         t1, t2 = t1.tolist(), t2.tolist()
         close, near = _near_pairs(t1, t2, times, ids)
@@ -401,21 +412,6 @@ class CrossingSet:
                 f"({t1[a]}, {t2[a]}) vs ({t1[b]}, {t2[b]})"
             )
         object.__setattr__(self, "coincident_passage", close[0] if close else None)
-
-    @functools.cached_property
-    def passages(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All 2n passages in time order as arrays (time, crossing index, is_over 0 or 1); ties: index, under first.
-
-        The arrays are read-only, like the columns.
-        """
-        times = np.concatenate((self.t1, self.t2))
-        ids = np.tile(np.arange(len(self)), 2)
-        is_over = np.concatenate((self.over_t1, ~self.over_t1)).astype(np.intp)
-        order = np.lexsort((is_over, ids, times))
-        passages = times[order], ids[order], is_over[order]
-        for column in passages:
-            column.flags.writeable = False
-        return passages
 
     @functools.cached_property
     def crossings(self) -> tuple[Crossing, ...]:
@@ -566,11 +562,10 @@ def find_crossings_numeric(knot: FourierKnot, grid: int, diagnostics: list | Non
     builders refuse it if there are any.  Memory grows as about 235 bytes
     per grid point, so grids above MAX_NUMERIC_GRID = 2**21 (about 490 MB)
     are refused with ValueError before anything is allocated, as are grids
-    below 1 or the sampling floor, and xy amplitudes too small for the scan
-    (_kernels._PARALLEL_SHARE).
+    that are not integers, grids below 1 or the sampling floor, and xy
+    amplitudes too small for the scan (_kernels._PARALLEL_SHARE).
     """
-    if grid < 1:
-        raise ValueError(f"grid must be at least 1, got {grid}")
+    grid = _int_at_least(grid, 1, "grid")
     if grid > MAX_NUMERIC_GRID:
         raise ValueError(f"grid must be at most {MAX_NUMERIC_GRID}, got {grid}")
     floor = 4 * knot.max_frequency() * knot.term_count()

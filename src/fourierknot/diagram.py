@@ -349,8 +349,8 @@ def _sweep_minor(steps: list[tuple[int, int, bool]], f: int, depth: int) -> list
     overflows, again at twice the width (see _alexander_from_sweep).  The
     2f - 2 labels the rows read are cut into fields with int.to_bytes and
     np.frombuffer (Python ints for fields over 64 bits); the biases cancel
-    in each row label(2m - 1) - label(2m), and its {column: entry} map is
-    built from its nonzero coefficients only.
+    in each row label(2m - 1) - label(2m), and each row's {column: entry}
+    map is written in one walk over the nonzero coefficients.
     """
     bits = 8
     while (labels := _label_pass(steps, f, depth, bits)) is None:
@@ -364,12 +364,11 @@ def _sweep_minor(steps: list[tuple[int, int, bool]], f: int, depth: int) -> list
     pairs = fields.reshape(f - 1, 2, 2 * depth + 1, f - 1)  # [maximum, side, slot, generator]
     diff = (pairs[:, 0] - pairs[:, 1]).transpose(0, 2, 1)  # [row, column, slot]
     row, col, slot = np.nonzero(diff)
-    entries: dict[tuple[int, int], dict[int, int]] = {}
-    for r, c, e, v in zip(row.tolist(), col.tolist(), (slot - depth).tolist(), diff[row, col, slot].tolist()):
-        entries.setdefault((r, c), {})[e] = v
     minor: list[dict[int, LaurentPolynomial]] = [{} for _ in range(f - 1)]
-    for (r, c), entry in entries.items():
-        minor[r][c] = LaurentPolynomial._adopt(entry)
+    for r, c, e, v in zip(row.tolist(), col.tolist(), (slot - depth).tolist(), diff[row, col, slot].tolist()):
+        if c not in minor[r]:  # nonzero walks (row, column, slot) in order: a new entry
+            minor[r][c] = LaurentPolynomial._adopt(entry := {})
+        entry[e] = v
     return minor
 
 

@@ -8,11 +8,13 @@ computed by fraction-free Bareiss elimination over Z with complete pivoting
 on the shortest entry, and read back as balanced base-2**k digits.
 
 Inside the determinant entries are plain {exponent: coefficient} maps, which
-the reduction and the engine take and return; only det_poly_matrix converts.
+the reduction and the engine take as they are (the engine moves each row's
+exponents while it evaluates the row); only det_poly_matrix converts.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 
@@ -131,13 +133,9 @@ class LaurentPolynomial:
 
     def normalized(self) -> "LaurentPolynomial":
         """Strip units: lowest exponent 0, constant term positive."""
-        if not self._c:
-            return LaurentPolynomial()
-        v = self.valuation()
-        out = {e - v: c for e, c in self._c.items()}
-        if out[0] < 0:
-            out = {e: -c for e, c in out.items()}
-        return LaurentPolynomial(out)
+        v = min(self._c, default=0)
+        unit = -1 if self._c.get(v, 0) < 0 else 1
+        return LaurentPolynomial._adopt({e - v: unit * c for e, c in self._c.items()})
 
     # -- dunder plumbing -----------------------------------------------------
 
@@ -179,10 +177,10 @@ class LaurentPolynomial:
 
 # ---------------------------------------------------------------------------
 # The determinant engine.  It takes the remainder as a list of rows, each row
-# a list of {exponent: coefficient} maps with non-negative exponents ({} is
-# zero), and returns the determinant's coefficient list.  It computes the
-# integer det(A(2**k)), which equals det(A)(2**k), and reads the determinant's
-# coefficients back from it as balanced base-2**k digits.
+# a list of {exponent: coefficient} maps ({} is zero), moves each row by the
+# unit t**-v, v its least exponent or 0 if none is negative, and returns (the
+# sum of the v, the moved rows' determinant as a coefficient list).  The list
+# is read back from the integer det(A(2**k)) as balanced base-2**k digits.
 
 
 def _kronecker_bits(m: list[list[dict[int, int]]]) -> int:
@@ -211,23 +209,25 @@ def _balanced_digits(v: int, k: int) -> list[int]:
     return out
 
 
-def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> list[int]:
+def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> tuple[int, list[int]]:
     """Fraction-free Bareiss elimination over Z at the Kronecker point t = 2**k.
 
     m is the list of remainder rows; each entry's value at 2**k is summed
-    straight from its map.  Each step pivots on the nonzero entry of the
-    remaining block with the fewest bits (the first in row-major order on a
-    tie), swapped into place by a row swap and a column swap that each flip
-    the sign.  Swaps inside the remaining block keep every entry a minor of
-    the permuted matrix, so each step's division stays exact.  The pivots
-    decide how long those minors get: the x-sweep's rows nearly cancel at
-    2**k, and short pivots keep the minors short.
+    straight from its map, its exponents moved by its row's v, which leaves
+    k alone.  Each step pivots on the nonzero entry of the remaining block with the
+    fewest bits (the first in row-major order on a tie), swapped into place
+    by a row swap and a column swap that each flip the sign.  Swaps inside
+    the remaining block keep every entry a minor of the permuted matrix, so
+    each step's division stays exact.  The pivots decide how long those
+    minors get: the x-sweep's rows nearly cancel at 2**k, and short pivots
+    keep the minors short.
     """
     n = len(m)
     if n == 0:
-        return [1]
+        return 0, [1]
     k = _kronecker_bits(m)
-    a = [[sum(c << (k * d) for d, c in e.items()) for e in row] for row in m]
+    low = [min([min(e) for e in row if e] + [0]) for row in m]
+    a = [[sum(c << (k * (d - v)) for d, c in e.items()) for e in row] for row, v in zip(m, low)]
     sign = 1
     prev = 1
     for i in range(n - 1):
@@ -239,7 +239,7 @@ def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> list[int]:
                 if x and (not bits or x.bit_length() < bits):
                     bits, pr, pc = x.bit_length(), r, c
         if not bits:  # the remaining block is zero
-            return []
+            return sum(low), []
         if pr != i:
             a[i], a[pr] = a[pr], a[i]
             sign = -sign
@@ -253,7 +253,7 @@ def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> list[int]:
             head = row[i]
             row[i + 1 :] = [(x * piv - head * y) // prev for x, y in zip(row[i + 1 :], pivot_tail)]
         prev = piv
-    return _balanced_digits(sign * a[n - 1][n - 1], k)
+    return sum(low), _balanced_digits(sign * a[n - 1][n - 1], k)
 
 
 _FILL_LIMIT = 64
@@ -352,36 +352,33 @@ def det_poly_matrix(
 ) -> LaurentPolynomial:
     """Exact determinant of an n x n Laurent-polynomial matrix, n = len(rows).
 
-    Each row is a list of n entries or a sparse {column: entry} dict.  The
-    entries' {exponent: coefficient} maps go through sparse unit reduction,
-    and each remainder row's maps are moved to non-negative exponents.
-    The remainder's determinant is read back from its value at t = 2**k,
-    computed by fraction-free Bareiss over Z with complete pivoting; the
-    test suite checks it against permutation expansion and against Bareiss
-    on coefficient lists.
+    Each row is a list of n entries or a sparse {column: entry} dict, each
+    column an integer and each entry a LaurentPolynomial; else TypeError or
+    ValueError names the row (and column).  The entries' {exponent:
+    coefficient} maps go through sparse unit reduction, and the remainder's
+    rows go to the engine as they are; it moves them to non-negative
+    exponents as it evaluates them at t = 2**k, and reads the determinant
+    back from its value there, computed by fraction-free Bareiss over Z with
+    complete pivoting.  The test suite checks it against permutation
+    expansion and against Bareiss on coefficient lists.
     """
     n = len(rows)
     sparse: list[dict[int, dict[int, int]]] = []
-    for row in rows:
-        if isinstance(row, dict):
-            if not all(0 <= c < n for c in row):
+    for r, row in enumerate(rows):
+        if isinstance(row, (list, tuple)):
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+            row = dict(enumerate(row))
+        elif not isinstance(row, dict):
+            raise TypeError(f"row {r} is neither a list of entries nor a {{column: entry}} dict: {row!r}")
+        for c, e in row.items():
+            if not isinstance(c, numbers.Integral):
+                raise TypeError(f"row {r}: column {c!r} is not an integer")
+            if not 0 <= c < n:
                 raise ValueError("column index out of range")
-            items = row.items()
-        elif len(row) != n:
-            raise ValueError("matrix must be square")
-        else:
-            items = enumerate(row)
-        sparse.append({c: e._c for c, e in items})
-    if n == 0:
-        return LaurentPolynomial.one()
-    sign, shift, remainder = _sparse_unit_reduce(sparse)
-    if not remainder:  # sign is 0, and the monomial zero, when a row vanished
-        return LaurentPolynomial.monomial(shift, sign)
-    # clear negative exponents row by row; each t**v shift is a unit
-    m: list[list[dict[int, int]]] = []
-    for row in remainder:
-        v = min([min(e) for e in row if e] + [0])
-        shift += v
-        m.append([{d - v: c for d, c in e.items()} for e in row])
-    det = _det_bareiss_lists(m)
-    return LaurentPolynomial({shift + i: sign * c for i, c in enumerate(det)})
+            if not isinstance(e, LaurentPolynomial):
+                raise TypeError(f"row {r}, column {c}: entry {e!r} is not a LaurentPolynomial")
+        sparse.append({c: e._c for c, e in row.items()})
+    sign, shift, remainder = _sparse_unit_reduce(sparse)  # sign 0 when a row vanished
+    low, det = _det_bareiss_lists(remainder)  # (0, [1]) when every row was a pivot's
+    return LaurentPolynomial._adopt({e: sign * c for e, c in enumerate(det, shift + low) if sign * c})

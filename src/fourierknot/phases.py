@@ -24,6 +24,7 @@ from .series import (
     FourierSeries,
     FourierTerm,
     TorusParams,
+    _int_at_least,
     reduce_angle,
     reduce_angles,
     theorem_xy,
@@ -415,10 +416,10 @@ def phase_map_render(
     memory are O(n * grid + grid^2).  Peaks under tracemalloc: 3.3 MB at
     T(7,13)/512, 52 MB at T(7,13)/2048, 19 MB at T(13,29)/1024 (52 MB at
     2048).  MAX_GRID and MAX_SIGN_TABLE bound the two parts, checked before
-    the crossing table is built.
+    the crossing table is built; a grid that is not an integer is refused
+    before them.
     """
-    if grid < 64:
-        raise ValueError(f"grid must be at least 64, got {grid}")
+    grid = _int_at_least(grid, 64, "grid")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
     n = crossing_count(params.p, params.q)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .crossings import CrossingSet
 from .phases import _phi2_along
-from .series import TWO_PI, FourierKnot, reduce_angles
+from .series import TWO_PI, FourierKnot, _int_at_least, reduce_angles
 
 
 def png_bytes(raw: np.ndarray) -> bytes:
@@ -169,10 +169,10 @@ def phase_map_png(pmap, scale: int = 2) -> bytes:
     lines have 185 distinct pairs), so each distinct pair is drawn once.
     Peaks under tracemalloc, at scale 2: 4.0 MB at T(3,4)/512 and 64 MB at
     T(7,13)/2048 (MAX_GRID), the scanlines and the colour of each cell; the
-    row copies and the line index arrays stay below that.
+    row copies and the line index arrays stay below that.  A scale that is
+    not an integer is refused with ValueError.
     """
-    if scale < 1:
-        raise ValueError(f"scale must be at least 1, got {scale}")
+    scale = _int_at_least(scale, 1, "scale")
     grid = pmap.grid
     side = grid * scale
     # the colour of every class id, the palette repeated, then the singular

@@ -44,6 +44,17 @@ from .errors import InvalidGeometry, InvalidParams
 TWO_PI = 2.0 * math.pi
 
 
+def _int_at_least(value, low: int, name: str) -> int:
+    """value as an int of at least low, read by operator.index (numpy ints pass); else ValueError naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 def reduce_angle(theta: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
     r = math.fmod(theta, TWO_PI)

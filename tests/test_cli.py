@@ -223,6 +223,19 @@ def test_verify_row_per_failed_condition(capsys, monkeypatch, condition):
     assert re.sub(r"\s+\d+\.\d+s$", "", out.splitlines()[2]) == VERIFY_FAIL_ROWS[condition]
 
 
+def test_verify_fails_an_odd_p_whose_simplified_point_is_regular(capsys, monkeypatch):
+    # for odd p the simplified phase point must be singular: a sign vector there fails the row
+    import fourierknot.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "sign_vector", lambda params, point: ())
+    code, out, err = run_cli(capsys, "verify", "--pmax", "3", "--qmax", "4")
+    assert code == 1
+    rows = [re.sub(r"\s+\d+\.\d+s$", "", line) for line in out.splitlines()[2:4]]
+    assert rows == ["  2   3  pass        pass        pass        pass        pass",
+                    "  3   4  pass        pass        pass        pass        FAIL"]
+    assert "1 pair(s) failed: [(3, 4)]" in err
+
+
 def test_render_break_counts(tmp_path, capsys):
     out_path = tmp_path / "t23.svg"
     code, _, _ = run_cli(capsys, "render", "-p", "2", "-q", "3", "-o", str(out_path))
@@ -274,6 +287,13 @@ def test_phase_map_png(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "phase-map", "-p", "2", "-q", "3", "--grid", "64", "-o", str(out_path))
     assert code == 0
     assert out_path.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
+
+
+def test_phase_map_png_to_stdout(capsysbinary):
+    from fourierknot import TorusParams, phase_map_render
+
+    assert main(["phase-map", "-p", "2", "-q", "3", "--grid", "64", "--format", "png"]) == 0
+    assert capsysbinary.readouterr().out == phase_map_render(TorusParams(2, 3), 64).to_png_bytes()
 
 
 def test_phase_map_grid_too_small(capsys):

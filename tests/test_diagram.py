@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourierknot import (
+    Crossing,
+    CrossingSet,
     FourierKnot,
     FourierSeries,
     FourierTerm,
@@ -43,8 +45,12 @@ from fourierknot import (
 )
 from fourierknot import diagram
 from fourierknot.crossings import TYPE_I, TYPE_II, crossing_count, near_pairs
+from fourierknot.series import TWO_PI
 from laurent_reference import exact_div
 from planted import crossing_set
+
+# the whole module runs on the second platform and libm (marker in pyproject.toml)
+pytestmark = pytest.mark.platform_pinned
 
 L = LaurentPolynomial
 
@@ -497,6 +503,30 @@ def test_identify_names_first_over_direction_failure():
     assert err.value.condition == "type2-over-direction"
 
 
+@pytest.mark.parametrize("kind, condition, message", [
+    (0, "type1-count", "expected 14 same-direction crossings, found 13"),
+    (1, "type2-count", "expected 18 opposite-direction crossings, found 17"),
+], ids=["type1", "type2"])
+def test_identify_names_a_missing_crossing_of_each_family(kind, condition, message):
+    params, knot, cs = theorem_set(3, 7)
+    keep = np.arange(len(cs)) != np.flatnonzero(cs.kind == kind)[0]
+    columns = (cs.t1, cs.t2, cs.sign, cs.over_t1, cs.kind, cs.k, cs.j)
+    fewer = CrossingSet(knot, *(column[keep] for column in columns), cs.method)
+    with pytest.raises(IdentificationFailure, match=f"^{condition}: {message}$") as err:
+        identify(knot, fewer, params)
+    assert err.value.condition == condition
+
+
+def test_identify_names_an_alexander_mismatch():
+    # a numeric set carries no family indices, so only the polynomial can refuse it
+    knot = gen_theorem_knot(TorusParams(3, 7))
+    cs = find_crossings_numeric(knot, 2048)
+    with pytest.raises(IdentificationFailure, match=r"^alexander-mismatch: diagram gives .*, closed form gives ") as err:
+        identify(knot, cs, TorusParams(2, 5))
+    assert err.value.condition == "alexander-mismatch"
+    assert identify(knot, cs, TorusParams(3, 7)).alexander == torus_alexander_oracle(TorusParams(3, 7))
+
+
 def test_identify_standard_knot_numeric():
     params = TorusParams(2, 3)
     knot = gen_standard_knot(params)
@@ -589,6 +619,17 @@ def test_incomplete_passages_detected():
         build_gauss_code(knot, broken)
     with pytest.raises(IncompleteCrossingSet, match="coincide"):
         identify(knot, broken, params)
+
+
+def test_passages_coinciding_across_the_wrap_are_refused():
+    # the last passage lies within EPS_DEDUPE of the first across t = 2*pi;
+    # the two crossings are far apart, so the set itself accepts them
+    knot = gen_theorem_knot(TorusParams(2, 3))
+    cs = crossing_set(knot, [Crossing(1e-8, 2.0, 1, "t1", (0.0, 0.0)),
+                             Crossing(3.0, TWO_PI - 1e-8, 1, "t1", (0.0, 0.0))], "numeric")
+    assert cs.coincident_passage == 2 * len(cs) - 1
+    with pytest.raises(IncompleteCrossingSet, match="^first and last passages coincide across the wrap$"):
+        build_gauss_code(knot, cs)
 
 
 # -- Wirtinger rows ----------------------------------------------------------------

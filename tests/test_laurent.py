@@ -199,6 +199,30 @@ def test_det_rejects_malformed_rows():
         det_poly_matrix([{0: one}, {2: one}])
 
 
+@pytest.mark.parametrize(
+    "rows,error,message",
+    [
+        ([[1]], TypeError, r"row 0, column 0: entry 1 is not a LaurentPolynomial"),
+        ([[L.one(), L.one()], [L.one(), 2]], TypeError, r"row 1, column 1: entry 2 is not"),
+        ([{0: L.one()}, {1: {0: 1}}], TypeError, r"row 1, column 1: entry \{0: 1\} is not"),
+        ([{0.0: L.one()}], TypeError, r"row 0: column 0\.0 is not an integer"),
+        ([{0: L.one()}, {"1": L.one()}], TypeError, r"row 1: column '1' is not an integer"),
+        ([5], TypeError, r"row 0 is neither a list of entries nor a \{column: entry\} dict: 5"),
+        ([[L.one(), L.one()], None], TypeError, r"row 1 is neither"),
+        ([{-1: L.one()}], ValueError, r"column index out of range"),
+    ],
+    ids=["int entry", "late int entry", "map entry", "float column", "str column", "int row", "None row", "negative column"],
+)
+def test_det_names_the_malformed_row(rows, error, message):
+    with pytest.raises(error, match=message):
+        det_poly_matrix(rows)
+
+
+def test_det_takes_numpy_integer_columns():
+    t = L.monomial(1)
+    assert det_poly_matrix([{np.int64(1): t}, {np.int32(0): L.one()}]) == -t
+
+
 # ---------------------------------------------------------------------------
 # The remainder engine (Bareiss over Z at t = 2**k, complete pivoting on the
 # shortest entry) against the list Bareiss, which pivots on the diagonal.
@@ -253,7 +277,41 @@ def coefficient_matrices(draw):
 def test_remainder_engine_matches_list_bareiss(m):
     det = det_bareiss_reference(m)
     maps = [[as_map(e) for e in row] for row in m]
-    assert laurent._det_bareiss_lists(maps) == det
+    assert laurent._det_bareiss_lists(maps) == (0, det)
+
+
+def shifted_rows(m):
+    """The reference shift: each row of maps moved by t**-v, v its least exponent
+    (or 0 when none is negative), before the engine sees it; returns (sum of v, rows)."""
+    shift, rows = 0, []
+    for row in m:
+        v = min([min(e) for e in row if e] + [0])
+        shift += v
+        rows.append([{d - v: c for d, c in e.items()} for e in row])
+    return shift, rows
+
+
+@st.composite
+def remainder_rows(draw):
+    """coefficient_matrices as maps, each entry moved by its own power t**o, -4 <= o <= 2."""
+    def moved(e):
+        o = draw(st.integers(-4, 2))
+        return {d + o: c for d, c in as_map(e).items()}
+
+    return [[moved(e) for e in row] for row in draw(coefficient_matrices())]
+
+
+@settings(max_examples=100, deadline=None)
+@example(m=[[{-2: 1}]])
+@example(m=[[{-1: 3, 0: -1}, {}], [{}, {1: 2}]])  # one row shifted, one not: shift -1
+@example(m=[[{-3: 1}, {-1: 2}], [{-3: 1}, {-1: 2}]])  # singular: shift -6, no digits
+@example(m=[[{}, {}], [{-1: 1}, {-2: 1}]])  # a zero row keeps v = 0
+@given(m=remainder_rows())
+def test_engine_shifts_each_row_as_it_evaluates(m):
+    shift, rows = shifted_rows(m)
+    low, det = laurent._det_bareiss_lists(rows)
+    assert low == 0  # rows with no negative exponent are not moved
+    assert laurent._det_bareiss_lists(m) == (shift, det)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +434,8 @@ def test_remainder_engines_agree_on_alexander_minors(p, q, monkeypatch):
     monkeypatch.setattr(laurent, "_det_bareiss_lists", lambda m: remainders.append(m) or engine(m))
     det_poly_matrix(minor)
     (m,) = remainders  # every one of these minors leaves a remainder, of 1 to 11 rows
-    assert L(enumerate(engine(m))) == det_by_list_bareiss([[L(e) for e in row] for row in m])
+    shift, det = engine(m)
+    assert L(enumerate(det, shift)) == det_by_list_bareiss([[L(e) for e in row] for row in m])
 
 
 def test_identify_t11_24_matches_closed_form():

@@ -97,6 +97,22 @@ def test_grid_below_one_refused(z):
             find_crossings_numeric(FourierKnot(series, series, series), grid)
 
 
+@pytest.mark.parametrize("grid", [2048.5, 2048.0, "2048", None])
+def test_non_integer_grid_refused_before_any_work(grid, monkeypatch):
+    # 2048.5 built a set from 2,050 samples that did not tile the circle
+    knot = gen_theorem_knot(TorusParams(3, 7))
+    monkeypatch.setattr(_kernels, "scan_segment_pairs", lambda px, py: pytest.fail("scanned"))
+    with pytest.raises(ValueError, match=rf"^grid must be an integer, got {grid!r}$"):
+        find_crossings_numeric(knot, grid)
+
+
+def test_numpy_integer_grid_is_taken():
+    knot = gen_theorem_knot(TorusParams(3, 7))
+    plain, numpy_grid = find_crossings_numeric(knot, 2048), find_crossings_numeric(knot, np.int64(2048))
+    assert len(plain) == 32
+    assert plain.to_json() == numpy_grid.to_json()
+
+
 def scaled(knot, factor):
     """The knot with every amplitude of x, y and z multiplied by factor."""
     return FourierKnot(*(series_of((tm.amplitude * factor, tm.frequency, tm.phase) for tm in s.terms)
@@ -405,6 +421,7 @@ _knot_terms = st.lists(
 )
 
 
+@pytest.mark.platform_pinned
 @settings(max_examples=150, deadline=None)
 @example(  # still descending after 49 steps: "divergence" by the 50-step budget
     axes=([(0.01066370591568866, 4, 0.01814143591416862)],
@@ -427,6 +444,7 @@ def test_lockstep_newton_matches_scalar(axes, starts):
     assert got == want
 
 
+@pytest.mark.platform_pinned
 def test_lockstep_newton_matches_scalar_on_a_seeded_batch():
     rng = np.random.default_rng(5)
     statuses = set()

@@ -35,6 +35,7 @@ from fourierknot import (
     theorem_phase_point,
 )
 import fourierknot.crossings as crossings_mod
+import fourierknot.phases as phases_mod
 from fourierknot.crossings import (
     EPS_SINGULAR,
     TYPE_I,
@@ -54,7 +55,11 @@ from fourierknot.phases import (
 from fourierknot.render import knot_diagram_svg, phase_map_png
 from fourierknot.series import TWO_PI, sine_split
 from crossings_reference import family
+from planted import crossing_set
 from render_reference import phase_rgb, rgb_png, upscaled
+
+# the whole module runs on the second platform and libm (marker in pyproject.toml)
+pytestmark = pytest.mark.platform_pinned
 
 
 def table_rows(params):
@@ -619,6 +624,38 @@ def test_phase_map_grid_floor():
         phase_map_render(TorusParams(2, 3), 63)
     with pytest.raises(ValueError, match="2048"):
         phase_map_render(TorusParams(2, 3), 2049)
+
+
+@pytest.mark.parametrize("grid", [64.5, 64.0, "64"])
+def test_non_integer_phase_grid_refused_before_any_work(grid, monkeypatch):
+    # 64.5 raised numpy's "slice indices must be integers" TypeError
+    monkeypatch.setattr(phases_mod, "_crossing_table", lambda params: pytest.fail("table built"))
+    with pytest.raises(ValueError, match=rf"^grid must be an integer, got {grid!r}$"):
+        phase_map_render(TorusParams(3, 7), grid)
+
+
+@pytest.mark.parametrize("scale", [1.5, 2.0, "2"])
+def test_non_integer_png_scale_refused(scale):
+    # 1.5 raised "'float' object cannot be interpreted as an integer"
+    pmap = phase_map_render(TorusParams(3, 7), 64)
+    with pytest.raises(ValueError, match=rf"^scale must be an integer, got {scale!r}$"):
+        pmap.to_png_bytes(scale=scale)
+
+
+def test_numpy_integer_grid_and_scale_are_taken():
+    params = TorusParams(3, 7)
+    plain, numpy_grid = phase_map_render(params, 64), phase_map_render(params, np.int32(64))
+    assert type(numpy_grid.grid) is int
+    assert np.array_equal(plain.classes, numpy_grid.classes)
+    assert plain.to_png_bytes(scale=np.int64(3)) == plain.to_png_bytes(scale=3)
+
+
+def test_diagram_of_a_crossing_free_set_is_one_unbroken_strand():
+    knot = gen_theorem_knot(TorusParams(2, 3))
+    svg = knot_diagram_svg(knot, crossing_set(knot, []))
+    assert svg.count('class="strand"') == 1 and "<circle" not in svg
+    samples = max(1024, 128 * knot.max_frequency())
+    assert svg.split('class="strand" d="M ')[1].split('"')[0].count(" L ") == samples - 1
 
 
 def test_image_sizes_below_one_are_refused():

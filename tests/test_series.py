@@ -224,6 +224,7 @@ def random_series(seed: int, terms: int) -> FourierSeries:
 SERIES_TIMES = np.concatenate((np.random.default_rng(7).uniform(-10, 10, 300), [0.0, -0.0, math.pi, TWO_PI]))
 
 
+@pytest.mark.platform_pinned
 @pytest.mark.parametrize("terms", [1, 2, 3, 5])
 def test_math_order_matches_the_scalar_reference_bitwise(terms):
     # eval_math and eval on a scalar are the per-term math.cos / math.sin loop summed by sum()
@@ -237,6 +238,7 @@ def test_math_order_matches_the_scalar_reference_bitwise(terms):
         assert [scalar(t).hex() for t in SERIES_TIMES.tolist()] == want
 
 
+@pytest.mark.platform_pinned
 @pytest.mark.parametrize("terms", [1, 2, 3, 5])
 def test_numpy_order_matches_the_array_reference_bitwise(terms):
     series = random_series(terms, terms)
@@ -246,6 +248,7 @@ def test_numpy_order_matches_the_array_reference_bitwise(terms):
         assert ordered(grid).tobytes() == reference(series, grid).tobytes()
 
 
+@pytest.mark.platform_pinned
 def test_zero_dim_inputs_take_the_math_order():
     series = random_series(4, 3)
     for t in (5, np.int64(5), np.float32(0.25), np.array(1.5), np.float64(-2.0)):
@@ -255,6 +258,7 @@ def test_zero_dim_inputs_take_the_math_order():
             assert got.hex() == float(reference(series, float(t))).hex(), t
 
 
+@pytest.mark.platform_pinned
 def test_no_term_series_is_zero_in_both_orders():
     empty = FourierSeries(())
     for scalar in (empty.eval, empty.eval_derivative):
