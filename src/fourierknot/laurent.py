@@ -9,13 +9,16 @@ on the shortest entry, and read back as balanced base-2**k digits.
 
 Inside the determinant entries are plain {exponent: coefficient} maps, which
 the reduction and the engine take as they are (the engine moves each row's
-exponents while it evaluates the row); only det_poly_matrix converts.
+exponents while it evaluates the row); only det_poly_matrix converts.  The
+Bareiss core itself takes a square list of Python ints, so the x-sweep
+hands it Kronecker integers without building any entry.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
+from collections.abc import Iterable
 
 
 class LaurentPolynomial:
@@ -176,24 +179,32 @@ class LaurentPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# The determinant engine.  It takes the remainder as a list of rows, each row
-# a list of {exponent: coefficient} maps ({} is zero), moves each row by the
-# unit t**-v, v its least exponent or 0 if none is negative, and returns (the
-# sum of the v, the moved rows' determinant as a coefficient list).  The list
-# is read back from the integer det(A(2**k)) as balanced base-2**k digits.
+# The determinant engine: one Bareiss core on square lists of Python ints, with
+# two entries.  det_poly_matrix reduces its rows by unit pivots and hands the
+# remainder's {exponent: coefficient} maps to _det_bareiss_lists, which moves
+# each row by the unit t**-v, v its least exponent or 0 if none is negative,
+# evaluates it at 2**k and returns (the sum of the v, the determinant as a
+# coefficient list).  The x-sweep (diagram._sweep_det) builds its Kronecker
+# integers straight from its coefficient array and calls _bareiss itself: the
+# unit reduction finds no pivot on the theorem knots' sweep minors, and the
+# determinant is exact without it.  Both size k by _kronecker_bits from exact
+# integer row sums (the sweep decodes fields over 32 bits as Python ints and
+# squares its L1 norms in Python ints), and read the integer det(A(2**k)) back
+# as balanced base-2**k digits.
 
 
-def _kronecker_bits(m: list[list[dict[int, int]]]) -> int:
+def _kronecker_bits(row_sums: Iterable[int]) -> int:
     """k such that every coefficient of det(m) lies below 2**(k-2) in size.
 
-    m is a list of rows of {exponent: coefficient} maps.  On |t| = 1 every
-    entry is bounded by its coefficient L1 norm, so Hadamard's inequality
-    bounds every coefficient of the determinant by B, where
-    B**2 <= prod_i sum_j L1(m_ij)**2; the product is exact in integers.
+    row_sums holds, for each row of m, sum_j L1(m_ij)**2 as an exact int,
+    L1 the entry's coefficient L1 norm.  On |t| = 1 every entry is bounded
+    by that norm, so Hadamard's inequality bounds every coefficient of the
+    determinant by B, where B**2 <= the product of the row sums; the product
+    is exact in integers.
     """
     bound = 1
-    for row in m:
-        bound *= sum(sum(map(abs, e.values())) ** 2 for e in row)
+    for s in row_sums:
+        bound *= s
     return (bound.bit_length() + 1) // 2 + 2
 
 
@@ -209,25 +220,20 @@ def _balanced_digits(v: int, k: int) -> list[int]:
     return out
 
 
-def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> tuple[int, list[int]]:
-    """Fraction-free Bareiss elimination over Z at the Kronecker point t = 2**k.
+def _bareiss(a: list[list[int]]) -> int:
+    """The determinant of the square int matrix a, by fraction-free Bareiss elimination over Z.
 
-    m is the list of remainder rows; each entry's value at 2**k is summed
-    straight from its map, its exponents moved by its row's v, which leaves
-    k alone.  Each step pivots on the nonzero entry of the remaining block with the
-    fewest bits (the first in row-major order on a tie), swapped into place
-    by a row swap and a column swap that each flip the sign.  Swaps inside
-    the remaining block keep every entry a minor of the permuted matrix, so
-    each step's division stays exact.  The pivots decide how long those
-    minors get: the x-sweep's rows nearly cancel at 2**k, and short pivots
-    keep the minors short.
+    a is a list of rows and is overwritten.  Each step pivots on the nonzero
+    entry of the remaining block with the fewest bits (the first in
+    row-major order on a tie), swapped into place by a row swap and a column
+    swap that each flip the sign.  Swaps inside the remaining block keep
+    every entry a minor of the permuted matrix, so each step's division
+    stays exact.  The pivots decide how long those minors get: the x-sweep's
+    rows nearly cancel at 2**k, and short pivots keep the minors short.
     """
-    n = len(m)
+    n = len(a)
     if n == 0:
-        return 0, [1]
-    k = _kronecker_bits(m)
-    low = [min([min(e) for e in row if e] + [0]) for row in m]
-    a = [[sum(c << (k * (d - v)) for d, c in e.items()) for e in row] for row, v in zip(m, low)]
+        return 1
     sign = 1
     prev = 1
     for i in range(n - 1):
@@ -239,7 +245,7 @@ def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> tuple[int, list[int]]:
                 if x and (not bits or x.bit_length() < bits):
                     bits, pr, pc = x.bit_length(), r, c
         if not bits:  # the remaining block is zero
-            return sum(low), []
+            return 0
         if pr != i:
             a[i], a[pr] = a[pr], a[i]
             sign = -sign
@@ -253,7 +259,22 @@ def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> tuple[int, list[int]]:
             head = row[i]
             row[i + 1 :] = [(x * piv - head * y) // prev for x, y in zip(row[i + 1 :], pivot_tail)]
         prev = piv
-    return sum(low), _balanced_digits(sign * a[n - 1][n - 1], k)
+    return sign * a[n - 1][n - 1]
+
+
+def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> tuple[int, list[int]]:
+    """The remainder's determinant at the Kronecker point t = 2**k, by _bareiss.
+
+    m is the list of remainder rows of {exponent: coefficient} maps ({} is
+    zero); each entry's value at 2**k is summed straight from its map, its
+    exponents moved by its row's v, which leaves k alone.  Returns (the sum
+    of the v, the coefficient list): (0, [1]) for no rows, and an empty
+    list when the determinant is zero.
+    """
+    k = _kronecker_bits(sum(sum(map(abs, e.values())) ** 2 for e in row) for row in m)
+    low = [min([min(e) for e in row if e] + [0]) for row in m]
+    a = [[sum(c << (k * (d - v)) for d, c in e.items()) for e in row] for row, v in zip(m, low)]
+    return sum(low), _balanced_digits(_bareiss(a), k)
 
 
 _FILL_LIMIT = 64

@@ -54,9 +54,9 @@ def knot_diagram_svg(knot: FourierKnot, crossings: CrossingSet, size: int = 640)
     arrowhead at t = 0, and a dot at each crossing point.  The curve is
     sampled max(1024, 128 * max frequency) times; each break is a window of
     0.12 in t, narrowed to 0.35 of the closest spacing of under-passages.
+    A size that is not an integer is refused with ValueError.
     """
-    if size < 1:
-        raise ValueError(f"size must be at least 1, got {size}")
+    size = _int_at_least(size, 1, "size")
     samples = max(1024, 128 * knot.max_frequency())
     under_times = np.sort(np.where(crossings.over_t1, crossings.t2, crossings.t1)).tolist()
     gap = 0.12
@@ -221,9 +221,11 @@ def phase_map_png(pmap, scale: int = 2) -> bytes:
 
 
 def phase_map_svg(pmap, size: int = 640) -> str:
-    """Vector phase map: raster background, line overlay, point markers."""
-    if size < 1:
-        raise ValueError(f"size must be at least 1, got {size}")
+    """Vector phase map: raster background, line overlay, point markers.
+
+    A size that is not an integer is refused with ValueError.
+    """
+    size = _int_at_least(size, 1, "size")
     raster = base64.b64encode(phase_map_png(pmap, scale=max(1, 512 // pmap.grid))).decode("ascii")
 
     def to_px(phi1: float, phi2: float) -> tuple[float, float]:

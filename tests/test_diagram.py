@@ -636,7 +636,7 @@ def test_passages_coinciding_across_the_wrap_are_refused():
 
 
 class _Captured(Exception):
-    """Raised by the det_poly_matrix stand-in once it holds the minor."""
+    """Raised by a determinant stand-in once it holds the minor."""
 
 
 def captured_minor(monkeypatch, fn, *args):
@@ -669,12 +669,35 @@ def test_pd_rows_pinned(monkeypatch):
 SWEEP_ROWS_DIGEST = "141e2a216e89153effa602795f3c65d2b57e02e61966a7dda4e44c56d0f7447a"
 
 
+def sweep_rows(minor):
+    """A [row, column, slot] sweep minor as rows of (column, pairs), the form the sweep digests hash."""
+    depth = minor.shape[2] // 2
+    rows = (((c, tuple((s - depth, v) for s, v in enumerate(entry) if v)) for c, entry in enumerate(row))
+            for row in minor.tolist())
+    return tuple(tuple((c, pairs) for c, pairs in row if pairs) for row in rows)
+
+
+def captured_sweep_rows(monkeypatch, fn, *args):
+    """The minor fn(*args) hands to the sweep's determinant, _sweep_det, rendered by sweep_rows."""
+    seen = []
+
+    def record(minor):
+        seen.append(sweep_rows(minor))
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diagram, "_sweep_det", record)
+        with pytest.raises(_Captured):
+            fn(*args)
+    return seen[0]
+
+
 def test_sweep_rows_pinned(monkeypatch):
     # the (p-1)-row bridge minors identify builds from the x-sweep
     digest = hashlib.sha256()
     for p, q in PINNED_PAIRS:
         params, knot, cs = theorem_set(p, q)
-        rows = captured_minor(monkeypatch, identify, knot, cs, params)
+        rows = captured_sweep_rows(monkeypatch, identify, knot, cs, params)
         assert len(rows) == p - 1
         digest.update(f"{p} {q} {rows!r}\n".encode())
     assert digest.hexdigest() == SWEEP_ROWS_DIGEST
@@ -766,8 +789,8 @@ def test_sweep_without_crossings_is_one():
 def test_sweep_width_ladder(monkeypatch, first):
     # passes in fields narrower than `first` bits are refused as if a field
     # had overflowed, so every pinned pair widens from 8 bits to `first` and
-    # decodes there: through uint16/32/64 arrays, or through Python ints from
-    # 64-bit limbs above 64 bits; every captured minor stays as it was
+    # decodes there: through uint16/32 arrays, or through Python ints from
+    # 64-bit limbs from 64 bits up; every captured minor stays as it was
     label_pass = diagram._label_pass
     widths = set()
 
@@ -779,19 +802,21 @@ def test_sweep_width_ladder(monkeypatch, first):
     digest = hashlib.sha256()
     for p, q in PINNED_PAIRS:
         params, knot, cs = theorem_set(p, q)
-        rows = captured_minor(monkeypatch, diagram._alexander_from_sweep, knot, cs)
+        rows = captured_sweep_rows(monkeypatch, diagram._alexander_from_sweep, knot, cs)
         digest.update(f"{p} {q} {rows!r}\n".encode())
     assert digest.hexdigest() == SWEEP_ROWS_DIGEST
     assert sorted(widths) == [8 << k for k in range(first.bit_length() - 3)]
     # equal minors give equal polynomials; a sample runs the whole route
-    monkeypatch.setattr(diagram, "det_poly_matrix", det_poly_matrix)
     for p, q in PINNED_PAIRS[::8]:
         params, knot, cs = theorem_set(p, q)
         assert diagram._alexander_from_sweep(knot, cs) == torus_alexander_oracle(params), (p, q)
 
 
 def sweep_minor_reference(steps, f):
-    """The sweep's bridge rows from its steps by LaurentPolynomial arithmetic, generator 0 kept until the end."""
+    """The sweep's bridge rows from its steps by LaurentPolynomial arithmetic, generator 0 kept until the end.
+
+    Each row is a {column: entry} dict of its nonzero entries, the form det_poly_matrix takes.
+    """
     units = {True: L.monomial(1), False: L.monomial(-1)}
     labels = [[L.one() if g == s // 2 else L.zero() for g in range(f)] for s in range(2 * f)]
     for under, over, rising in steps:
@@ -799,21 +824,17 @@ def sweep_minor_reference(steps, f):
     rows = []
     for m in range(1, f):
         entries = [a - b for a, b in zip(labels[2 * m - 1], labels[2 * m])][1:]
-        rows.append([(c, e.pairs()) for c, e in enumerate(entries) if not e.is_zero])
+        rows.append({c: e for c, e in enumerate(entries) if not e.is_zero})
     return rows
 
 
-def test_sweep_widens_a_field_that_overflows(monkeypatch):
-    # three crossings repeated nine times on a 2-bridge sweep make the
-    # coefficients about four times larger per round (42 after three rounds,
-    # 169,766 after nine), so an update leaves an 8-bit field and then a
-    # 16-bit one; the mask catches both, and the rows come from the 32-bit
-    # pass, equal to LaurentPolynomial arithmetic rather than wrapped
-    steps = [(0, 2, True), (1, 0, True), (2, 1, True)] * 9
-    depth = len(steps)  # one crossing per level
-    for bits in (8, 16):
-        assert diagram._label_pass(steps, 2, depth, bits) is None
-    assert diagram._label_pass(steps, 2, depth, 32) is not None
+def reference_rows(rows):
+    """sweep_minor_reference's rows rendered as sweep_rows renders a minor."""
+    return tuple(tuple((c, e.pairs()) for c, e in row.items()) for row in rows)
+
+
+def recorded_widths(monkeypatch):
+    """The list of field widths that _label_pass is called with from now on, in call order."""
     label_pass = diagram._label_pass
     widths = []
 
@@ -822,16 +843,48 @@ def test_sweep_widens_a_field_that_overflows(monkeypatch):
         return label_pass(steps, f, depth, bits)
 
     monkeypatch.setattr(diagram, "_label_pass", spy)
-    rows = [[(c, e.pairs()) for c, e in row.items()] for row in diagram._sweep_minor(steps, 2, depth)]
+    return widths
+
+
+# three crossings on a 2-bridge sweep that make the coefficients about four
+# times larger per round (42 after three rounds, 169,766 after nine)
+GROWING_ROUND = [(0, 2, True), (1, 0, True), (2, 1, True)]
+
+
+def test_sweep_widens_a_field_that_overflows(monkeypatch):
+    # nine rounds make an update leave an 8-bit field and then a 16-bit one;
+    # the mask catches both, and the rows come from the 32-bit pass, equal to
+    # LaurentPolynomial arithmetic rather than wrapped
+    steps = GROWING_ROUND * 9
+    depth = len(steps)  # one crossing per level
+    for bits in (8, 16):
+        assert diagram._label_pass(steps, 2, depth, bits) is None
+    assert diagram._label_pass(steps, 2, depth, 32) is not None
+    widths = recorded_widths(monkeypatch)
+    rows = sweep_rows(diagram._sweep_minor(steps, 2, depth))
     assert widths == [8, 16, 32]
-    assert rows == sweep_minor_reference(steps, 2)
+    assert rows == reference_rows(sweep_minor_reference(steps, 2))
     assert max(abs(v) for row in rows for _, pairs in row for _, v in pairs) > 1 << 13
     # three rounds leave only the 8-bit field, and 16 bits hold them
     steps = steps[:9]
     widths.clear()
-    rows = [[(c, e.pairs()) for c, e in row.items()] for row in diagram._sweep_minor(steps, 2, len(steps))]
+    rows = sweep_rows(diagram._sweep_minor(steps, 2, len(steps)))
     assert widths == [8, 16]
-    assert rows == sweep_minor_reference(steps, 2)
+    assert rows == reference_rows(sweep_minor_reference(steps, 2))
+
+
+@pytest.mark.parametrize("rounds", [17, 20, 30])
+def test_sweep_det_is_exact_in_64_bit_fields(monkeypatch, rounds):
+    # from 17 rounds the coefficients pass 2^32 (about 2^60 after 30), so the
+    # labels settle in 64-bit fields; there the squared L1 norms that the
+    # Kronecker bound multiplies wrap in int64, and a k sized from wrapped
+    # sums gives a wrong polynomial
+    steps = GROWING_ROUND * rounds
+    widths = recorded_widths(monkeypatch)
+    minor = diagram._sweep_minor(steps, 2, len(steps))
+    assert widths[-1] == 64
+    assert max(abs(v) for v in minor.ravel().tolist()) > 1 << 32
+    assert diagram._sweep_det(minor) == det_poly_matrix(sweep_minor_reference(steps, 2))
 
 
 def test_sweep_matches_oracle_on_the_p2_line():

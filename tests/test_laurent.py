@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -278,6 +279,49 @@ def test_remainder_engine_matches_list_bareiss(m):
     det = det_bareiss_reference(m)
     maps = [[as_map(e) for e in row] for row in m]
     assert laurent._det_bareiss_lists(maps) == (0, det)
+
+
+def det_by_fractions(a):
+    """Gaussian elimination over the rationals with a nonzero pivot per column: the core's reference."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n, det = len(m), Fraction(1)
+    for i in range(n):
+        pr = next((r for r in range(i, n) if m[r][i]), None)
+        if pr is None:
+            return 0
+        if pr != i:
+            m[i], m[pr] = m[pr], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, n):
+            f = m[r][i] / m[i][i]
+            m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    return int(det)
+
+
+@st.composite
+def int_matrices(draw):
+    """Square matrices of Python ints, small or past 64 bits, some with a repeated row (singular)."""
+    n = draw(st.integers(0, 6))
+    big = draw(st.sampled_from([3, (1 << 63) - 1, 10**30]))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-big, big))
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        a[draw(st.integers(1, n - 1))] = list(a[0])
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@example(a=[])
+@example(a=[[7]])
+@example(a=[[0]])
+@example(a=[[0, 1], [1, 0]])  # zero pivot: a swap, det -1
+@example(a=[[1, 2], [2, 4]])  # singular
+@example(a=[[1, 2, 3], [2, 4, 6], [3, 6, 9]])  # the block left after one step is zero
+@example(a=[[9, 7, 5], [6, 8, 1], [4, 3, 9]])  # the shortest entry off the diagonal
+@given(a=int_matrices())
+def test_bareiss_core_matches_fraction_elimination(a):
+    assert laurent._bareiss([row[:] for row in a]) == det_by_fractions(a)
 
 
 def shifted_rows(m):

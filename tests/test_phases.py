@@ -674,6 +674,22 @@ def test_image_sizes_below_one_are_refused():
     assert pmap.to_png_bytes(scale=1)[16:24] == struct.pack(">II", 64, 64)  # IHDR: width, height
 
 
+def test_image_sizes_that_are_not_integers_are_refused():
+    # 64.5 wrote width="64.5", and "100" raised a bare TypeError from the comparison with 1
+    params = TorusParams(2, 3)
+    knot = gen_theorem_knot(params)
+    cs = analytic_crossing_set(knot, params)
+    pmap = phase_map_render(params, 64)
+    for size in (64.5, 64.0, "100"):
+        with pytest.raises(ValueError, match=rf"^size must be an integer, got {size!r}$"):
+            knot_diagram_svg(knot, cs, size=size)
+        with pytest.raises(ValueError, match=rf"^size must be an integer, got {size!r}$"):
+            pmap.to_svg(size=size)
+    # a numpy integer is taken as the int it holds
+    assert knot_diagram_svg(knot, cs, size=np.int32(100)) == knot_diagram_svg(knot, cs, size=100)
+    assert pmap.to_svg(size=np.int64(100)) == pmap.to_svg(size=100)
+
+
 def test_phase_map_sign_table_budget(monkeypatch):
     import fourierknot.phases as ph
 
