@@ -48,7 +48,7 @@ EPS_DEDUPE = 1e-6
 
 TYPE_I = "I"
 TYPE_II = "II"
-# the kind by (row >= n_type1); an object array hands out the two strings themselves
+# the kind by 0 or 1, as (row >= n_type1) or a set's kind column; an object array hands out the two strings themselves
 _KINDS = np.array([TYPE_I, TYPE_II], dtype=object)
 
 # sample offset in grid units; keeps grid nodes off the rational-pi lattice
@@ -100,6 +100,16 @@ class Crossing(NamedTuple):
     over: str
     position: tuple[float, float]
     indices: CrossingIndices | None = None
+
+
+def _records(cls, *columns) -> list:
+    """cls(*row) for each row of the columns (one per field, in field order), as a list.
+
+    Each record is built by tuple.__new__ at C level, which bypasses
+    cls.__new__, so no Python frame runs per record: use it only for a
+    NamedTuple whose __new__ checks nothing.
+    """
+    return list(map(functools.partial(tuple.__new__, cls), zip(*columns)))
 
 
 def circular_distance(a: float, b: float) -> float:
@@ -192,8 +202,9 @@ class _CrossingTable:
     lines phi2 = slope * phi1 + (N + 2pq m) u.  The phase raster's signs
     come from these integers.  The columns are the only store, and what is
     derived from them is built on first read: ``indices``, every row's
-    CrossingIndices (``records`` builds some rows'), and the height gap's
-    point-independent factors, which the first ``height_gap`` builds over
+    CrossingIndices (``records`` builds some rows'), ``sign_items``, the
+    two items of each row that a sign vector picks from, and the height
+    gap's point-independent factors, which the first ``height_gap`` builds over
     every row, so that each gap pays only for its phases.  A table that is
     never asked for a gap (the analytic set, the raster) never builds them.
     Building one is most of an uncached point query, hence _crossing_table's cache.
@@ -228,12 +239,21 @@ class _CrossingTable:
 
     def records(self, rows) -> list[CrossingIndices]:
         """The CrossingIndices of the rows (an int array), in their order."""
-        return list(map(CrossingIndices, self.kinds(rows), self.k[rows].tolist(), self.j[rows].tolist()))
+        return _records(CrossingIndices, self.kinds(rows), self.k[rows].tolist(), self.j[rows].tolist())
 
     @functools.cached_property
     def indices(self) -> tuple[CrossingIndices, ...]:
         """Every row's CrossingIndices, in row order (which is sorted order), built on first read."""
         return tuple(self.records(np.arange(len(self.k))))
+
+    @functools.cached_property
+    def sign_items(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's (CrossingIndices, -1) and (CrossingIndices, 1), as two object arrays, built on first read.
+
+        A sign vector picks one of each row's two items, so a point query
+        builds no tuple per row.
+        """
+        return tuple(np.fromiter(((ix, s) for ix in self.indices), dtype=object, count=len(self.k)) for s in (-1, 1))
 
     @functools.cached_property
     def _gap_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -418,13 +438,14 @@ class CrossingSet:
         """The rows as Crossing records, built on first read."""
         overs = ["t1" if over else "t2" for over in self.over_t1.tolist()]
         indices = self._indices()
-        rows = zip(self.t1.tolist(), self.t2.tolist(), self.sign.tolist(), overs, zip(*self.positions()), indices)
-        return tuple(itertools.starmap(Crossing, rows))
+        columns = self.t1.tolist(), self.t2.tolist(), self.sign.tolist(), overs, zip(*self.positions()), indices
+        return tuple(_records(Crossing, *columns))
 
     def _indices(self) -> list[CrossingIndices | None]:
         """Every row's CrossingIndices, or None for a row without analytic indices (kind -1)."""
-        return [CrossingIndices((TYPE_I, TYPE_II)[kind], k, j) if kind >= 0 else None
-                for kind, k, j in zip(self.kind.tolist(), self.k.tolist(), self.j.tolist())]
+        # kind -1 takes _KINDS' last entry, and its record is then replaced by None
+        indexed = _records(CrossingIndices, _KINDS.take(self.kind).tolist(), self.k.tolist(), self.j.tolist())
+        return [ix if kind >= 0 else None for ix, kind in zip(indexed, self.kind.tolist())]
 
     def positions(self) -> tuple[list[float], list[float]]:
         """Every row's x(t1) and y(t1) as lists, in the math order (eval_math), so not from numpy's cos."""

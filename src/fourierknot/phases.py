@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .crossings import EPS_SINGULAR, CrossingIndices, _crossing_table, crossing_count
+from .crossings import EPS_SINGULAR, CrossingIndices, _crossing_table, _records, crossing_count
 from .errors import CertificationFailure, SimplifyRequiresEvenP, SingularPoint
 from .series import (
     TWO_PI,
@@ -24,6 +24,7 @@ from .series import (
     FourierSeries,
     FourierTerm,
     TorusParams,
+    _finite_float,
     _int_at_least,
     reduce_angle,
     reduce_angles,
@@ -39,17 +40,15 @@ _CERT_PHI1 = np.array([TWO_PI * (s + 0.37) / _CERT_SAMPLES for s in range(_CERT_
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (phi1, phi2) on the phase torus, reduced to [0, 2*pi)^2."""
+    """A point (phi1, phi2) on the phase torus, reduced to [0, 2*pi)^2; each a finite real (_finite_float)."""
 
     phi1: float
     phi2: float
 
     def __post_init__(self):
-        for name in ("phi1", "phi2"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, reduce_angle(value))
+        # phi1 is read and checked before phi2 is: PhasePoint(inf, None) names phi1
+        object.__setattr__(self, "phi1", reduce_angle(_finite_float(self.phi1, "phi1")))
+        object.__setattr__(self, "phi2", reduce_angle(_finite_float(self.phi2, "phi2")))
 
 
 class SingularLine(NamedTuple):
@@ -154,11 +153,12 @@ def sign_vector(params: TorusParams, point: PhasePoint) -> SignVector:
 
     The crossing table's rows are in sorted CrossingIndices order (type I
     before type II, then k, then j), so the vector takes them as they are
-    rather than sorting them again.
+    rather than sorting them again, and picks each row's item from the
+    table's sign_items rather than building it.
     """
     table = _crossing_table(params)
-    signs = np.where(_positive_gaps(table, point.phi1, point.phi2), 1, -1).tolist()
-    return SignVector._from_sorted(tuple(zip(table.indices, signs)))
+    minus, plus = table.sign_items
+    return SignVector._from_sorted(tuple(np.where(_positive_gaps(table, point.phi1, point.phi2), plus, minus).tolist()))
 
 
 def same_knot_by_phases(params: TorusParams, a: PhasePoint, b: PhasePoint) -> bool:
@@ -167,12 +167,13 @@ def same_knot_by_phases(params: TorusParams, a: PhasePoint, b: PhasePoint) -> bo
     This is a sufficient test: distinct regions of the phase square could in
     principle share a sign vector, which would still mean equal diagrams.
     Both points' gaps come from one height_gap call on a column of the two
-    points, and their signs are compared as two rows of one array; a
-    singular a raises SingularPoint with a's indices, whatever b is.
+    points, and their signs are compared as two rows of one array, in one
+    ufunc pass; a singular a raises SingularPoint with a's indices, whatever
+    b is.  The answer is a Python bool.
     """
     table = _crossing_table(params)
     positive = _positive_gaps(table, np.array([[a.phi1], [b.phi1]]), np.array([[a.phi2], [b.phi2]]))
-    return np.array_equal(positive[0], positive[1])
+    return not np.not_equal(positive[0], positive[1]).any()
 
 
 def _TYPE1_CONST(p: int, q: int) -> float:
@@ -182,7 +183,7 @@ def _TYPE1_CONST(p: int, q: int) -> float:
 
 
 def _line_candidates(table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Uncertified lines of every table row: (row, m, slope, intercept) arrays.
+    """Uncertified lines of every table row: (row, m, slope, intercept) arrays, one table row's lines per array row.
 
     A row's gap vanishes on phi2 = slope * phi1 + base + m pi, base = N u with
     N = table.intercept_u, u = pi/(2pq).  As pi = 2pq u, (N + 2pq m) u is in
@@ -199,7 +200,21 @@ def _line_candidates(table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     row = np.broadcast_to(np.arange(len(type1))[:, None], m.shape)
     # an exact 0 may round below it; max(intercept, 0.0) as Python's max takes it: -0.0 stays -0.0
     intercept = np.where(intercept < 0.0, 0.0, intercept)
-    return row.ravel(), m.ravel(), slope.ravel(), intercept.ravel()
+    return row, m, slope, intercept
+
+
+def _line_gaps(table, rows, slopes, intercepts) -> np.ndarray:
+    """The height gap of _line_candidates' lines at every _CERT_PHI1 sample, one row per line in raveled order.
+
+    An array row's lines share their table row, and so the phi1 wave
+    -2 sin(p s + phi1) sin(p d), which does not depend on the line.
+    height_gap takes each table row once, as an (n, 1, 1) index, against
+    phi2 of shape (n, lines per row, samples): each row's phi1 wave is
+    evaluated once, and each line's gap is still (0 + phi1 wave) + phi2
+    wave, bitwise a per-line call's.
+    """
+    phi2 = _phi2_along(slopes.ravel(), intercepts.ravel(), _CERT_PHI1).reshape(*slopes.shape, -1)
+    return table.height_gap(rows[:, :1, None], _CERT_PHI1, phi2).reshape(slopes.size, -1)
 
 
 def certified_line_arrays(params: TorusParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -208,13 +223,15 @@ def certified_line_arrays(params: TorusParams) -> tuple[np.ndarray, np.ndarray, 
     Certification samples phi1 along the line and demands the owning
     crossing's height gap, at the table row the line was made from, be at
     most EPS_SINGULAR; a failing line raises CertificationFailure rather
-    than being dropped.  The arrays are _line_candidates'; singular_lines
-    builds its records from them, and verify certifies without the records.
+    than being dropped, naming the first failing (line, sample).  The gaps
+    come from _line_gaps, one phi1 wave per table row.  The arrays are
+    _line_candidates', raveled into (row, m) order; singular_lines builds
+    its records from them, and verify certifies without the records.
     """
     table = _crossing_table(params)
     rows, m, slopes, intercepts = _line_candidates(table)
-    phi2 = _phi2_along(slopes, intercepts, _CERT_PHI1)
-    residual = np.abs(table.height_gap(rows[:, None], _CERT_PHI1, phi2))
+    residual = np.abs(_line_gaps(table, rows, slopes, intercepts))
+    rows, m, slopes, intercepts = rows.ravel(), m.ravel(), slopes.ravel(), intercepts.ravel()
     failing = np.argwhere(residual > EPS_SINGULAR)
     if len(failing):
         i, s = failing[0]
@@ -227,9 +244,9 @@ def certified_line_arrays(params: TorusParams) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _lines(table, rows, m, slopes, intercepts) -> list[SingularLine]:
-    """The SingularLine records of line arrays as certified_line_arrays returns them."""
+    """The SingularLine records of line arrays as certified_line_arrays returns them (crossings._records)."""
     owners = table.kinds(rows), table.k[rows].tolist(), table.j[rows].tolist()
-    return list(map(SingularLine, *owners, m.tolist(), slopes.tolist(), intercepts.tolist()))
+    return _records(SingularLine, *owners, m.tolist(), slopes.tolist(), intercepts.tolist())
 
 
 def singular_lines(params: TorusParams) -> list[SingularLine]:

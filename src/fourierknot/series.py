@@ -33,6 +33,7 @@ With c = 8 and |t| <= 2*pi, E0 is 4e-14 for cos(29 t); it scales with the amplit
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,6 +53,23 @@ def _int_at_least(value, low: int, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def _finite_float(value, name: str) -> float:
+    """float(value), refused with a ValueError naming it for a str, bytes, None or complex, or if not finite.
+
+    float() would read a str such as "1.5" or "inf", and would refuse None or
+    a complex with a TypeError that names nothing; what float() takes
+    otherwise (ints, Fractions, numpy's scalars) is still taken.
+    """
+    if type(value) is not float:
+        if value is None or isinstance(value, (str, bytes)) or (
+                isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -88,8 +106,9 @@ def fmt_float(x: float) -> str:
 class FourierTerm:
     """One cosine term ``amplitude * cos(frequency*t + phase)``.
 
-    The frequency is a non-negative integer (0 encodes a constant term) and
-    the phase is stored reduced to [0, 2*pi).
+    The frequency is a non-negative integer (0 encodes a constant term).
+    The amplitude and phase are finite reals, stored as floats
+    (_finite_float), the phase reduced to [0, 2*pi).
     """
 
     amplitude: float
@@ -100,13 +119,9 @@ class FourierTerm:
         n = int(self.frequency)
         if n != self.frequency or n < 0:
             raise ValueError(f"frequency must be a non-negative integer, got {self.frequency!r}")
-        amplitude, phase = float(self.amplitude), float(self.phase)
-        for name, value in (("amplitude", amplitude), ("phase", phase)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "amplitude", _finite_float(self.amplitude, "amplitude"))
         object.__setattr__(self, "frequency", n)
-        object.__setattr__(self, "phase", reduce_angle(phase))
+        object.__setattr__(self, "phase", reduce_angle(_finite_float(self.phase, "phase")))
 
 
 @dataclass(frozen=True)

@@ -426,6 +426,24 @@ def test_index_records_are_tuples_with_one_key_format():
     assert len(printed) == crossing_count(5, 7)
 
 
+def test_set_records_equal_records_built_one_by_one():
+    # crossings._records builds them without a Python __new__ per row
+    params = TorusParams(3, 7)
+    knot = gen_theorem_knot(params)
+    cs = analytic_crossing_set(knot, params)
+    mixed = crossing_set(knot, [c if i % 3 else c._replace(indices=None) for i, c in enumerate(cs.crossings)])
+    for s in (cs, mixed, find_crossings_numeric(knot, 2048)):
+        indices = [CrossingIndices((TYPE_I, TYPE_II)[kind], k, j) if kind >= 0 else None
+                   for kind, k, j in zip(s.kind.tolist(), s.k.tolist(), s.j.tolist())]
+        overs = ["t1" if over else "t2" for over in s.over_t1.tolist()]
+        expected = [Crossing(*row) for row in zip(s.t1.tolist(), s.t2.tolist(), s.sign.tolist(), overs,
+                                                   zip(*s.positions()), indices)]
+        for built, one_by_one in ((s._indices(), indices), (list(s.crossings), expected)):
+            assert built == one_by_one
+            assert [type(record) for record in built] == [type(record) for record in one_by_one]
+    assert None in mixed._indices() and mixed._indices().count(None) < len(mixed)
+
+
 @pytest.mark.platform_pinned
 def test_analytic_set_on_a_singular_line_names_the_first_singular_row():
     # the point lies on the lines of six type-II crossings; the refusal names

@@ -4,6 +4,8 @@ import math
 import random
 import struct
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from fourierknot.crossings import (
     TYPE_II,
     CrossingIndices,
     _crossing_table,
+    _records,
     circular_distance,
     pair_difference,
 )
@@ -49,6 +52,8 @@ from fourierknot.phases import (
     _CERT_PHI1,
     MAX_SIGN_TABLE,
     _dense_ids,
+    _line_candidates,
+    _line_gaps,
     _phase_classes,
     _phi2_along,
 )
@@ -184,6 +189,30 @@ def test_phase_point_rejects_non_finite(phi1, phi2, field):
     # a nan phase used to give an all -1 sign vector, an infinite one a bare "math domain error"
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         PhasePoint(phi1, phi2)
+
+
+def test_phase_point_reads_phi1_before_phi2():
+    with pytest.raises(ValueError, match="phi1 must be finite"):
+        PhasePoint(math.inf, None)
+
+
+@pytest.mark.parametrize("field", ["phi1", "phi2"])
+@pytest.mark.parametrize("bad", ["1.5", "pi", b"1.5", None, 1j, np.complex128(1.0), np.complex64(1.0)],
+                         ids=["str", "name", "bytes", "None", "complex", "numpy-complex", "numpy-complex64"])
+def test_phase_point_refuses_non_reals_by_name(field, bad):
+    # "1.5" used to be taken, None to raise float()'s TypeError and "pi" numpy's message
+    values = {"phi1": 0.5, "phi2": 0.5, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        PhasePoint(**values)
+
+
+def test_phase_point_takes_what_float_takes_but_text_and_complex():
+    # numpy bools, 0-d arrays and Decimals are not numbers.Real, and float() still reads them
+    for phi1, phi2 in ((np.float64(0.5), np.float32(1.5)), (Fraction(1, 2), np.int64(3)), (1, True),
+                       (np.True_, np.array(0.5)), (Decimal("0.25"), np.array(2))):
+        point = PhasePoint(phi1, phi2)
+        assert (point.phi1, point.phi2) == (float(phi1), float(phi2))
+        assert type(point.phi1) is float and type(point.phi2) is float
 
 
 # -- sign vectors ----------------------------------------------------------------
@@ -526,6 +555,89 @@ def test_wrong_intercept_fails_certification(monkeypatch):
     # the lines a phase map draws are the certified ones
     with pytest.raises(CertificationFailure):
         phase_map_render(TorusParams(2, 3), 64)
+
+
+def test_record_helper_builds_the_records_one_by_one():
+    # crossings._records skips the Python __new__; the records are those built one by one, of the same type
+    for pq in ((2, 3), (3, 7), (7, 11)):
+        params = TorusParams(*pq)
+        table = _crossing_table(params)
+        kinds = [TYPE_I if row < table.n_type1 else TYPE_II for row in range(len(table.k))]
+        indices = [CrossingIndices(*ix) for ix in zip(kinds, table.k.tolist(), table.j.tolist())]
+        rows, m, slopes, intercepts = (column.tolist() for column in phases_mod.certified_line_arrays(params))
+        lines = [SingularLine(*indices[row], *rest) for row, *rest in zip(rows, m, slopes, intercepts)]
+        for built, one_by_one in (
+            (singular_lines(params), lines),
+            (list(table.indices), indices),
+            (table.records(np.array([2, 0, 1])), [indices[i] for i in (2, 0, 1)]),
+            (_records(SingularLine, *zip(*lines)), lines),
+        ):
+            assert built == one_by_one, pq
+            assert [type(record) for record in built] == [type(record) for record in one_by_one], pq
+    assert _records(SingularLine) == []
+
+
+def test_certification_gaps_are_per_line_height_gaps_bitwise():
+    # one phi1 wave per table row: each line's gap is still (0 + w1) + w2 of a
+    # per-line height_gap call at its own row, bit for bit, sign bits included
+    for q in range(3, 30):
+        for p in range(2, q):
+            if math.gcd(p, q) != 1:
+                continue
+            table = _crossing_table(TorusParams(p, q))
+            rows, _, slopes, intercepts = _line_candidates(table)
+            assert (rows == np.arange(len(table.k))[:, None]).all(), (p, q)
+            gaps = _line_gaps(table, rows, slopes, intercepts)
+            rows, slopes, intercepts = rows.ravel(), slopes.ravel(), intercepts.ravel()
+            per_line = table.height_gap(rows[:, None], _CERT_PHI1, _phi2_along(slopes, intercepts, _CERT_PHI1))
+            assert gaps.shape == per_line.shape == (2 * len(table.k), len(_CERT_PHI1)), (p, q)
+            assert gaps.tobytes() == per_line.tobytes(), (p, q)
+
+
+def test_certification_names_the_first_failing_line_and_sample(monkeypatch):
+    # a line past a row's first fails first; the message is the per-line reference's
+    real = phases_mod._line_candidates
+    params = TorusParams(3, 7)
+    candidates = real(_crossing_table(params))
+    bent = candidates[3].copy()
+    bent[[2, 4], [1, 0]] += 0.3  # the lines at raveled positions 5 and 8
+    monkeypatch.setattr(phases_mod, "_line_candidates", lambda table: (*candidates[:3], bent))
+    rows, m, slopes, bent = (column.ravel() for column in (*candidates[:3], bent))
+    table = _crossing_table(params)
+    residual = np.abs(table.height_gap(rows[:, None], _CERT_PHI1, _phi2_along(slopes, bent, _CERT_PHI1)))
+    i, sample = np.argwhere(residual > EPS_SINGULAR)[0]
+    assert i == 5
+    line = SingularLine(TYPE_I if rows[i] < table.n_type1 else TYPE_II, int(table.k[rows[i]]),
+                        int(table.j[rows[i]]), int(m[i]), int(slopes[i]), float(bent[i]))
+    message = (f"line {line} fails for crossing {CrossingIndices(*line[:3]).key()}: "
+               f"residual {residual[i, sample]:.3e} at phi1={_CERT_PHI1[sample]:.6f}")
+    with pytest.raises(CertificationFailure) as err:
+        phases_mod.certified_line_arrays(params)
+    assert str(err.value) == message
+
+
+def test_same_knot_by_phases_answers_a_python_bool():
+    params = TorusParams(5, 9)
+    a = theorem_phase_point(params)
+    answers = [same_knot_by_phases(params, a, b) for b in (a, PhasePoint(a.phi1 + 1.0, a.phi2 + 2.0))]
+    assert answers == [True, False]
+    assert [type(answer) for answer in answers] == [bool, bool]
+
+
+def test_sign_vector_items_are_the_indices_zipped_with_their_signs():
+    # sign_vector picks each row's item from the table's sign_items; it equals the pair built one by one
+    for pq in ((2, 3), (3, 7), (7, 11)):
+        params = TorusParams(*pq)
+        table = _crossing_table(params)
+        rng = random.Random(sum(pq))
+        for _ in range(8):
+            point = PhasePoint(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
+            gaps = table.height_gap(slice(None), point.phi1, point.phi2)
+            expected = tuple(zip(table.indices, [1 if gap > 0.0 else -1 for gap in gaps.tolist()]))
+            items = sign_vector(params, point).items
+            assert items == expected, (pq, point)
+            assert all(type(item) is tuple and type(ix) is CrossingIndices and type(s) is int for item in items
+                       for ix, s in [item]), pq
 
 
 # -- sign vector equality implies equal diagrams ----------------------------------------

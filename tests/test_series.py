@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,6 +215,25 @@ def test_term_rejects_non_finite(field, bad):
     kwargs = {"amplitude": 1.0, "frequency": 3, "phase": 0.0, field: bad}
     with pytest.raises(ValueError, match=field):
         FourierTerm(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["amplitude", "phase"])
+@pytest.mark.parametrize("bad", ["1.5", "pi", b"1.5", None, 1j, np.complex128(1.0), np.complex64(1.0)],
+                         ids=["str", "name", "bytes", "None", "complex", "numpy-complex", "numpy-complex64"])
+def test_term_refuses_non_reals_by_name(field, bad):
+    # "1.5" used to be taken, None to raise float()'s TypeError and "pi" numpy's message
+    kwargs = {"amplitude": 1.0, "frequency": 3, "phase": 0.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        FourierTerm(**kwargs)
+
+
+def test_term_takes_what_float_takes_but_text_and_complex():
+    # numpy bools, 0-d arrays and Decimals are not numbers.Real, and float() still reads them
+    for amplitude, phase in ((np.float64(0.5), np.float32(1.5)), (Fraction(1, 2), np.int64(3)), (2, Fraction(7, 3)),
+                             (np.True_, np.array(0.5)), (Decimal("0.25"), np.array(2))):
+        term = FourierTerm(amplitude, 3, phase)
+        assert (term.amplitude, term.phase) == (float(amplitude), reduce_angle(float(phase)))
+        assert type(term.amplitude) is float and type(term.phase) is float
 
 
 def random_series(seed: int, terms: int) -> FourierSeries:
