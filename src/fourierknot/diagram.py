@@ -15,8 +15,8 @@ row per maximum but the first, has the same determinant.  The sweep packs
 each label into one Python int of small fixed-width fields, updates it with
 a shift per crossing in Kahn's order and certifies every update with one
 mask test, widening the fields and starting again when a test fails.  Its
-minor goes to laurent's Bareiss core as Kronecker integers, built straight
-from the fields.
+minor goes to laurent's determinant engine as rows of (column, exponent,
+coefficient) terms, read straight from the fields.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     NotAKnot,
     SingularDiagram,
 )
-from .laurent import LaurentPolynomial, _balanced_digits, _bareiss, _kronecker_bits, det_poly_matrix
+from .laurent import LaurentPolynomial, _det_bareiss_lists, det_poly_matrix
 from .series import FourierKnot, TorusParams
 
 OVER = "O"
@@ -344,17 +344,19 @@ def _label_pass(steps: list[tuple[int, int, bool]], f: int, depth: int, bits: in
     return labels
 
 
-def _sweep_minor(steps: list[tuple[int, int, bool]], f: int, depth: int) -> np.ndarray:
+def _sweep_minor(steps: list[tuple[int, int, bool]], f: int, depth: int) -> list[list[tuple[int, int, int]]]:
     """The sweep's f - 1 bridge rows from its steps in Kahn order, D = depth levels deep.
 
     The labels are packed first in 8-bit fields and, while a field
     overflows, again at twice the width (see _alexander_from_sweep).  The
     2f - 2 labels the rows read are cut into fields with int.to_bytes and
     np.frombuffer, and the biases cancel in each row label(2m - 1) -
-    label(2m).  Returns the coefficients as a [row, column, slot] array,
-    slot s holding the coefficient of t^(s - D): int64 from fields of up to
-    32 bits, whose coefficients lie below 2^30 in size, and Python ints
-    from 64-bit limbs for wider fields, so any sum over it is exact.
+    label(2m).  Returns the rows in the form laurent._det_bareiss_lists
+    takes: per row, its nonzero (column, exponent, coefficient) terms in
+    column and then exponent order, the field of slot s giving exponent
+    s - D.  The coefficients are Python ints, read from int64 for fields
+    of up to 32 bits (below 2^30 in size) and from 64-bit limbs for wider
+    fields, so any sum over them is exact.
     """
     bits = 8
     while (labels := _label_pass(steps, f, depth, bits)) is None:
@@ -366,31 +368,11 @@ def _sweep_minor(steps: list[tuple[int, int, bool]], f: int, depth: int) -> np.n
         limbs = np.frombuffer(raw, dtype="<u8").astype(object).reshape(-1, bits // 64)
         fields = sum(limbs[:, j] << 64 * j for j in range(bits // 64))
     pairs = fields.reshape(f - 1, 2, 2 * depth + 1, f - 1)  # [maximum, side, slot, generator]
-    return (pairs[:, 0] - pairs[:, 1]).transpose(0, 2, 1)
-
-
-def _sweep_det(minor: np.ndarray) -> LaurentPolynomial:
-    """The determinant of a [row, column, slot] minor from _sweep_minor, by the Bareiss core at t = 2^k.
-
-    k comes from _kronecker_bits, each row's sum of squared entry L1 norms
-    taken in Python ints: the norms are exact in the minor's dtype, but
-    their squares would not be in int64.  Each row is moved by t^-(its
-    lowest occupied slot), and its entries are summed at 2^k in one walk
-    over the nonzero coefficients.  The unit reduction that det_poly_matrix
-    runs first is skipped: the determinant is exact without it, and it
-    finds no unit pivot on the theorem knots' sweep minors.  The result
-    keeps its true exponents.
-    """
-    rows, depth = len(minor), minor.shape[2] // 2
-    k = _kronecker_bits(sum(x * x for x in row) for row in np.abs(minor).sum(axis=2).tolist())
-    nonzero = minor != 0
-    low = nonzero.any(axis=1).argmax(axis=1)  # each row's lowest occupied slot; 0 for a zero row
-    row, col, slot = np.nonzero(nonzero)
-    a = [[0] * rows for _ in range(rows)]
-    for r, c, s, v in zip(row.tolist(), col.tolist(), (k * (slot - low[row])).tolist(), minor[nonzero].tolist()):
-        a[r][c] += v << s
-    det = _balanced_digits(_bareiss(a), k)
-    return LaurentPolynomial._adopt({e: c for e, c in enumerate(det, int(low.sum()) - rows * depth) if c})
+    minor = (pairs[:, 0] - pairs[:, 1]).transpose(0, 2, 1)  # [row, column, slot]
+    row, col, slot = np.nonzero(minor)
+    terms = list(zip(col.tolist(), (slot - depth).tolist(), minor[row, col, slot].tolist()))
+    ends = np.searchsorted(row, np.arange(f)).tolist()
+    return [terms[i:j] for i, j in zip(ends, ends[1:])]
 
 
 def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentPolynomial:
@@ -456,12 +438,11 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
       biased coefficient;
     - a failed test restarts the walk at 2K bits, from K = 8, so the labels
       stay exact at any size and nothing is refused (see _sweep_minor).
-    The minor goes to the Bareiss core as Kronecker integers (_sweep_det),
-    past det_poly_matrix, whose unit reduction finds no pivot on the
-    theorem knots' sweep minors, and no entry is built as a
-    LaurentPolynomial.  The determinant is
-    exact, so the result does not depend on the rows' shifts, which
-    normalized() removes.
+    The minor's term rows go straight to laurent's engine
+    (_det_bareiss_lists), past det_poly_matrix, whose unit reduction finds
+    no pivot on the theorem knots' sweep minors, and no entry is built as a
+    LaurentPolynomial.  The determinant is exact, so the result does not
+    depend on the rows' shifts, which normalized() removes.
     """
     t, cid, is_over = _sorted_passages(crossings)
     n = len(crossings)
@@ -511,10 +492,10 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     if len(order) != n:
         raise SingularDiagram(f"the strands' crossing order has a cycle through {n - len(order)} crossing(s)")
 
-    det = _sweep_det(_sweep_minor([steps[i] for i in order], f, depth))
-    if det.is_zero:
+    low, det = _det_bareiss_lists(_sweep_minor([steps[i] for i in order], f, depth))
+    if not det:
         raise SingularDiagram("bridge-relation determinant vanishes")
-    return det.normalized()
+    return LaurentPolynomial._adopt({e: c for e, c in enumerate(det, low) if c}).normalized()
 
 
 def torus_alexander_oracle(params: TorusParams) -> LaurentPolynomial:

@@ -7,11 +7,11 @@ det(A(2**k)) at a Kronecker point sized by one Hadamard coefficient bound,
 computed by fraction-free Bareiss elimination over Z with complete pivoting
 on the shortest entry, and read back as balanced base-2**k digits.
 
-Inside the determinant entries are plain {exponent: coefficient} maps, which
-the reduction and the engine take as they are (the engine moves each row's
-exponents while it evaluates the row); only det_poly_matrix converts.  The
-Bareiss core itself takes a square list of Python ints, so the x-sweep
-hands it Kronecker integers without building any entry.
+Inside the reduction entries are plain {exponent: coefficient} maps.  The
+engine takes each row as a list of (column, exponent, coefficient) terms,
+the form det_poly_matrix flattens its remainder into and the x-sweep builds
+its bridge minor in, and is the one place that turns a Laurent matrix into
+Kronecker integers and reads the determinant back.
 """
 
 from __future__ import annotations
@@ -180,17 +180,16 @@ class LaurentPolynomial:
 
 # ---------------------------------------------------------------------------
 # The determinant engine: one Bareiss core on square lists of Python ints, with
-# two entries.  det_poly_matrix reduces its rows by unit pivots and hands the
-# remainder's {exponent: coefficient} maps to _det_bareiss_lists, which moves
-# each row by the unit t**-v, v its least exponent or 0 if none is negative,
-# evaluates it at 2**k and returns (the sum of the v, the determinant as a
-# coefficient list).  The x-sweep (diagram._sweep_det) builds its Kronecker
-# integers straight from its coefficient array and calls _bareiss itself: the
-# unit reduction finds no pivot on the theorem knots' sweep minors, and the
-# determinant is exact without it.  Both size k by _kronecker_bits from exact
-# integer row sums (the sweep decodes fields over 32 bits as Python ints and
-# squares its L1 norms in Python ints), and read the integer det(A(2**k)) back
-# as balanced base-2**k digits.
+# one entry.  _det_bareiss_lists takes rows of (column, exponent, coefficient)
+# terms from both callers: det_poly_matrix flattens the remainder of its unit
+# reduction into them, and the x-sweep (diagram._alexander_from_sweep) hands
+# its bridge minor over as it builds it, with no unit reduction, which finds
+# no pivot on the theorem knots' sweep minors.  The engine moves each row by
+# the unit t**-v, v its least exponent or 0 if none is negative, sizes k by
+# _kronecker_bits from exact integer row sums, evaluates the rows at 2**k,
+# and reads the integer det(A(2**k)) back as balanced base-2**k digits.
+# Coefficients arrive as Python ints (the sweep decodes fields over 32 bits as
+# Python ints), so the L1 norms, their squares and every shift stay exact.
 
 
 def _kronecker_bits(row_sums: Iterable[int]) -> int:
@@ -262,18 +261,27 @@ def _bareiss(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_bareiss_lists(m: list[list[dict[int, int]]]) -> tuple[int, list[int]]:
-    """The remainder's determinant at the Kronecker point t = 2**k, by _bareiss.
+def _det_bareiss_lists(m: list[list[tuple[int, int, int]]]) -> tuple[int, list[int]]:
+    """The determinant of a square Laurent matrix at the Kronecker point t = 2**k, by _bareiss.
 
-    m is the list of remainder rows of {exponent: coefficient} maps ({} is
-    zero); each entry's value at 2**k is summed straight from its map, its
-    exponents moved by its row's v, which leaves k alone.  Returns (the sum
-    of the v, the coefficient list): (0, [1]) for no rows, and an empty
-    list when the determinant is zero.
+    m holds one list per row of (column, exponent, coefficient) terms, at
+    most one per column and exponent; a column with no term is zero.  The
+    coefficients are Python ints: a numpy int would wrap when shifted.  Each
+    term's value at 2**k is added to its entry, its exponent moved by its
+    row's v, which leaves k alone.  Returns (the sum of the v, the coefficient list): (0, [1]) for
+    no rows, and an empty list when the determinant is zero.
     """
-    k = _kronecker_bits(sum(sum(map(abs, e.values())) ** 2 for e in row) for row in m)
-    low = [min([min(e) for e in row if e] + [0]) for row in m]
-    a = [[sum(c << (k * (d - v)) for d, c in e.items()) for e in row] for row, v in zip(m, low)]
+    n = len(m)
+    norms = [[0] * n for _ in m]  # each entry's coefficient L1 norm
+    for row, out in zip(m, norms):
+        for c, _, x in row:
+            out[c] += abs(x)
+    k = _kronecker_bits(sum(x * x for x in out) for out in norms)
+    low = [min([e for _, e, _ in row] + [0]) for row in m]
+    a = [[0] * n for _ in m]
+    for row, v, out in zip(m, low, a):
+        for c, e, x in row:
+            out[c] += x << k * (e - v)
     return sum(low), _balanced_digits(_bareiss(a), k)
 
 
@@ -377,8 +385,9 @@ def det_poly_matrix(
     column an integer and each entry a LaurentPolynomial; else TypeError or
     ValueError names the row (and column).  The entries' {exponent:
     coefficient} maps go through sparse unit reduction, and the remainder's
-    rows go to the engine as they are; it moves them to non-negative
-    exponents as it evaluates them at t = 2**k, and reads the determinant
+    rows go to the engine flattened into (column, exponent, coefficient)
+    terms; it moves them to non-negative exponents as it evaluates them at
+    t = 2**k, and reads the determinant
     back from its value there, computed by fraction-free Bareiss over Z with
     complete pivoting.  The test suite checks it against permutation
     expansion and against Bareiss on coefficient lists.
@@ -401,5 +410,6 @@ def det_poly_matrix(
                 raise TypeError(f"row {r}, column {c}: entry {e!r} is not a LaurentPolynomial")
         sparse.append({c: e._c for c, e in row.items()})
     sign, shift, remainder = _sparse_unit_reduce(sparse)  # sign 0 when a row vanished
-    low, det = _det_bareiss_lists(remainder)  # (0, [1]) when every row was a pivot's
+    terms = [[(c, d, x) for c, e in enumerate(row) for d, x in e.items()] for row in remainder]
+    low, det = _det_bareiss_lists(terms)  # (0, [1]) when every row was a pivot's
     return LaurentPolynomial._adopt({e: sign * c for e, c in enumerate(det, shift + low) if sign * c})

@@ -116,7 +116,10 @@ class FourierTerm:
     phase: float = 0.0
 
     def __post_init__(self):
-        n = int(self.frequency)
+        try:
+            n = int(self.frequency)
+        except (TypeError, ValueError, OverflowError):  # None, complex, nan, inf, "x": refused below
+            n = -1
         if n != self.frequency or n < 0:
             raise ValueError(f"frequency must be a non-negative integer, got {self.frequency!r}")
         object.__setattr__(self, "amplitude", _finite_float(self.amplitude, "amplitude"))

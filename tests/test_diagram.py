@@ -677,15 +677,17 @@ SWEEP_ROWS_DIGEST = "141e2a216e89153effa602795f3c65d2b57e02e61966a7dda4e44c56d0f
 
 
 def sweep_rows(minor):
-    """A [row, column, slot] sweep minor as rows of (column, pairs), the form the sweep digests hash."""
-    depth = minor.shape[2] // 2
-    rows = (((c, tuple((s - depth, v) for s, v in enumerate(entry) if v)) for c, entry in enumerate(row))
-            for row in minor.tolist())
-    return tuple(tuple((c, pairs) for c, pairs in row if pairs) for row in rows)
+    """A sweep minor's term rows as rows of (column, pairs), the form the sweep digests hash.
+
+    Terms are grouped as they come, so a minor whose terms leave column and
+    then exponent order renders differently and fails a digest.
+    """
+    by_column = (itertools.groupby(row, key=lambda term: term[0]) for row in minor)
+    return tuple(tuple((c, tuple((e, v) for _, e, v in entry)) for c, entry in row) for row in by_column)
 
 
 def captured_sweep_rows(monkeypatch, fn, *args):
-    """The minor fn(*args) hands to the sweep's determinant, _sweep_det, rendered by sweep_rows."""
+    """The minor fn(*args) hands to the determinant engine, _det_bareiss_lists, rendered by sweep_rows."""
     seen = []
 
     def record(minor):
@@ -693,7 +695,7 @@ def captured_sweep_rows(monkeypatch, fn, *args):
         raise _Captured
 
     with monkeypatch.context() as patch:
-        patch.setattr(diagram, "_sweep_det", record)
+        patch.setattr(diagram, "_det_bareiss_lists", record)
         with pytest.raises(_Captured):
             fn(*args)
     return seen[0]
@@ -868,8 +870,10 @@ def test_sweep_widens_a_field_that_overflows(monkeypatch):
         assert diagram._label_pass(steps, 2, depth, bits) is None
     assert diagram._label_pass(steps, 2, depth, 32) is not None
     widths = recorded_widths(monkeypatch)
-    rows = sweep_rows(diagram._sweep_minor(steps, 2, depth))
+    minor = diagram._sweep_minor(steps, 2, depth)
+    rows = sweep_rows(minor)
     assert widths == [8, 16, 32]
+    assert all(type(x) is int for row in minor for term in row for x in term)  # read from int64 fields
     assert rows == reference_rows(sweep_minor_reference(steps, 2))
     assert max(abs(v) for row in rows for _, pairs in row for _, v in pairs) > 1 << 13
     # three rounds leave only the 8-bit field, and 16 bits hold them
@@ -890,8 +894,10 @@ def test_sweep_det_is_exact_in_64_bit_fields(monkeypatch, rounds):
     widths = recorded_widths(monkeypatch)
     minor = diagram._sweep_minor(steps, 2, len(steps))
     assert widths[-1] == 64
-    assert max(abs(v) for v in minor.ravel().tolist()) > 1 << 32
-    assert diagram._sweep_det(minor) == det_poly_matrix(sweep_minor_reference(steps, 2))
+    assert max(abs(v) for row in minor for _, _, v in row) > 1 << 32
+    assert all(type(x) is int for row in minor for term in row for x in term)  # np.int64 << k would wrap
+    low, det = diagram._det_bareiss_lists(minor)
+    assert L(enumerate(det, low)) == det_poly_matrix(sweep_minor_reference(steps, 2))
 
 
 def test_sweep_matches_oracle_on_the_p2_line():

@@ -236,6 +236,11 @@ def as_map(e):
     return {d: c for d, c in pairs if c}
 
 
+def term_rows(m):
+    """Rows of {exponent: coefficient} maps as the engine's rows of (column, exponent, coefficient) terms."""
+    return [[(c, d, x) for c, e in enumerate(row) for d, x in e.items()] for row in m]
+
+
 @st.composite
 def coefficient_matrices(draw):
     """Square matrices of trimmed coefficient lists, the format det_bareiss_reference
@@ -278,7 +283,7 @@ def coefficient_matrices(draw):
 def test_remainder_engine_matches_list_bareiss(m):
     det = det_bareiss_reference(m)
     maps = [[as_map(e) for e in row] for row in m]
-    assert laurent._det_bareiss_lists(maps) == (0, det)
+    assert laurent._det_bareiss_lists(term_rows(maps)) == (0, det)
 
 
 def det_by_fractions(a):
@@ -350,12 +355,15 @@ def remainder_rows(draw):
 @example(m=[[{-1: 3, 0: -1}, {}], [{}, {1: 2}]])  # one row shifted, one not: shift -1
 @example(m=[[{-3: 1}, {-1: 2}], [{-3: 1}, {-1: 2}]])  # singular: shift -6, no digits
 @example(m=[[{}, {}], [{-1: 1}, {-2: 1}]])  # a zero row keeps v = 0
+@example(m=[[{}]])  # a row with no terms: v = 0, no digits
+# sweep-shaped: every term of every row at a negative exponent, each row moved by its least
+@example(m=[[{-3: -1, -2: 1}, {-1: -1}], [{-2: 1}, {-3: 1, -1: -1}]])
 @given(m=remainder_rows())
 def test_engine_shifts_each_row_as_it_evaluates(m):
     shift, rows = shifted_rows(m)
-    low, det = laurent._det_bareiss_lists(rows)
+    low, det = laurent._det_bareiss_lists(term_rows(rows))
     assert low == 0  # rows with no negative exponent are not moved
-    assert laurent._det_bareiss_lists(m) == (shift, det)
+    assert laurent._det_bareiss_lists(term_rows(m)) == (shift, det)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +481,20 @@ def test_reduction_pivots_pinned(monkeypatch):
 @pytest.mark.parametrize("p,q", _MINOR_PAIRS)
 def test_remainder_engines_agree_on_alexander_minors(p, q, monkeypatch):
     minor = alexander_minor(p, q, monkeypatch)
-    remainders = []
-    engine = laurent._det_bareiss_lists
-    monkeypatch.setattr(laurent, "_det_bareiss_lists", lambda m: remainders.append(m) or engine(m))
+    remainders, engine_rows = [], []
+    reduce, engine = laurent._sparse_unit_reduce, laurent._det_bareiss_lists
+
+    def reduce_spy(rows):
+        out = reduce(rows)
+        remainders.append(out[2])
+        return out
+
+    monkeypatch.setattr(laurent, "_sparse_unit_reduce", reduce_spy)
+    monkeypatch.setattr(laurent, "_det_bareiss_lists", lambda m: engine_rows.append(m) or engine(m))
     det_poly_matrix(minor)
     (m,) = remainders  # every one of these minors leaves a remainder, of 1 to 11 rows
-    shift, det = engine(m)
+    assert engine_rows == [term_rows(m)]  # the remainder's maps reach the engine flattened
+    shift, det = engine(term_rows(m))
     assert L(enumerate(det, shift)) == det_by_list_bareiss([[L(e) for e in row] for row in m])
 
 

@@ -209,6 +209,20 @@ def test_term_validation():
         FourierTerm(1.0, -2, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, None, 1j, math.nan, "x"], ids=["inf", "None", "complex", "nan", "str"])
+def test_term_refuses_bad_frequency_by_name(bad):
+    # int() used to raise OverflowError for inf, TypeError for None and 1j, and
+    # a ValueError naming nothing for nan and "x"
+    with pytest.raises(ValueError, match=r"frequency must be a non-negative integer, got "):
+        FourierTerm(1.0, bad)
+
+
+@pytest.mark.parametrize("good", [3, 3.0, np.float64(3.0), np.int64(3), np.uint8(3)])
+def test_term_takes_integral_frequencies(good):
+    term = FourierTerm(1.0, good)
+    assert term.frequency == 3 and type(term.frequency) is int
+
+
 @pytest.mark.parametrize("field", ["amplitude", "phase"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_term_rejects_non_finite(field, bad):
