@@ -20,6 +20,7 @@ import numpy as np
 
 from .crossings import (
     MAX_NUMERIC_GRID,
+    TYPE_II,
     analytic_crossing_set,
     crossing_count,
     find_crossings_numeric,
@@ -224,7 +225,7 @@ def _verify_pair(params: TorusParams) -> tuple[dict[str, str], bool]:
                 row["phase"] = "FAIL"
                 ok = False
             except SingularPoint as sp:
-                degenerate_type2 = [ix for ix in sp.indices if ix.kind == "II"]
+                degenerate_type2 = [ix for ix in sp.indices if ix.kind == TYPE_II]
                 good = len(degenerate_type2) >= 2
                 row["phase"] = "pass" if good else "FAIL"
                 ok = ok and good
@@ -288,7 +289,8 @@ def cmd_phase_map(args) -> int:
     _check_output(args.output)
     params = TorusParams(args.p, args.q)
     pmap = phase_map_render(params, args.grid, mark_theorem_points=args.mark_theorem_points)
-    if (args.output or "").endswith(".png") or args.format == "png":
+    fmt = args.format or ("png" if (args.output or "").lower().endswith(".png") else "svg")
+    if fmt == "png":
         _write(args.output, pmap.to_png_bytes())
     else:
         _write(args.output, pmap.to_svg(size=args.size))
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"at 512 and 52 MB at {MAX_GRID} for T(7,13), and up to 40 bytes per crossing x grid at large p, q",
     )
     m.add_argument("--size", type=_positive_int, default=640, help="SVG image side in pixels")
-    m.add_argument("--format", choices=["svg", "png"], default="svg")
+    m.add_argument("--format", choices=["svg", "png"], help="image format; by default PNG for a .png output, else SVG")
     m.add_argument(
         "--mark-theorem-points",
         action=argparse.BooleanOptionalAction,

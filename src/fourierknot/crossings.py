@@ -202,12 +202,12 @@ class _CrossingTable:
     lines phi2 = slope * phi1 + (N + 2pq m) u.  The phase raster's signs
     come from these integers.  The columns are the only store, and what is
     derived from them is built on first read: ``indices``, every row's
-    CrossingIndices (``records`` builds some rows'), ``sign_items``, the
-    two items of each row that a sign vector picks from, and the height
-    gap's point-independent factors, which the first ``height_gap`` builds over
-    every row, so that each gap pays only for its phases.  A table that is
-    never asked for a gap (the analytic set, the raster) never builds them.
-    Building one is most of an uncached point query, hence _crossing_table's cache.
+    CrossingIndices, ``sign_items``, the two items of each row that a sign
+    vector picks from, and the height gap's point-independent factors,
+    which the first ``height_gap`` builds over every row, so that each gap
+    pays only for its phases.  A table that is never asked for a gap (the
+    analytic set, the raster) never builds them.  Building one is most of
+    an uncached point query, hence _crossing_table's cache.
     """
 
     def __init__(self, params: TorusParams):
@@ -237,14 +237,11 @@ class _CrossingTable:
         """The kind, TYPE_I or TYPE_II, of each of the rows (an int array)."""
         return _KINDS.take(rows >= self.n_type1).tolist()
 
-    def records(self, rows) -> list[CrossingIndices]:
-        """The CrossingIndices of the rows (an int array), in their order."""
-        return _records(CrossingIndices, self.kinds(rows), self.k[rows].tolist(), self.j[rows].tolist())
-
     @functools.cached_property
     def indices(self) -> tuple[CrossingIndices, ...]:
         """Every row's CrossingIndices, in row order (which is sorted order), built on first read."""
-        return tuple(self.records(np.arange(len(self.k))))
+        kinds = self.kinds(np.arange(len(self.k)))
+        return tuple(_records(CrossingIndices, kinds, self.k.tolist(), self.j.tolist()))
 
     @functools.cached_property
     def sign_items(self) -> tuple[np.ndarray, np.ndarray]:

@@ -286,7 +286,8 @@ def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
     The sparse {column: entry} rows share three constants (1 - t, t and -1)
     unless two arcs of a relation coincide.  Raises NotAKnot for
     non-consecutive under edges or several strands, and SingularDiagram for
-    non-consecutive over edges or a zero determinant.
+    non-consecutive over edges or Delta(1) != +-1 (at t = 1 each row is
+    +-(x_in - x_out): one strand's minor is a path's reduced incidence matrix).
     """
     record = _pd_orientation(pd)
     n = len(record)
@@ -315,8 +316,9 @@ def alexander_from_diagram(pd: PDCode) -> LaurentPolynomial:
     # delete arc 0's column and the first relation
     minor = [{col - 1: e for col, e in row.items() if col} for row in rows[1:]]
     det = det_poly_matrix(minor)
-    if det.is_zero:
-        raise SingularDiagram("crossing-relation determinant vanishes")
+    at_one = sum(c for _, c in det.pairs())
+    if abs(at_one) != 1:
+        raise SingularDiagram(f"crossing-relation determinant has Delta(1) = {at_one}, not +-1")
     return det.normalized()
 
 
@@ -354,15 +356,15 @@ def _sweep_minor(steps: list[tuple[int, int, bool]], f: int, depth: int) -> list
     label(2m).  Returns the rows in the form laurent._det_bareiss_lists
     takes: per row, its nonzero (column, exponent, coefficient) terms in
     column and then exponent order, the field of slot s giving exponent
-    s - D.  The coefficients are Python ints, read from int64 for fields
-    of up to 32 bits (below 2^30 in size) and from 64-bit limbs for wider
-    fields, so any sum over them is exact.
+    s - D, as Python ints through tolist(), so any sum over them is exact.
+    Fields of up to 64 bits are read as int64, where two fields below 2^62
+    (the mask) differ without wrapping; wider ones sum their 64-bit limbs.
     """
     bits = 8
     while (labels := _label_pass(steps, f, depth, bits)) is None:
         bits *= 2
     raw = b"".join(label.to_bytes((2 * depth + 1) * (f - 1) * bits // 8, "little") for label in labels[1:-1])
-    if bits <= 32:
+    if bits <= 64:
         fields = np.frombuffer(raw, dtype=f"<u{bits // 8}").astype(np.int64)
     else:  # each field from its little-endian 64-bit limbs
         limbs = np.frombuffer(raw, dtype="<u8").astype(object).reshape(-1, bits // 64)
@@ -442,7 +444,9 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     (_det_bareiss_lists), past det_poly_matrix, whose unit reduction finds
     no pivot on the theorem knots' sweep minors, and no entry is built as a
     LaurentPolynomial.  The determinant is exact, so the result does not
-    depend on the rows' shifts, which normalized() removes.
+    depend on the rows' shifts, which normalized() removes.  At t = 1 each
+    update O + t*(L - O) is L, so the minor is bidiagonal in +-1, and a
+    determinant with Delta(1) != +-1 raises SingularDiagram.
     """
     t, cid, is_over = _sorted_passages(crossings)
     n = len(crossings)
@@ -493,8 +497,8 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
         raise SingularDiagram(f"the strands' crossing order has a cycle through {n - len(order)} crossing(s)")
 
     low, det = _det_bareiss_lists(_sweep_minor([steps[i] for i in order], f, depth))
-    if not det:
-        raise SingularDiagram("bridge-relation determinant vanishes")
+    if abs(sum(det)) != 1:
+        raise SingularDiagram(f"bridge-relation determinant has Delta(1) = {sum(det)}, not +-1")
     return LaurentPolynomial._adopt({e: c for e, c in enumerate(det, low) if c}).normalized()
 
 

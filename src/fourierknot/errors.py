@@ -22,7 +22,7 @@ class SingularCrossing(KnotError):
 
 
 class WrongKnotShape(KnotError):
-    """Operation needs another knot shape: the theorem's x and y, or a two-term z series."""
+    """Operation needs another knot shape: the theorem's x and y."""
 
 
 class IncompleteCrossingSet(KnotError):
@@ -34,7 +34,7 @@ class NotAKnot(KnotError):
 
 
 class SingularDiagram(KnotError):
-    """Diagram data is degenerate (vanishing invariant determinant, bad code)."""
+    """Diagram data is degenerate (a determinant with Delta(1) != +-1, bad code)."""
 
 
 class IdentificationFailure(KnotError):

@@ -188,8 +188,8 @@ class LaurentPolynomial:
 # the unit t**-v, v its least exponent or 0 if none is negative, sizes k by
 # _kronecker_bits from exact integer row sums, evaluates the rows at 2**k,
 # and reads the integer det(A(2**k)) back as balanced base-2**k digits.
-# Coefficients arrive as Python ints (the sweep decodes fields over 32 bits as
-# Python ints), so the L1 norms, their squares and every shift stay exact.
+# Coefficients arrive as Python ints (the sweep's through tolist()), so the L1
+# norms, their squares and every shift stay exact.
 
 
 def _kronecker_bits(row_sums: Iterable[int]) -> int:

@@ -18,6 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .crossings import EPS_SINGULAR, CrossingIndices, _crossing_table, _records, crossing_count
 from .errors import CertificationFailure, SimplifyRequiresEvenP, SingularPoint
+from .render import phase_map_png, phase_map_svg
 from .series import (
     TWO_PI,
     FourierKnot,
@@ -26,6 +27,7 @@ from .series import (
     TorusParams,
     _finite_float,
     _int_at_least,
+    _phi2_along,
     reduce_angle,
     reduce_angles,
     theorem_xy,
@@ -70,14 +72,6 @@ class SingularLine(NamedTuple):
 
     def phi2_at(self, phi1: float) -> float:
         return reduce_angle(self.slope * phi1 + self.intercept)
-
-
-def _phi2_along(slopes: np.ndarray, intercepts: np.ndarray, phi1: np.ndarray) -> np.ndarray:
-    """phi2_at of the lines (slopes, intercepts) at every phi1, shape (len(slopes), len(phi1)).
-
-    The same operations as SingularLine.phi2_at, so bitwise the same values.
-    """
-    return reduce_angles(slopes[:, None] * phi1 + intercepts[:, None])
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,7 @@ def _positive_gaps(table, phi1, phi2) -> np.ndarray:
     if np.abs(gaps).min() <= EPS_SINGULAR:
         degenerate = np.abs(np.atleast_2d(gaps)) <= EPS_SINGULAR
         first = degenerate.any(axis=1).argmax()
-        raise SingularPoint(table.records(np.flatnonzero(degenerate[first])))
+        raise SingularPoint([table.indices[row] for row in np.flatnonzero(degenerate[first]).tolist()])
     return gaps > 0.0
 
 
@@ -316,13 +310,9 @@ class PhaseMap(NamedTuple):
     marks: tuple[tuple[PhasePoint, str], ...] = ()
 
     def to_png_bytes(self, scale: int = 2) -> bytes:
-        from .render import phase_map_png
-
         return phase_map_png(self, scale=scale)
 
     def to_svg(self, size: int = 640) -> str:
-        from .render import phase_map_svg
-
         return phase_map_svg(self, size=size)
 
 

@@ -10,8 +10,7 @@ import zlib
 import numpy as np
 
 from .crossings import CrossingSet
-from .phases import _phi2_along
-from .series import TWO_PI, FourierKnot, _int_at_least, reduce_angles
+from .series import TWO_PI, FourierKnot, _int_at_least, _phi2_along, reduce_angles
 
 
 def png_bytes(raw: np.ndarray) -> bytes:

@@ -92,6 +92,11 @@ def reduce_angles(theta: np.ndarray) -> np.ndarray:
     return r + 0.0
 
 
+def _phi2_along(slopes: np.ndarray, intercepts: np.ndarray, phi1: np.ndarray) -> np.ndarray:
+    """phases.SingularLine.phi2_at of the lines (slopes, intercepts) at every phi1, bitwise: (lines, len(phi1))."""
+    return reduce_angles(slopes[:, None] * phi1 + intercepts[:, None])
+
+
 # every printed float: 17 significant digits, round-trip exact for doubles and
 # stable across runs; fmt_float and the crossing-set row templates use it
 FLOAT_FORMAT = "%.17g"

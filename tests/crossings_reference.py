@@ -68,4 +68,4 @@ def family(params, kind):
     table = _crossing_table(params)
     rows = np.flatnonzero((np.arange(len(table.k)) < table.n_type1) == (kind == TYPE_I))
     t1, t2 = (reduce_angles(column[rows]).tolist() for column in (table.t1, table.t2))
-    return list(zip(table.records(rows), t1, t2))
+    return list(zip((table.indices[row] for row in rows.tolist()), t1, t2))

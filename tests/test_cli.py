@@ -296,6 +296,19 @@ def test_phase_map_png_to_stdout(capsysbinary):
     assert capsysbinary.readouterr().out == phase_map_render(TorusParams(2, 3), 64).to_png_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, name, magic",
+    [(["--format", "svg"], "map.png", b"<svg"), ([], "map.PNG", b"\x89PNG\r\n\x1a\n")],
+    ids=["format-over-suffix", "suffix-in-any-case"],
+)
+def test_phase_map_format_comes_from_one_place(tmp_path, capsys, argv, name, magic):
+    # an explicit --format decides; without one a .png suffix in any case means PNG
+    out_path = tmp_path / name
+    code, _, _ = run_cli(capsys, "phase-map", "-p", "2", "-q", "3", "--grid", "64", "-o", str(out_path), *argv)
+    assert code == 0
+    assert out_path.read_bytes().startswith(magic)
+
+
 def test_phase_map_grid_too_small(capsys):
     code, _, err = run_cli(capsys, "phase-map", "-p", "2", "-q", "3", "--grid", "8")
     assert code == 2
@@ -367,6 +380,16 @@ def test_non_positive_size_is_refused(capsys, command, size):
     assert exc.value.code == 2
     _, err = capsys.readouterr()
     assert "--size: must be a positive integer" in err
+
+
+@pytest.mark.parametrize("command", ["render", "phase-map"])
+def test_positive_size_sets_the_svg_side(tmp_path, capsys, command):
+    out_path = tmp_path / "out.svg"
+    extra = ["--grid", "64"] if command == "phase-map" else []
+    code, _, _ = run_cli(capsys, command, "-p", "2", "-q", "3", "--size", "123", "-o", str(out_path), *extra)
+    assert code == 0
+    root = ET.fromstring(out_path.read_text())
+    assert (root.get("width"), root.get("height")) == ("123", "123")
 
 
 @pytest.mark.parametrize("command", ["render", "phase-map"])

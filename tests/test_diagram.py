@@ -788,6 +788,29 @@ def test_sweep_refuses_a_cycle():
         diagram._alexander_from_sweep(knot, crossing_set(knot, (a, b)))
 
 
+def test_sweep_refuses_a_determinant_off_one_at_t_1(monkeypatch):
+    # a one-component bridge minor has Delta(1) = +-1; a doubled determinant does not
+    params, knot, cs = theorem_set(3, 7)
+    engine = diagram._det_bareiss_lists
+
+    def doubled(rows):
+        low, det = engine(rows)
+        return low, [2 * c for c in det]
+
+    monkeypatch.setattr(diagram, "_det_bareiss_lists", doubled)
+    with pytest.raises(SingularDiagram, match=r"bridge-relation determinant has Delta\(1\) = -?2, not"):
+        diagram._alexander_from_sweep(knot, cs)
+
+
+def test_pd_route_refuses_a_determinant_off_one_at_t_1(monkeypatch):
+    # the Wirtinger minor of one closed strand has Delta(1) = +-1; a doubled determinant does not
+    params, knot, cs = theorem_set(3, 7)
+    pd = build_pd_code(cs)
+    monkeypatch.setattr(diagram, "det_poly_matrix", lambda minor: det_poly_matrix(minor) * 2)
+    with pytest.raises(SingularDiagram, match=r"crossing-relation determinant has Delta\(1\) = -?2, not"):
+        alexander_from_diagram(pd)
+
+
 def test_sweep_without_crossings_is_one():
     # no crossing leaves every label at its minimum's generator: a unimodular minor
     params, knot, cs = theorem_set(3, 7)

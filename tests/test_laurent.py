@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -99,6 +100,9 @@ def test_basic_arithmetic():
 def test_zero_coefficients_dropped():
     assert L({3: 0, 1: 2}).pairs() == ((1, 2),)
     assert (L({0: 1}) - L({0: 1})).is_zero
+    # pairs whose repeated exponent cancels leave no term
+    assert L([(1, 2), (0, 1), (1, -2)]).pairs() == ((0, 1),)
+    assert L([(3, 4), (3, -4)]).is_zero
 
 
 def test_degree_valuation_shift():
@@ -107,6 +111,8 @@ def test_degree_valuation_shift():
     assert a.degree() == 4
     with pytest.raises(ValueError):
         L.zero().degree()
+    with pytest.raises(ValueError, match="zero polynomial has no valuation"):
+        L.zero().valuation()
 
 
 def test_normalized_form():
@@ -136,6 +142,12 @@ def test_exact_division():
 def test_non_integer_terms_are_refused(coeffs):
     with pytest.raises(TypeError):
         L(coeffs)
+
+
+@pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_combining_with_a_float_is_refused(combine):
+    with pytest.raises(TypeError, match="cannot combine LaurentPolynomial with <class 'float'>"):
+        combine(L.one(), 1.5)
 
 
 def test_integer_like_terms_are_kept():

@@ -55,10 +55,9 @@ from fourierknot.phases import (
     _line_candidates,
     _line_gaps,
     _phase_classes,
-    _phi2_along,
 )
 from fourierknot.render import knot_diagram_svg, phase_map_png
-from fourierknot.series import TWO_PI, sine_split
+from fourierknot.series import TWO_PI, _phi2_along, sine_split
 from crossings_reference import family
 from planted import crossing_set
 from render_reference import phase_rgb, rgb_png, upscaled
@@ -569,7 +568,6 @@ def test_record_helper_builds_the_records_one_by_one():
         for built, one_by_one in (
             (singular_lines(params), lines),
             (list(table.indices), indices),
-            (table.records(np.array([2, 0, 1])), [indices[i] for i in (2, 0, 1)]),
             (_records(SingularLine, *zip(*lines)), lines),
         ):
             assert built == one_by_one, pq
