@@ -1,9 +1,12 @@
 """Command-line interface: gen, crossings, verify, render, phase-map.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments or an
-unwritable output path, 3 oracle disagreement.  Angles are radians
-everywhere; --degrees converts the text output of gen and crossings.  The
-log level is the level name in the KNOT_LOG env var, WARNING for any other value.
+`main` is the one frame around every command: it refuses an -o path before
+any work, then writes the str or bytes the command returns (to stdout without
+-o), so a command writes nothing unless it succeeds.  Exit codes: 0 success,
+1 verification failure, 2 invalid arguments or an unwritable output path,
+3 oracle disagreement.  Angles are radians everywhere; --degrees converts the
+text output of gen and crossings.  The log level is the level name in the
+KNOT_LOG env var, WARNING for any other value.
 """
 
 from __future__ import annotations
@@ -119,30 +122,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _angle_str(value: float, degrees: bool) -> str:
-    return fmt_float(math.degrees(value)) if degrees else fmt_float(value)
-
-
-def cmd_gen(args) -> int:
-    _check_output(args.output)
+def cmd_gen(args) -> str:
     params = TorusParams(args.p, args.q)
     if args.standard:
         knot = gen_standard_knot(params, StandardTorusGeometry(args.major, args.minor))
     else:
         knot = gen_theorem_knot(params, simplified=args.simplified)
-    if args.format == "text":
-        lines = []
-        for axis in ("x", "y", "z"):
-            series = getattr(knot, axis)
-            terms = " + ".join(
-                f"{fmt_float(t.amplitude)}*cos({t.frequency}*t + {_angle_str(t.phase, args.degrees)})"
-                for t in series.terms
-            )
-            lines.append(f"{axis}(t) = {terms}")
-        _write(args.output, "\n".join(lines) + "\n")
-    else:
-        _write(args.output, knot.to_json())
-    return EXIT_OK
+    if args.format == "json":
+        return knot.to_json()
+    lines = []
+    for axis in ("x", "y", "z"):
+        terms = " + ".join(
+            f"{fmt_float(t.amplitude)}*cos({t.frequency}*t + "
+            f"{fmt_float(math.degrees(t.phase) if args.degrees else t.phase)})"
+            for t in getattr(knot, axis).terms
+        )
+        lines.append(f"{axis}(t) = {terms}")
+    return "\n".join(lines) + "\n"
 
 
 def _crossings_text(crossings, degrees: bool) -> str:
@@ -158,8 +154,7 @@ def _crossings_text(crossings, degrees: bool) -> str:
     return "\n".join([f"{len(crossings)} crossings ({crossings.method})", *rows]) + "\n"
 
 
-def cmd_crossings(args) -> int:
-    _check_output(args.output)
+def cmd_crossings(args) -> str | int:
     params = _torus_params(args)
     knot = gen_theorem_knot(params, simplified=args.simplified)
     analytic = analytic_crossing_set(knot, params) if args.check or not args.numeric else None
@@ -178,18 +173,17 @@ def cmd_crossings(args) -> int:
             )
             return EXIT_ORACLE_DISAGREE
     if args.format == "csv":
-        _write(args.output, chosen.to_csv())
-    elif args.format == "text":
-        _write(args.output, _crossings_text(chosen, args.degrees))
-    else:
-        _write(args.output, chosen.to_json())
-    return EXIT_OK
+        return chosen.to_csv()
+    if args.format == "text":
+        return _crossings_text(chosen, args.degrees)
+    return chosen.to_json()
 
 
 # identify's conditions in the order it checks them, each with its verify column
 _VERIFY_CONDITIONS = (("type1-count", "counts"), ("type2-count", "counts"),
                       ("type1-handedness", "type1-hand"), ("type2-over-direction", "type2-dir"),
                       ("alexander-mismatch", "alexander"))
+_VERIFY_COLUMNS = (*dict.fromkeys(column for _, column in _VERIFY_CONDITIONS), "phase")
 
 
 def _verify_pair(params: TorusParams) -> tuple[dict[str, str], bool]:
@@ -201,7 +195,6 @@ def _verify_pair(params: TorusParams) -> tuple[dict[str, str], bool]:
         failed = None
     except IdentificationFailure as exc:
         failed = exc.condition
-    ok = failed is None
     # a column passes before the failing condition, fails at it and reads "-" after it
     row: dict[str, str] = {}
     verdict = "pass"
@@ -209,30 +202,25 @@ def _verify_pair(params: TorusParams) -> tuple[dict[str, str], bool]:
         if cond == failed:
             row[column], verdict = "FAIL", "-"
         row.setdefault(column, verdict)
-    # phase condition: the lines certify, and even p must keep the same
-    # region while odd p must be singular; the line records are not needed
+    # phase condition: the lines certify, and even p must keep the same region
+    # (its simplified knot identifies too) while odd p must be singular on at
+    # least two type-II crossings; the line records are not needed
     try:
         certified_line_arrays(params)
         if params.p % 2 == 0:
-            same = same_knot_by_phases(params, theorem_phase_point(params), simplified_phase_point(params))
+            good = same_knot_by_phases(params, theorem_phase_point(params), simplified_phase_point(params))
             simplified = gen_theorem_knot(params, simplified=True)
             identify(simplified, analytic_crossing_set(simplified, params), params)
-            row["phase"] = "pass" if same else "FAIL"
-            ok = ok and same
         else:
             try:
                 sign_vector(params, simplified_phase_point(params))
-                row["phase"] = "FAIL"
-                ok = False
+                good = False
             except SingularPoint as sp:
-                degenerate_type2 = [ix for ix in sp.indices if ix.kind == TYPE_II]
-                good = len(degenerate_type2) >= 2
-                row["phase"] = "pass" if good else "FAIL"
-                ok = ok and good
+                good = sum(ix.kind == TYPE_II for ix in sp.indices) >= 2
+        row["phase"] = "pass" if good else "FAIL"
     except KnotError as exc:
         row["phase"] = f"FAIL ({exc})"
-        ok = False
-    return row, ok
+    return row, failed is None and row["phase"] == "pass"
 
 
 def cmd_verify(args) -> int:
@@ -252,8 +240,7 @@ def cmd_verify(args) -> int:
     ]
     if not pairs:
         raise ValueError("no coprime pairs in range")
-    columns = ["counts", "type1-hand", "type2-dir", "alexander", "phase"]
-    header = f"{'p':>3} {'q':>3}  " + "  ".join(f"{c:<10}" for c in columns) + "  wall"
+    header = f"{'p':>3} {'q':>3}  " + "  ".join(f"{c:<10}" for c in _VERIFY_COLUMNS) + "  wall"
     print(header)
     print("-" * len(header))
     failures = []
@@ -261,40 +248,32 @@ def cmd_verify(args) -> int:
         t0 = time.perf_counter()
         row, ok = _verify_pair(TorusParams(p, q))
         wall = time.perf_counter() - t0
-        print(f"{p:>3} {q:>3}  " + "  ".join(f"{row[c]:<10}" for c in columns) + f"  {wall:.2f}s")
+        print(f"{p:>3} {q:>3}  " + "  ".join(f"{row[c]:<10}" for c in _VERIFY_COLUMNS) + f"  {wall:.2f}s")
         if not ok:
-            failures.append((p, q, row))
+            failures.append((p, q))
     reading, res_ok, res_bad = certify_intercept_reading(TorusParams(*pairs[0]))
     print(
         f"type-I singular-line intercept certified as {reading} "
         f"(residual {res_ok:.2e}; alternative reading rejected at {res_bad:.2e})"
     )
     if failures:
-        print(f"{len(failures)} pair(s) failed: {[(p, q) for p, q, _ in failures]}", file=sys.stderr)
+        print(f"{len(failures)} pair(s) failed: {failures}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     print(f"all {len(pairs)} pairs pass")
     return EXIT_OK
 
 
-def cmd_render(args) -> int:
-    _check_output(args.output)
+def cmd_render(args) -> str:
     params = _torus_params(args)
     knot = gen_theorem_knot(params, simplified=args.simplified)
-    crossings = analytic_crossing_set(knot, params)
-    _write(args.output, knot_diagram_svg(knot, crossings, size=args.size))
-    return EXIT_OK
+    return knot_diagram_svg(knot, analytic_crossing_set(knot, params), size=args.size)
 
 
-def cmd_phase_map(args) -> int:
-    _check_output(args.output)
+def cmd_phase_map(args) -> str | bytes:
     params = TorusParams(args.p, args.q)
     pmap = phase_map_render(params, args.grid, mark_theorem_points=args.mark_theorem_points)
     fmt = args.format or ("png" if (args.output or "").lower().endswith(".png") else "svg")
-    if fmt == "png":
-        _write(args.output, pmap.to_png_bytes())
-    else:
-        _write(args.output, pmap.to_svg(size=args.size))
-    return EXIT_OK
+    return pmap.to_png_bytes() if fmt == "png" else pmap.to_svg(size=args.size)
 
 
 @functools.cache
@@ -388,8 +367,15 @@ def main(argv=None) -> int:
     # looked up on every call, so a cmd_* rebound on the module is the one that runs
     commands = {"gen": cmd_gen, "crossings": cmd_crossings, "verify": cmd_verify,
                 "render": cmd_render, "phase-map": cmd_phase_map}
+    path = getattr(args, "output", None)  # verify prints as it goes and takes no -o
     try:
-        return commands[args.command](args)
+        _check_output(path)
+        # a command returns its payload, or an exit code when it printed its own output
+        result = commands[args.command](args)
+        if isinstance(result, int):
+            return result
+        _write(path, result)
+        return EXIT_OK
     except (KnotError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS

@@ -139,7 +139,11 @@ class FourierSeries:
     terms: tuple[FourierTerm, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+        terms = tuple(self.terms)
+        for term in terms:
+            if not isinstance(term, FourierTerm):
+                raise ValueError(f"a series term must be a FourierTerm, got {term!r}")
+        object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -549,7 +549,7 @@ def stop_before_work(monkeypatch):
     def reached(*args, **kwargs):
         raise Reached(args)
 
-    # crossings, render and phase-map check -o before their expensive call
+    # main checks -o before any command runs, so before its expensive call
     monkeypatch.setattr(cli_mod, "analytic_crossing_set", reached)
     monkeypatch.setattr(cli_mod, "phase_map_render", reached)
 
@@ -590,12 +590,19 @@ def test_output_that_names_no_file_exits_2(tmp_path, capsys, monkeypatch, argv, 
 
 
 def test_output_check_neither_creates_nor_truncates(tmp_path, capsys):
-    # the path passes the check, then the grid is refused: nothing is written
-    kept, new = tmp_path / "kept.svg", tmp_path / "new.svg"
+    # each path passes the check, then every command refuses its input: nothing is written
+    kept, new = tmp_path / "kept.out", tmp_path / "new.out"
     kept.write_text("keep")
-    for target in (kept, new):
-        code, _, err = run_cli(capsys, "phase-map", "-p", "2", "-q", "3", "--grid", "8", "-o", str(target))
-        assert code == 2 and "64" in err
+    refused = {
+        ("gen", "-p", "3", "-q", "3"): "p < q required",
+        ("crossings", "-p", "2", "-q", "65537"): "65536",
+        ("render", "-p", "2", "-q", "65537"): "65536",
+        ("phase-map", "-p", "2", "-q", "3", "--grid", "8"): "64",
+    }
+    for argv, reason in refused.items():
+        for target in (kept, new):
+            code, out, err = run_cli(capsys, *argv, "-o", str(target))
+            assert (code, out) == (2, "") and reason in err, argv
     assert kept.read_text() == "keep"
     assert not new.exists()
 

@@ -821,8 +821,8 @@ def test_sweep_without_crossings_is_one():
 def test_sweep_width_ladder(monkeypatch, first):
     # passes in fields narrower than `first` bits are refused as if a field
     # had overflowed, so every pinned pair widens from 8 bits to `first` and
-    # decodes there: through uint16/32 arrays, or through Python ints from
-    # 64-bit limbs from 64 bits up; every captured minor stays as it was
+    # decodes there: as int64 up to 64 bits, or through Python ints from
+    # 64-bit limbs from 128 bits up; every captured minor stays as it was
     label_pass = diagram._label_pass
     widths = set()
 

@@ -241,6 +241,13 @@ def test_term_refuses_non_reals_by_name(field, bad):
         FourierTerm(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [(1.0, 3, 0.0), [1.0, 3], None, 3.0], ids=["tuple", "list", "None", "float"])
+def test_series_refuses_a_term_that_is_no_fourier_term(bad):
+    # a tuple used to be taken, and eval then failed on its missing .frequency
+    with pytest.raises(ValueError, match=r"a series term must be a FourierTerm, got "):
+        FourierSeries((FourierTerm(1.0, 2), bad))
+
+
 def test_term_takes_what_float_takes_but_text_and_complex():
     # numpy bools, 0-d arrays and Decimals are not numbers.Real, and float() still reads them
     for amplitude, phase in ((np.float64(0.5), np.float32(1.5)), (Fraction(1, 2), np.int64(3)), (2, Fraction(7, 3)),
