@@ -36,8 +36,8 @@ _PARALLEL_SHARE = 1e-4
 
 def _ranges(counts):
     """Concatenated aranges 0..c-1 for each c in counts."""
-    starts = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) - np.repeat(starts, counts)
+    starts = counts.cumsum() - counts
+    return np.arange(counts.sum()) - starts.repeat(counts)
 
 
 def _shared_cell_pairs(px, py, rx, ry):

@@ -62,9 +62,9 @@ EXIT_ORACLE_DISAGREE = 3
 # slowest one the Wirtinger-minor identify admitted under its budget of 712,
 # `--pmax 16 --qmax 23` (11.6-13.2 s at 44 MB max RSS in the same runs).  At
 # 1054 crossings, the count of T(19,29), the slowest admitted range is
-# `--pmax 19 --qmax 29` (211 pairs, 1.9-2.5 s at 36 MB, fresh process, 2-core
-# Linux); `--pmax 2 --qmax 352` takes 1.1-1.6 s at 37 MB, `--pmax 17 --qmax 32`
-# 1.9-2.2 s and `--pmax 15 --qmax 36` 1.5 s.  The rule admits at least 1570
+# `--pmax 19 --qmax 29` (211 pairs, 1.7-2.3 s at 40 MB, fresh process, 2-core
+# Linux); `--pmax 2 --qmax 352` takes 0.8-1.2 s at 37 MB, `--pmax 17 --qmax 32`
+# 1.8-2.8 s and `--pmax 15 --qmax 36` 1.4-2.1 s.  The rule admits at least 1570
 # (`--pmax 22 --qmax 37`, 6.8-7.8 s in-process); the budget stays at 1054.
 MAX_VERIFY_CROSSINGS = 1054
 

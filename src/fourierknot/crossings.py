@@ -153,7 +153,7 @@ def near_pairs(t1, t2) -> list[tuple[int, int]]:
     if len(t1) != len(t2):
         raise ValueError(f"near_pairs needs columns of one length, got {len(t1)} and {len(t2)} times")
     times = np.concatenate((t1, t2), dtype=np.float64)
-    owners = np.tile(np.arange(len(t1)), 2)
+    owners = np.concatenate((np.arange(len(t1)),) * 2)
     order = np.lexsort((owners, times))
     return _near_pairs(times[: len(t1)].tolist(), times[len(t1) :].tolist(), times[order], owners[order])[1]
 
@@ -164,8 +164,8 @@ def _near_pairs(t1, t2, times, owners) -> tuple[list[int], list[tuple[int, int]]
     if not inside.all():
         i = int(owners[~inside].min())
         raise ValueError(f"crossing time outside [0, 2*pi): ({t1[i]}, {t2[i]})")
-    gaps = np.append(np.diff(times), times[-1:] - times[:1])
-    close = np.flatnonzero((gaps <= EPS_DEDUPE) | (TWO_PI - gaps <= EPS_DEDUPE)).tolist()
+    gaps = np.concatenate((times[1:] - times[:-1], times[-1:] - times[:1]))
+    close = ((gaps <= EPS_DEDUPE) | (TWO_PI - gaps <= EPS_DEDUPE)).nonzero()[0].tolist()
     runs: list[list[int]] = []
     for i in close:
         if runs and runs[-1][-1] == i:
@@ -222,7 +222,7 @@ class _CrossingTable:
             k = np.arange(1, a, dtype=np.int64)
             j_lo = 1 + (2 * k * b + nudge) // (2 * a)
             count = (4 * a * b - 2 * k * b + nudge) // (2 * a) - j_lo + 1
-            k, j = np.repeat(k, count), np.repeat(j_lo, count) + _kernels._ranges(count)
+            k, j = k.repeat(count), j_lo.repeat(count) + _kernels._ranges(count)
             half, base = k * math.pi / a, j * math.pi / b - shift
             families.append((k, j, base - half, base + half, 2 * a * j - nudge, -2 * b * k))
         k, j, t1, t2, s_u, d_u = (np.concatenate(columns) for columns in zip(*families))
@@ -270,7 +270,7 @@ class _CrossingTable:
         """
         (ps, sin_pd), (rs, sin_rd) = self._gap_factors
         ps, rs = ps[rows], rs[rows]
-        return sine_sum(((1.0, phi1, ps, sin_pd[rows]), (1.0, phi2, rs, sin_rd[rows])), np.shape(ps))
+        return sine_sum(((1.0, phi1, ps, sin_pd[rows]), (1.0, phi2, rs, sin_rd[rows])), ps.shape)
 
 
 @functools.lru_cache(maxsize=32)
@@ -321,7 +321,7 @@ def _classify_pairs(knot: FourierKnot, t1: np.ndarray, t2: np.ndarray) -> _Class
     )
     meet = np.abs(dz) <= EPS_SINGULAR
     singular = {}
-    for i in np.flatnonzero(meet | (np.abs(planar) <= EPS_SINGULAR)).tolist():
+    for i in (meet | (np.abs(planar) <= EPS_SINGULAR)).nonzero()[0].tolist():
         if meet[i]:
             singular[i] = f"strands meet in space at ({a[i]:.6f}, {b[i]:.6f}): |dz| = {abs(dz[i]):.3e}"
         else:
@@ -400,20 +400,20 @@ class CrossingSet:
         shapes = {name: getattr(self, name).shape for name in names}
         if len(shapes["t1"]) != 1 or len(set(shapes.values())) != 1:
             raise ValueError(f"the columns must be 1-D and of one length, got shapes {shapes}")
-        if not (np.issubdtype(self.sign.dtype, np.integer) and ((self.sign == 1) | (self.sign == -1)).all()):
+        if not (self.sign.dtype.kind in "iu" and ((self.sign == 1) | (self.sign == -1)).all()):
             raise ValueError("every sign must be an integer 1 or -1")
-        if not (np.issubdtype(self.kind.dtype, np.integer) and ((self.kind >= -1) & (self.kind <= 1)).all()):
+        if not (self.kind.dtype.kind in "iu" and ((self.kind >= -1) & (self.kind <= 1)).all()):
             raise ValueError("every kind must be an integer -1, 0 or 1")
         for name in ("k", "j"):
-            if not np.issubdtype(getattr(self, name).dtype, np.integer):
+            if getattr(self, name).dtype.kind not in "iu":
                 raise ValueError(f"every {name} must be an integer")
         if self.over_t1.dtype != bool:
             raise ValueError(f"over_t1 must have bool dtype, got {self.over_t1.dtype}")
         t1, t2 = self.t1, self.t2
-        if np.any((t1[:-1] > t1[1:]) | ((t1[:-1] == t1[1:]) & (t2[:-1] > t2[1:]))):
+        if ((t1[:-1] > t1[1:]) | ((t1[:-1] == t1[1:]) & (t2[:-1] > t2[1:]))).any():
             raise ValueError("crossings must be sorted by (t1, t2)")
         times = np.concatenate((t1, t2))
-        ids = np.tile(np.arange(len(t1)), 2)
+        ids = np.concatenate((np.arange(len(t1)),) * 2)
         is_over = np.concatenate((self.over_t1, ~self.over_t1)).astype(np.intp)
         order = np.lexsort((is_over, ids, times))
         object.__setattr__(self, "passages", (times[order], ids[order], is_over[order]))

@@ -239,7 +239,7 @@ def build_pd_code(crossings: CrossingSet) -> PDCode:
     n2 = 2 * len(crossings)
     a, c, o_in, o_out = np.where(pu, pu, n2), pu + 1, np.where(po, po, n2), po + 1
     right = crossings.sign > 0
-    return PDCode._of_array(np.column_stack((a, np.where(right, o_out, o_in), c, np.where(right, o_in, o_out))))
+    return PDCode._of_array(np.array((a, np.where(right, o_out, o_in), c, np.where(right, o_in, o_out))).T)
 
 
 def writhe(crossings: CrossingSet) -> int:
@@ -371,9 +371,9 @@ def _sweep_minor(steps: list[tuple[int, int, bool]], f: int, depth: int) -> list
         fields = sum(limbs[:, j] << 64 * j for j in range(bits // 64))
     pairs = fields.reshape(f - 1, 2, 2 * depth + 1, f - 1)  # [maximum, side, slot, generator]
     minor = (pairs[:, 0] - pairs[:, 1]).transpose(0, 2, 1)  # [row, column, slot]
-    row, col, slot = np.nonzero(minor)
+    row, col, slot = minor.nonzero()
     terms = list(zip(col.tolist(), (slot - depth).tolist(), minor[row, col, slot].tolist()))
-    ends = np.searchsorted(row, np.arange(f)).tolist()
+    ends = row.searchsorted(np.arange(f)).tolist()
     return [terms[i:j] for i, j in zip(ends, ends[1:])]
 
 
@@ -453,7 +453,7 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
     if not n:
         return LaurentPolynomial.one()
     slope = knot.x.eval_derivative(t)
-    near = np.flatnonzero(np.abs(slope) <= EPS_DEDUPE * knot.x.norm(2))
+    near = (np.abs(slope) <= EPS_DEDUPE * knot.x.norm(2)).nonzero()[0]
     if near.size:
         k = near[0]
         raise SingularDiagram(
@@ -461,20 +461,21 @@ def _alexander_from_sweep(knot: FourierKnot, crossings: CrossingSet) -> LaurentP
             f"of a critical time of x (|x'| = {abs(slope[k]):.3g})"
         )
     up = slope > 0.0
-    gain = np.diff(knot.x.eval(t))
+    x = knot.x.eval(t)
+    gain = x[1:] - x[:-1]
     gain[~up[1:]] *= -1.0  # towards rising x: back in time on a falling strand
     # passage to passage: a new strand where the direction turns, two at a fold, none on a chain link
     step = np.where(up[1:] != up[:-1], 1, 2 * (gain <= EPS_DEDUPE * knot.x.norm(1)))
-    s = np.cumsum(np.concatenate(([up[0]], step)))
+    s = np.concatenate(([up[0]], step)).cumsum()
     f = int(s[-1]) // 2 + 1
     strand = np.empty((n, 2), dtype=np.intp)  # [under strand, over strand] per crossing
     strand[cid, is_over] = s
     rising = (crossings.sign > 0) == (strand[:, 0] % 2 == 1)  # the new label is O + t*(L - O)
     # chain links join passages i and i + 1 on one strand, oriented towards rising x
-    link = np.flatnonzero(step == 0)
+    link = (step == 0).nonzero()[0]
     head = link + ~up[link + 1]
     tail = link + up[link + 1]
-    succ = np.full((n, 2), n, dtype=np.intp)  # [next on under strand, next on over strand]; n: none
+    succ = np.zeros((n, 2), dtype=np.intp) + n  # [next on under strand, next on over strand]; n: none
     succ[cid[head], is_over[head]] = cid[tail]
     indeg = np.bincount(cid[tail], minlength=n + 1)
     indeg[n] = -1  # the stand-in successor n never becomes ready
@@ -521,7 +522,7 @@ def torus_alexander_oracle(params: TorusParams) -> LaurentPolynomial:
     coeffs[:c] += member
     coeffs[1:] -= member
     coeffs[c] += 1
-    exps = np.flatnonzero(coeffs)
+    exps = coeffs.nonzero()[0]
     return LaurentPolynomial._adopt(dict(zip(exps.tolist(), coeffs[exps].tolist())))
 
 
@@ -542,7 +543,7 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
     dropped a singular candidate.
     """
     p, q = params.p, params.q
-    indexed = bool(np.all(crossings.kind >= 0))
+    indexed = bool((crossings.kind >= 0).all())
     type1, type2 = crossings.kind == 0, crossings.kind == 1
     n1, n2 = int(type1.sum()), int(type2.sum())
     if indexed:
@@ -554,7 +555,7 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
             raise IdentificationFailure(
                 "type2-count", f"expected {p * q - p} opposite-direction crossings, found {n2}"
             )
-        bad = int(np.count_nonzero(crossings.sign[type1] != -1))
+        bad = int((crossings.sign[type1] != -1).sum())
         if bad:
             raise IdentificationFailure(
                 "type1-handedness", f"{bad} same-direction crossings are not left-handed"
@@ -562,7 +563,7 @@ def identify(knot: FourierKnot, crossings: CrossingSet, params: TorusParams) -> 
         # for x = cos(p t) the analytic passages lie at least pi/(2pq) from a
         # critical time, so |x'| >= p*sin(pi/(2q)) there: the sign test has room
         over_times = np.where(crossings.over_t1, crossings.t1, crossings.t2)[type2]
-        wrong = np.flatnonzero(knot.x.eval_derivative(over_times) <= 0.0)
+        wrong = (knot.x.eval_derivative(over_times) <= 0.0).nonzero()[0]
         if wrong.size:
             raise IdentificationFailure(
                 "type2-over-direction",

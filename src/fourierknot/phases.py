@@ -136,9 +136,9 @@ def _positive_gaps(table, phi1, phi2) -> np.ndarray:
     """
     gaps = table.height_gap(slice(None), phi1, phi2)
     if np.abs(gaps).min() <= EPS_SINGULAR:
-        degenerate = np.abs(np.atleast_2d(gaps)) <= EPS_SINGULAR
+        degenerate = (np.abs(gaps) <= EPS_SINGULAR).reshape(-1, gaps.shape[-1])
         first = degenerate.any(axis=1).argmax()
-        raise SingularPoint([table.indices[row] for row in np.flatnonzero(degenerate[first]).tolist()])
+        raise SingularPoint([table.indices[row] for row in degenerate[first].nonzero()[0].tolist()])
     return gaps > 0.0
 
 
@@ -191,7 +191,7 @@ def _line_candidates(table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     intercept = base[:, None] + m * math.pi
     # type I: horizontal; type II, k even: slope (-1)^m; k odd: (-1)^(m+1)
     slope = np.where(type1[:, None], 0, np.where((m + table.k[:, None]) % 2 == 0, 1, -1))
-    row = np.broadcast_to(np.arange(len(type1))[:, None], m.shape)
+    row = np.arange(len(type1))[:, None].repeat(m.shape[1], axis=1)
     # an exact 0 may round below it; max(intercept, 0.0) as Python's max takes it: -0.0 stays -0.0
     intercept = np.where(intercept < 0.0, 0.0, intercept)
     return row, m, slope, intercept
@@ -226,9 +226,9 @@ def certified_line_arrays(params: TorusParams) -> tuple[np.ndarray, np.ndarray, 
     rows, m, slopes, intercepts = _line_candidates(table)
     residual = np.abs(_line_gaps(table, rows, slopes, intercepts))
     rows, m, slopes, intercepts = rows.ravel(), m.ravel(), slopes.ravel(), intercepts.ravel()
-    failing = np.argwhere(residual > EPS_SINGULAR)
-    if len(failing):
-        i, s = failing[0]
+    lines, samples = (residual > EPS_SINGULAR).nonzero()
+    if len(lines):
+        i, s = lines[0], samples[0]
         line = _lines(table, rows[i : i + 1], m[i : i + 1], slopes[i : i + 1], intercepts[i : i + 1])[0]
         raise CertificationFailure(
             f"line {line} fails for crossing {CrossingIndices(*line[:3]).key()}: "

@@ -56,21 +56,35 @@ def _int_at_least(value, low: int, name: str) -> int:
     return value
 
 
+def _real(value) -> bool:
+    """False for None, a str or bytes and a complex that is not real, which _finite_float and _real_times refuse."""
+    return not (value is None or isinstance(value, (str, bytes))
+                or (isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real)))
+
+
 def _finite_float(value, name: str) -> float:
-    """float(value), refused with a ValueError naming it for a str, bytes, None or complex, or if not finite.
+    """float(value), refused with a ValueError naming it unless it is _real and finite.
 
     float() would read a str such as "1.5" or "inf", and would refuse None or
     a complex with a TypeError that names nothing; what float() takes
     otherwise (ints, Fractions, numpy's scalars) is still taken.
     """
     if type(value) is not float:
-        if value is None or isinstance(value, (str, bytes)) or (
-                isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real)):
+        if not _real(value):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _real_times(t) -> np.ndarray:
+    """t as np.asarray(t, dtype=float) reads it, if real (an object array's every element _real), else ValueError."""
+    times = np.asarray(t)
+    if times.dtype.kind not in "fiub" and not (times.dtype.kind == "O" and all(map(_real, times.flat))):
+        what = f"an array of dtype {times.dtype}" if times.ndim else repr(t)
+        raise ValueError(f"t must be real, got {what}")
+    return times.astype(float, copy=False)
 
 
 def reduce_angle(theta: float) -> float:
@@ -149,11 +163,11 @@ class FourierSeries:
         return len(self.terms)
 
     def eval(self, t):
-        """Value at t: a float in the math order for a 0-d t, else an array in the numpy order."""
+        """Value at t: a float in the math order for a 0-d t, else an array in the numpy order; t must be real."""
         return self._eval(t, derivative=False)
 
     def eval_derivative(self, t):
-        """d/dt value at t: a float in the math order for a 0-d t, else an array in the numpy order."""
+        """d/dt value at t: a float in the math order for a 0-d t, else an array in the numpy order; t must be real."""
         return self._eval(t, derivative=True)
 
     def _waves(self, derivative: bool):
@@ -162,18 +176,18 @@ class FourierSeries:
                 for tm in self.terms]
 
     def _eval(self, t, derivative: bool):
-        if np.ndim(t) == 0:
-            return self.eval_math([t], derivative)[0]
-        t = np.asarray(t, dtype=float)
+        t = _real_times(t)
+        if t.ndim == 0:
+            return self.eval_math(t.reshape(1), derivative)[0]
         wave = np.sin if derivative else np.cos
-        out = np.zeros_like(t)
+        out = np.zeros(t.shape)
         for f, phase, c in self._waves(derivative):
             out += c * wave(f * t + phase)
         return out
 
     def eval_math(self, ts, derivative: bool = False) -> list[float]:
-        """Values (or d/dt values) at each t of a 1-D array, in the math order."""
-        ts = np.asarray(ts, dtype=float)
+        """Values (or d/dt values) at each t of a 1-D array, in the math order; t must be real."""
+        ts = _real_times(ts)
         wave = math.sin if derivative else math.cos
         waves = self._waves(derivative)
         if len(waves) == 1:  # sum((v,)) is 0 + v, which turns -0.0 into 0.0
@@ -307,7 +321,7 @@ def sine_factors(frequencies, t1, t2) -> tuple[tuple[int, ...], list]:
     (floats or arrays that broadcast), so each factor has their shape.
     """
     s, d = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
-    return np.shape(s), [(f * s, np.sin(f * d)) for f in frequencies]
+    return np.asarray(s).shape, [(f * s, np.sin(f * d)) for f in frequencies]
 
 
 def sine_sum(waves, shape):

@@ -652,6 +652,18 @@ def test_crossing_set_refuses_non_integer_k_and_j(name, change):
         _with_column(name, change)
 
 
+@pytest.mark.parametrize("name, message", [
+    ("sign", "every sign must be an integer 1 or -1"),
+    ("kind", "every kind must be an integer -1, 0 or 1"),
+    ("k", "every k must be an integer"),
+    ("j", "every j must be an integer"),
+])
+def test_crossing_set_refuses_timedelta_columns(name, message):
+    # numpy files timedelta64 under np.integer, so a column of them passed the integer test
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _with_column(name, lambda column: column.astype("m8[s]"))
+
+
 def test_crossing_set_stores_a_time_of_minus_zero_as_zero():
     # a t1 of -0.0 was kept, and printed as -0 in the JSON, CSV and text rows
     cs = _set_of((-0.0, 2.0), (1.0, 3.0))
@@ -767,6 +779,8 @@ def clustered_time_pairs(draw):
 @example(pairs=[(0.0, 3.0), (3e-7, 6e-7), (TWO_PI - 3.5e-7, TWO_PI - 5e-8)])  # near only through the wrap
 @example(pairs=[(1.0, 2.0), (1.0 + 3e-7, 4.0), (2.0 + 5e-8, 5.0), (1.0 + 6e-7, 2.0 + 1e-7)])  # near, not adjacent
 @example(pairs=[(1.0, 2.0), (1.0 + 9e-7, 2.0 + 9e-7), (1.0 + 1.8e-6, 2.0 + 1.8e-6)])  # a chain
+@example(pairs=[])  # no times: no gap
+@example(pairs=[(0.5, 1.0)])  # two times: one gap each way round
 @given(pairs=clustered_time_pairs())
 def test_near_pairs_matches_all_pairs(pairs):
     assert near_pairs([a for a, _ in pairs], [b for _, b in pairs]) == near_pairs_reference(pairs)

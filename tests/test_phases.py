@@ -372,6 +372,18 @@ def _singular_indices(params, point=None):
     return err.value.indices
 
 
+def test_same_knot_refuses_with_the_first_singular_point():
+    # T(3,5): b lies on two type-II lines and c on the first singular line, which holds two crossings
+    params = TorusParams(3, 5)
+    b = simplified_phase_point(params)
+    c = PhasePoint(1.0, singular_lines(params)[0].phi2_at(1.0))
+    for first, second, keys in ((theorem_phase_point(params), b, ["II:1:2", "II:3:2"]),
+                                (c, b, ["I:1:2", "I:1:7"]), (b, c, ["II:1:2", "II:3:2"])):
+        with pytest.raises(SingularPoint) as err:
+            same_knot_by_phases(params, first, second)
+        assert [ix.key() for ix in err.value.indices] == keys
+
+
 def test_singular_indices_of_simplified_point_pinned():
     # odd p: the simplified point lies on type-II lines; SingularPoint lists
     # their indices in table order, and same_knot_by_phases reports a before b

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -255,6 +256,43 @@ def test_term_takes_what_float_takes_but_text_and_complex():
         term = FourierTerm(amplitude, 3, phase)
         assert (term.amplitude, term.phase) == (float(amplitude), reduce_angle(float(phase)))
         assert type(term.amplitude) is float and type(term.phase) is float
+
+
+NOT_REAL_TIMES = [None, "0.1", b"1", 1 + 2j, np.complex128(1.0), np.array([0.1, None], dtype=object),
+                  np.array([1 + 2j]), np.array(["0.1"])]
+
+
+@pytest.mark.parametrize("bad", NOT_REAL_TIMES, ids=["None", "str", "bytes", "complex", "numpy-complex",
+                                                     "object-None", "complex-array", "str-array"])
+def test_eval_refuses_times_that_are_not_real(bad):
+    # None used to give nan, "0.1" and b"1" were parsed, an object array's None read as nan,
+    # and a complex array lost its imaginary part with only a ComplexWarning
+    series = series_of([(1.0, 3, 0.2)])
+    if np.ndim(bad):
+        message, row = f"^t must be real, got an array of dtype {np.asarray(bad).dtype}$", bad
+    else:
+        message, row = "^" + re.escape(f"t must be real, got {bad!r}") + "$", [bad]
+    for evaluate in (series.eval, series.eval_derivative):
+        with pytest.raises(ValueError, match=message):
+            evaluate(bad)
+    with pytest.raises(ValueError, match="^t must be real, got an array of dtype "):
+        series.eval_math(row)
+
+
+def test_eval_takes_real_times_as_a_float_conversion_reads_them():
+    # ints beyond int64, nan, bools, numpy scalars, Fractions and Decimals, and int, uint,
+    # float, bool and real object arrays give the values of their float conversion, bitwise
+    series = series_of([(1.0, 3, 0.2), (-0.5, 7, 1.0)])
+    for t in (2**70, -(2**64) - 1, math.nan, True, np.uint64(2**64 - 1), np.float32(0.1), Fraction(1, 3),
+              Decimal("0.25")):
+        for evaluate in (series.eval, series.eval_derivative):
+            assert evaluate(t).hex() == evaluate(float(t)).hex(), t
+    for ts in ([1, 2.5], np.arange(5, dtype=np.uint8), np.array([True, False]), np.array([0.5, math.nan]),
+               np.array([2**70, Fraction(1, 3), np.float32(0.1)], dtype=object)):
+        floats = np.asarray(ts, dtype=float)
+        for evaluate in (series.eval, series.eval_derivative):
+            assert evaluate(ts).tobytes() == evaluate(floats).tobytes(), ts
+        assert [v.hex() for v in series.eval_math(ts)] == [v.hex() for v in series.eval_math(floats)], ts
 
 
 def random_series(seed: int, terms: int) -> FourierSeries:
